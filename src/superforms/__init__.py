@@ -19,7 +19,6 @@ from .atlas_morphism import (
 from .berezin import berezin_integral, berezin_reduce, bosonic_residue
 from .coeff_ring import (
     LaurentPoly,
-    Rational,
     lp_add,
     lp_mul,
     lp_neg,
@@ -80,7 +79,6 @@ __all__ = [
     "Monomial",
     "Morphism",
     "NotATopFormError",
-    "Rational",
     "SectionBasis",
     "StructuralError",
     "Superform",

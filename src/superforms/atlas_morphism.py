@@ -19,6 +19,7 @@ from .form_algebra import (
     GeneratorTable,
     Monomial,
     Superform,
+    _add_terms,
     delta_expand,
     exterior_d,
     normalize,
@@ -77,7 +78,7 @@ class Morphism:
         src = self.source
         out = Superform.zero(src.id, src.table)
         for c, idx in self.odd_images[j]:
-            out = out + normalize(((TH, idx),), c, src.id, src.table)
+            _add_terms(out.terms, normalize(((TH, idx),), c, src.id, src.table).terms)
         return out
 
 
@@ -158,7 +159,7 @@ def pullback(m, a, series_extra=None):
             if acc.is_zero():
                 break
             acc = wedge(acc, _atom_image(m, atom, series_extra))
-        out = out + acc
+        _add_terms(out.terms, acc.terms)
     return out
 
 

@@ -14,8 +14,9 @@ differentials (`dg`, `dpsi1`, ...) and delta factors `delta(dpsi)`,
 `delta'(dpsi)`, `delta^(k)(dpsi)`.  `*` is the wedge product; negative powers
 are admitted on even coordinates only.
 
-Exit codes: 0 success, 2 parse error, 3 computation error, 4 stabilization
-failure.  With --json every report is a single versioned JSON object.
+Exit codes: 0 success, 2 parse or usage error (such as a negative --cutoff),
+3 computation error, 4 stabilization failure.  With --json every report is a
+single versioned JSON object.
 """
 
 import argparse
@@ -636,6 +637,8 @@ def run_command(argv):
     args = parser.parse_args(_merge_range_values(argv))
     json_mode = getattr(args, "json", False)
     try:
+        if getattr(args, "cutoff", 0) < 0:
+            raise FormParseError("--cutoff must be non-negative, got %d" % args.cutoff)
         return args.func(args)
     except FormParseError as exc:
         _report_error(json_mode, "parse", exc)

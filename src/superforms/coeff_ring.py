@@ -9,12 +9,9 @@ from fractions import Fraction
 
 from .errors import StructuralError, UnsupportedMorphismError
 
-# Exact arbitrary-precision fractions; arithmetic never rounds.
-Rational = Fraction
-
 
 class LaurentPoly:
-    """Laurent polynomial: {exponent tuple: nonzero Rational} over named variables."""
+    """Laurent polynomial: {exponent tuple: nonzero Fraction} over named variables."""
 
     __slots__ = ("variables", "terms")
 

@@ -1,23 +1,36 @@
 """Truncated section spaces, Cech and de Rham cohomology, exact linear algebra.
 
-All ranks and kernels are computed over exact rationals with a sparse
-row-reduced eliminator.  Chart sections of P^{1|1} are polynomial of degree
-<= D; the overlap window is [-(D+|i|+4), D+|i|+4].  H^0 is the kernel of
-(s0, s1) |-> s0 - Phi*(s1); H^1 is estimated through an inner window of
-half-width |i|+4 whose unhit monomials are the coset representatives, with a
-D vs D+2 stabilization check.  Flat-space de Rham is graded by the d-invariant
-weight w = even degree + #theta + #dgamma + #dpsi and computed exactly per
-block w <= cutoff.
+Every group is a kernel modulo an image over exact rationals, and every
+matrix is eliminated once, by `_eliminate`: it inserts the columns into one
+sparse row-reduced `Eliminator` and returns it with the kernel combinations.
+
+Chart sections of P^{1|1} are polynomial of degree <= D; the overlap window
+is [-(D+|i|+4), D+|i|+4].  `_cech_solve` builds the Cech system
+(s0, s1) |-> s0 - Phi*(s1) once per cutoff and eliminates it: the kernel is
+H^0, and the unit vectors of an inner window of half-width |i|+4, inserted
+after the columns, probe H^1, whose unhit monomials are the coset
+representatives.
+
+`_complex_cohomology` walks a complex of d matrices: the eliminator of d[i-1]
+gives rank(d[i-1]), ker(d[i-1]) and the image against which degree-i
+representatives are picked.  P^{1|1} de Rham runs it on the complex of global
+sections; flat-space de Rham is graded by the d-invariant weight w = even
+degree + #theta + #dgamma + #dpsi and runs it on each block w <= cutoff.
+
+Cech and de Rham answers are certified by recomputing at D+2: `_rerun` is
+the one place that runs a computation at D and at D+2, and the reports are
+marked stabilized when both agree.  A negative cutoff is rejected there and
+in `_cech_solve`, which the pairing uses without a rerun.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations, product
 
 from .atlas_morphism import builtin_flat, builtin_p11, pullback
 from .coeff_ring import LaurentPoly
 from .errors import StructuralError, UnsupportedSpaceError, WindowOverflowError
-from .form_algebra import Monomial, Superform, exterior_d, pair
+from .form_algebra import Monomial, Superform, _add_terms, exterior_d, pair
 
 
 class Eliminator:
@@ -161,128 +174,181 @@ def _section_form(atlas, chart_id, mon, exp):
     return Superform(chart_id, table, {mon: lp})
 
 
-def _expand_overlap(sf, index):
-    col = {}
-    for mon, lp in sf.terms.items():
-        for exps, c in lp.items():
-            key = (mon, exps[0])
-            if key not in index:
-                raise WindowOverflowError(
-                    "section leaves the overlap window at %r; enlarge the cutoff" % (key,)
-                )
-            col[index[key]] = c
-    return col
+def _rerun(compute, cutoff):
+    """compute(cutoff) and its stabilization rerun compute(cutoff + 2)."""
+    if cutoff < 0:
+        raise StructuralError("cutoff must be non-negative, got %d" % cutoff)
+    return compute(cutoff), compute(cutoff + 2)
 
 
-def _cech_system(atlas, sheaf, cutoff):
-    """Domain labels, overlap basis and columns of (s0, s1) |-> s0 - Phi*(s1)."""
-    i, j = sheaf
-    overlap = build_section_basis(sheaf, "overlap", cutoff)
-    index = {el: r for r, el in enumerate(overlap.elements)}
-    chart0 = build_section_basis(sheaf, "U0", cutoff)
-    chart1 = build_section_basis(sheaf, "U1", cutoff)
-    m01 = atlas.transition("U0", "U1")
-    dom = []
-    cols = []
-    for mon, e in chart0.elements:
-        dom.append(("U0", mon, e))
-        cols.append({index[(mon, e)]: Fraction(1)})
-    for mon, e in chart1.elements:
-        dom.append(("U1", mon, e))
-        pulled = pullback(m01, _section_form(atlas, "U1", mon, e))
-        col = _expand_overlap(pulled, index)
-        cols.append({r: -c for r, c in col.items()})
-    return dom, overlap, cols
+def _eliminate(columns):
+    """Insert the columns, tagged 0, 1, ..., into one Eliminator.
 
-
-def _h0_kernel(atlas, sheaf, cutoff):
-    dom, _, cols = _cech_system(atlas, sheaf, cutoff)
+    Returns the eliminator and the kernel as combinations {column: coeff},
+    one per dependent column, after the rank-nullity self-check.
+    """
     elim = Eliminator()
     kernels = []
-    for t, col in enumerate(cols):
+    for t, col in enumerate(columns):
         combo = elim.insert(col, t)
         if combo is not None:
             kernels.append(combo)
-    if elim.rank + len(kernels) != len(cols):
+    if elim.rank + len(kernels) != len(columns):
         raise StructuralError("rank-nullity self-check failed")
-    gens = []
-    for combo in kernels:
-        parts = {
-            "U0": Superform.zero("U0", atlas.chart("U0").table),
-            "U1": Superform.zero("U1", atlas.chart("U1").table),
-        }
-        for t, c in combo.items():
-            chart_id, mon, e = dom[t]
-            parts[chart_id] = parts[chart_id] + _section_form(atlas, chart_id, mon, e).scale(c)
-        gens.append(parts)
-    return gens
+    return elim, kernels
 
 
-def cech_h0(atlas, sheaf, cutoff):
-    gens = _h0_kernel(atlas, sheaf, cutoff)
-    again = _h0_kernel(atlas, sheaf, cutoff + 2)
-    return CohomologyReport(
-        space="p11",
-        sheaf=sheaf,
-        cutoff=cutoff,
-        h0=len(gens),
-        generators_h0=gens,
-        stabilized=len(gens) == len(again),
+def _coordinates(form, index, key, error):
+    """Sparse coordinates {row: coeff} of a form in a basis index keyed by
+    key(monomial, exponents); a term outside the basis raises error(key)."""
+    vec = {}
+    for mon, lp in form.terms.items():
+        for exps, c in lp.items():
+            k = key(mon, exps)
+            if k not in index:
+                raise error(k)
+            vec[index[k]] = c
+    return vec
+
+
+def _overlap_key(mon, exps):
+    return mon, exps[0]
+
+
+def _overlap_error(key):
+    return WindowOverflowError(
+        "section leaves the overlap window at %r; enlarge the cutoff" % (key,)
     )
 
 
-def _h1_representatives(atlas, sheaf, cutoff):
+def _compose_is_zero(cols_first, cols_second):
+    for col in cols_first:
+        acc = {}
+        for s, c in col.items():
+            for r, c2 in cols_second[s].items():
+                v = acc.get(r, Fraction(0)) + c * c2
+                if v:
+                    acc[r] = v
+                else:
+                    acc.pop(r, None)
+        if acc:
+            return False
+    return True
+
+
+def _complex_cohomology(d_cols, lo, hi):
+    """Cohomology of a complex in degrees lo..hi, each differential eliminated once.
+
+    d_cols[i] lists the columns {row: coeff} of d: C^i -> C^{i+1}, one per
+    basis element of C^i, for at least i = lo-1..hi; consecutive entries must
+    compose to zero.  Returns ({i: dim}, {i: [representative {row: coeff}]}).
+    """
+    for i in d_cols:
+        if i + 1 in d_cols and not _compose_is_zero(d_cols[i], d_cols[i + 1]):
+            raise StructuralError("d o d != 0 in the assembled de Rham complex")
+    dims, reps = {}, {}
+    image, _ = _eliminate(d_cols[lo - 1])
+    for i in range(lo, hi + 1):
+        elim, kernels = _eliminate(d_cols[i])
+        dims[i] = len(kernels) - image.rank
+        reps[i] = [z for k, z in enumerate(kernels) if image.insert(z, ("z", k)) is None]
+        image = elim
+    return dims, reps
+
+
+def _cech_solve(atlas, sheaf, cutoff):
+    """Build the Cech system of one sheaf at one cutoff and eliminate it once.
+
+    Returns (dom, kernels, reps, index, elim): the column labels (chart id,
+    Monomial, exponent), H^0 as combinations {column: coeff}, the H^1
+    representatives as overlap (Monomial, exponent) pairs, the overlap row
+    index and the eliminator holding the columns and then the H^1 probe.
+    Callers that keep a result take only what they use, so that the
+    eliminator is freed.
+    """
+    if cutoff < 0:
+        raise StructuralError("cutoff must be non-negative, got %d" % cutoff)
+    i, _ = sheaf
+    overlap = build_section_basis(sheaf, "overlap", cutoff)
+    index = {el: r for r, el in enumerate(overlap.elements)}
+    m01 = atlas.transition("U0", "U1")
+    dom = []
+    cols = []
+    for mon, e in build_section_basis(sheaf, "U0", cutoff).elements:
+        dom.append(("U0", mon, e))
+        cols.append({index[(mon, e)]: Fraction(1)})
+    for mon, e in build_section_basis(sheaf, "U1", cutoff).elements:
+        dom.append(("U1", mon, e))
+        pulled = pullback(m01, _section_form(atlas, "U1", mon, e))
+        col = _coordinates(pulled, index, _overlap_key, _overlap_error)
+        cols.append({r: -c for r, c in col.items()})
+    elim, kernels = _eliminate(cols)
     # Unhit monomials inside an inner window estimate the cokernel.  The
     # window is capped by the coverage reach of degree-<=cutoff sections
     # (their images lead at exponent ~ |i|+1-cutoff), so that a class is
     # never reported merely because its killing coboundary was truncated
     # away; the D vs D+2 stabilization flag guards the remaining risk.
-    i, _ = sheaf
-    dom, overlap, cols = _cech_system(atlas, sheaf, cutoff)
-    index = {el: r for r, el in enumerate(overlap.elements)}
-    elim = Eliminator()
-    for t, col in enumerate(cols):
-        elim.insert(col, ("col", t))
     inner = max(0, min(abs(i) + 4, cutoff - abs(i) - 1))
-    reps = []
-    for mon, e in overlap.elements:
-        if abs(e) > inner:
-            continue
-        if elim.insert({index[(mon, e)]: Fraction(1)}, ("unit", mon, e)) is None:
-            reps.append((mon, e))
-    return reps
+    reps = [
+        el
+        for el, r in index.items()
+        if abs(el[1]) <= inner and elim.insert({r: Fraction(1)}, el) is None
+    ]
+    return dom, kernels, reps, index, elim
 
 
-def cech_h1(atlas, sheaf, cutoff):
-    reps = _h1_representatives(atlas, sheaf, cutoff)
-    again = _h1_representatives(atlas, sheaf, cutoff + 2)
-    gens = [_section_form(atlas, "U0", mon, e) for mon, e in reps]
+def _glue(atlas, dom, combo):
+    """The pair {chart id: Superform} of a combination of Cech columns."""
+    parts = {cid: Superform.zero(cid, atlas.chart(cid).table) for cid in ("U0", "U1")}
+    for t, c in combo.items():
+        chart_id, mon, e = dom[t]
+        _add_terms(parts[chart_id].terms, _section_form(atlas, chart_id, mon, e).scale(c).terms)
+    return parts
+
+
+def _cech_reports(atlas, sheaf, cutoff):
+    """The H^0 and the H^1 report of one sheaf, from one solve at the cutoff
+    and one at cutoff + 2."""
+    first, again = _rerun(lambda c: _cech_solve(atlas, sheaf, c)[:3], cutoff)
+    dom, kernels, reps = first
     # An empty probe window (cutoff <= |i|+1) yields a vacuous count of zero;
     # never let such a run pass itself off as converged.
     probed = cutoff - abs(sheaf[0]) - 1 > 0
-    return CohomologyReport(
+    h0 = CohomologyReport(
+        space="p11",
+        sheaf=sheaf,
+        cutoff=cutoff,
+        h0=len(kernels),
+        generators_h0=[_glue(atlas, dom, combo) for combo in kernels],
+        stabilized=len(kernels) == len(again[1]),
+    )
+    h1 = CohomologyReport(
         space="p11",
         sheaf=sheaf,
         cutoff=cutoff,
         h1=len(reps),
-        generators_h1=gens,
-        stabilized=probed and len(reps) == len(again),
+        generators_h1=[_section_form(atlas, "U0", mon, e) for mon, e in reps],
+        stabilized=probed and len(reps) == len(again[2]),
     )
+    return h0, h1
+
+
+def cech_h0(atlas, sheaf, cutoff):
+    return _cech_reports(atlas, sheaf, cutoff)[0]
+
+
+def cech_h1(atlas, sheaf, cutoff):
+    return _cech_reports(atlas, sheaf, cutoff)[1]
 
 
 def cech(atlas, sheaf, cutoff):
     """Both Cech groups of one sheaf in a single report."""
-    r0 = cech_h0(atlas, sheaf, cutoff)
-    r1 = cech_h1(atlas, sheaf, cutoff)
-    return CohomologyReport(
-        space="p11",
-        sheaf=sheaf,
-        cutoff=cutoff,
-        h0=r0.h0,
-        h1=r1.h1,
-        generators_h0=r0.generators_h0,
-        generators_h1=r1.generators_h1,
-        stabilized=r0.stabilized and r1.stabilized,
+    h0, h1 = _cech_reports(atlas, sheaf, cutoff)
+    return replace(
+        h0,
+        h1=h1.h1,
+        generators_h1=h1.generators_h1,
+        stabilized=h0.stabilized and h1.stabilized,
     )
 
 
@@ -290,123 +356,47 @@ def cech(atlas, sheaf, cutoff):
 # de Rham: P^{1|1} via global-section complexes
 
 
-def _p11_level(atlas, sheaf, cutoff):
-    """Global sections of Omega^{i|j} as pairs plus their coordinate vectors."""
-    i, j = sheaf
-    chart0 = build_section_basis(sheaf, "U0", cutoff)
-    chart1 = build_section_basis(sheaf, "U1", cutoff)
-    labels = [("U0", m, e) for m, e in chart0.elements]
-    labels += [("U1", m, e) for m, e in chart1.elements]
-    index = {lab: t for t, lab in enumerate(labels)}
-    gens = _h0_kernel(atlas, sheaf, cutoff)
-    vectors = []
-    for parts in gens:
-        vec = {}
-        for chart_id in ("U0", "U1"):
-            for mon, lp in parts[chart_id].terms.items():
-                for exps, c in lp.items():
-                    vec[index[(chart_id, mon, exps[0])]] = c
-        vectors.append(vec)
-    return gens, vectors, index
+def _differential_error(key):
+    return WindowOverflowError("differential leaves the section window")
 
 
-def _pair_vector(parts, index):
-    vec = {}
-    for chart_id in ("U0", "U1"):
-        for mon, lp in parts[chart_id].terms.items():
-            for exps, c in lp.items():
-                key = (chart_id, mon, exps[0])
-                if key not in index:
-                    raise WindowOverflowError("differential leaves the section window")
-                vec[index[key]] = c
-    return vec
-
-
-def _matrix_rank(columns):
-    elim = Eliminator()
-    for t, col in enumerate(columns):
-        elim.insert(col, t)
-    return elim.rank
-
-
-def _kernel_vectors(columns):
-    """Kernel of the matrix with the given columns, as {column index: coeff}."""
-    elim = Eliminator()
-    kernels = []
-    for t, col in enumerate(columns):
-        combo = elim.insert(col, t)
-        if combo is not None:
-            kernels.append(combo)
-    return kernels, elim.rank
-
-
-def _derham_p11_dims(atlas, picture, lo, hi, cutoff, want_generators):
-    levels = {}
-    for i in range(lo - 1, hi + 2):
-        levels[i] = _p11_level(atlas, (i, picture), cutoff)
-
-    d_matrices = {}
+def _derham_p11(atlas, picture, lo, hi, cutoff):
+    # degree -> (Cech column labels, global sections as kernel combinations)
+    levels = {i: _cech_solve(atlas, (i, picture), cutoff)[:2] for i in range(lo - 1, hi + 2)}
+    gens = {
+        i: [_glue(atlas, dom, combo) for combo in kernels] for i, (dom, kernels) in levels.items()
+    }
+    d_cols = {}
     for i in range(lo - 1, hi + 1):
-        gens, _, _ = levels[i]
-        _, next_vectors, next_index = levels[i + 1]
-        solver = Eliminator()
-        for s, vec in enumerate(next_vectors):
-            solver.insert(vec, s)
+        dom, kernels = levels[i + 1]
+        index = {label: t for t, label in enumerate(dom)}
+        solver, _ = _eliminate(kernels)
         cols = []
-        for parts in gens:
-            d_parts = {
-                "U0": exterior_d(parts["U0"]),
-                "U1": exterior_d(parts["U1"]),
-            }
-            dv = _pair_vector(d_parts, next_index)
+        for parts in gens[i]:
+            dv = {}
+            for cid in ("U0", "U1"):
+                key = lambda mon, exps, cid=cid: (cid, mon, exps[0])
+                dv.update(_coordinates(exterior_d(parts[cid]), index, key, _differential_error))
             if not dv:
                 cols.append({})
                 continue
             combo = solver.insert(dv, "image")
             if combo is None:
                 raise StructuralError("differential of a global section is not global")
-            col = {s: -c for s, c in combo.items() if s != "image"}
-            cols.append(col)
-        d_matrices[i] = cols
+            cols.append({s: -c for s, c in combo.items() if s != "image"})
+        d_cols[i] = cols
 
-    # d o d = 0 as matrices.
-    for i in range(lo - 1, hi):
-        for col in d_matrices[i]:
-            acc = {}
-            for s, c in col.items():
-                for r, c2 in d_matrices[i + 1][s].items():
-                    v = acc.get(r, Fraction(0)) + c * c2
-                    if v:
-                        acc[r] = v
-                    else:
-                        acc.pop(r, None)
-            if acc:
-                raise StructuralError("d o d != 0 in the assembled de Rham complex")
-
-    dims = {}
+    dims, reps = _complex_cohomology(d_cols, lo, hi)
     gens_out = {}
     for i in range(lo, hi + 1):
-        n_i = len(levels[i][0])
-        kernels, rank_i = _kernel_vectors(d_matrices[i])
-        rank_prev = _matrix_rank(d_matrices[i - 1])
-        dims[(i, picture)] = (n_i - rank_i) - rank_prev
-        if want_generators:
-            elim = Eliminator()
-            for t, col in enumerate(d_matrices[i - 1]):
-                elim.insert(col, ("b", t))
-            reps = []
-            for combo in kernels:
-                if elim.insert(dict(combo), ("z", len(reps))) is None:
-                    parts = {
-                        "U0": Superform.zero("U0", atlas.chart("U0").table),
-                        "U1": Superform.zero("U1", atlas.chart("U1").table),
-                    }
-                    for t, c in combo.items():
-                        parts["U0"] = parts["U0"] + levels[i][0][t]["U0"].scale(c)
-                        parts["U1"] = parts["U1"] + levels[i][0][t]["U1"].scale(c)
-                    reps.append(parts)
-            gens_out[i] = reps
-    return dims, gens_out
+        gens_out[i] = []
+        for z in reps[i]:
+            parts = {cid: Superform.zero(cid, atlas.chart(cid).table) for cid in ("U0", "U1")}
+            for t, c in z.items():
+                for cid in parts:
+                    _add_terms(parts[cid].terms, gens[i][t][cid].scale(c).terms)
+            gens_out[i].append(parts)
+    return {(i, picture): dim for i, dim in dims.items()}, gens_out
 
 
 # ---------------------------------------------------------------------------
@@ -480,40 +470,25 @@ def flat_block_monomials(table, picture, e_total, u):
     return out
 
 
+def _flat_key(mon, exps):
+    return mon, exps
+
+
+def _block_error(key):
+    return StructuralError("de Rham block is not closed under d")
+
+
 def _flat_block_d(chart, basis_dom, basis_cod):
     table = chart.table
     index = {el: r for r, el in enumerate(basis_cod)}
     cols = []
     for mon, exps in basis_dom:
         sf = Superform(chart.id, table, {mon: LaurentPoly.monomial(table.even_names, exps)})
-        dv = exterior_d(sf)
-        col = {}
-        for m2, lp in dv.terms.items():
-            for e2, c in lp.items():
-                key = (m2, e2)
-                if key not in index:
-                    raise StructuralError("de Rham block is not closed under d")
-                col[index[key]] = c
-        cols.append(col)
+        cols.append(_coordinates(exterior_d(sf), index, _flat_key, _block_error))
     return cols
 
 
-def _compose_is_zero(cols_first, cols_second):
-    for col in cols_first:
-        acc = {}
-        for s, c in col.items():
-            for r, c2 in cols_second[s].items():
-                v = acc.get(r, Fraction(0)) + c * c2
-                if v:
-                    acc[r] = v
-                else:
-                    acc.pop(r, None)
-        if acc:
-            return False
-    return True
-
-
-def _derham_flat_dims(atlas, picture, lo, hi, cutoff, want_generators):
+def _derham_flat(atlas, picture, lo, hi, cutoff):
     chart = atlas.chart("U0")
     table = chart.table
     n = len(table.odd_names)
@@ -532,27 +507,22 @@ def _derham_flat_dims(atlas, picture, lo, hi, cutoff, want_generators):
             degrees = sorted(bins)
             if degrees[0] > hi or degrees[-1] < lo:
                 continue
-            d_cols = {}
-            for i in range(degrees[0] - 1, degrees[-1] + 1):
-                d_cols[i] = _flat_block_d(chart, bins.get(i, []), bins.get(i + 1, []))
-                if i - 1 in d_cols and not _compose_is_zero(d_cols[i - 1], d_cols[i]):
-                    raise StructuralError("d o d != 0 in a flat de Rham block")
-            for i in range(max(lo, degrees[0]), min(hi, degrees[-1]) + 1):
-                kernels, rank_i = _kernel_vectors(d_cols.get(i, []))
-                rank_prev = _matrix_rank(d_cols.get(i - 1, []))
-                dims[(i, picture)] += (len(bins.get(i, [])) - rank_i) - rank_prev
-                if want_generators and kernels:
-                    elim = Eliminator()
-                    for t, col in enumerate(d_cols.get(i - 1, [])):
-                        elim.insert(col, ("b", t))
-                    for combo in kernels:
-                        if elim.insert(dict(combo), ("z", len(gens_out[i]))) is None:
-                            sf = Superform.zero(chart.id, table)
-                            for t, c in combo.items():
-                                mon, exps = bins[i][t]
-                                lp = LaurentPoly.monomial(table.even_names, exps, c)
-                                sf = sf + Superform(chart.id, table, {mon: lp})
-                            gens_out[i].append({chart.id: sf})
+            d_cols = {
+                i: _flat_block_d(chart, bins.get(i, []), bins.get(i + 1, []))
+                for i in range(degrees[0] - 1, degrees[-1] + 1)
+            }
+            block_dims, reps = _complex_cohomology(
+                d_cols, max(lo, degrees[0]), min(hi, degrees[-1])
+            )
+            for i, dim in block_dims.items():
+                dims[(i, picture)] += dim
+                for z in reps[i]:
+                    sf = Superform.zero(chart.id, table)
+                    for t, c in z.items():
+                        mon, exps = bins[i][t]
+                        lp = LaurentPoly.monomial(table.even_names, exps, c)
+                        _add_terms(sf.terms, {mon: lp})
+                    gens_out[i].append({chart.id: sf})
     return dims, gens_out
 
 
@@ -575,11 +545,10 @@ def derham(space, picture, degree_range, cutoff):
     if len(atlas.charts) == 2:
         if picture not in (0, 1):
             raise UnsupportedSpaceError("picture %d not supported on P^{1|1}" % picture)
-        dims, gens = _derham_p11_dims(atlas, picture, lo, hi, cutoff, True)
-        again, _ = _derham_p11_dims(atlas, picture, lo, hi, cutoff + 2, False)
+        solve = _derham_p11
     else:
-        dims, gens = _derham_flat_dims(atlas, picture, lo, hi, cutoff, True)
-        again, _ = _derham_flat_dims(atlas, picture, lo, hi, cutoff + 2, False)
+        solve = _derham_flat
+    (dims, gens), (again, _) = _rerun(lambda c: solve(atlas, picture, lo, hi, c), cutoff)
     return CohomologyReport(
         space=label,
         cutoff=cutoff,
@@ -616,39 +585,37 @@ def pairing_matrix(n, cutoff):
         raise StructuralError("pairing index must be non-negative")
     atlas = builtin_p11()
     h1_reps = [
-        _section_form(atlas, "U0", mon, e)
-        for mon, e in _h1_representatives(atlas, (n + 1, 0), cutoff)
+        _section_form(atlas, "U0", mon, e) for mon, e in _cech_solve(atlas, (n + 1, 0), cutoff)[2]
     ]
-    h0_gens = _h0_kernel(atlas, (-n, 1), cutoff)
+    dom, kernels = _cech_solve(atlas, (-n, 1), cutoff)[:2]
+    h0_gens = [_glue(atlas, dom, combo) for combo in kernels]
 
-    _, overlap, cols = _cech_system(atlas, (1, 1), cutoff)
-    index = {el: r for r, el in enumerate(overlap.elements)}
-    elim = Eliminator()
-    for t, col in enumerate(cols):
-        elim.insert(col, ("col", t))
+    # The H^1 probe of Omega^{1|1} leaves the coboundaries plus the generator
+    # as the pivots, which is the basis every product is reduced against.
+    _, _, volume_reps, index, elim = _cech_solve(atlas, (1, 1), cutoff)
     generator = (Monomial((0,), (0,), (), ((0, 0),)), -1)
-    if elim.insert({index[generator]: Fraction(1)}, "gen") is not None:
-        raise StructuralError("Omega^{1|1} generator unexpectedly a coboundary")
+    if h1_reps and volume_reps != [generator]:
+        raise StructuralError("the H^1(Omega^{1|1}) probe does not single out the generator")
 
     matrix = []
     for s, rep in enumerate(h1_reps):
         row = []
         for t, parts in enumerate(h0_gens):
             product = pair(rep, parts["U0"])
-            vec = _expand_overlap(product, index)
+            vec = _coordinates(product, index, _overlap_key, _overlap_error)
             combo = elim.insert(vec, ("prod", s, t))
             if combo is None:
                 raise WindowOverflowError(
                     "pairing product escapes the coboundary window; enlarge the cutoff"
                 )
-            row.append(-combo.get("gen", Fraction(0)))
+            row.append(-combo.get(generator, Fraction(0)))
         matrix.append(row)
 
-    rank_elim = Eliminator()
-    for t in range(len(h0_gens)):
-        col = {s: matrix[s][t] for s in range(len(h1_reps)) if matrix[s][t]}
-        rank_elim.insert(col, t)
-    return matrix, rank_elim.rank
+    columns = [
+        {s: matrix[s][t] for s in range(len(h1_reps)) if matrix[s][t]}
+        for t in range(len(h0_gens))
+    ]
+    return matrix, _eliminate(columns)[0].rank
 
 
 @dataclass
@@ -680,15 +647,14 @@ def cech_derham_check(cutoff):
     if set(pulled.terms) != set(gen0.terms):
         raise StructuralError("constant-sheaf generator is not preserved by the transition")
     c = next(iter(pulled.terms.values())).coefficient((0,))
-    elim = Eliminator()
-    elim.insert({0: Fraction(1)}, "c0")
-    elim.insert({0: -c}, "c1")
-    cech_dims = {0: 2 - elim.rank, 1: 1 - elim.rank}
+    rank = _eliminate([{0: Fraction(1)}, {0: -c}])[0].rank
+    cech_dims = {0: 2 - rank, 1: 1 - rank}
 
     # Kunneth: base = theta-free picture-0 global complex of P^1; fiber = C^{0|1}.
+    dom, kernels = _cech_solve(atlas, (0, 0), cutoff)[:2]
     base_level0 = [
         parts
-        for parts in _h0_kernel(atlas, (0, 0), cutoff)
+        for parts in (_glue(atlas, dom, combo) for combo in kernels)
         if all(not m.thetas and not m.dodds and not m.deltas for m in parts["U0"].terms)
         and all(not m.thetas and not m.dodds and not m.deltas for m in parts["U1"].terms)
     ]
@@ -697,8 +663,7 @@ def cech_derham_check(cutoff):
         for parts in base_level0
         if exterior_d(parts["U0"]).is_zero() and exterior_d(parts["U1"]).is_zero()
     ]
-    base_level1 = _h0_kernel(atlas, (1, 0), cutoff)
-    base_dims = {0: len(closed0), 1: len(base_level1)}
+    base_dims = {0: len(closed0), 1: len(_cech_solve(atlas, (1, 0), cutoff)[1])}
 
     fiber = derham(builtin_flat(0, 1), 1, (0, 0), max(4, cutoff // 2))
     fiber_dim = fiber.dims[(0, 1)]

@@ -152,19 +152,8 @@ class Superform:
     def __init__(self, chart, table, terms=None):
         self.chart = chart
         self.table = table
-        clean = {}
-        for mon, lp in (terms or {}).items():
-            if lp.is_zero():
-                continue
-            if mon in clean:
-                s = lp_add(clean[mon], lp)
-                if s.is_zero():
-                    del clean[mon]
-                else:
-                    clean[mon] = s
-            else:
-                clean[mon] = lp
-        self.terms = clean
+        self.terms = {}
+        _add_terms(self.terms, terms or {})
 
     @classmethod
     def zero(cls, chart, table):
@@ -192,18 +181,9 @@ class Superform:
 
     def __add__(self, other):
         _check_same_chart(self, other)
-        terms = dict(self.terms)
-        for mon, lp in other.terms.items():
-            if mon in terms:
-                s = lp_add(terms[mon], lp)
-                if s.is_zero():
-                    del terms[mon]
-                else:
-                    terms[mon] = s
-            else:
-                terms[mon] = lp
         out = Superform(self.chart, self.table)
-        out.terms = terms
+        out.terms = dict(self.terms)
+        _add_terms(out.terms, other.terms)
         return out
 
     def __sub__(self, other):
@@ -237,9 +217,6 @@ class Superform:
             return degs.pop()
         return None
 
-    def homogeneous_components(self):
-        return bidegree_components(self)
-
     def __repr__(self):
         if not self.terms:
             return "Superform(%s, 0)" % self.chart
@@ -247,6 +224,26 @@ class Superform:
         for mon in sorted(self.terms, key=Monomial.sort_key):
             bits.append("%r:%r" % (mon.factors(), self.terms[mon]))
         return "Superform(%s, %s)" % (self.chart, "; ".join(bits))
+
+
+def _add_terms(terms, other):
+    """Add the terms map `other` into `terms` in place, pruning zeros.
+
+    Pass only the terms of a form the caller has just built: other forms may
+    be shared, as pulled-back atoms are cached and handed to every pullback.
+    New monomials are appended, so insertion order matches repeated `+`.
+    """
+    for mon, lp in other.items():
+        if lp.is_zero():
+            continue
+        if mon in terms:
+            s = lp_add(terms[mon], lp)
+            if s.is_zero():
+                del terms[mon]
+            else:
+                terms[mon] = s
+        else:
+            terms[mon] = lp
 
 
 def _check_same_chart(a, b):
@@ -354,7 +351,7 @@ def wedge(a, b):
             c = lp_mul(ca, cb)
             if c.is_zero():
                 continue
-            out = out + normalize(fa + mb.factors(), c, a.chart, a.table)
+            _add_terms(out.terms, normalize(fa + mb.factors(), c, a.chart, a.table).terms)
     return out
 
 
@@ -370,17 +367,13 @@ def exterior_d(a):
         for i in range(len(a.table.even_names)):
             g = lp_partial(f, i)
             if not g.is_zero():
-                out = out + normalize(((DG, i),) + factors, g, a.chart, a.table)
+                _add_terms(out.terms, normalize(((DG, i),) + factors, g, a.chart, a.table).terms)
         prefix_degree = 0
         for t, atom in enumerate(factors):
             if atom[0] == TH:
                 coeff = f if prefix_degree % 2 == 0 else lp_scale(f, -1)
-                out = out + normalize(
-                    factors[:t] + ((DP, atom[1]),) + factors[t + 1 :],
-                    coeff,
-                    a.chart,
-                    a.table,
-                )
+                swapped = factors[:t] + ((DP, atom[1]),) + factors[t + 1 :]
+                _add_terms(out.terms, normalize(swapped, coeff, a.chart, a.table).terms)
             prefix_degree += atom_degree(atom)
     return out
 
@@ -389,10 +382,8 @@ def bidegree_components(a):
     """Partition the terms of a Superform by Bidegree."""
     out = {}
     for mon, lp in a.terms.items():
-        bd = mon.bidegree()
-        if bd not in out:
-            out[bd] = Superform.zero(a.chart, a.table)
-        out[bd] = out[bd] + Superform(a.chart, a.table, {mon: lp})
+        part = out.setdefault(mon.bidegree(), Superform.zero(a.chart, a.table))
+        _add_terms(part.terms, {mon: lp})
     return out
 
 
@@ -442,7 +433,7 @@ def delta_expand(order, argument, truncation):
             table.even_names, tuple(power * e for e in c_exps), c_coeff ** power
         )
         delta_part = normalize(((DL, j, order + m),), c_pow, chart, table)
-        out = out + wedge(rest_power, delta_part).scale(Fraction(1, m_factorial))
+        _add_terms(out.terms, wedge(rest_power, delta_part).scale(Fraction(1, m_factorial)).terms)
     return out
 
 

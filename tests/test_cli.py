@@ -177,6 +177,22 @@ class TestExitCodes(unittest.TestCase):
         self.assertEqual(code, 4)
         self.assertIn("stabilized = False", out)
 
+    def test_negative_cutoff_is_2(self):
+        for argv in (
+            ["pair", "--n", "0", "--cutoff", "-1"],
+            ["cech", "--sheaf", "0|0", "--cutoff", "-1"],
+            ["derham", "--space", "flat:1,1", "--picture", "1", "--cutoff", "-3"],
+        ):
+            code, out, err = invoke(argv)
+            self.assertEqual((code, out), (2, ""), msg=argv)
+            self.assertIn("error (parse)", err)
+            code, out, _ = invoke(argv + ["--json"])
+            self.assertEqual(code, 2, msg=argv)
+            payload = json.loads(out)
+            self.assertEqual(payload["schema"], 1)
+            self.assertEqual(payload["error"]["kind"], "parse")
+            self.assertIn("cutoff", payload["error"]["message"])
+
     def test_json_errors_carry_schema(self):
         code, out, _ = invoke(["integrate", "--expr", "psi*dg", "--json"])
         self.assertEqual(code, 3)

@@ -10,6 +10,7 @@ from hypothesis.strategies import integers
 
 from superforms import (
     Eliminator,
+    StructuralError,
     UnsupportedSpaceError,
     builtin_p11,
     cech,
@@ -22,9 +23,12 @@ from superforms import (
     pretty_print,
     pullback,
 )
-from superforms.cohomology import build_section_basis, p11_sheaf_monomials
+from superforms.cohomology import _complex_cohomology, build_section_basis, p11_sheaf_monomials
 
 P11 = builtin_p11()
+ACCEPTANCE_SHEAVES = (
+    [(0, 0)] + [(n, 0) for n in range(1, 6)] + [(-n, 1) for n in range(6)] + [(1, 1)]
+)
 
 
 def random_columns(rng, rows, count, density=0.6):
@@ -84,6 +88,52 @@ class TestEliminator(unittest.TestCase):
         combo = elim.insert({}, "z")
         self.assertEqual(combo, {"z": 1})
         self.assertEqual(elim.rank, 0)
+
+
+def as_columns(matrix):
+    return [
+        {i: Fraction(str(matrix[i, j])) for i in range(matrix.rows) if matrix[i, j]}
+        for j in range(matrix.cols)
+    ]
+
+
+class TestComplexCohomology(unittest.TestCase):
+    @settings(deadline=None, max_examples=40)
+    @given(integers(0, 10**6))
+    def test_matches_sympy_on_exact_complexes(self, seed):
+        # C^-1 -> C^0 -> C^1 -> C^2.  Each d after the first is B * Y^T, where
+        # the rows of Y^T annihilate the image of the previous d, so
+        # consecutive differentials compose to zero.
+        rng = random.Random(seed)
+        sizes = [rng.randint(0, 5), rng.randint(1, 6), rng.randint(1, 6), rng.randint(0, 5)]
+        first = sympy.Matrix(sizes[1], sizes[0], lambda i, j: rng.choice([0, 0, 1, -1, 2, -3]))
+        if sizes[0] >= 2 and rng.random() < 0.5:
+            first[:, 1] = 2 * first[:, 0]
+        d = [first]
+        for rows in sizes[2:]:
+            left_null = d[-1].T.nullspace()
+            if left_null and rows:
+                mixer = sympy.Matrix(rows, len(left_null), lambda i, j: rng.randint(-2, 2))
+                d.append(mixer * sympy.Matrix.hstack(*left_null).T)
+            else:
+                d.append(sympy.zeros(rows, d[-1].rows))
+            self.assertEqual(d[-1] * d[-2], sympy.zeros(rows, d[-2].cols))
+
+        dims, reps = _complex_cohomology({i - 1: as_columns(m) for i, m in enumerate(d)}, 0, 1)
+
+        for i in (0, 1):
+            d_in, d_out = d[i], d[i + 1]
+            n = d_out.cols
+            self.assertEqual(dims[i], n - d_out.rank() - d_in.rank())
+            self.assertEqual(len(reps[i]), dims[i])
+            rep_matrix = sympy.Matrix(n, len(reps[i]), lambda r, k: reps[i][k].get(r, 0))
+            self.assertEqual(d_out * rep_matrix, sympy.zeros(d_out.rows, len(reps[i])))
+            together = sympy.Matrix.hstack(d_in, rep_matrix)
+            self.assertEqual(together.rank(), d_in.rank() + len(reps[i]))
+
+    def test_rejects_non_complex(self):
+        with self.assertRaises(StructuralError):
+            _complex_cohomology({-1: [{0: Fraction(1)}], 0: [{0: Fraction(1)}]}, 0, 0)
 
 
 class TestSheafBases(unittest.TestCase):
@@ -154,6 +204,26 @@ class TestCech(unittest.TestCase):
         report = cech_h1(P11, (5, 0), 3)
         self.assertFalse(report.stabilized)
 
+    def test_cech_joins_h0_and_h1_reports(self):
+        for cutoff in (3, 8):
+            for sheaf in ACCEPTANCE_SHEAVES:
+                both = cech(P11, sheaf, cutoff)
+                h0 = cech_h0(P11, sheaf, cutoff)
+                h1 = cech_h1(P11, sheaf, cutoff)
+                msg = "%r at %d" % (sheaf, cutoff)
+                self.assertEqual((both.h0, both.h1), (h0.h0, h1.h1), msg=msg)
+                self.assertEqual(
+                    [printed(parts) for parts in both.generators_h0],
+                    [printed(parts) for parts in h0.generators_h0],
+                    msg=msg,
+                )
+                self.assertEqual(
+                    [pretty_print(g) for g in both.generators_h1],
+                    [pretty_print(g) for g in h1.generators_h1],
+                    msg=msg,
+                )
+                self.assertEqual(both.stabilized, h0.stabilized and h1.stabilized, msg=msg)
+
 
 class TestDeRham(unittest.TestCase):
     def test_projective_picture_zero(self):
@@ -201,12 +271,31 @@ class TestPairingMatrix(unittest.TestCase):
                 self.assertIsInstance(entry, Fraction)
 
 
+class TestNegativeCutoff(unittest.TestCase):
+    def test_every_entry_point_rejects(self):
+        calls = {
+            "cech": lambda: cech(P11, (0, 0), -1),
+            "cech_h0": lambda: cech_h0(P11, (-1, 1), -1),
+            "cech_h1": lambda: cech_h1(P11, (0, 0), -1),
+            "derham p11": lambda: derham("p11", 0, (0, 1), -1),
+            "derham flat": lambda: derham("flat:1,1", 1, (0, 1), -2),
+            "pairing_matrix": lambda: pairing_matrix(0, -1),
+        }
+        for name, call in calls.items():
+            with self.assertRaises(StructuralError, msg=name):
+                call()
+
+
 class TestCechDeRhamConsistency(unittest.TestCase):
     def test_dimensions_agree(self):
         report = cech_derham_check(8)
         self.assertTrue(report.passed, msg=str(report.mismatches))
         self.assertEqual(report.derham_dims, report.constant_sheaf_dims)
         self.assertEqual(report.fiber_dim, 1)
+
+
+def printed(parts):
+    return {chart_id: pretty_print(form) for chart_id, form in parts.items()}
 
 
 def pretty_print_mon(mon):
