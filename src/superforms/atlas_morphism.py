@@ -140,7 +140,8 @@ def pullback(m, a, series_extra=None):
     series_extra bounds the delta series: each delta^(k) factor expands to
     truncation k + series_extra.  The default, max dpsi power in `a` plus the
     number of source odd coordinates, is exact whenever the non-leading part of
-    the dpsi image is nilpotent (true for the built-in atlases).
+    the dpsi image is nilpotent (true for the built-in atlases); a series that
+    does not terminate within its truncation raises UnsupportedMorphismError.
     """
     if a.chart != m.target.id or a.table != m.target.table:
         raise StructuralError("form does not live on the morphism target chart")

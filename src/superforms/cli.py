@@ -169,10 +169,11 @@ class _Parser:
         tok = self.peek()
         if tok[0] == "number":
             self.take()
-            return (
-                Superform.constant(self.chart, self.table, Fraction(tok[1])),
-                None,
-            )
+            try:
+                value = Fraction(tok[1])
+            except ZeroDivisionError:
+                raise FormParseError("zero denominator in %r" % tok[1], tok[2]) from None
+            return Superform.constant(self.chart, self.table, value), None
         if self.at_op("("):
             self.take()
             form = self.expr()
@@ -290,21 +291,33 @@ def pretty_print(a):
 
 def load_atlas(path):
     """Declarative atlas: chart coordinate lists plus transition images
-    written in the expression grammar over the source chart."""
+    written in the expression grammar over the source chart.  A file that is
+    not JSON, lacks a key or names an unknown chart raises StructuralError."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise StructuralError("atlas file %s is not JSON: %s" % (path, exc)) from None
+
+    def field(obj, key, where):
+        if not isinstance(obj, dict) or key not in obj:
+            raise StructuralError("atlas file %s: %s has no key %r" % (path, where, key))
+        return obj[key]
+
     charts = {}
-    for cid, coords in data["charts"].items():
-        table = GeneratorTable(tuple(coords["even"]), tuple(coords["odd"]))
+    for cid, coords in field(data, "charts", "the file").items():
+        where = "chart %r" % cid
+        table = GeneratorTable(tuple(field(coords, "even", where)), tuple(field(coords, "odd", where)))
         charts[cid] = Chart(cid, table)
     transitions = {}
     for cid, chart in charts.items():
         transitions[(cid, cid)] = identity_morphism(chart)
-    for tr in data.get("transitions", []):
-        src = charts[tr["source"]]
-        tgt = charts[tr["target"]]
+    for k, tr in enumerate(data.get("transitions", [])):
+        where = "transition %d" % k
+        src = field(charts, field(tr, "source", where), "'charts'")
+        tgt = field(charts, field(tr, "target", where), "'charts'")
         even_images = {}
-        for name, text in tr["even_images"].items():
+        for name, text in field(tr, "even_images", where).items():
             if name not in tgt.table.even_names:
                 raise UnsupportedMorphismError("unknown target coordinate %r" % name)
             sf = parse(text, src.table, src.id)
@@ -314,7 +327,7 @@ def load_atlas(path):
                 )
             even_images[tgt.table.even_names.index(name)] = sf.terms[UNIT_MONOMIAL]
         odd_images = {}
-        for name, text in tr["odd_images"].items():
+        for name, text in field(tr, "odd_images", where).items():
             if name not in tgt.table.odd_names:
                 raise UnsupportedMorphismError("unknown target coordinate %r" % name)
             sf = parse(text, src.table, src.id)
@@ -650,8 +663,6 @@ def run_command(argv):
         WindowOverflowError,
         NotATopFormError,
         OSError,
-        KeyError,
-        ZeroDivisionError,
     ) as exc:
         _report_error(json_mode, "computation", exc)
         return 3

@@ -368,14 +368,20 @@ def exterior_d(a):
             g = lp_partial(f, i)
             if not g.is_zero():
                 _add_terms(out.terms, normalize(((DG, i),) + factors, g, a.chart, a.table).terms)
-        prefix_degree = 0
-        for t, atom in enumerate(factors):
-            if atom[0] == TH:
-                coeff = f if prefix_degree % 2 == 0 else lp_scale(f, -1)
-                swapped = factors[:t] + ((DP, atom[1]),) + factors[t + 1 :]
-                _add_terms(out.terms, normalize(swapped, coeff, a.chart, a.table).terms)
-            prefix_degree += atom_degree(atom)
+        for sign, swapped in _theta_swaps(factors):
+            coeff = f if sign > 0 else lp_scale(f, -1)
+            _add_terms(out.terms, normalize(swapped, coeff, a.chart, a.table).terms)
     return out
+
+
+def _theta_swaps(factors):
+    """The factor-level part of d: one (sign, factors) pair per theta_j, with
+    theta_j replaced by dpsi_j and the sign of the degree passed over."""
+    prefix_degree = 0
+    for t, atom in enumerate(factors):
+        if atom[0] == TH:
+            yield (-1 if prefix_degree % 2 else 1), factors[:t] + ((DP, atom[1]),) + factors[t + 1 :]
+        prefix_degree += atom_degree(atom)
 
 
 def bidegree_components(a):
@@ -392,8 +398,9 @@ def delta_expand(order, argument, truncation):
 
     argument = c*dpsi_target + rest with c an invertible Laurent monomial; the
     result is sum_{m=0..truncation} (rest^m / m!) c^{-(order+m+1)}
-    delta^(order+m)(dpsi_target), normalized.  Terms with nilpotent rest vanish
-    automatically beyond their nilpotency order.
+    delta^(order+m)(dpsi_target), normalized.  The sum is exact only when
+    rest^(truncation+1) = 0; otherwise UnsupportedMorphismError is raised
+    rather than a truncated series returned.
     """
     if order < 0:
         raise StructuralError("delta order must be non-negative")
@@ -434,6 +441,10 @@ def delta_expand(order, argument, truncation):
         )
         delta_part = normalize(((DL, j, order + m),), c_pow, chart, table)
         _add_terms(out.terms, wedge(rest_power, delta_part).scale(Fraction(1, m_factorial)).terms)
+    if not rest_power.is_zero() and not wedge(rest_power, rest).is_zero():
+        raise UnsupportedMorphismError(
+            "delta series does not terminate: rest^%d != 0" % (truncation + 1)
+        )
     return out
 
 

@@ -9,8 +9,10 @@ from hypothesis.strategies import integers
 
 from superforms import (
     LaurentPoly,
+    Morphism,
     StructuralError,
     Superform,
+    UnsupportedMorphismError,
     builtin_flat,
     builtin_p11,
     delta,
@@ -136,6 +138,21 @@ class TestFunctoriality(unittest.TestCase):
         for _ in range(10):
             a = random_form(rng, "U1", T1, terms=2, max_order=2, max_exp=2)
             self.assertEqual(pullback(m10, pullback(M01, a)), a)
+
+
+class TestDeltaSeries(unittest.TestCase):
+    def test_non_terminating_series_rejected(self):
+        # psi1 -> psi1 + psi2 sends dpsi1 to dpsi1 + dpsi2, and dpsi2 is not
+        # nilpotent: no truncation of the delta series is exact.
+        chart = builtin_flat(1, 2).chart("U0")
+        one = LaurentPoly.const(("g",), 1)
+        m = Morphism(
+            chart, chart, {0: LaurentPoly.monomial(("g",), (1,))}, {0: ((one, 0), (one, 1)), 1: ((one, 1),)}
+        )
+        form = normalize([delta(0)], 1, "U0", chart.table)
+        for extra in (None, 0, 5):
+            with self.assertRaises(UnsupportedMorphismError, msg=extra):
+                pullback(m, form, series_extra=extra)
 
 
 class TestCocycleVerification(unittest.TestCase):

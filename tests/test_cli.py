@@ -159,6 +159,14 @@ class TestExitCodes(unittest.TestCase):
         self.assertEqual(code, 2)
         self.assertIn("parse", err)
 
+    def test_zero_denominator_is_2(self):
+        code, out, err = invoke(["normalize", "--expr", "1/0"])
+        self.assertEqual((code, out), (2, ""))
+        self.assertIn("error (parse)", err)
+        with self.assertRaises(FormParseError) as ctx:
+            parse("g + 3/0*psi", T11)
+        self.assertEqual(ctx.exception.position, 4)
+
     def test_bad_sheaf_label_is_2(self):
         code, _, _ = invoke(["cech", "--sheaf", "bogus"])
         self.assertEqual(code, 2)
@@ -241,6 +249,56 @@ class TestAtlasFiles(unittest.TestCase):
     def test_missing_file_is_3(self):
         code, _, _ = invoke(["cech", "--atlas", "/nonexistent.json", "--sheaf", "0|0"])
         self.assertEqual(code, 3)
+
+    def write_atlas(self, data):
+        with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
+            json.dump(data, fh)
+        self.addCleanup(os.unlink, fh.name)
+        return fh.name
+
+    def test_two_odd_directions_rejected(self):
+        # The P^{1|1} engines would ignore psi2 and answer h0(-1|1) = 8.
+        chart = {"even": ["g"], "odd": ["psi1", "psi2"]}
+        images = {"g": "g^-1"}, {"psi1": "g^-1*psi1", "psi2": "g^-1*psi2"}
+        path = self.write_atlas(
+            {
+                "charts": {"U0": chart, "U1": chart},
+                "transitions": [
+                    {"source": s, "target": t, "even_images": images[0], "odd_images": images[1]}
+                    for s, t in (("U0", "U1"), ("U1", "U0"))
+                ],
+            }
+        )
+        for argv in (
+            ["cech", "--atlas", path, "--sheaf=-1|1", "--cutoff", "6"],
+            ["derham", "--atlas", path, "--picture", "1", "--cutoff", "3"],
+        ):
+            code, out, err = invoke(argv)
+            self.assertEqual((code, out), (3, ""), msg=argv)
+            self.assertIn("1|1", err)
+
+    def test_malformed_file_names_file_and_key(self):
+        path = self.write_atlas({"chartz": {}})
+        code, out, err = invoke(["cech", "--atlas", path, "--sheaf", "0|0"])
+        self.assertEqual((code, out), (3, ""))
+        self.assertIn(path, err)
+        self.assertIn("'charts'", err)
+
+        atlas = json.loads(json.dumps(self.ATLAS))
+        del atlas["transitions"][1]["odd_images"]
+        path = self.write_atlas(atlas)
+        code, out, _ = invoke(["cech", "--atlas", path, "--sheaf", "0|0", "--json"])
+        self.assertEqual(code, 3)
+        message = json.loads(out)["error"]["message"]
+        self.assertIn(path, message)
+        self.assertIn("'odd_images'", message)
+
+        with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
+            fh.write("{charts")
+        self.addCleanup(os.unlink, fh.name)
+        code, out, err = invoke(["cech", "--atlas", fh.name, "--sheaf", "0|0"])
+        self.assertEqual((code, out), (3, ""))
+        self.assertIn(fh.name, err)
 
 
 class TestSelftest(unittest.TestCase):

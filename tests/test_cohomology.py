@@ -3,6 +3,7 @@
 import random
 import unittest
 from fractions import Fraction
+from itertools import product
 
 import sympy
 from hypothesis import given, settings
@@ -10,8 +11,11 @@ from hypothesis.strategies import integers
 
 from superforms import (
     Eliminator,
+    LaurentPoly,
     StructuralError,
+    Superform,
     UnsupportedSpaceError,
+    builtin_flat,
     builtin_p11,
     cech,
     cech_derham_check,
@@ -23,7 +27,16 @@ from superforms import (
     pretty_print,
     pullback,
 )
-from superforms.cohomology import _complex_cohomology, build_section_basis, p11_sheaf_monomials
+from superforms.cohomology import (
+    _block_error,
+    _complex_cohomology,
+    _coordinates,
+    _flat_block_d,
+    _flat_solver,
+    build_section_basis,
+    flat_block_monomials,
+    p11_sheaf_monomials,
+)
 
 P11 = builtin_p11()
 ACCEPTANCE_SHEAVES = (
@@ -258,6 +271,73 @@ class TestDeRham(unittest.TestCase):
             derham("bogus", 0, (0, 1), 4)
 
 
+def exterior_d_columns(chart, basis_dom, basis_cod):
+    """Reference block columns: exterior_d of each basis form, read off in
+    basis_cod."""
+    index = {el: r for r, el in enumerate(basis_cod)}
+    cols = []
+    for mon, exps in basis_dom:
+        sf = Superform(chart.id, chart.table, {mon: LaurentPoly.monomial(chart.table.even_names, exps)})
+        cols.append(_coordinates(exterior_d(sf), index, lambda m, e: (m, e), _block_error))
+    return cols
+
+
+def strict(columns):
+    return [[(r, c, type(c)) for r, c in col.items()] for col in columns]
+
+
+class TestFlatBlocks(unittest.TestCase):
+    def test_memoized_d_matches_exterior_d(self):
+        # One cache per u, shared across E as in the solver's walk.
+        cutoff = 4
+        for m, n in ((2, 2), (1, 3), (3, 1), (0, 2)):
+            chart = builtin_flat(m, n).chart("U0")
+            for picture, u in product(range(n + 1), product(range(-cutoff, cutoff + 1), repeat=n)):
+                cache = {}
+                for e_total in range(cutoff + 1):
+                    bins = {}
+                    for el in flat_block_monomials(chart.table, picture, e_total, u):
+                        bins.setdefault(el[0].degree(), []).append(el)
+                    if not bins:
+                        continue
+                    for i in range(min(bins) - 1, max(bins) + 1):
+                        dom, cod = bins.get(i, []), bins.get(i + 1, [])
+                        self.assertEqual(
+                            strict(_flat_block_d(chart, dom, cod, cache)),
+                            strict(exterior_d_columns(chart, dom, cod)),
+                            msg="flat:%d,%d picture %d block %r" % (m, n, picture, (e_total, u)),
+                        )
+
+    def test_closure_check_kept(self):
+        chart = builtin_flat(1, 1).chart("U0")
+        dom = flat_block_monomials(chart.table, 0, 1, (0,))
+        with self.assertRaises(StructuralError):
+            _flat_block_d(chart, dom, [], {})
+
+    def test_report_equals_fresh_runs(self):
+        # derham shares blocks between its D and D + 2 runs; the report must
+        # equal independent solvers at D and at D + 2, however the shared
+        # solver is called.
+        cases = [("flat:2,2", 1, (0, 3), 2), ("flat:1,2", 0, (0, 4), 2), ("flat:1,1", 1, (0, 2), 0)]
+        for space, picture, (lo, hi), cutoff in cases:
+            atlas = builtin_flat(*(int(x) for x in space[5:].split(",")))
+            report = derham(space, picture, (lo, hi), cutoff)
+            first = _flat_solver(atlas, picture, lo, hi)(cutoff)
+            again = _flat_solver(atlas, picture, lo, hi)(cutoff + 2)
+            self.assertEqual(report.dims, first[0], msg=space)
+            self.assertEqual(printed_gens(report.generators), printed_gens(first[1]), msg=space)
+            self.assertEqual(report.stabilized, first[0] == again[0], msg=space)
+            self.assertEqual(printed_gens(derham(space, picture, (lo, hi), cutoff).generators),
+                             printed_gens(report.generators), msg=space)
+            shared = _flat_solver(atlas, picture, lo, hi)
+            for c in (cutoff + 2, cutoff, cutoff + 2):
+                fresh = _flat_solver(atlas, picture, lo, hi)(c)
+                got = shared(c)
+                self.assertEqual(got[0], fresh[0], msg=(space, c))
+                self.assertEqual(printed_gens(got[1]), printed_gens(fresh[1]), msg=(space, c))
+        self.assertFalse(derham("flat:1,1", 1, (0, 2), 0).stabilized)
+
+
 class TestPairingMatrix(unittest.TestCase):
     def test_rank_full_for_line(self):
         matrix, rank = pairing_matrix(1, 10)
@@ -296,6 +376,10 @@ class TestCechDeRhamConsistency(unittest.TestCase):
 
 def printed(parts):
     return {chart_id: pretty_print(form) for chart_id, form in parts.items()}
+
+
+def printed_gens(gens):
+    return {i: [printed(parts) for parts in group] for i, group in gens.items()}
 
 
 def pretty_print_mon(mon):

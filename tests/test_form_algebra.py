@@ -14,6 +14,7 @@ from superforms import (
     Monomial,
     StructuralError,
     Superform,
+    UnsupportedMorphismError,
     bidegree_components,
     builtin_flat,
     builtin_p11,
@@ -267,6 +268,18 @@ class TestDeltaExpand(unittest.TestCase):
         ) + mono([theta(0), dgamma(0), delta(0, 1)], -1)
         self.assertEqual(got, want)
         self.assertEqual(pretty_print(got), "g*delta(dpsi) - psi*dg*delta'(dpsi)")
+
+    def test_truncation_must_reach_a_zero_power(self):
+        # rest = -g^-2*psi*dg has rest^2 = 0: truncation 1 is exact, 0 is not.
+        tail = mono([theta(0), dgamma(0)], -1).times_poly(LaurentPoly.monomial(("g",), (-2,)))
+        arg = mono([dpsi(0)]).times_poly(LaurentPoly.monomial(("g",), (-1,))) + tail
+        self.assertEqual(delta_expand(0, arg, 1), delta_expand(0, arg, 6))
+        with self.assertRaises(UnsupportedMorphismError):
+            delta_expand(0, arg, 0)
+        # dpsi_2 is even and never nilpotent.
+        arg = normalize([dpsi(0)], 1, "U0", T22) + normalize([dpsi(1)], 1, "U0", T22)
+        with self.assertRaises(UnsupportedMorphismError):
+            delta_expand(0, arg, 4)
 
     def test_invalid_orders_rejected(self):
         with self.assertRaises(StructuralError):
