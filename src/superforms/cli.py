@@ -49,6 +49,7 @@ from .form_algebra import (
     GeneratorTable,
     Superform,
     UNIT_MONOMIAL,
+    _add_terms,
     delta,
     dgamma,
     dpsi,
@@ -122,7 +123,7 @@ class _Parser:
         while self.at_op("+", "-"):
             op = self.take()[1]
             rhs = self.term()
-            form = form + rhs if op == "+" else form - rhs
+            _add_terms(form.terms, (rhs if op == "+" else -rhs).terms)
         return form
 
     def term(self):
@@ -289,35 +290,48 @@ def pretty_print(a):
 # Atlas description files
 
 
+_JSON_TYPES = {dict: "object", list: "list", str: "string"}
+
+
 def load_atlas(path):
     """Declarative atlas: chart coordinate lists plus transition images
     written in the expression grammar over the source chart.  A file that is
-    not JSON, lacks a key or names an unknown chart raises StructuralError."""
+    not JSON, lacks a key, holds a value of the wrong type or names an
+    unknown chart raises StructuralError."""
     with open(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise StructuralError("atlas file %s is not JSON: %s" % (path, exc)) from None
 
-    def field(obj, key, where):
+    def field(obj, key, where, kind=object, item=None):
+        """obj[key], which must be a `kind` holding only `item` values."""
         if not isinstance(obj, dict) or key not in obj:
             raise StructuralError("atlas file %s: %s has no key %r" % (path, where, key))
-        return obj[key]
+        value = obj[key]
+        values = value.values() if isinstance(value, dict) else value
+        if not isinstance(value, kind) or item and not all(isinstance(v, item) for v in values):
+            what = _JSON_TYPES[kind] + (" of %ss" % _JSON_TYPES[item] if item else "")
+            raise StructuralError("atlas file %s: %r in %s must be a JSON %s" % (path, key, where, what))
+        return value
 
     charts = {}
-    for cid, coords in field(data, "charts", "the file").items():
+    for cid, coords in field(data, "charts", "the file", dict, dict).items():
         where = "chart %r" % cid
-        table = GeneratorTable(tuple(field(coords, "even", where)), tuple(field(coords, "odd", where)))
+        table = GeneratorTable(
+            tuple(field(coords, "even", where, list, str)), tuple(field(coords, "odd", where, list, str))
+        )
         charts[cid] = Chart(cid, table)
     transitions = {}
     for cid, chart in charts.items():
         transitions[(cid, cid)] = identity_morphism(chart)
-    for k, tr in enumerate(data.get("transitions", [])):
+    listed = field(data, "transitions", "the file", list, dict) if "transitions" in data else []
+    for k, tr in enumerate(listed):
         where = "transition %d" % k
-        src = field(charts, field(tr, "source", where), "'charts'")
-        tgt = field(charts, field(tr, "target", where), "'charts'")
+        src = field(charts, field(tr, "source", where, str), "'charts'")
+        tgt = field(charts, field(tr, "target", where, str), "'charts'")
         even_images = {}
-        for name, text in field(tr, "even_images", where).items():
+        for name, text in field(tr, "even_images", where, dict, str).items():
             if name not in tgt.table.even_names:
                 raise UnsupportedMorphismError("unknown target coordinate %r" % name)
             sf = parse(text, src.table, src.id)
@@ -327,7 +341,7 @@ def load_atlas(path):
                 )
             even_images[tgt.table.even_names.index(name)] = sf.terms[UNIT_MONOMIAL]
         odd_images = {}
-        for name, text in field(tr, "odd_images", where).items():
+        for name, text in field(tr, "odd_images", where, dict, str).items():
             if name not in tgt.table.odd_names:
                 raise UnsupportedMorphismError("unknown target coordinate %r" % name)
             sf = parse(text, src.table, src.id)
@@ -348,10 +362,9 @@ def load_atlas(path):
 
 
 def _space_atlas(args):
-    label = getattr(args, "space", "p11")
-    if getattr(args, "atlas", None):
+    if args.atlas:
         return load_atlas(args.atlas), "atlas:" + args.atlas
-    return cohomology._space_from_label(label), label
+    return cohomology._space_from_label(args.space), args.space
 
 
 def _parse_sheaf(text):
@@ -431,8 +444,6 @@ def _cmd_pullback(args):
 
 def _cmd_cech(args):
     atlas, label = _space_atlas(args)
-    if len(atlas.charts) != 2:
-        raise UnsupportedSpaceError("Cech cohomology needs the two-chart projective atlas")
     sheaf = _parse_sheaf(args.sheaf)
     report = cohomology.cech(atlas, sheaf, args.cutoff)
     gens_h0 = [
@@ -563,9 +574,10 @@ def _cmd_selftest(args):
     return 0 if ok else 3
 
 
-def _add_common(sp, chart=False, target=False, exprs=False, cutoff=False):
-    sp.add_argument("--space", default="p11", help="p11 or flat:m,n (default p11)")
-    sp.add_argument("--atlas", default=None, help="path to an atlas description file")
+def _add_common(sp, space=True, chart=False, target=False, exprs=False, cutoff=False):
+    if space:
+        sp.add_argument("--space", default="p11", help="p11 or flat:m,n (default p11)")
+        sp.add_argument("--atlas", default=None, help="path to an atlas description file")
     sp.add_argument("--json", action="store_true", help="emit one JSON report object")
     if chart:
         sp.add_argument("--chart", default="U0", help="active chart id (default U0)")
@@ -611,8 +623,8 @@ def _build_parser():
     sp.add_argument("--range", default=None, help="degree range 'a:b' inclusive")
     sp.set_defaults(func=_cmd_derham)
 
-    sp = sub.add_parser("pair", help="cohomological pairing matrix and rank")
-    _add_common(sp, cutoff=True)
+    sp = sub.add_parser("pair", help="cohomological pairing matrix and rank on P^{1|1}")
+    _add_common(sp, space=False, cutoff=True)
     sp.add_argument("--n", type=int, required=True, help="pairing index n >= 0")
     sp.set_defaults(func=_cmd_pair)
 
@@ -621,7 +633,7 @@ def _build_parser():
     sp.set_defaults(func=_cmd_integrate)
 
     sp = sub.add_parser("selftest", help="run the built-in verification battery")
-    _add_common(sp)
+    _add_common(sp, space=False)
     sp.set_defaults(func=_cmd_selftest)
     return parser
 

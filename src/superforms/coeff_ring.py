@@ -112,16 +112,24 @@ def _check_same_variables(a, b):
         )
 
 
+def _axpy(dst, src, factor):
+    """dst += factor * src in place, for sparse maps {key: coefficient}.
+
+    Entries that cancel are dropped and new keys are appended in src order.
+    """
+    for key, c in src.items():
+        s = dst.get(key, 0) + c * factor
+        if s:
+            dst[key] = s
+        else:
+            dst.pop(key, None)
+
+
 def lp_add(a, b):
     """Termwise exact sum; zero terms pruned."""
     _check_same_variables(a, b)
     terms = dict(a.terms)
-    for exps, c in b.terms.items():
-        s = terms.get(exps, Fraction(0)) + c
-        if s:
-            terms[exps] = s
-        else:
-            terms.pop(exps, None)
+    _axpy(terms, b.terms, 1)
     out = LaurentPoly(a.variables)
     out.terms = terms
     return out

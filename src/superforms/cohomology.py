@@ -3,6 +3,10 @@
 Every group is a kernel modulo an image over exact rationals, and every
 matrix is eliminated once, by `_eliminate`: it inserts the columns into one
 sparse row-reduced `Eliminator` and returns it with the kernel combinations.
+The eliminator keeps its pivots in reduced row echelon form, so a column is
+reduced in one ascending pass over the pivot rows it hits.  Sparse
+combinations are accumulated by `coeff_ring._axpy`, and `_glue` alone turns a
+combination of basis labels (chart id, Monomial, exponent tuple) into forms.
 
 Chart sections of P^{1|1} are polynomial of degree <= D; the overlap window
 is [-(D+|i|+4), D+|i|+4].  `_cech_solve` builds the Cech system
@@ -36,13 +40,12 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .atlas_morphism import builtin_flat, builtin_p11, pullback
-from .coeff_ring import LaurentPoly
+from .coeff_ring import LaurentPoly, _axpy
 from .errors import StructuralError, UnsupportedSpaceError, WindowOverflowError
 from .form_algebra import (
     DG,
     Monomial,
     Superform,
-    _add_terms,
     _theta_swaps,
     exterior_d,
     normalize,
@@ -54,9 +57,9 @@ class Eliminator:
     """Incremental exact Gaussian elimination with combination tracking.
 
     Columns are sparse {row: Fraction} maps.  Pivot columns are kept fully
-    reduced against each other (RREF invariant), so reduction needs one pass
-    per pivot row.  Dependent columns return the linear combination of
-    previously inserted columns (by tag) that reproduces them.
+    reduced against each other (reduced row echelon form).  Dependent columns
+    return the linear combination of previously inserted columns (by tag)
+    that reproduces them.
     """
 
     def __init__(self):
@@ -67,54 +70,31 @@ class Eliminator:
         return len(self.pivots)
 
     def _reduce(self, vec, combo):
-        while True:
-            hit = vec.keys() & self.pivots.keys()
-            if not hit:
-                return vec, combo
-            r = min(hit)
-            factor = vec[r]
+        # Every pivot column is zero on every other pivot row, so subtracting
+        # a pivot never creates an entry on a pivot row: one ascending pass.
+        for r in sorted(vec.keys() & self.pivots.keys()):
             pvec, pcombo = self.pivots[r]
-            for row, c in pvec.items():
-                s = vec.get(row, Fraction(0)) - factor * c
-                if s:
-                    vec[row] = s
-                else:
-                    vec.pop(row, None)
-            for tag, c in pcombo.items():
-                s = combo.get(tag, Fraction(0)) - factor * c
-                if s:
-                    combo[tag] = s
-                else:
-                    combo.pop(tag, None)
+            factor = -vec[r]
+            _axpy(vec, pvec, factor)
+            _axpy(combo, pcombo, factor)
 
     def insert(self, vec, tag):
         """Insert one column.  Returns None if the rank grew, else the
         dependency combination {tag: coeff} with coefficient 1 on `tag`."""
         vec = {r: Fraction(c) for r, c in vec.items() if c}
         combo = {tag: Fraction(1)}
-        vec, combo = self._reduce(vec, combo)
+        self._reduce(vec, combo)
         if not vec:
             return combo
         r = min(vec)
         lead = vec[r]
         vec = {row: c / lead for row, c in vec.items()}
         combo = {t: c / lead for t, c in combo.items()}
-        for q, (pvec, pcombo) in self.pivots.items():
-            if r not in pvec:
-                continue
-            factor = pvec[r]
-            for row, c in vec.items():
-                s = pvec.get(row, Fraction(0)) - factor * c
-                if s:
-                    pvec[row] = s
-                else:
-                    pvec.pop(row, None)
-            for t, c in combo.items():
-                s = pcombo.get(t, Fraction(0)) - factor * c
-                if s:
-                    pcombo[t] = s
-                else:
-                    pcombo.pop(t, None)
+        for pvec, pcombo in self.pivots.values():
+            if r in pvec:
+                factor = -pvec[r]
+                _axpy(pvec, vec, factor)
+                _axpy(pcombo, combo, factor)
         self.pivots[r] = (vec, combo)
         return None
 
@@ -242,12 +222,7 @@ def _compose_is_zero(cols_first, cols_second):
     for col in cols_first:
         acc = {}
         for s, c in col.items():
-            for r, c2 in cols_second[s].items():
-                v = acc.get(r, Fraction(0)) + c * c2
-                if v:
-                    acc[r] = v
-                else:
-                    acc.pop(r, None)
+            _axpy(acc, cols_second[s], c)
         if acc:
             return False
     return True
@@ -277,7 +252,7 @@ def _cech_solve(atlas, sheaf, cutoff):
     """Build the Cech system of one sheaf at one cutoff and eliminate it once.
 
     Returns (dom, kernels, reps, index, elim): the column labels (chart id,
-    Monomial, exponent), H^0 as combinations {column: coeff}, the H^1
+    Monomial, exponent tuple), H^0 as combinations {column: coeff}, the H^1
     representatives as overlap (Monomial, exponent) pairs, the overlap row
     index and the eliminator holding the columns and then the H^1 probe.
     Callers that keep a result take only what they use, so that the
@@ -300,10 +275,10 @@ def _cech_solve(atlas, sheaf, cutoff):
     dom = []
     cols = []
     for mon, e in build_section_basis(sheaf, "U0", cutoff).elements:
-        dom.append(("U0", mon, e))
+        dom.append(("U0", mon, (e,)))
         cols.append({index[(mon, e)]: Fraction(1)})
     for mon, e in build_section_basis(sheaf, "U1", cutoff).elements:
-        dom.append(("U1", mon, e))
+        dom.append(("U1", mon, (e,)))
         pulled = pullback(m01, _section_form(atlas, "U1", mon, e))
         col = _coordinates(pulled, index, _overlap_key, _overlap_error)
         cols.append({r: -c for r, c in col.items()})
@@ -322,12 +297,19 @@ def _cech_solve(atlas, sheaf, cutoff):
     return dom, kernels, reps, index, elim
 
 
-def _glue(atlas, dom, combo):
-    """The pair {chart id: Superform} of a combination of Cech columns."""
-    parts = {cid: Superform.zero(cid, atlas.chart(cid).table) for cid in ("U0", "U1")}
+def _glue(atlas, labels, combo):
+    """The forms {chart id: Superform}, one per chart of the atlas, of a
+    combination {t: coeff} of distinct basis labels (chart id, Monomial,
+    exponent tuple); terms appear in the order of the combination."""
+    terms = {cid: {} for cid in sorted(atlas.charts)}
     for t, c in combo.items():
-        chart_id, mon, e = dom[t]
-        _add_terms(parts[chart_id].terms, _section_form(atlas, chart_id, mon, e).scale(c).terms)
+        cid, mon, exps = labels[t]
+        terms[cid].setdefault(mon, {})[exps] = c
+    parts = {}
+    for cid, by_mon in terms.items():
+        table = atlas.chart(cid).table
+        lps = {mon: LaurentPoly(table.even_names, coeffs) for mon, coeffs in by_mon.items()}
+        parts[cid] = Superform(cid, table, lps)
     return parts
 
 
@@ -388,20 +370,18 @@ def _differential_error(key):
 def _derham_p11(atlas, picture, lo, hi, cutoff):
     # degree -> (Cech column labels, global sections as kernel combinations)
     levels = {i: _cech_solve(atlas, (i, picture), cutoff)[:2] for i in range(lo - 1, hi + 2)}
-    gens = {
-        i: [_glue(atlas, dom, combo) for combo in kernels] for i, (dom, kernels) in levels.items()
-    }
     d_cols = {}
     for i in range(lo - 1, hi + 1):
+        labels, sections = levels[i]
         dom, kernels = levels[i + 1]
         index = {label: t for t, label in enumerate(dom)}
         solver, _ = _eliminate(kernels)
         cols = []
-        for parts in gens[i]:
+        for section in sections:
             dv = {}
-            for cid in ("U0", "U1"):
-                key = lambda mon, exps, cid=cid: (cid, mon, exps[0])
-                dv.update(_coordinates(exterior_d(parts[cid]), index, key, _differential_error))
+            for cid, form in _glue(atlas, labels, section).items():
+                key = lambda mon, exps, cid=cid: (cid, mon, exps)
+                dv.update(_coordinates(exterior_d(form), index, key, _differential_error))
             if not dv:
                 cols.append({})
                 continue
@@ -412,16 +392,16 @@ def _derham_p11(atlas, picture, lo, hi, cutoff):
         d_cols[i] = cols
 
     dims, reps = _complex_cohomology(d_cols, lo, hi)
-    gens_out = {}
+    gens = {}
     for i in range(lo, hi + 1):
-        gens_out[i] = []
+        labels, sections = levels[i]
+        gens[i] = []
         for z in reps[i]:
-            parts = {cid: Superform.zero(cid, atlas.chart(cid).table) for cid in ("U0", "U1")}
+            combo = {}
             for t, c in z.items():
-                for cid in parts:
-                    _add_terms(parts[cid].terms, gens[i][t][cid].scale(c).terms)
-            gens_out[i].append(parts)
-    return {(i, picture): dim for i, dim in dims.items()}, gens_out
+                _axpy(combo, sections[t], c)
+            gens[i].append(_glue(atlas, labels, combo))
+    return {(i, picture): dim for i, dim in dims.items()}, gens
 
 
 # ---------------------------------------------------------------------------
@@ -561,10 +541,9 @@ def _flat_block_d(chart, basis_dom, basis_cod, cache):
     return cols
 
 
-def _flat_block(chart, picture, e_total, u, lo, hi, cache):
+def _flat_block(atlas, chart, picture, e_total, u, lo, hi, cache):
     """{i: (dim, generators)} of one block, for the degrees lo..hi with dim > 0."""
-    table = chart.table
-    basis = flat_block_monomials(table, picture, e_total, u)
+    basis = flat_block_monomials(chart.table, picture, e_total, u)
     if not basis:
         return {}
     bins = {}
@@ -580,16 +559,9 @@ def _flat_block(chart, picture, e_total, u, lo, hi, cache):
     block_dims, reps = _complex_cohomology(d_cols, max(lo, degrees[0]), min(hi, degrees[-1]))
     out = {}
     for i, dim in block_dims.items():
-        if not dim:
-            continue
-        gens = []
-        for z in reps[i]:
-            sf = Superform.zero(chart.id, table)
-            for t, c in z.items():
-                mon, exps = bins[i][t]
-                _add_terms(sf.terms, {mon: LaurentPoly.monomial(table.even_names, exps, c)})
-            gens.append({chart.id: sf})
-        out[i] = dim, gens
+        if dim:
+            labels = [(chart.id, mon, exps) for mon, exps in bins[i]]
+            out[i] = dim, [_glue(atlas, labels, z) for z in reps[i]]
     return out
 
 
@@ -614,7 +586,7 @@ def _flat_solver(atlas, picture, lo, hi):
             inside = all(abs(x) <= covered for x in u)
             cache = {}
             for e_total in range(covered + 1 if inside else 0, cutoff + 1):
-                block = _flat_block(chart, picture, e_total, u, lo, hi, cache)
+                block = _flat_block(atlas, chart, picture, e_total, u, lo, hi, cache)
                 if block:
                     found[(e_total, u)] = block
         covered = max(covered, cutoff)
@@ -634,9 +606,10 @@ def _flat_solver(atlas, picture, lo, hi):
 def derham(space, picture, degree_range, cutoff):
     """de Rham cohomology H^{i|picture} for i in degree_range (inclusive).
 
-    space is an Atlas (two charts: P^{1|1}; one chart: flat) or one of the
-    labels "p11" / "flat:m,n".  The complex is extended one step to the left
-    of the range so every reported degree has its incoming differential.
+    space is an Atlas (one chart: flat; otherwise it must be P^{1|1}, two
+    charts of dimension 1|1) or one of the labels "p11" / "flat:m,n".  The
+    complex is extended one step to the left of the range so every reported
+    degree has its incoming differential.
     """
     lo, hi = degree_range
     if lo > hi:
@@ -646,13 +619,14 @@ def derham(space, picture, degree_range, cutoff):
         atlas = _space_from_label(space)
     else:
         atlas = space
-        label = "p11" if len(atlas.charts) == 2 else "flat"
-    if len(atlas.charts) == 2:
+        label = "flat" if len(atlas.charts) == 1 else "p11"
+    if len(atlas.charts) == 1:
+        compute = _flat_solver(atlas, picture, lo, hi)
+    else:
+        # _cech_solve rejects any atlas that is not two 1|1 charts.
         if picture not in (0, 1):
             raise UnsupportedSpaceError("picture %d not supported on P^{1|1}" % picture)
         compute = lambda c: _derham_p11(atlas, picture, lo, hi, c)
-    else:
-        compute = _flat_solver(atlas, picture, lo, hi)
     (dims, gens), (again, _) = _rerun(compute, cutoff)
     return CohomologyReport(
         space=label,
@@ -760,13 +734,10 @@ def cech_derham_check(cutoff):
     base_level0 = [
         parts
         for parts in (_glue(atlas, dom, combo) for combo in kernels)
-        if all(not m.thetas and not m.dodds and not m.deltas for m in parts["U0"].terms)
-        and all(not m.thetas and not m.dodds and not m.deltas for m in parts["U1"].terms)
+        if not any(m.thetas or m.dodds or m.deltas for form in parts.values() for m in form.terms)
     ]
     closed0 = [
-        parts
-        for parts in base_level0
-        if exterior_d(parts["U0"]).is_zero() and exterior_d(parts["U1"]).is_zero()
+        parts for parts in base_level0 if all(exterior_d(form).is_zero() for form in parts.values())
     ]
     base_dims = {0: len(closed0), 1: len(_cech_solve(atlas, (1, 0), cutoff)[1])}
 

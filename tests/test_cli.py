@@ -201,6 +201,16 @@ class TestExitCodes(unittest.TestCase):
             self.assertEqual(payload["error"]["kind"], "parse")
             self.assertIn("cutoff", payload["error"]["message"])
 
+    def test_pair_and_selftest_reject_space_options(self):
+        # Both commands always run on P^{1|1}; a space option was ignored.
+        for argv in (
+            ["pair", "--space", "flat:2,2", "--n", "0", "--cutoff", "4"],
+            ["selftest", "--atlas", "atlas.json"],
+        ):
+            with self.assertRaises(SystemExit) as ctx:
+                invoke(argv)
+            self.assertEqual(ctx.exception.code, 2, msg=argv)
+
     def test_json_errors_carry_schema(self):
         code, out, _ = invoke(["integrate", "--expr", "psi*dg", "--json"])
         self.assertEqual(code, 3)
@@ -299,6 +309,37 @@ class TestAtlasFiles(unittest.TestCase):
         code, out, err = invoke(["cech", "--atlas", fh.name, "--sheaf", "0|0"])
         self.assertEqual((code, out), (3, ""))
         self.assertIn(fh.name, err)
+
+    def test_three_charts_rejected(self):
+        # The flat solver would answer on U0 alone: H^{0|1} = 1, stabilized.
+        atlas = json.loads(json.dumps(self.ATLAS))
+        atlas["charts"]["U2"] = atlas["charts"]["U1"]
+        atlas["transitions"] += [
+            dict(tr, source=tr["source"].replace("U1", "U2"), target=tr["target"].replace("U1", "U2"))
+            for tr in self.ATLAS["transitions"]
+        ]
+        path = self.write_atlas(atlas)
+        for argv in (
+            ["derham", "--atlas", path, "--picture", "1", "--range", "0:0", "--cutoff", "3"],
+            ["derham", "--atlas", path, "--picture", "0", "--cutoff", "3", "--json"],
+        ):
+            code, out, err = invoke(argv)
+            self.assertEqual(code, 3, msg=argv)
+            self.assertNotIn("H^", out)
+
+    def test_value_types_checked(self):
+        path = self.write_atlas({"charts": []})
+        code, out, err = invoke(["cech", "--atlas", path, "--sheaf", "0|0"])
+        self.assertEqual((code, out), (3, ""))
+        self.assertIn(path, err)
+        self.assertIn("'charts'", err)
+
+        # A string of coordinate names would be read letter by letter.
+        path = self.write_atlas({"charts": {"U0": {"even": "gh", "odd": []}}})
+        code, out, err = invoke(["normalize", "--atlas", path, "--expr", "g*h"])
+        self.assertEqual((code, out), (3, ""))
+        self.assertIn(path, err)
+        self.assertIn("'even'", err)
 
 
 class TestSelftest(unittest.TestCase):
