@@ -46,7 +46,6 @@ class Morphism:
         self.target = target
         self.even_images = dict(even_images)
         self.odd_images = {j: tuple(v) for j, v in odd_images.items()}
-        self._atom_cache = {}
         src_vars = source.table.even_names
         for i in range(len(target.table.even_names)):
             if i not in self.even_images:
@@ -113,25 +112,17 @@ def identity_morphism(chart):
 
 
 def _atom_image(m, atom, series_extra):
-    """Pullback of one generator factor, memoized per morphism."""
-    key = (atom, series_extra)
-    if key in m._atom_cache:
-        return m._atom_cache[key]
+    """Pullback of one generator factor."""
     src = m.source
     kind = atom[0]
     if kind == TH:
-        out = m.odd_image_form(atom[1])
-    elif kind == DG:
-        img = Superform.from_poly(src.id, src.table, m.even_images[atom[1]])
-        out = exterior_d(img)
-    elif kind == DP:
-        out = exterior_d(m.odd_image_form(atom[1]))
-    else:
-        j, order = atom[1], atom[2]
-        arg = _atom_image(m, (DP, j), series_extra)
-        out = delta_expand(order, arg, order + series_extra)
-    m._atom_cache[key] = out
-    return out
+        return m.odd_image_form(atom[1])
+    if kind == DG:
+        return exterior_d(Superform.from_poly(src.id, src.table, m.even_images[atom[1]]))
+    if kind == DP:
+        return exterior_d(m.odd_image_form(atom[1]))
+    j, order = atom[1], atom[2]
+    return delta_expand(order, _atom_image(m, (DP, j), series_extra), order + series_extra)
 
 
 def pullback(m, a, series_extra=None):

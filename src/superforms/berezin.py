@@ -57,19 +57,8 @@ def bosonic_residue(poly, variable):
     return total
 
 
-def berezin_integral(form, variable=None):
+def berezin_integral(form):
     """Full integral of a top form over the chart: Berezin reduction followed
-    by the bosonic residue in each even coordinate (or the one given)."""
+    by the bosonic residue in every even coordinate."""
     reduced = berezin_reduce(form)
-    names = (variable,) if variable is not None else form.table.even_names
-    total = 0
-    for exps, c in reduced.items():
-        ok = True
-        for k, name in enumerate(reduced.variables):
-            want = -1 if name in names else 0
-            if exps[k] != want:
-                ok = False
-                break
-        if ok:
-            total += c
-    return total
+    return reduced.coefficient((-1,) * len(reduced.variables))

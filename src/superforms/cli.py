@@ -296,8 +296,9 @@ _JSON_TYPES = {dict: "object", list: "list", str: "string"}
 def load_atlas(path):
     """Declarative atlas: chart coordinate lists plus transition images
     written in the expression grammar over the source chart.  A file that is
-    not JSON, lacks a key, holds a value of the wrong type or names an
-    unknown chart raises StructuralError."""
+    not JSON, lacks a key, holds a value of the wrong type, names an unknown
+    chart or whose transitions are not mutually inverse on the coordinates
+    and their differentials raises StructuralError."""
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -354,7 +355,20 @@ def load_atlas(path):
                 pieces.append((lp, mon.thetas[0]))
             odd_images[tgt.table.odd_names.index(name)] = tuple(pieces)
         transitions[(src.id, tgt.id)] = Morphism(src, tgt, even_images, odd_images)
-    return Atlas(charts, transitions)
+    atlas = Atlas(charts, transitions)
+    probes = []
+    for cid, chart in charts.items():
+        table = chart.table
+        m, n = len(table.even_names), len(table.odd_names)
+        for i in range(m):
+            coordinate = LaurentPoly.monomial(table.even_names, [int(k == i) for k in range(m)])
+            probes.append(Superform.from_poly(cid, table, coordinate))
+        atoms = [theta(j) for j in range(n)] + [dgamma(i) for i in range(m)]
+        atoms += [dpsi(j) for j in range(n)] + [delta(j) for j in range(n)]
+        probes += [normalize([atom], 1, cid, table) for atom in atoms]
+    if not verify_cocycle(atlas, probes).passed:
+        raise StructuralError("atlas file %s: transitions are not mutually inverse" % path)
+    return atlas
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +480,7 @@ def _cmd_cech(args):
         "h1 = %d" % report.h1,
     ]
     for k, parts in enumerate(gens_h0):
-        lines.append("h0[%d] U0: %s" % (k, parts["U0"]))
-        lines.append("h0[%d] U1: %s" % (k, parts["U1"]))
+        lines += ["h0[%d] %s: %s" % (k, cid, text) for cid, text in parts.items()]
     for k, g in enumerate(gens_h1):
         lines.append("h1[%d] overlap: %s" % (k, g))
     lines.append("stabilized = %s" % report.stabilized)

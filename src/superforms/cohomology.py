@@ -13,7 +13,10 @@ is [-(D+|i|+4), D+|i|+4].  `_cech_solve` builds the Cech system
 (s0, s1) |-> s0 - Phi*(s1) once per cutoff and eliminates it: the kernel is
 H^0, and the unit vectors of an inner window of half-width |i|+4, inserted
 after the columns, probe H^1, whose unhit monomials are the coset
-representatives.
+representatives.  The charts are taken in sorted order, the first carrying
+the overlap.  Pullback is a ring map, so the system needs one pullback per
+sheaf monomial M (at most four): Phi*(g^e*M) is Phi*(M) times the single
+Laurent monomial Phi*(g^e).
 
 `_complex_cohomology` walks a complex of d matrices: the eliminator of d[i-1]
 gives rank(d[i-1]), ker(d[i-1]) and the image against which degree-i
@@ -30,9 +33,9 @@ the one place that runs a computation at D and at D+2, and the reports are
 marked stabilized when both agree.  A flat block's answer does not depend on
 the cutoff, so the flat solver of one `derham` call keeps the blocks with a
 class, and its D+2 run walks only the blocks outside the D box.  A negative
-cutoff is rejected in `_rerun` and in `_cech_solve`, which the pairing uses
-without a rerun; `_cech_solve` also rejects any atlas that is not two 1|1
-charts, since its section bases are those of P^{1|1}.
+cutoff is rejected in `_rerun` and in `_cech_solve`, which the pairing's
+Omega^{1|1} solve uses without a rerun; `_cech_solve` also rejects any atlas
+that is not two 1|1 charts, since its section bases are those of P^{1|1}.
 """
 
 from dataclasses import dataclass, field, replace
@@ -40,7 +43,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .atlas_morphism import builtin_flat, builtin_p11, pullback
-from .coeff_ring import LaurentPoly, _axpy
+from .coeff_ring import LaurentPoly, _axpy, lp_substitute_monomial
 from .errors import StructuralError, UnsupportedSpaceError, WindowOverflowError
 from .form_algebra import (
     DG,
@@ -271,16 +274,24 @@ def _cech_solve(atlas, sheaf, cutoff):
     i, _ = sheaf
     overlap = build_section_basis(sheaf, "overlap", cutoff)
     index = {el: r for r, el in enumerate(overlap.elements)}
-    m01 = atlas.transition("U0", "U1")
+    c0, c1 = sorted(atlas.charts)
+    m01 = atlas.transition(c0, c1)
+    images = m01.substitution_images()
+    evens0, evens1 = m01.source.table.even_names, m01.target.table.even_names
+    # Pullback is a ring map and the image of g is one Laurent monomial, so
+    # Phi*(g^e*M) = Phi*(g^e) * Phi*(M), with Phi*(M) pulled back once per M.
+    pulled = {
+        mon: pullback(m01, _section_form(atlas, c1, mon, 0)) for mon in p11_sheaf_monomials(*sheaf)
+    }
     dom = []
     cols = []
-    for mon, e in build_section_basis(sheaf, "U0", cutoff).elements:
-        dom.append(("U0", mon, (e,)))
+    for mon, e in build_section_basis(sheaf, c0, cutoff).elements:
+        dom.append((c0, mon, (e,)))
         cols.append({index[(mon, e)]: Fraction(1)})
-    for mon, e in build_section_basis(sheaf, "U1", cutoff).elements:
-        dom.append(("U1", mon, (e,)))
-        pulled = pullback(m01, _section_form(atlas, "U1", mon, e))
-        col = _coordinates(pulled, index, _overlap_key, _overlap_error)
+    for mon, e in build_section_basis(sheaf, c1, cutoff).elements:
+        dom.append((c1, mon, (e,)))
+        g_e = lp_substitute_monomial(LaurentPoly.monomial(evens1, (e,)), images, evens0)
+        col = _coordinates(pulled[mon].times_poly(g_e), index, _overlap_key, _overlap_error)
         cols.append({r: -c for r, c in col.items()})
     elim, kernels = _eliminate(cols)
     # Unhit monomials inside an inner window estimate the cokernel.  The
@@ -334,7 +345,7 @@ def _cech_reports(atlas, sheaf, cutoff):
         sheaf=sheaf,
         cutoff=cutoff,
         h1=len(reps),
-        generators_h1=[_section_form(atlas, "U0", mon, e) for mon, e in reps],
+        generators_h1=[_section_form(atlas, min(atlas.charts), mon, e) for mon, e in reps],
         stabilized=probed and len(reps) == len(again[2]),
     )
     return h0, h1
@@ -382,9 +393,6 @@ def _derham_p11(atlas, picture, lo, hi, cutoff):
             for cid, form in _glue(atlas, labels, section).items():
                 key = lambda mon, exps, cid=cid: (cid, mon, exps)
                 dv.update(_coordinates(exterior_d(form), index, key, _differential_error))
-            if not dv:
-                cols.append({})
-                continue
             combo = solver.insert(dv, "image")
             if combo is None:
                 raise StructuralError("differential of a global section is not global")
@@ -573,7 +581,7 @@ def _flat_solver(atlas, picture, lo, hi):
     run walks only the blocks outside that box.  Generators are listed in
     (E, u) order.
     """
-    chart = atlas.chart("U0")
+    (chart,) = atlas.charts.values()
     n = len(chart.table.odd_names)
     found = {}  # (E, u) -> {i: (dim, generators)}
     covered = -1
@@ -658,29 +666,31 @@ def pairing_matrix(n, cutoff):
 
     Each product is reduced modulo Omega^{1|1} coboundaries and read off
     against the H^1(Omega^{1|1}) generator psi*dg*delta(dpsi)/g.  Returns
-    (matrix rows, exact rank).
+    (matrix rows, exact rank); raises WindowOverflowError unless both groups
+    are stabilized, as a truncated group truncates the matrix.
     """
     if n < 0:
         raise StructuralError("pairing index must be non-negative")
     atlas = builtin_p11()
-    h1_reps = [
-        _section_form(atlas, "U0", mon, e) for mon, e in _cech_solve(atlas, (n + 1, 0), cutoff)[2]
-    ]
-    dom, kernels = _cech_solve(atlas, (-n, 1), cutoff)[:2]
-    h0_gens = [_glue(atlas, dom, combo) for combo in kernels]
+    h1 = _cech_reports(atlas, (n + 1, 0), cutoff)[1]
+    h0 = _cech_reports(atlas, (-n, 1), cutoff)[0]
+    if not (h1.stabilized and h0.stabilized):
+        raise WindowOverflowError(
+            "pairing n=%d is not stabilized at cutoff %d; enlarge the cutoff" % (n, cutoff)
+        )
 
     # The H^1 probe of Omega^{1|1} leaves the coboundaries plus the generator
     # as the pivots, which is the basis every product is reduced against.
     _, _, volume_reps, index, elim = _cech_solve(atlas, (1, 1), cutoff)
     generator = (Monomial((0,), (0,), (), ((0, 0),)), -1)
-    if h1_reps and volume_reps != [generator]:
+    if volume_reps != [generator]:
         raise StructuralError("the H^1(Omega^{1|1}) probe does not single out the generator")
 
     matrix = []
-    for s, rep in enumerate(h1_reps):
+    for s, rep in enumerate(h1.generators_h1):
         row = []
-        for t, parts in enumerate(h0_gens):
-            product = pair(rep, parts["U0"])
+        for t, parts in enumerate(h0.generators_h0):
+            product = pair(rep, parts[rep.chart])
             vec = _coordinates(product, index, _overlap_key, _overlap_error)
             combo = elim.insert(vec, ("prod", s, t))
             if combo is None:
@@ -690,11 +700,7 @@ def pairing_matrix(n, cutoff):
             row.append(-combo.get(generator, Fraction(0)))
         matrix.append(row)
 
-    columns = [
-        {s: matrix[s][t] for s in range(len(h1_reps)) if matrix[s][t]}
-        for t in range(len(h0_gens))
-    ]
-    return matrix, _eliminate(columns)[0].rank
+    return matrix, _eliminate([dict(enumerate(row)) for row in matrix])[0].rank
 
 
 @dataclass

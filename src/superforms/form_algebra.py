@@ -229,9 +229,8 @@ class Superform:
 def _add_terms(terms, other):
     """Add the terms map `other` into `terms` in place, pruning zeros.
 
-    Pass only the terms of a form the caller has just built: other forms may
-    be shared, as pulled-back atoms are cached and handed to every pullback.
-    New monomials are appended, so insertion order matches repeated `+`.
+    Pass only the terms of a form the caller has just built.  New monomials
+    are appended, so insertion order matches repeated `+`.
     """
     for mon, lp in other.items():
         if lp.is_zero():

@@ -185,6 +185,14 @@ class TestExitCodes(unittest.TestCase):
         self.assertEqual(code, 4)
         self.assertIn("stabilized = False", out)
 
+    def test_truncated_pairing_is_3(self):
+        # At the default cutoff 10 this was a 16x20 matrix of rank 16, exit 0.
+        for argv in (["pair", "--n", "4"], ["pair", "--n", "4", "--json"]):
+            code, out, err = invoke(argv)
+            self.assertEqual(code, 3, msg=argv)
+            self.assertNotIn("rank", out)
+            self.assertIn("cutoff 10", out + err)
+
     def test_negative_cutoff_is_2(self):
         for argv in (
             ["pair", "--n", "0", "--cutoff", "-1"],
@@ -326,6 +334,28 @@ class TestAtlasFiles(unittest.TestCase):
             code, out, err = invoke(argv)
             self.assertEqual(code, 3, msg=argv)
             self.assertNotIn("H^", out)
+
+    def test_one_chart_with_any_id_is_flat(self):
+        path = self.write_atlas({"charts": {"V": {"even": ["g"], "odd": ["psi"]}}})
+        argv = ["derham", "--picture", "1", "--range", "0:2", "--cutoff", "5", "--json"]
+        code, out, _ = invoke(argv + ["--atlas", path])
+        self.assertEqual(code, 0)
+        got = json.loads(out)
+        want = json.loads(invoke(argv + ["--space", "flat:1,1"])[1])
+        self.assertEqual(got["dims"], want["dims"])
+        rename = lambda gens: {i: [list(parts.values()) for parts in g] for i, g in gens.items()}
+        self.assertEqual(rename(got["generators"]), rename(want["generators"]))
+        self.assertEqual(list(got["generators"]["0"][0]), ["V"])
+
+    def test_transitions_must_be_mutually_inverse(self):
+        # U1 -> U0 the identity but U0 -> U1 the inversion: not a cocycle.
+        atlas = json.loads(json.dumps(self.ATLAS))
+        atlas["transitions"][1].update(even_images={"g": "g"}, odd_images={"psi": "psi"})
+        path = self.write_atlas(atlas)
+        code, out, err = invoke(["cech", "--atlas", path, "--sheaf", "0|0", "--cutoff", "4"])
+        self.assertEqual((code, out), (3, ""))
+        self.assertIn(path, err)
+        self.assertIn("inverse", err)
 
     def test_value_types_checked(self):
         path = self.write_atlas({"charts": []})

@@ -1,6 +1,9 @@
 """Tests for the exact linear algebra and both cohomology pipelines."""
 
+import json
+import os
 import random
+import tempfile
 import unittest
 from fractions import Fraction
 from itertools import product
@@ -15,6 +18,7 @@ from superforms import (
     StructuralError,
     Superform,
     UnsupportedSpaceError,
+    WindowOverflowError,
     builtin_flat,
     builtin_p11,
     cech,
@@ -23,6 +27,7 @@ from superforms import (
     cech_h1,
     derham,
     exterior_d,
+    load_atlas,
     pairing_matrix,
     pretty_print,
     pullback,
@@ -237,6 +242,36 @@ class TestCech(unittest.TestCase):
                 )
                 self.assertEqual(both.stabilized, h0.stabilized and h1.stabilized, msg=msg)
 
+    def test_chart_ids_and_transition_coefficients_are_free(self):
+        # P^{1|1} glued by y = 2/x, s = t/x: an isomorphic atlas whose charts
+        # are not called U0/U1 and whose transition carries a coefficient 2^e.
+        spec = {
+            "charts": {"A": {"even": ["x"], "odd": ["t"]}, "B": {"even": ["y"], "odd": ["s"]}},
+            "transitions": [
+                {"source": "A", "target": "B", "even_images": {"y": "2*x^-1"},
+                 "odd_images": {"s": "t*x^-1"}},
+                {"source": "B", "target": "A", "even_images": {"x": "2*y^-1"},
+                 "odd_images": {"t": "2*s*y^-1"}},
+            ],
+        }
+        with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
+            json.dump(spec, fh)
+        self.addCleanup(os.unlink, fh.name)
+        atlas = load_atlas(fh.name)
+        m_ab = atlas.transition("A", "B")
+        for cutoff in (3, 8):
+            for sheaf in ACCEPTANCE_SHEAVES:
+                want = cech(P11, sheaf, cutoff)
+                got = cech(atlas, sheaf, cutoff)
+                msg = "%r at %d" % (sheaf, cutoff)
+                self.assertEqual(
+                    (got.h0, got.h1, got.stabilized), (want.h0, want.h1, want.stabilized), msg=msg
+                )
+                for parts in got.generators_h0:
+                    self.assertEqual(sorted(parts), ["A", "B"], msg=msg)
+                    self.assertEqual(pullback(m_ab, parts["B"]), parts["A"], msg=msg)
+                self.assertTrue(all(g.chart == "A" for g in got.generators_h1), msg=msg)
+
 
 class TestDeRham(unittest.TestCase):
     def test_projective_picture_zero(self):
@@ -349,6 +384,25 @@ class TestPairingMatrix(unittest.TestCase):
         for row in matrix:
             for entry in row:
                 self.assertIsInstance(entry, Fraction)
+
+    def test_truncated_matrix_rejected(self):
+        # At cutoff 10 only 16 of the 20 classes of H^1(Omega^{5|0}) fit.
+        with self.assertRaises(WindowOverflowError) as ctx:
+            pairing_matrix(4, 10)
+        self.assertIn("n=4", str(ctx.exception))
+        self.assertIn("cutoff 10", str(ctx.exception))
+
+    def test_complete_exactly_from_cutoff_2n_plus_3(self):
+        for n in range(3):
+            for cutoff in range(2 * n + 5):
+                if cutoff < 2 * n + 3:
+                    with self.assertRaises(WindowOverflowError, msg=(n, cutoff)):
+                        pairing_matrix(n, cutoff)
+                    continue
+                matrix, rank = pairing_matrix(n, cutoff)
+                size = 4 * n + 4
+                self.assertEqual([len(row) for row in matrix], [size] * size, msg=(n, cutoff))
+                self.assertEqual(rank, size, msg=(n, cutoff))
 
 
 class TestNegativeCutoff(unittest.TestCase):
