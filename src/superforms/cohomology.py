@@ -11,9 +11,10 @@ combination of basis labels (chart id, Monomial, exponent tuple) into forms.
 Chart sections of P^{1|1} are polynomial of degree <= D; the overlap window
 is [-(D+|i|+4), D+|i|+4].  `_cech_solve` builds the Cech system
 (s0, s1) |-> s0 - Phi*(s1) once per cutoff and eliminates it: the kernel is
-H^0, and the unit vectors of an inner window of half-width |i|+4, inserted
-after the columns, probe H^1, whose unhit monomials are the coset
-representatives.  The charts are taken in sorted order, the first carrying
+H^0.  `_h1_probe` inserts the unit vectors of an inner window of half-width
+|i|+4 after the columns, into the same eliminator, to probe H^1, whose unhit
+monomials are the coset representatives; only the callers that report H^1
+run it.  The charts are taken in sorted order, the first carrying
 the overlap.  Pullback is a ring map, so the system needs one pullback per
 sheaf monomial M (at most four): Phi*(g^e*M) is Phi*(M) times the single
 Laurent monomial Phi*(g^e).
@@ -22,20 +23,16 @@ Laurent monomial Phi*(g^e).
 gives rank(d[i-1]), ker(d[i-1]) and the image against which degree-i
 representatives are picked.  P^{1|1} de Rham runs it on the complex of global
 sections.  Flat-space de Rham splits into finite blocks (E, u) that d maps to
-themselves (E the even weight, u the odd weight vector) and runs it on each
-block in the box E <= D, |u_j| <= D.  A block's d matrix is built from the
-Leibniz rule d(g^e*M) = sum_i e_i*g^(e-1_i)*(dgamma_i*M) + g^e*dM, with
-dgamma_i*M and dM normalized once per monomial M; that cache is kept for one
-u at a time, since every monomial of a block carries its u.
+themselves (E the even weight, u the odd weight vector); by a Kunneth
+argument only the C(n, p) blocks E = 0, u in {0, 1}^n with |u| = p can carry
+a class, and it runs on those alone.
 
 Cech and de Rham answers are certified by recomputing at D+2: `_rerun` is
 the one place that runs a computation at D and at D+2, and the reports are
-marked stabilized when both agree.  A flat block's answer does not depend on
-the cutoff, so the flat solver of one `derham` call keeps the blocks with a
-class, and its D+2 run walks only the blocks outside the D box.  A negative
-cutoff is rejected in `_rerun` and in `_cech_solve`, which the pairing's
-Omega^{1|1} solve uses without a rerun; `_cech_solve` also rejects any atlas
-that is not two 1|1 charts, since its section bases are those of P^{1|1}.
+marked stabilized when both agree.  A negative cutoff is rejected in `_rerun`
+and in `_cech_solve`, which the pairing's Omega^{1|1} solve uses without a
+rerun; `_cech_solve` also rejects any atlas that is not two 1|1 charts, since
+its section bases are those of P^{1|1}.
 """
 
 from dataclasses import dataclass, field, replace
@@ -45,15 +42,7 @@ from itertools import combinations, product
 from .atlas_morphism import builtin_flat, builtin_p11, pullback
 from .coeff_ring import LaurentPoly, _axpy, lp_substitute_monomial
 from .errors import StructuralError, UnsupportedSpaceError, WindowOverflowError
-from .form_algebra import (
-    DG,
-    Monomial,
-    Superform,
-    _theta_swaps,
-    exterior_d,
-    normalize,
-    pair,
-)
+from .form_algebra import Monomial, Superform, exterior_d, pair
 
 
 class Eliminator:
@@ -254,12 +243,10 @@ def _complex_cohomology(d_cols, lo, hi):
 def _cech_solve(atlas, sheaf, cutoff):
     """Build the Cech system of one sheaf at one cutoff and eliminate it once.
 
-    Returns (dom, kernels, reps, index, elim): the column labels (chart id,
-    Monomial, exponent tuple), H^0 as combinations {column: coeff}, the H^1
-    representatives as overlap (Monomial, exponent) pairs, the overlap row
-    index and the eliminator holding the columns and then the H^1 probe.
-    Callers that keep a result take only what they use, so that the
-    eliminator is freed.
+    Returns (dom, kernels, index, elim): the column labels (chart id,
+    Monomial, exponent tuple), H^0 as combinations {column: coeff}, the
+    overlap row index and the eliminator holding the columns.  Callers that
+    keep a result take only what they use, so that the eliminator is freed.
     """
     if cutoff < 0:
         raise StructuralError("cutoff must be non-negative, got %d" % cutoff)
@@ -271,7 +258,6 @@ def _cech_solve(atlas, sheaf, cutoff):
             "Cech and P^{1|1} de Rham need two charts of dimension 1|1, got %s"
             % ", ".join("%d|%d" % shape for shape in shapes)
         )
-    i, _ = sheaf
     overlap = build_section_basis(sheaf, "overlap", cutoff)
     index = {el: r for r, el in enumerate(overlap.elements)}
     c0, c1 = sorted(atlas.charts)
@@ -294,18 +280,23 @@ def _cech_solve(atlas, sheaf, cutoff):
         col = _coordinates(pulled[mon].times_poly(g_e), index, _overlap_key, _overlap_error)
         cols.append({r: -c for r, c in col.items()})
     elim, kernels = _eliminate(cols)
+    return dom, kernels, index, elim
+
+
+def _h1_probe(elim, index, i, cutoff):
+    """The H^1 representatives of sheaf degree i as overlap (Monomial,
+    exponent) pairs, probed in the eliminator of the Cech system at cutoff."""
     # Unhit monomials inside an inner window estimate the cokernel.  The
     # window is capped by the coverage reach of degree-<=cutoff sections
     # (their images lead at exponent ~ |i|+1-cutoff), so that a class is
     # never reported merely because its killing coboundary was truncated
     # away; the D vs D+2 stabilization flag guards the remaining risk.
     inner = max(0, min(abs(i) + 4, cutoff - abs(i) - 1))
-    reps = [
+    return [
         el
         for el, r in index.items()
         if abs(el[1]) <= inner and elim.insert({r: Fraction(1)}, el) is None
     ]
-    return dom, kernels, reps, index, elim
 
 
 def _glue(atlas, labels, combo):
@@ -327,7 +318,12 @@ def _glue(atlas, labels, combo):
 def _cech_reports(atlas, sheaf, cutoff):
     """The H^0 and the H^1 report of one sheaf, from one solve at the cutoff
     and one at cutoff + 2."""
-    first, again = _rerun(lambda c: _cech_solve(atlas, sheaf, c)[:3], cutoff)
+
+    def solve(c):
+        dom, kernels, index, elim = _cech_solve(atlas, sheaf, c)
+        return dom, kernels, _h1_probe(elim, index, sheaf[0], c)
+
+    first, again = _rerun(solve, cutoff)
     dom, kernels, reps = first
     # An empty probe window (cutoff <= |i|+1) yields a vacuous count of zero;
     # never let such a run pass itself off as converged.
@@ -419,21 +415,21 @@ def _derham_p11(atlas, picture, lo, hi, cutoff):
 # every odd index j, u_j = [theta_j present] + power(dpsi_j) - order(delta_j):
 # d(theta_j) = dpsi_j trades the theta flag for a dpsi power, and a contraction
 # dpsi_j * delta^(k)(dpsi_j) removes the power together with one delta order.
-# Each block (E, u) is therefore a finite, complete complex computed exactly;
-# enlarging the enumeration box can only add further true classes, never fake
-# ones, which is what the stabilization flag certifies.
+# Each block (E, u) is therefore a finite, complete complex computed exactly.
 #
-# A block's d matrix comes from the Leibniz rule on a basis element g^e * M,
-#     d(g^e * M) = sum_i e_i * g^(e - 1_i) * (dgamma_i * M) + g^e * dM,
-# with dgamma_i * M and dM normalized once per monomial M (`_basis_d`).  Every
-# monomial of block (E, u) carries u, so the walk takes u outside and E inside
-# and keeps that cache for one u only: one cache for the whole walk holds every
-# monomial of the box at once (peak RSS 18.7 -> 25.7 MiB under CPython 3.11 on
-# flat:2,2 at D=3 plus flat:1,3 at D=2, for no gain in time), and one per block
-# loses most of the reuse, which is across E (1.6 times the time on the same
-# jobs).  Blocks
-# do not depend on the cutoff either, so `_flat_solver` keeps those with a
-# class and the D+2 rerun computes only the blocks outside the D box.
+# Only C(n, p) blocks can carry a class.  For a fixed set S of delta-carrying
+# odd indices, block (E, u) is the graded tensor product of one-coordinate
+# complexes, and over Q a tensor product with an acyclic factor is acyclic:
+#   - an even coordinate of weight w = exponent + [dg] >= 1: d maps g^w onto
+#     w*g^(w-1)*dg, an isomorphism;
+#   - psi_j not in S with u_j >= 1: d maps theta*dpsi^(u-1) onto dpsi^u;
+#   - psi_j in S with u_j = -k <= 0: the contraction makes d an isomorphism
+#     between theta*delta^(k+1) and delta^(k).
+# A class therefore needs E = 0, u_j = 1 on S and u_j = 0 off S, so
+# `_flat_derham` eliminates only the blocks E = 0, u in {0, 1}^n with |u| = p
+# that lie in the box |u_j| <= D.  The D+2 rerun of `_rerun` is still made:
+# at D = 0 the box holds only u = 0, so a picture p >= 1 reports no class and
+# is not stabilized.
 
 
 def _weak_compositions(total, slots):
@@ -499,69 +495,28 @@ def _block_error(key):
     return StructuralError("de Rham block is not closed under d")
 
 
-def _constant_terms(form):
-    return [(mon, c) for mon, lp in form.terms.items() for c in lp.terms.values()]
-
-
-def _basis_d(chart, mon, cache):
-    """([dgamma_i * M for each i], dM) of one monomial M as normalized
-    [(Monomial, Fraction)] lists, memoized in cache."""
-    if mon not in cache:
-        factors = mon.factors()
-        dgammas = [
-            []
-            if i in mon.devens
-            else _constant_terms(normalize(((DG, i),) + factors, 1, chart.id, chart.table))
-            for i in range(len(chart.table.even_names))
-        ]
-        dmon = []
-        for sign, swapped in _theta_swaps(factors):
-            dmon += _constant_terms(normalize(swapped, sign, chart.id, chart.table))
-        cache[mon] = dgammas, dmon
-    return cache[mon]
-
-
-def _flat_block_d(chart, basis_dom, basis_cod, cache):
-    """Columns {row: coeff} of d from basis_dom to basis_cod, in the row and
-    term order of exterior_d; cache holds the `_basis_d` lists."""
+def _flat_block_d(chart, basis_dom, basis_cod):
+    """Columns {row: coeff} of d from basis_dom to basis_cod: exterior_d of
+    each basis form, read off in basis_cod."""
     index = {el: r for r, el in enumerate(basis_cod)}
     cols = []
     for mon, exps in basis_dom:
-        dgammas, dmon = _basis_d(chart, mon, cache)
-        terms = [
-            ((image, exps[:i] + (k - 1,) + exps[i + 1 :]), k * c)
-            for i, k in enumerate(exps)
-            if k
-            for image, c in dgammas[i]
-        ]
-        terms += [((image, exps), c) for image, c in dmon]
-        col = {}
-        for key, c in terms:
-            if key not in index:
-                raise _block_error(key)
-            r = index[key]
-            s = col.get(r, 0) + c
-            if s:
-                col[r] = s
-            else:
-                col.pop(r, None)
-        cols.append(col)
+        lp = LaurentPoly.monomial(chart.table.even_names, exps)
+        form = Superform(chart.id, chart.table, {mon: lp})
+        cols.append(_coordinates(exterior_d(form), index, lambda m, e: (m, e), _block_error))
     return cols
 
 
-def _flat_block(atlas, chart, picture, e_total, u, lo, hi, cache):
-    """{i: (dim, generators)} of one block, for the degrees lo..hi with dim > 0."""
-    basis = flat_block_monomials(chart.table, picture, e_total, u)
-    if not basis:
-        return {}
+def _flat_block(atlas, chart, picture, u, lo, hi):
+    """{i: (dim, generators)} of block (0, u), for the degrees lo..hi with dim > 0."""
     bins = {}
-    for el in basis:
+    for el in flat_block_monomials(chart.table, picture, 0, u):
         bins.setdefault(el[0].degree(), []).append(el)
     degrees = sorted(bins)
     if degrees[0] > hi or degrees[-1] < lo:
         return {}
     d_cols = {
-        i: _flat_block_d(chart, bins.get(i, []), bins.get(i + 1, []), cache)
+        i: _flat_block_d(chart, bins.get(i, []), bins.get(i + 1, []))
         for i in range(degrees[0] - 1, degrees[-1] + 1)
     }
     block_dims, reps = _complex_cohomology(d_cols, max(lo, degrees[0]), min(hi, degrees[-1]))
@@ -573,42 +528,21 @@ def _flat_block(atlas, chart, picture, e_total, u, lo, hi, cache):
     return out
 
 
-def _flat_solver(atlas, picture, lo, hi):
-    """compute(cutoff) of flat de Rham for `_rerun`, sharing blocks between runs.
-
-    A block's answer does not depend on the cutoff, so the solver keeps the
-    box [0, D] x [-D, D]^n it has covered and the blocks with a class; a later
-    run walks only the blocks outside that box.  Generators are listed in
-    (E, u) order.
-    """
+def _flat_derham(atlas, picture, lo, hi, cutoff):
+    """Flat de Rham at one cutoff from the candidate blocks, generators in u order."""
     (chart,) = atlas.charts.values()
     n = len(chart.table.odd_names)
-    found = {}  # (E, u) -> {i: (dim, generators)}
-    covered = -1
-
-    def compute(cutoff):
-        nonlocal covered
-        if not 0 <= picture <= n:
-            raise UnsupportedSpaceError("picture %d not supported on this flat space" % picture)
-        for u in product(range(-cutoff, cutoff + 1), repeat=n):
-            inside = all(abs(x) <= covered for x in u)
-            cache = {}
-            for e_total in range(covered + 1 if inside else 0, cutoff + 1):
-                block = _flat_block(atlas, chart, picture, e_total, u, lo, hi, cache)
-                if block:
-                    found[(e_total, u)] = block
-        covered = max(covered, cutoff)
-        dims = {(i, picture): 0 for i in range(lo, hi + 1)}
-        gens = {i: [] for i in range(lo, hi + 1)}
-        for (e_total, u), block in sorted(found.items()):
-            if e_total > cutoff or any(abs(x) > cutoff for x in u):
-                continue
-            for i, (dim, block_gens) in block.items():
-                dims[(i, picture)] += dim
-                gens[i] += block_gens
-        return dims, gens
-
-    return compute
+    if not 0 <= picture <= n:
+        raise UnsupportedSpaceError("picture %d not supported on this flat space" % picture)
+    dims = {(i, picture): 0 for i in range(lo, hi + 1)}
+    gens = {i: [] for i in range(lo, hi + 1)}
+    for u in product((0, 1), repeat=n):
+        if sum(u) != picture or max(u, default=0) > cutoff:
+            continue
+        for i, (dim, block_gens) in _flat_block(atlas, chart, picture, u, lo, hi).items():
+            dims[(i, picture)] += dim
+            gens[i] += block_gens
+    return dims, gens
 
 
 def derham(space, picture, degree_range, cutoff):
@@ -629,7 +563,7 @@ def derham(space, picture, degree_range, cutoff):
         atlas = space
         label = "flat" if len(atlas.charts) == 1 else "p11"
     if len(atlas.charts) == 1:
-        compute = _flat_solver(atlas, picture, lo, hi)
+        compute = lambda c: _flat_derham(atlas, picture, lo, hi, c)
     else:
         # _cech_solve rejects any atlas that is not two 1|1 charts.
         if picture not in (0, 1):
@@ -681,7 +615,8 @@ def pairing_matrix(n, cutoff):
 
     # The H^1 probe of Omega^{1|1} leaves the coboundaries plus the generator
     # as the pivots, which is the basis every product is reduced against.
-    _, _, volume_reps, index, elim = _cech_solve(atlas, (1, 1), cutoff)
+    _, _, index, elim = _cech_solve(atlas, (1, 1), cutoff)
+    volume_reps = _h1_probe(elim, index, 1, cutoff)
     generator = (Monomial((0,), (0,), (), ((0, 0),)), -1)
     if volume_reps != [generator]:
         raise StructuralError("the H^1(Omega^{1|1}) probe does not single out the generator")

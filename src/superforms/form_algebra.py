@@ -367,20 +367,14 @@ def exterior_d(a):
             g = lp_partial(f, i)
             if not g.is_zero():
                 _add_terms(out.terms, normalize(((DG, i),) + factors, g, a.chart, a.table).terms)
-        for sign, swapped in _theta_swaps(factors):
-            coeff = f if sign > 0 else lp_scale(f, -1)
-            _add_terms(out.terms, normalize(swapped, coeff, a.chart, a.table).terms)
+        prefix_degree = 0
+        for t, atom in enumerate(factors):
+            if atom[0] == TH:
+                coeff = f if prefix_degree % 2 == 0 else lp_scale(f, -1)
+                swapped = factors[:t] + ((DP, atom[1]),) + factors[t + 1 :]
+                _add_terms(out.terms, normalize(swapped, coeff, a.chart, a.table).terms)
+            prefix_degree += atom_degree(atom)
     return out
-
-
-def _theta_swaps(factors):
-    """The factor-level part of d: one (sign, factors) pair per theta_j, with
-    theta_j replaced by dpsi_j and the sign of the degree passed over."""
-    prefix_degree = 0
-    for t, atom in enumerate(factors):
-        if atom[0] == TH:
-            yield (-1 if prefix_degree % 2 else 1), factors[:t] + ((DP, atom[1]),) + factors[t + 1 :]
-        prefix_degree += atom_degree(atom)
 
 
 def bidegree_components(a):

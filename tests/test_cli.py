@@ -180,6 +180,14 @@ class TestExitCodes(unittest.TestCase):
         code, _, _ = invoke(["cech", "--space", "bogus", "--sheaf", "0|0"])
         self.assertEqual(code, 3)
 
+    def test_flat_picture_out_of_range_is_3(self):
+        for picture in ("-1", "2"):
+            for extra in ([], ["--json"]):
+                code, _, _ = invoke(
+                    ["derham", "--space", "flat:1,1", "--picture", picture, "--cutoff", "2"] + extra
+                )
+                self.assertEqual(code, 3, msg=(picture, extra))
+
     def test_unstable_run_is_4(self):
         code, out, _ = invoke(["cech", "--sheaf", "5|0", "--cutoff", "3"])
         self.assertEqual(code, 4)

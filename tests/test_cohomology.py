@@ -6,7 +6,8 @@ import random
 import tempfile
 import unittest
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import comb
 
 import sympy
 from hypothesis import given, settings
@@ -14,9 +15,8 @@ from hypothesis.strategies import integers
 
 from superforms import (
     Eliminator,
-    LaurentPoly,
+    Monomial,
     StructuralError,
-    Superform,
     UnsupportedSpaceError,
     WindowOverflowError,
     builtin_flat,
@@ -28,16 +28,15 @@ from superforms import (
     derham,
     exterior_d,
     load_atlas,
+    normalize,
     pairing_matrix,
     pretty_print,
     pullback,
 )
 from superforms.cohomology import (
-    _block_error,
     _complex_cohomology,
-    _coordinates,
     _flat_block_d,
-    _flat_solver,
+    _glue,
     build_section_basis,
     flat_block_monomials,
     p11_sheaf_monomials,
@@ -305,72 +304,110 @@ class TestDeRham(unittest.TestCase):
         with self.assertRaises(UnsupportedSpaceError):
             derham("bogus", 0, (0, 1), 4)
 
-
-def exterior_d_columns(chart, basis_dom, basis_cod):
-    """Reference block columns: exterior_d of each basis form, read off in
-    basis_cod."""
-    index = {el: r for r, el in enumerate(basis_cod)}
-    cols = []
-    for mon, exps in basis_dom:
-        sf = Superform(chart.id, chart.table, {mon: LaurentPoly.monomial(chart.table.even_names, exps)})
-        cols.append(_coordinates(exterior_d(sf), index, lambda m, e: (m, e), _block_error))
-    return cols
+    def test_flat_picture_out_of_range(self):
+        for picture in (-1, 2):
+            with self.assertRaises(UnsupportedSpaceError, msg=picture):
+                derham("flat:1,1", picture, (0, 1), 2)
 
 
-def strict(columns):
-    return [[(r, c, type(c)) for r, c in col.items()] for col in columns]
+def box_blocks(chart, picture, box):
+    """{(E, u): (dims, reps, bins)} of every non-empty block of the box
+    E <= box, |u_j| <= box, each over all of its degrees."""
+    n = len(chart.table.odd_names)
+    blocks = {}
+    for e_total, u in product(range(box + 1), product(range(-box, box + 1), repeat=n)):
+        bins = {}
+        for el in flat_block_monomials(chart.table, picture, e_total, u):
+            bins.setdefault(el[0].degree(), []).append(el)
+        if not bins:
+            continue
+        d_cols = {
+            i: _flat_block_d(chart, bins.get(i, []), bins.get(i + 1, []))
+            for i in range(min(bins) - 1, max(bins) + 1)
+        }
+        dims, reps = _complex_cohomology(d_cols, min(bins), max(bins))
+        blocks[(e_total, u)] = dims, reps, bins
+    return blocks
+
+
+def box_walk(atlas, blocks, picture, lo, hi, cutoff):
+    """Flat de Rham (dims, generators) from every block of the box at cutoff,
+    in (E, u) order: the reference for the candidate-only solver."""
+    dims = {(i, picture): 0 for i in range(lo, hi + 1)}
+    gens = {i: [] for i in range(lo, hi + 1)}
+    for (e_total, u), (block_dims, reps, bins) in sorted(blocks.items()):
+        if e_total > cutoff or any(abs(x) > cutoff for x in u):
+            continue
+        for i, dim in block_dims.items():
+            if lo <= i <= hi and dim:
+                dims[(i, picture)] += dim
+                labels = [("U0", mon, exps) for mon, exps in bins[i]]
+                gens[i] += [_glue(atlas, labels, z) for z in reps[i]]
+    return dims, gens
 
 
 class TestFlatBlocks(unittest.TestCase):
-    def test_memoized_d_matches_exterior_d(self):
-        # One cache per u, shared across E as in the solver's walk.
-        cutoff = 4
-        for m, n in ((2, 2), (1, 3), (3, 1), (0, 2)):
-            chart = builtin_flat(m, n).chart("U0")
-            for picture, u in product(range(n + 1), product(range(-cutoff, cutoff + 1), repeat=n)):
-                cache = {}
-                for e_total in range(cutoff + 1):
-                    bins = {}
-                    for el in flat_block_monomials(chart.table, picture, e_total, u):
-                        bins.setdefault(el[0].degree(), []).append(el)
-                    if not bins:
+    def test_candidate_blocks_equal_box_walk(self):
+        # Only the blocks E = 0, u in {0, 1}^n with |u| = picture can carry a
+        # class; derham must equal the walk over the whole box at D and D + 2.
+        # flat:1,3 stops at D = 1: its box at D + 2 = 4 alone takes 15 s.
+        spaces = (((0, 1), 3), ((1, 1), 3), ((2, 1), 3), ((1, 2), 3), ((2, 2), 2), ((1, 3), 1))
+        for (m, n), top in spaces:
+            atlas = builtin_flat(m, n)
+            space = "flat:%d,%d" % (m, n)
+            for picture in range(n + 1):
+                blocks = box_blocks(atlas.chart("U0"), picture, top + 2)
+                for (e_total, u), (dims, _, _) in blocks.items():
+                    if e_total == 0 and set(u) <= {0, 1} and sum(u) == picture:
                         continue
-                    for i in range(min(bins) - 1, max(bins) + 1):
-                        dom, cod = bins.get(i, []), bins.get(i + 1, [])
+                    msg = "%s picture %d block %r" % (space, picture, (e_total, u))
+                    self.assertFalse(any(dims.values()), msg=msg)
+                for cutoff in range(top + 1):
+                    for lo, hi in ((0, cutoff), (-cutoff, cutoff)):
+                        msg = "%s picture %d range %r at %d" % (space, picture, (lo, hi), cutoff)
+                        want = box_walk(atlas, blocks, picture, lo, hi, cutoff)
+                        again = box_walk(atlas, blocks, picture, lo, hi, cutoff + 2)
+                        report = derham(space, picture, (lo, hi), cutoff)
+                        self.assertEqual(report.dims, want[0], msg=msg)
                         self.assertEqual(
-                            strict(_flat_block_d(chart, dom, cod, cache)),
-                            strict(exterior_d_columns(chart, dom, cod)),
-                            msg="flat:%d,%d picture %d block %r" % (m, n, picture, (e_total, u)),
+                            printed_gens(report.generators), printed_gens(want[1]), msg=msg
                         )
+                        self.assertEqual(report.stabilized, want[0] == again[0], msg=msg)
+                        later = derham(space, picture, (lo, hi), cutoff + 2)
+                        self.assertEqual(later.dims, again[0], msg=msg)
+                        self.assertEqual(
+                            printed_gens(later.generators), printed_gens(again[1]), msg=msg
+                        )
+        self.assertFalse(derham("flat:1,1", 1, (0, 2), 0).stabilized)
 
     def test_closure_check_kept(self):
         chart = builtin_flat(1, 1).chart("U0")
         dom = flat_block_monomials(chart.table, 0, 1, (0,))
         with self.assertRaises(StructuralError):
-            _flat_block_d(chart, dom, [], {})
+            _flat_block_d(chart, dom, [])
 
-    def test_report_equals_fresh_runs(self):
-        # derham shares blocks between its D and D + 2 runs; the report must
-        # equal independent solvers at D and at D + 2, however the shared
-        # solver is called.
-        cases = [("flat:2,2", 1, (0, 3), 2), ("flat:1,2", 0, (0, 4), 2), ("flat:1,1", 1, (0, 2), 0)]
-        for space, picture, (lo, hi), cutoff in cases:
-            atlas = builtin_flat(*(int(x) for x in space[5:].split(",")))
+    def test_north_star_scale(self):
+        # Eliminating every block of the box, not only the candidates, takes
+        # about 25 s on flat:1,4 at D=2 alone.
+        for (m, n), picture, (lo, hi), cutoff in (
+            ((4, 4), 2, (-10, 10), 10),
+            ((3, 3), 1, (-2, 2), 2),
+            ((1, 4), 2, (-2, 2), 2),
+        ):
+            space = "flat:%d,%d" % (m, n)
+            table = builtin_flat(m, n).chart("U0").table
             report = derham(space, picture, (lo, hi), cutoff)
-            first = _flat_solver(atlas, picture, lo, hi)(cutoff)
-            again = _flat_solver(atlas, picture, lo, hi)(cutoff + 2)
-            self.assertEqual(report.dims, first[0], msg=space)
-            self.assertEqual(printed_gens(report.generators), printed_gens(first[1]), msg=space)
-            self.assertEqual(report.stabilized, first[0] == again[0], msg=space)
-            self.assertEqual(printed_gens(derham(space, picture, (lo, hi), cutoff).generators),
-                             printed_gens(report.generators), msg=space)
-            shared = _flat_solver(atlas, picture, lo, hi)
-            for c in (cutoff + 2, cutoff, cutoff + 2):
-                fresh = _flat_solver(atlas, picture, lo, hi)(c)
-                got = shared(c)
-                self.assertEqual(got[0], fresh[0], msg=(space, c))
-                self.assertEqual(printed_gens(got[1]), printed_gens(fresh[1]), msg=(space, c))
-        self.assertFalse(derham("flat:1,1", 1, (0, 2), 0).stabilized)
+            want = {(i, picture): comb(n, picture) if i == 0 else 0 for i in range(lo, hi + 1)}
+            self.assertEqual(report.dims, want, msg=space)
+            self.assertTrue(report.stabilized, msg=space)
+            products = [
+                Monomial(s, (), (), tuple((j, 0) for j in s)) for s in combinations(range(n), picture)
+            ]
+            self.assertEqual(
+                sorted(pretty_print(g["U0"]) for g in report.generators[0]),
+                sorted(pretty_print(normalize(mon.factors(), 1, "U0", table)) for mon in products),
+                msg=space,
+            )
 
 
 class TestPairingMatrix(unittest.TestCase):
@@ -437,8 +474,6 @@ def printed_gens(gens):
 
 
 def pretty_print_mon(mon):
-    from superforms import normalize
-
     table = P11.chart("U0").table
     return pretty_print(normalize(mon.factors(), 1, "U0", table))
 
