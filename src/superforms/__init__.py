@@ -33,8 +33,6 @@ from .cohomology import (
     build_section_basis,
     cech,
     cech_derham_check,
-    cech_h0,
-    cech_h1,
     derham,
     pairing_matrix,
 )
@@ -94,8 +92,6 @@ __all__ = [
     "builtin_p11",
     "cech",
     "cech_derham_check",
-    "cech_h0",
-    "cech_h1",
     "delta",
     "delta_expand",
     "derham",

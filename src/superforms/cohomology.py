@@ -22,10 +22,11 @@ Laurent monomial Phi*(g^e).
 `_complex_cohomology` walks a complex of d matrices: the eliminator of d[i-1]
 gives rank(d[i-1]), ker(d[i-1]) and the image against which degree-i
 representatives are picked.  P^{1|1} de Rham runs it on the complex of global
-sections.  Flat-space de Rham splits into finite blocks (E, u) that d maps to
-themselves (E the even weight, u the odd weight vector); by a Kunneth
-argument only the C(n, p) blocks E = 0, u in {0, 1}^n with |u| = p can carry
-a class, and it runs on those alone.
+sections.  Flat-space de Rham needs no elimination: d keeps the even weight
+E, the odd weight vector u and the set of delta-carrying odd indices, and by
+a Kunneth argument the only summand with a class is the single closed form
+theta_S*delta_S for S = supp(u), E = 0, u in {0, 1}^n with |u| = p, which
+`_flat_derham` only checks to be closed.
 
 Cech and de Rham answers are certified by recomputing at D+2: `_rerun` is
 the one place that runs a computation at D and at D+2, and the reports are
@@ -35,9 +36,9 @@ rerun; `_cech_solve` also rejects any atlas that is not two 1|1 charts, since
 its section bases are those of P^{1|1}.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 from .atlas_morphism import builtin_flat, builtin_p11, pullback
 from .coeff_ring import LaurentPoly, _axpy, lp_substitute_monomial
@@ -315,54 +316,27 @@ def _glue(atlas, labels, combo):
     return parts
 
 
-def _cech_reports(atlas, sheaf, cutoff):
-    """The H^0 and the H^1 report of one sheaf, from one solve at the cutoff
-    and one at cutoff + 2."""
+def cech(atlas, sheaf, cutoff):
+    """Both Cech groups of one sheaf in a single report, from one solve at the
+    cutoff and one at cutoff + 2."""
 
     def solve(c):
         dom, kernels, index, elim = _cech_solve(atlas, sheaf, c)
         return dom, kernels, _h1_probe(elim, index, sheaf[0], c)
 
-    first, again = _rerun(solve, cutoff)
-    dom, kernels, reps = first
+    (dom, kernels, reps), (_, kernels_again, reps_again) = _rerun(solve, cutoff)
     # An empty probe window (cutoff <= |i|+1) yields a vacuous count of zero;
     # never let such a run pass itself off as converged.
     probed = cutoff - abs(sheaf[0]) - 1 > 0
-    h0 = CohomologyReport(
+    return CohomologyReport(
         space="p11",
         sheaf=sheaf,
         cutoff=cutoff,
         h0=len(kernels),
-        generators_h0=[_glue(atlas, dom, combo) for combo in kernels],
-        stabilized=len(kernels) == len(again[1]),
-    )
-    h1 = CohomologyReport(
-        space="p11",
-        sheaf=sheaf,
-        cutoff=cutoff,
         h1=len(reps),
+        generators_h0=[_glue(atlas, dom, combo) for combo in kernels],
         generators_h1=[_section_form(atlas, min(atlas.charts), mon, e) for mon, e in reps],
-        stabilized=probed and len(reps) == len(again[2]),
-    )
-    return h0, h1
-
-
-def cech_h0(atlas, sheaf, cutoff):
-    return _cech_reports(atlas, sheaf, cutoff)[0]
-
-
-def cech_h1(atlas, sheaf, cutoff):
-    return _cech_reports(atlas, sheaf, cutoff)[1]
-
-
-def cech(atlas, sheaf, cutoff):
-    """Both Cech groups of one sheaf in a single report."""
-    h0, h1 = _cech_reports(atlas, sheaf, cutoff)
-    return replace(
-        h0,
-        h1=h1.h1,
-        generators_h1=h1.generators_h1,
-        stabilized=h0.stabilized and h1.stabilized,
+        stabilized=probed and len(kernels) == len(kernels_again) and len(reps) == len(reps_again),
     )
 
 
@@ -415,133 +389,48 @@ def _derham_p11(atlas, picture, lo, hi, cutoff):
 # every odd index j, u_j = [theta_j present] + power(dpsi_j) - order(delta_j):
 # d(theta_j) = dpsi_j trades the theta flag for a dpsi power, and a contraction
 # dpsi_j * delta^(k)(dpsi_j) removes the power together with one delta order.
-# Each block (E, u) is therefore a finite, complete complex computed exactly.
+# Each block (E, u) is therefore a finite, complete complex.  d never adds or
+# removes a delta factor, so it also keeps the carrier set T (the p odd
+# indices carrying a delta), and each block is the direct sum of one summand
+# per carrier set T.
 #
-# Only C(n, p) blocks can carry a class.  For a fixed set S of delta-carrying
-# odd indices, block (E, u) is the graded tensor product of one-coordinate
+# The summand (E, u, T) is the graded tensor product of one-coordinate
 # complexes, and over Q a tensor product with an acyclic factor is acyclic:
 #   - an even coordinate of weight w = exponent + [dg] >= 1: d maps g^w onto
 #     w*g^(w-1)*dg, an isomorphism;
-#   - psi_j not in S with u_j >= 1: d maps theta*dpsi^(u-1) onto dpsi^u;
-#   - psi_j in S with u_j = -k <= 0: the contraction makes d an isomorphism
+#   - psi_j not in T with u_j >= 1: d maps theta*dpsi^(u-1) onto dpsi^u;
+#   - psi_j in T with u_j = -k <= 0: the contraction makes d an isomorphism
 #     between theta*delta^(k+1) and delta^(k).
-# A class therefore needs E = 0, u_j = 1 on S and u_j = 0 off S, so
-# `_flat_derham` eliminates only the blocks E = 0, u in {0, 1}^n with |u| = p
-# that lie in the box |u_j| <= D.  The D+2 rerun of `_rerun` is still made:
-# at D = 0 the box holds only u = 0, so a picture p >= 1 reports no class and
-# is not stabilized.
-
-
-def _weak_compositions(total, slots):
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, slots - 1):
-            yield (first,) + rest
-
-
-def _subsets(items):
-    items = list(items)
-    for size in range(len(items) + 1):
-        yield from combinations(items, size)
-
-
-def flat_block_monomials(table, picture, e_total, u):
-    """All normal monomial sections in the conserved block (e_total, u)."""
-    m = len(table.even_names)
-    n = len(table.odd_names)
-    out = []
-    for carriers in combinations(range(n), picture):
-        per_index = []
-        feasible = True
-        for j in range(n):
-            options = []
-            for th in (0, 1):
-                if j in carriers:
-                    order = th - u[j]
-                    if order >= 0:
-                        options.append((th, 0, order))
-                else:
-                    power = u[j] - th
-                    if power >= 0:
-                        options.append((th, power, None))
-            if not options:
-                feasible = False
-                break
-            per_index.append(options)
-        if not feasible:
-            continue
-        for choice in product(*per_index):
-            thetas = tuple(j for j in range(n) if choice[j][0])
-            dodds = tuple((j, choice[j][1]) for j in range(n) if choice[j][1])
-            deltas = tuple((j, choice[j][2]) for j in carriers)
-            for devens in _subsets(range(m)):
-                even_degree = e_total - len(devens)
-                if even_degree < 0:
-                    continue
-                mon = Monomial(thetas, devens, dodds, deltas)
-                for exps in _weak_compositions(even_degree, m):
-                    out.append((mon, exps))
-    out.sort(key=lambda el: (el[0].sort_key(), el[1]))
-    return out
-
-
-def _block_error(key):
-    return StructuralError("de Rham block is not closed under d")
-
-
-def _flat_block_d(chart, basis_dom, basis_cod):
-    """Columns {row: coeff} of d from basis_dom to basis_cod: exterior_d of
-    each basis form, read off in basis_cod."""
-    index = {el: r for r, el in enumerate(basis_cod)}
-    cols = []
-    for mon, exps in basis_dom:
-        lp = LaurentPoly.monomial(chart.table.even_names, exps)
-        form = Superform(chart.id, chart.table, {mon: lp})
-        cols.append(_coordinates(exterior_d(form), index, lambda m, e: (m, e), _block_error))
-    return cols
-
-
-def _flat_block(atlas, chart, picture, u, lo, hi):
-    """{i: (dim, generators)} of block (0, u), for the degrees lo..hi with dim > 0."""
-    bins = {}
-    for el in flat_block_monomials(chart.table, picture, 0, u):
-        bins.setdefault(el[0].degree(), []).append(el)
-    degrees = sorted(bins)
-    if degrees[0] > hi or degrees[-1] < lo:
-        return {}
-    d_cols = {
-        i: _flat_block_d(chart, bins.get(i, []), bins.get(i + 1, []))
-        for i in range(degrees[0] - 1, degrees[-1] + 1)
-    }
-    block_dims, reps = _complex_cohomology(d_cols, max(lo, degrees[0]), min(hi, degrees[-1]))
-    out = {}
-    for i, dim in block_dims.items():
-        if dim:
-            labels = [(chart.id, mon, exps) for mon, exps in bins[i]]
-            out[i] = dim, [_glue(atlas, labels, z) for z in reps[i]]
-    return out
+# A class therefore needs E = 0, u_j = 1 on T and u_j = 0 off T: u in {0, 1}^n
+# with |u| = p and T = S = supp(u).  That summand is the one form
+# theta_S*delta_S, in degree 0 and with d = 0, so `_flat_derham` writes down
+# the class of each such u inside the box |u_j| <= D without eliminating
+# anything (the tests eliminate the full blocks as the oracle).  The D+2
+# rerun of `_rerun` is still made: at D = 0 the box holds only u = 0, so a
+# picture p >= 1 reports no class and is not stabilized.
 
 
 def _flat_derham(atlas, picture, lo, hi, cutoff):
-    """Flat de Rham at one cutoff from the candidate blocks, generators in u order."""
+    """Flat de Rham at one cutoff: the class theta_S*delta_S of each candidate
+    block, in u order."""
     (chart,) = atlas.charts.values()
-    n = len(chart.table.odd_names)
+    m, n = len(chart.table.even_names), len(chart.table.odd_names)
     if not 0 <= picture <= n:
         raise UnsupportedSpaceError("picture %d not supported on this flat space" % picture)
     dims = {(i, picture): 0 for i in range(lo, hi + 1)}
     gens = {i: [] for i in range(lo, hi + 1)}
+    if not lo <= 0 <= hi:
+        return dims, gens
     for u in product((0, 1), repeat=n):
         if sum(u) != picture or max(u, default=0) > cutoff:
             continue
-        for i, (dim, block_gens) in _flat_block(atlas, chart, picture, u, lo, hi).items():
-            dims[(i, picture)] += dim
-            gens[i] += block_gens
+        carriers = tuple(j for j in range(n) if u[j])
+        mon = Monomial(carriers, (), (), tuple((j, 0) for j in carriers))
+        parts = _glue(atlas, [(chart.id, mon, (0,) * m)], {0: Fraction(1)})
+        if not exterior_d(parts[chart.id]).is_zero():
+            raise StructuralError("flat de Rham class theta_S*delta_S is not closed")
+        dims[(0, picture)] += 1
+        gens[0].append(parts)
     return dims, gens
 
 
@@ -600,14 +489,15 @@ def pairing_matrix(n, cutoff):
 
     Each product is reduced modulo Omega^{1|1} coboundaries and read off
     against the H^1(Omega^{1|1}) generator psi*dg*delta(dpsi)/g.  Returns
-    (matrix rows, exact rank); raises WindowOverflowError unless both groups
-    are stabilized, as a truncated group truncates the matrix.
+    (matrix rows, exact rank); raises WindowOverflowError unless the `cech`
+    reports of both sheaves are stabilized, as a truncated group truncates
+    the matrix.
     """
     if n < 0:
         raise StructuralError("pairing index must be non-negative")
     atlas = builtin_p11()
-    h1 = _cech_reports(atlas, (n + 1, 0), cutoff)[1]
-    h0 = _cech_reports(atlas, (-n, 1), cutoff)[0]
+    h1 = cech(atlas, (n + 1, 0), cutoff)
+    h0 = cech(atlas, (-n, 1), cutoff)
     if not (h1.stabilized and h0.stabilized):
         raise WindowOverflowError(
             "pairing n=%d is not stabilized at cutoff %d; enlarge the cutoff" % (n, cutoff)

@@ -8,6 +8,7 @@ import unittest
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
+from unittest import mock
 
 import sympy
 from hypothesis import given, settings
@@ -15,16 +16,16 @@ from hypothesis.strategies import integers
 
 from superforms import (
     Eliminator,
+    LaurentPoly,
     Monomial,
     StructuralError,
+    Superform,
     UnsupportedSpaceError,
     WindowOverflowError,
     builtin_flat,
     builtin_p11,
     cech,
     cech_derham_check,
-    cech_h0,
-    cech_h1,
     derham,
     exterior_d,
     load_atlas,
@@ -35,10 +36,9 @@ from superforms import (
 )
 from superforms.cohomology import (
     _complex_cohomology,
-    _flat_block_d,
+    _coordinates,
     _glue,
     build_section_basis,
-    flat_block_monomials,
     p11_sheaf_monomials,
 )
 
@@ -211,35 +211,15 @@ class TestCech(unittest.TestCase):
 
     def test_kernel_generators_actually_glue(self):
         m01 = P11.transition("U0", "U1")
-        report = cech_h0(P11, (-1, 1), 8)
+        report = cech(P11, (-1, 1), 8)
         self.assertEqual(report.h0, 8)
         for parts in report.generators_h0:
             diff = parts["U0"] - pullback(m01, parts["U1"])
             self.assertTrue(diff.is_zero())
 
     def test_vacuous_probe_window_not_stabilized(self):
-        report = cech_h1(P11, (5, 0), 3)
+        report = cech(P11, (5, 0), 3)
         self.assertFalse(report.stabilized)
-
-    def test_cech_joins_h0_and_h1_reports(self):
-        for cutoff in (3, 8):
-            for sheaf in ACCEPTANCE_SHEAVES:
-                both = cech(P11, sheaf, cutoff)
-                h0 = cech_h0(P11, sheaf, cutoff)
-                h1 = cech_h1(P11, sheaf, cutoff)
-                msg = "%r at %d" % (sheaf, cutoff)
-                self.assertEqual((both.h0, both.h1), (h0.h0, h1.h1), msg=msg)
-                self.assertEqual(
-                    [printed(parts) for parts in both.generators_h0],
-                    [printed(parts) for parts in h0.generators_h0],
-                    msg=msg,
-                )
-                self.assertEqual(
-                    [pretty_print(g) for g in both.generators_h1],
-                    [pretty_print(g) for g in h1.generators_h1],
-                    msg=msg,
-                )
-                self.assertEqual(both.stabilized, h0.stabilized and h1.stabilized, msg=msg)
 
     def test_chart_ids_and_transition_coefficients_are_free(self):
         # P^{1|1} glued by y = 2/x, s = t/x: an isomorphic atlas whose charts
@@ -300,6 +280,14 @@ class TestDeRham(unittest.TestCase):
         gens = sorted(pretty_print(g["U0"]) for g in report.generators[0])
         self.assertEqual(gens, ["psi1*delta(dpsi1)", "psi2*delta(dpsi2)"])
 
+    def test_flat_range_without_degree_zero(self):
+        # Every flat class lies in degree 0.
+        for lo, hi in ((1, 2), (-2, -1)):
+            report = derham("flat:1,2", 1, (lo, hi), 3)
+            self.assertEqual(report.dims, {(i, 1): 0 for i in range(lo, hi + 1)})
+            self.assertEqual(report.generators, {i: [] for i in range(lo, hi + 1)})
+            self.assertTrue(report.stabilized)
+
     def test_unknown_space_label(self):
         with self.assertRaises(UnsupportedSpaceError):
             derham("bogus", 0, (0, 1), 4)
@@ -310,23 +298,111 @@ class TestDeRham(unittest.TestCase):
                 derham("flat:1,1", picture, (0, 1), 2)
 
 
+# The flat block enumerator: the reference that derham's flat classes are
+# checked against.
+
+
+def _weak_compositions(total, slots):
+    if slots == 0:
+        if total == 0:
+            yield ()
+        return
+    if slots == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _weak_compositions(total - first, slots - 1):
+            yield (first,) + rest
+
+
+def _subsets(items):
+    items = list(items)
+    for size in range(len(items) + 1):
+        yield from combinations(items, size)
+
+
+def flat_block_monomials(table, picture, e_total, u):
+    """All normal monomial sections in the conserved block (e_total, u), over
+    every carrier set of size picture."""
+    m = len(table.even_names)
+    n = len(table.odd_names)
+    out = []
+    for carriers in combinations(range(n), picture):
+        per_index = []
+        feasible = True
+        for j in range(n):
+            options = []
+            for th in (0, 1):
+                if j in carriers:
+                    order = th - u[j]
+                    if order >= 0:
+                        options.append((th, 0, order))
+                else:
+                    power = u[j] - th
+                    if power >= 0:
+                        options.append((th, power, None))
+            if not options:
+                feasible = False
+                break
+            per_index.append(options)
+        if not feasible:
+            continue
+        for choice in product(*per_index):
+            thetas = tuple(j for j in range(n) if choice[j][0])
+            dodds = tuple((j, choice[j][1]) for j in range(n) if choice[j][1])
+            deltas = tuple((j, choice[j][2]) for j in carriers)
+            for devens in _subsets(range(m)):
+                even_degree = e_total - len(devens)
+                if even_degree < 0:
+                    continue
+                mon = Monomial(thetas, devens, dodds, deltas)
+                for exps in _weak_compositions(even_degree, m):
+                    out.append((mon, exps))
+    out.sort(key=lambda el: (el[0].sort_key(), el[1]))
+    return out
+
+
+def _block_error(key):
+    return StructuralError("de Rham block is not closed under d")
+
+
+def _flat_block_d(chart, basis_dom, basis_cod):
+    """Columns {row: coeff} of d from basis_dom to basis_cod: exterior_d of
+    each basis form, read off in basis_cod."""
+    index = {el: r for r, el in enumerate(basis_cod)}
+    cols = []
+    for mon, exps in basis_dom:
+        lp = LaurentPoly.monomial(chart.table.even_names, exps)
+        form = Superform(chart.id, chart.table, {mon: lp})
+        cols.append(_coordinates(exterior_d(form), index, lambda m, e: (m, e), _block_error))
+    return cols
+
+
+def block_cohomology(chart, picture, e_total, u):
+    """(dims, reps, bins) of block (e_total, u) over all of its degrees, or
+    None when the block is empty; bins holds the basis of each degree."""
+    bins = {}
+    for el in flat_block_monomials(chart.table, picture, e_total, u):
+        bins.setdefault(el[0].degree(), []).append(el)
+    if not bins:
+        return None
+    d_cols = {
+        i: _flat_block_d(chart, bins.get(i, []), bins.get(i + 1, []))
+        for i in range(min(bins) - 1, max(bins) + 1)
+    }
+    dims, reps = _complex_cohomology(d_cols, min(bins), max(bins))
+    return dims, reps, bins
+
+
 def box_blocks(chart, picture, box):
     """{(E, u): (dims, reps, bins)} of every non-empty block of the box
     E <= box, |u_j| <= box, each over all of its degrees."""
     n = len(chart.table.odd_names)
     blocks = {}
     for e_total, u in product(range(box + 1), product(range(-box, box + 1), repeat=n)):
-        bins = {}
-        for el in flat_block_monomials(chart.table, picture, e_total, u):
-            bins.setdefault(el[0].degree(), []).append(el)
-        if not bins:
-            continue
-        d_cols = {
-            i: _flat_block_d(chart, bins.get(i, []), bins.get(i + 1, []))
-            for i in range(min(bins) - 1, max(bins) + 1)
-        }
-        dims, reps = _complex_cohomology(d_cols, min(bins), max(bins))
-        blocks[(e_total, u)] = dims, reps, bins
+        block = block_cohomology(chart, picture, e_total, u)
+        if block is not None:
+            blocks[(e_total, u)] = block
     return blocks
 
 
@@ -381,10 +457,33 @@ class TestFlatBlocks(unittest.TestCase):
         self.assertFalse(derham("flat:1,1", 1, (0, 2), 0).stabilized)
 
     def test_closure_check_kept(self):
-        chart = builtin_flat(1, 1).chart("U0")
-        dom = flat_block_monomials(chart.table, 0, 1, (0,))
-        with self.assertRaises(StructuralError):
-            _flat_block_d(chart, dom, [])
+        # A class whose differential is not zero is rejected, not reported.
+        with mock.patch("superforms.cohomology.exterior_d", lambda form: form):
+            with self.assertRaises(StructuralError):
+                derham("flat:1,1", 1, (0, 0), 2)
+
+    def test_candidate_block_has_one_class_on_its_carrier_set(self):
+        # Sizes the box walk cannot reach: each full candidate block (0, u),
+        # over every carrier set, has exactly the class theta_S*delta_S of
+        # S = supp(u), in degree 0.
+        for (m, n), picture in (((2, 6), 3), ((1, 4), 2)):
+            atlas = builtin_flat(m, n)
+            chart = atlas.chart("U0")
+            for u in product((0, 1), repeat=n):
+                if sum(u) != picture:
+                    continue
+                msg = "flat:%d,%d picture %d block %r" % (m, n, picture, u)
+                dims, reps, bins = block_cohomology(chart, picture, 0, u)
+                self.assertEqual({i: dim for i, dim in dims.items() if dim}, {0: 1}, msg=msg)
+                carriers = tuple(j for j in range(n) if u[j])
+                mon = Monomial(carriers, (), (), tuple((j, 0) for j in carriers))
+                labels = [("U0", basis_mon, exps) for basis_mon, exps in bins[0]]
+                (rep,) = reps[0]
+                self.assertEqual(
+                    _glue(atlas, labels, rep)["U0"],
+                    normalize(mon.factors(), 1, "U0", chart.table),
+                    msg=msg,
+                )
 
     def test_north_star_scale(self):
         # Eliminating every block of the box, not only the candidates, takes
@@ -446,8 +545,7 @@ class TestNegativeCutoff(unittest.TestCase):
     def test_every_entry_point_rejects(self):
         calls = {
             "cech": lambda: cech(P11, (0, 0), -1),
-            "cech_h0": lambda: cech_h0(P11, (-1, 1), -1),
-            "cech_h1": lambda: cech_h1(P11, (0, 0), -1),
+            "cech -1|1": lambda: cech(P11, (-1, 1), -1),
             "derham p11": lambda: derham("p11", 0, (0, 1), -1),
             "derham flat": lambda: derham("flat:1,1", 1, (0, 1), -2),
             "pairing_matrix": lambda: pairing_matrix(0, -1),
