@@ -29,8 +29,6 @@ from .coeff_ring import (
 from .cohomology import (
     CohomologyReport,
     Eliminator,
-    SectionBasis,
-    build_section_basis,
     cech,
     cech_derham_check,
     derham,
@@ -77,7 +75,6 @@ __all__ = [
     "Monomial",
     "Morphism",
     "NotATopFormError",
-    "SectionBasis",
     "StructuralError",
     "Superform",
     "UnsupportedMorphismError",
@@ -87,7 +84,6 @@ __all__ = [
     "berezin_reduce",
     "bidegree_components",
     "bosonic_residue",
-    "build_section_basis",
     "builtin_flat",
     "builtin_p11",
     "cech",

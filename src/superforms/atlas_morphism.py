@@ -111,7 +111,7 @@ def identity_morphism(chart):
     return Morphism(chart, chart, even_images, odd_images)
 
 
-def _atom_image(m, atom, series_extra):
+def _atom_image(m, atom, extra):
     """Pullback of one generator factor."""
     src = m.source
     kind = atom[0]
@@ -122,25 +122,24 @@ def _atom_image(m, atom, series_extra):
     if kind == DP:
         return exterior_d(m.odd_image_form(atom[1]))
     j, order = atom[1], atom[2]
-    return delta_expand(order, _atom_image(m, (DP, j), series_extra), order + series_extra)
+    return delta_expand(order, _atom_image(m, (DP, j), extra), order + extra)
 
 
-def pullback(m, a, series_extra=None):
+def pullback(m, a):
     """Pull a form on m.target back to m.source.
 
-    series_extra bounds the delta series: each delta^(k) factor expands to
-    truncation k + series_extra.  The default, max dpsi power in `a` plus the
-    number of source odd coordinates, is exact whenever the non-leading part of
-    the dpsi image is nilpotent (true for the built-in atlases); a series that
-    does not terminate within its truncation raises UnsupportedMorphismError.
+    Each delta^(k) factor expands to truncation k + extra, where extra is the
+    max dpsi power in `a` plus the number of source odd coordinates (at least
+    one).  That is exact whenever the non-leading part of the dpsi image is
+    nilpotent (true for the built-in atlases); a series that does not
+    terminate within its truncation raises UnsupportedMorphismError.
     """
     if a.chart != m.target.id or a.table != m.target.table:
         raise StructuralError("form does not live on the morphism target chart")
-    if series_extra is None:
-        max_dpsi = 0
-        for mon in a.terms:
-            max_dpsi = max(max_dpsi, sum(p for _, p in mon.dodds))
-        series_extra = max_dpsi + max(1, len(m.source.table.odd_names))
+    max_dpsi = 0
+    for mon in a.terms:
+        max_dpsi = max(max_dpsi, sum(p for _, p in mon.dodds))
+    extra = max_dpsi + max(1, len(m.source.table.odd_names))
     images = m.substitution_images()
     src = m.source
     out = Superform.zero(src.id, src.table)
@@ -150,7 +149,7 @@ def pullback(m, a, series_extra=None):
         for atom in mon.factors():
             if acc.is_zero():
                 break
-            acc = wedge(acc, _atom_image(m, atom, series_extra))
+            acc = wedge(acc, _atom_image(m, atom, extra))
         _add_terms(out.terms, acc.terms)
     return out
 

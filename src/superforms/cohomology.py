@@ -15,9 +15,10 @@ H^0.  `_h1_probe` inserts the unit vectors of an inner window of half-width
 |i|+4 after the columns, into the same eliminator, to probe H^1, whose unhit
 monomials are the coset representatives; only the callers that report H^1
 run it.  The charts are taken in sorted order, the first carrying
-the overlap.  Pullback is a ring map, so the system needs one pullback per
-sheaf monomial M (at most four): Phi*(g^e*M) is Phi*(M) times the single
-Laurent monomial Phi*(g^e).
+the overlap.  Pullback is a ring map and the image of g is one Laurent
+monomial b*g^a, so the system needs one pullback per sheaf monomial M (at
+most four): Phi*(g^e*M) is Phi*(M) with every exponent shifted by a*e and
+every coefficient scaled by b^e.
 
 `_complex_cohomology` walks a complex of d matrices: the eliminator of d[i-1]
 gives rank(d[i-1]), ker(d[i-1]) and the image against which degree-i
@@ -41,7 +42,7 @@ from fractions import Fraction
 from itertools import product
 
 from .atlas_morphism import builtin_flat, builtin_p11, pullback
-from .coeff_ring import LaurentPoly, _axpy, lp_substitute_monomial
+from .coeff_ring import LaurentPoly, _axpy
 from .errors import StructuralError, UnsupportedSpaceError, WindowOverflowError
 from .form_algebra import Monomial, Superform, exterior_d, pair
 
@@ -93,16 +94,6 @@ class Eliminator:
 
 
 @dataclass
-class SectionBasis:
-    """Ordered monomial basis of a truncated section space."""
-
-    sheaf: tuple
-    chart: str
-    window: tuple
-    elements: list  # [(Monomial, exponent)]
-
-
-@dataclass
 class CohomologyReport:
     space: str
     sheaf: tuple = None
@@ -138,30 +129,6 @@ def p11_sheaf_monomials(i, j):
                 out.append(Monomial(thetas, devens, (), ((0, k),)))
     out.sort(key=Monomial.sort_key)
     return out
-
-
-def overlap_halfwidth(i, cutoff):
-    return cutoff + abs(i) + 4
-
-
-def build_section_basis(sheaf, chart, cutoff):
-    """Basis of truncated sections: chart sections have exponents 0..D, the
-    overlap window allows negative exponents."""
-    i, j = sheaf
-    mons = p11_sheaf_monomials(i, j)
-    if chart == "overlap":
-        w = overlap_halfwidth(i, cutoff)
-        lo, hi = -w, w
-    else:
-        lo, hi = 0, cutoff
-    elements = [(m, e) for m in mons for e in range(lo, hi + 1)]
-    return SectionBasis(sheaf, chart, (lo, hi), elements)
-
-
-def _section_form(atlas, chart_id, mon, exp):
-    table = atlas.chart(chart_id).table
-    lp = LaurentPoly.monomial(table.even_names, (exp,))
-    return Superform(chart_id, table, {mon: lp})
 
 
 def _rerun(compute, cutoff):
@@ -259,27 +226,25 @@ def _cech_solve(atlas, sheaf, cutoff):
             "Cech and P^{1|1} de Rham need two charts of dimension 1|1, got %s"
             % ", ".join("%d|%d" % shape for shape in shapes)
         )
-    overlap = build_section_basis(sheaf, "overlap", cutoff)
-    index = {el: r for r, el in enumerate(overlap.elements)}
+    mons = p11_sheaf_monomials(*sheaf)
+    w = cutoff + abs(sheaf[0]) + 4
+    index = {el: r for r, el in enumerate(product(mons, range(-w, w + 1)))}
+    sections = list(product(mons, range(cutoff + 1)))
     c0, c1 = sorted(atlas.charts)
     m01 = atlas.transition(c0, c1)
-    images = m01.substitution_images()
-    evens0, evens1 = m01.source.table.even_names, m01.target.table.even_names
-    # Pullback is a ring map and the image of g is one Laurent monomial, so
-    # Phi*(g^e*M) = Phi*(g^e) * Phi*(M), with Phi*(M) pulled back once per M.
-    pulled = {
-        mon: pullback(m01, _section_form(atlas, c1, mon, 0)) for mon in p11_sheaf_monomials(*sheaf)
-    }
-    dom = []
-    cols = []
-    for mon, e in build_section_basis(sheaf, c0, cutoff).elements:
-        dom.append((c0, mon, (e,)))
-        cols.append({index[(mon, e)]: Fraction(1)})
-    for mon, e in build_section_basis(sheaf, c1, cutoff).elements:
+    table = m01.target.table
+    # Pullback is a ring map and the image of g is one Laurent monomial b*g^a,
+    # so Phi*(g^e*M) is Phi*(M) shifted by a*e and scaled by b^e.
+    (a,), b = m01.even_images[0].single_term()
+    one = LaurentPoly.const(table.even_names, 1)
+    pulled = {mon: pullback(m01, Superform(c1, table, {mon: one})) for mon in mons}
+    dom = [(c0, mon, (e,)) for mon, e in sections]
+    cols = [{index[el]: Fraction(1)} for el in sections]
+    for mon, e in sections:
         dom.append((c1, mon, (e,)))
-        g_e = lp_substitute_monomial(LaurentPoly.monomial(evens1, (e,)), images, evens0)
-        col = _coordinates(pulled[mon].times_poly(g_e), index, _overlap_key, _overlap_error)
-        cols.append({r: -c for r, c in col.items()})
+        key = lambda m, exps: (m, exps[0] + a * e)
+        col = _coordinates(pulled[mon], index, key, _overlap_error)
+        cols.append({r: -(c * b**e) for r, c in col.items()})
     elim, kernels = _eliminate(cols)
     return dom, kernels, index, elim
 
@@ -325,6 +290,7 @@ def cech(atlas, sheaf, cutoff):
         return dom, kernels, _h1_probe(elim, index, sheaf[0], c)
 
     (dom, kernels, reps), (_, kernels_again, reps_again) = _rerun(solve, cutoff)
+    c0 = min(atlas.charts)
     # An empty probe window (cutoff <= |i|+1) yields a vacuous count of zero;
     # never let such a run pass itself off as converged.
     probed = cutoff - abs(sheaf[0]) - 1 > 0
@@ -335,7 +301,7 @@ def cech(atlas, sheaf, cutoff):
         h0=len(kernels),
         h1=len(reps),
         generators_h0=[_glue(atlas, dom, combo) for combo in kernels],
-        generators_h1=[_section_form(atlas, min(atlas.charts), mon, e) for mon, e in reps],
+        generators_h1=[_glue(atlas, [(c0, mon, (e,))], {0: 1})[c0] for mon, e in reps],
         stabilized=probed and len(kernels) == len(kernels_again) and len(reps) == len(reps_again),
     )
 

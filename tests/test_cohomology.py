@@ -35,10 +35,10 @@ from superforms import (
     pullback,
 )
 from superforms.cohomology import (
+    _cech_solve,
     _complex_cohomology,
     _coordinates,
     _glue,
-    build_section_basis,
     p11_sheaf_monomials,
 )
 
@@ -176,15 +176,19 @@ class TestSheafBases(unittest.TestCase):
             p11_sheaf_monomials(0, 2)
 
     def test_section_basis_window(self):
-        basis = build_section_basis((0, 0), "U0", 2)
-        self.assertEqual(basis.window, (0, 2))
+        # Chart sections have exponents 0..D, U0's columns before U1's; the
+        # overlap rows run over -(D+|i|+4)..D+|i|+4, monomial by monomial.
+        dom = _cech_solve(P11, (0, 0), 2)[0]
         self.assertEqual(
-            [(pretty_print_mon(m), e) for m, e in basis.elements],
-            [("1", 0), ("1", 1), ("1", 2), ("psi", 0), ("psi", 1), ("psi", 2)],
+            [(cid, pretty_print_mon(m), exps) for cid, m, exps in dom],
+            [(cid, m, (e,)) for cid in ("U0", "U1") for m in ("1", "psi") for e in range(3)],
         )
-        overlap = build_section_basis((1, 1), "overlap", 1)
-        self.assertEqual(overlap.window, (-6, 6))
-        self.assertEqual(len(overlap.elements), 2 * 13)
+        index = _cech_solve(P11, (1, 1), 1)[2]
+        self.assertEqual(list(index.values()), list(range(2 * 13)))
+        self.assertEqual(
+            [(pretty_print_mon(m), e) for m, e in index],
+            [(m, e) for m in ("dg*delta(dpsi)", "psi*dg*delta(dpsi)") for e in range(-6, 7)],
+        )
 
 
 class TestCech(unittest.TestCase):
@@ -224,32 +228,41 @@ class TestCech(unittest.TestCase):
     def test_chart_ids_and_transition_coefficients_are_free(self):
         # P^{1|1} glued by y = 2/x, s = t/x: an isomorphic atlas whose charts
         # are not called U0/U1 and whose transition carries a coefficient 2^e.
-        spec = {
-            "charts": {"A": {"even": ["x"], "odd": ["t"]}, "B": {"even": ["y"], "odd": ["s"]}},
-            "transitions": [
-                {"source": "A", "target": "B", "even_images": {"y": "2*x^-1"},
-                 "odd_images": {"s": "t*x^-1"}},
-                {"source": "B", "target": "A", "even_images": {"x": "2*y^-1"},
-                 "odd_images": {"t": "2*s*y^-1"}},
-            ],
+        # No chart id is reserved, so the first chart may be called "overlap".
+        want_cech = {
+            (sheaf, cutoff): cech(P11, sheaf, cutoff)
+            for cutoff in (3, 8)
+            for sheaf in ACCEPTANCE_SHEAVES
         }
-        with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-            json.dump(spec, fh)
-        self.addCleanup(os.unlink, fh.name)
-        atlas = load_atlas(fh.name)
-        m_ab = atlas.transition("A", "B")
-        for cutoff in (3, 8):
-            for sheaf in ACCEPTANCE_SHEAVES:
-                want = cech(P11, sheaf, cutoff)
+        want_derham = [derham(P11, 0, (0, 3), 6), derham(P11, 1, (-2, 1), 6)]
+        for c0, c1 in (("A", "B"), ("overlap", "zz")):
+            spec = {
+                "charts": {c0: {"even": ["x"], "odd": ["t"]}, c1: {"even": ["y"], "odd": ["s"]}},
+                "transitions": [
+                    {"source": c0, "target": c1, "even_images": {"y": "2*x^-1"},
+                     "odd_images": {"s": "t*x^-1"}},
+                    {"source": c1, "target": c0, "even_images": {"x": "2*y^-1"},
+                     "odd_images": {"t": "2*s*y^-1"}},
+                ],
+            }
+            with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
+                json.dump(spec, fh)
+            self.addCleanup(os.unlink, fh.name)
+            atlas = load_atlas(fh.name)
+            m01 = atlas.transition(c0, c1)
+            for (sheaf, cutoff), want in want_cech.items():
                 got = cech(atlas, sheaf, cutoff)
-                msg = "%r at %d" % (sheaf, cutoff)
+                msg = "%r at %d on %s/%s" % (sheaf, cutoff, c0, c1)
                 self.assertEqual(
                     (got.h0, got.h1, got.stabilized), (want.h0, want.h1, want.stabilized), msg=msg
                 )
                 for parts in got.generators_h0:
-                    self.assertEqual(sorted(parts), ["A", "B"], msg=msg)
-                    self.assertEqual(pullback(m_ab, parts["B"]), parts["A"], msg=msg)
-                self.assertTrue(all(g.chart == "A" for g in got.generators_h1), msg=msg)
+                    self.assertEqual(sorted(parts), [c0, c1], msg=msg)
+                    self.assertEqual(pullback(m01, parts[c1]), parts[c0], msg=msg)
+                self.assertTrue(all(g.chart == c0 for g in got.generators_h1), msg=msg)
+            got_derham = [derham(atlas, 0, (0, 3), 6), derham(atlas, 1, (-2, 1), 6)]
+            for got, want in zip(got_derham, want_derham):
+                self.assertEqual((got.dims, got.stabilized), (want.dims, want.stabilized), msg=c0)
 
 
 class TestDeRham(unittest.TestCase):
