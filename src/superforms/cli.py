@@ -14,6 +14,12 @@ differentials (`dg`, `dpsi1`, ...) and delta factors `delta(dpsi)`,
 `delta'(dpsi)`, `delta^(k)(dpsi)`.  `*` is the wedge product; negative powers
 are admitted on even coordinates only.
 
+A product is normalized once: its numbers, coordinate powers and atoms are
+gathered into one raw run (a coefficient, an exponent per even coordinate and
+a list of atoms) and handed to `normalize`, so a coordinate power `g^k` is
+exponent arithmetic rather than k wedges.  Only a parenthesized factor is
+wedged onto the product, and `(expr)^k` is k wedges.
+
 Exit codes: 0 success, 2 parse or usage error (such as a negative --cutoff),
 3 computation error, 4 stabilization failure.  With --json every report is a
 single versioned JSON object.
@@ -46,6 +52,7 @@ from .errors import (
     WindowOverflowError,
 )
 from .form_algebra import (
+    DP,
     GeneratorTable,
     Superform,
     UNIT_MONOMIAL,
@@ -88,6 +95,7 @@ class _Parser:
         self.chart = chart_id
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.no_exps = (0,) * len(table.even_names)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -127,33 +135,59 @@ class _Parser:
         return form
 
     def term(self):
-        form = self.factor()
-        while self.at_op("*"):
+        """A product.  Its numbers, coordinate powers and atoms are gathered
+        into one raw run, normalized once; a parenthesized factor flushes the
+        run and is wedged on, left to right."""
+        form = run = None
+        while True:
+            piece = self.factor()
+            if isinstance(piece, Superform):
+                form = self.flush(form, run)
+                run = None
+                form = piece if form is None else wedge(form, piece)
+            elif run is None:
+                run = [piece[0], piece[1], list(piece[2])]
+            else:
+                run[0] *= piece[0]
+                run[1] = [a + b for a, b in zip(run[1], piece[1])]
+                run[2] += piece[2]
+            if not self.at_op("*"):
+                return self.flush(form, run)
             self.take()
-            form = wedge(form, self.factor())
-        return form
+
+    def flush(self, form, run):
+        """form times the normal form of run; None stands for an absent one."""
+        if run is None:
+            return form
+        coeff, exps, atoms = run
+        lp = LaurentPoly.monomial(self.table.even_names, exps, coeff)
+        out = normalize(atoms, lp, self.chart, self.table)
+        return out if form is None else wedge(form, out)
 
     def factor(self):
-        primary, even_index = self.primary()
+        """A raw piece (coefficient, even exponents, atoms), or a Superform
+        for a parenthesized factor."""
+        piece = self.primary()
         if not self.at_op("^"):
-            return primary
+            return piece
         self.take()
         exponent = self.signed_int()
-        if exponent < 0:
-            if even_index is None:
-                raise FormParseError(
-                    "negative powers are only defined for even coordinates",
-                    self.peek()[2],
-                )
-            lp = LaurentPoly.monomial(
-                self.table.even_names,
-                tuple(exponent if k == even_index else 0 for k in range(len(self.table.even_names))),
+        # Only an even coordinate carries exponents.
+        if exponent < 0 and (isinstance(piece, Superform) or not any(piece[1])):
+            raise FormParseError(
+                "negative powers are only defined for even coordinates",
+                self.peek()[2],
             )
-            return Superform.from_poly(self.chart, self.table, lp)
-        out = Superform.constant(self.chart, self.table, 1)
-        for _ in range(exponent):
-            out = wedge(out, primary)
-        return out
+        if isinstance(piece, Superform):
+            out = Superform.constant(self.chart, self.table, 1)
+            for _ in range(exponent):
+                out = wedge(out, piece)
+            return out
+        coeff, exps, atoms = piece
+        # theta, dgamma and delta square to zero; dpsi does not.
+        if exponent >= 2 and atoms and atoms[0][0] != DP:
+            return 0, self.no_exps, ()
+        return coeff**exponent, tuple(exponent * e for e in exps), atoms * exponent
 
     def signed_int(self):
         sign = 1
@@ -166,7 +200,8 @@ class _Parser:
         return sign * int(tok[1])
 
     def primary(self):
-        """Returns (Superform, even-coordinate index or None)."""
+        """A raw piece (coefficient, even exponents, atoms), or a Superform
+        for a parenthesized expression."""
         tok = self.peek()
         if tok[0] == "number":
             self.take()
@@ -174,16 +209,16 @@ class _Parser:
                 value = Fraction(tok[1])
             except ZeroDivisionError:
                 raise FormParseError("zero denominator in %r" % tok[1], tok[2]) from None
-            return Superform.constant(self.chart, self.table, value), None
+            return value, self.no_exps, ()
         if self.at_op("("):
             self.take()
             form = self.expr()
             self.take("op", ")")
-            return form, None
+            return form
         name_tok = self.take("name")
         name = name_tok[1]
         if name == "delta":
-            return self.delta_factor(name_tok), None
+            return self.delta_factor(name_tok)
         return self.named_atom(name, name_tok[2])
 
     def delta_factor(self, name_tok):
@@ -215,22 +250,18 @@ class _Parser:
         table = self.table
         if name in table.even_names:
             idx = table.even_names.index(name)
-            lp = LaurentPoly.monomial(
-                table.even_names,
-                tuple(1 if k == idx else 0 for k in range(len(table.even_names))),
-            )
-            return Superform.from_poly(self.chart, table, lp), idx
+            return Fraction(1), tuple(int(k == idx) for k in range(len(table.even_names))), ()
         if name in table.odd_names:
-            return self.atom_form(theta(table.odd_names.index(name))), None
+            return self.atom_form(theta(table.odd_names.index(name)))
         if name.startswith("d"):
             if name[1:] in table.even_names:
-                return self.atom_form(dgamma(table.even_names.index(name[1:]))), None
+                return self.atom_form(dgamma(table.even_names.index(name[1:])))
             if name[1:] in table.odd_names:
-                return self.atom_form(dpsi(table.odd_names.index(name[1:]))), None
+                return self.atom_form(dpsi(table.odd_names.index(name[1:])))
         raise FormParseError("unknown coordinate %r" % name, pos)
 
     def atom_form(self, atom):
-        return normalize([atom], 1, self.chart, self.table)
+        return Fraction(1), self.no_exps, (atom,)
 
 
 def parse(text, table=None, chart="U0"):
@@ -249,7 +280,8 @@ def _delta_head(order):
 
 
 def pretty_print(a):
-    """Deterministic rendering; parse(pretty_print(a)) == a."""
+    """Deterministic rendering; parse(pretty_print(a)) == a.  A coefficient
+    too long for the interpreter to print raises StructuralError."""
     table = a.table
     entries = []
     for mon, lp in a.terms.items():
@@ -277,7 +309,13 @@ def pretty_print(a):
             parts.append("%s(d%s)" % (_delta_head(k), table.odd_names[j]))
         mag = abs(c)
         if mag != 1 or not parts:
-            parts.insert(0, str(mag))
+            try:
+                parts.insert(0, str(mag))
+            except ValueError:
+                raise StructuralError(
+                    "coefficient too large to print: more than %d digits, the limit of"
+                    " sys.get_int_max_str_digits()" % sys.get_int_max_str_digits()
+                ) from None
         body = "*".join(parts)
         if not rendered:
             rendered.append(body if c > 0 else "-" + body)
@@ -378,7 +416,7 @@ def load_atlas(path):
 def _space_atlas(args):
     if args.atlas:
         return load_atlas(args.atlas), "atlas:" + args.atlas
-    return cohomology._space_from_label(args.space), args.space
+    return cohomology._resolve_space(args.space)
 
 
 def _parse_sheaf(text):

@@ -281,9 +281,11 @@ def _glue(atlas, labels, combo):
     return parts
 
 
-def cech(atlas, sheaf, cutoff):
+def cech(space, sheaf, cutoff):
     """Both Cech groups of one sheaf in a single report, from one solve at the
-    cutoff and one at cutoff + 2."""
+    cutoff and one at cutoff + 2.  space is an Atlas or a label, as for
+    derham."""
+    atlas, label = _resolve_space(space)
 
     def solve(c):
         dom, kernels, index, elim = _cech_solve(atlas, sheaf, c)
@@ -295,7 +297,7 @@ def cech(atlas, sheaf, cutoff):
     # never let such a run pass itself off as converged.
     probed = cutoff - abs(sheaf[0]) - 1 > 0
     return CohomologyReport(
-        space="p11",
+        space=label,
         sheaf=sheaf,
         cutoff=cutoff,
         h0=len(kernels),
@@ -411,12 +413,7 @@ def derham(space, picture, degree_range, cutoff):
     lo, hi = degree_range
     if lo > hi:
         raise StructuralError("empty degree range %r" % (degree_range,))
-    if isinstance(space, str):
-        label = space
-        atlas = _space_from_label(space)
-    else:
-        atlas = space
-        label = "flat" if len(atlas.charts) == 1 else "p11"
+    atlas, label = _resolve_space(space)
     if len(atlas.charts) == 1:
         compute = lambda c: _flat_derham(atlas, picture, lo, hi, c)
     else:
@@ -434,16 +431,20 @@ def derham(space, picture, degree_range, cutoff):
     )
 
 
-def _space_from_label(label):
-    if label == "p11":
-        return builtin_p11()
-    if label.startswith("flat:"):
+def _resolve_space(space):
+    """(atlas, label) of an Atlas, labelled "flat" when it has one chart and
+    "p11" otherwise, or of one of the labels "p11" / "flat:m,n"."""
+    if not isinstance(space, str):
+        return space, "flat" if len(space.charts) == 1 else "p11"
+    if space == "p11":
+        return builtin_p11(), space
+    if space.startswith("flat:"):
         try:
-            m, n = (int(x) for x in label[len("flat:") :].split(","))
+            m, n = (int(x) for x in space[len("flat:") :].split(","))
         except ValueError:
-            raise UnsupportedSpaceError("bad flat space label %r" % label) from None
-        return builtin_flat(m, n)
-    raise UnsupportedSpaceError("unknown space label %r" % label)
+            raise UnsupportedSpaceError("bad flat space label %r" % space) from None
+        return builtin_flat(m, n), space
+    raise UnsupportedSpaceError("unknown space label %r" % space)
 
 
 # ---------------------------------------------------------------------------

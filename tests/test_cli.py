@@ -5,26 +5,171 @@ import io
 import json
 import os
 import random
+import sys
 import tempfile
+import time
 import unittest
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis.strategies import integers
 
 from superforms import (
     FormParseError,
+    LaurentPoly,
+    Superform,
     builtin_flat,
     builtin_p11,
+    dgamma,
+    dpsi,
+    normalize,
     parse,
     pretty_print,
     run_command,
+    theta,
+    wedge,
 )
+from superforms.cli import _Parser
 
 from formgen import random_form
 
 P11 = builtin_p11()
 T11 = P11.chart("U0").table
 T22 = builtin_flat(2, 2).chart("U0").table
+
+
+class FoldParser(_Parser):
+    """The earlier product parser, kept as the oracle: every factor becomes a
+    normalized Superform and a product is folded with one wedge per '*' and
+    per unit of an exponent."""
+
+    def term(self):
+        form = self.factor()
+        while self.at_op("*"):
+            self.take()
+            form = wedge(form, self.factor())
+        return form
+
+    def factor(self):
+        primary, even_index = self.primary()
+        if not self.at_op("^"):
+            return primary
+        self.take()
+        exponent = self.signed_int()
+        if exponent < 0:
+            if even_index is None:
+                raise FormParseError(
+                    "negative powers are only defined for even coordinates",
+                    self.peek()[2],
+                )
+            lp = LaurentPoly.monomial(
+                self.table.even_names,
+                tuple(exponent if k == even_index else 0 for k in range(len(self.table.even_names))),
+            )
+            return Superform.from_poly(self.chart, self.table, lp)
+        out = Superform.constant(self.chart, self.table, 1)
+        for _ in range(exponent):
+            out = wedge(out, primary)
+        return out
+
+    def primary(self):
+        """Returns (Superform, even-coordinate index or None)."""
+        tok = self.peek()
+        if tok[0] == "number":
+            self.take()
+            try:
+                value = Fraction(tok[1])
+            except ZeroDivisionError:
+                raise FormParseError("zero denominator in %r" % tok[1], tok[2]) from None
+            return Superform.constant(self.chart, self.table, value), None
+        if self.at_op("("):
+            self.take()
+            form = self.expr()
+            self.take("op", ")")
+            return form, None
+        name_tok = self.take("name")
+        name = name_tok[1]
+        if name == "delta":
+            return self.delta_factor(name_tok), None
+        return self.named_atom(name, name_tok[2])
+
+    def named_atom(self, name, pos):
+        table = self.table
+        if name in table.even_names:
+            idx = table.even_names.index(name)
+            lp = LaurentPoly.monomial(
+                table.even_names,
+                tuple(1 if k == idx else 0 for k in range(len(table.even_names))),
+            )
+            return Superform.from_poly(self.chart, table, lp), idx
+        if name in table.odd_names:
+            return self.atom_form(theta(table.odd_names.index(name))), None
+        if name.startswith("d"):
+            if name[1:] in table.even_names:
+                return self.atom_form(dgamma(table.even_names.index(name[1:]))), None
+            if name[1:] in table.odd_names:
+                return self.atom_form(dpsi(table.odd_names.index(name[1:]))), None
+        raise FormParseError("unknown coordinate %r" % name, pos)
+
+    def atom_form(self, atom):
+        return normalize([atom], 1, self.chart, self.table)
+
+
+def fold_parse(text, table):
+    return FoldParser(text, table, "U0").parse()
+
+
+def random_product_text(rng, table, depth=0):
+    """A random expression: ± terms, each a product mixing numbers, g^±k,
+    theta, dg, dpsi and delta atoms with powers, (sum) and (sum)^k."""
+    evens, odds = table.even_names, table.odd_names
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        factors = []
+        for _ in range(rng.randint(1, 5)):
+            r = rng.random()
+            if depth < 2 and r < 0.12:
+                inner = "(%s)" % random_product_text(rng, table, depth + 1)
+                factors.append(inner if rng.random() < 0.5 else "%s^%d" % (inner, rng.randint(0, 3)))
+            elif r < 0.25:
+                factors.append(rng.choice(["0", "1", "2", "3", "1/2", "2/3", "7/4"]))
+                if rng.random() < 0.2:
+                    factors[-1] += "^%d" % rng.randint(0, 3)
+            elif r < 0.45:
+                factors.append("%s^%d" % (rng.choice(evens), rng.randint(-3, 3)))
+            elif r < 0.5:
+                factors.append(rng.choice(evens))
+            else:
+                j = rng.choice(odds)
+                atom = rng.choice(
+                    [j, "d" + rng.choice(evens), "d" + j, "d" + j]
+                    + ["delta%s(d%s)" % (head, j) for head in ("", "'", "''", "^(3)", "^(%d)" % rng.randint(0, 6))]
+                )
+                if rng.random() < 0.25:
+                    atom += "^%d" % rng.randint(0, 3)
+                factors.append(atom)
+        terms.append("*".join(factors))
+    text = rng.choice(["", "", "-", "+"]) + terms[0]
+    for t in terms[1:]:
+        text += rng.choice([" + ", " - "]) + t
+    return text
+
+
+def parse_outcome(text, table, parser):
+    try:
+        return parser(text, table)
+    except FormParseError as exc:
+        return ("error", str(exc), exc.position)
+
+
+def strict_items(form):
+    """The terms of a form as a list, in insertion order, with each
+    coefficient polynomial's (exponents, value, type) list."""
+    if not isinstance(form, Superform):
+        return form
+    return (form.chart, form.table, [
+        (mon, [(e, c, type(c)) for e, c in lp.terms.items()]) for mon, lp in form.terms.items()
+    ])
 
 
 def invoke(argv):
@@ -58,6 +203,12 @@ class TestGrammar(unittest.TestCase):
             "delta(dg)": 6,
             "dpsi*(": 6,
             "g$": 1,
+            # Errors after a product has started gathering factors.
+            "g*psi^-1": 8,
+            "2*dg^-1*psi": 7,
+            "g*(psi": 6,
+            "3*delta^(-1)(dpsi)": 2,
+            "psi*1/0": 4,
         }
         for text, pos in cases.items():
             with self.assertRaises(FormParseError, msg=text) as ctx:
@@ -75,6 +226,42 @@ class TestGrammar(unittest.TestCase):
         table = T11 if rng.random() < 0.5 else T22
         form = random_form(rng, "U0", table, terms=3, max_order=4)
         self.assertEqual(parse(pretty_print(form), table), form)
+
+    def test_large_powers(self):
+        # A coordinate power is exponent arithmetic and a square of psi is 0;
+        # neither may cost one wedge per unit of the exponent.
+        for text, want in (
+            ("g^1000000*psi*delta(dpsi)", "g^1000000*psi*delta(dpsi)"),
+            ("psi^1000000", "0"),
+        ):
+            start = time.perf_counter()
+            got = pretty_print(parse(text, T11))
+            self.assertLess(time.perf_counter() - start, 1.0, msg=text)
+            self.assertEqual(got, want)
+
+    def assert_matches_fold(self, text, table):
+        want = strict_items(parse_outcome(text, table, fold_parse))
+        self.assertEqual(strict_items(parse_outcome(text, table, parse)), want, msg=text)
+
+    @settings(deadline=None, max_examples=150)
+    @given(integers(0, 10**6))
+    def test_matches_fold_parser(self, seed):
+        rng = random.Random(seed)
+        table = T11 if rng.random() < 0.5 else T22
+        self.assert_matches_fold(random_product_text(rng, table), table)
+
+    def test_matches_fold_parser_bulk(self):
+        # Term order and coefficient order included; every fifth text is cut
+        # short or has a token replaced, so error messages and positions are
+        # compared too.
+        rng = random.Random(20261018)
+        for k in range(1500):
+            table = T11 if rng.random() < 0.5 else T22
+            text = random_product_text(rng, table)
+            if k % 5 == 0:
+                cut = rng.randrange(len(text) + 1)
+                text = text[:cut] + rng.choice(["", "^", "*", "q", "^-1", "(", "^(-1)", "/0"])
+            self.assert_matches_fold(text, table)
 
     def test_round_trip_bulk(self):
         rng = random.Random(20260814)
@@ -226,6 +413,21 @@ class TestExitCodes(unittest.TestCase):
             with self.assertRaises(SystemExit) as ctx:
                 invoke(argv)
             self.assertEqual(ctx.exception.code, 2, msg=argv)
+
+    def test_huge_coefficient_is_3(self):
+        # 2000! has 5736 digits, past the interpreter's limit (by default
+        # 4300) for printing an integer; this ended in a ValueError traceback.
+        limit = str(sys.get_int_max_str_digits())
+        argv = ["normalize", "--expr", "dpsi^2000*delta^(2000)(dpsi)"]
+        code, out, err = invoke(argv)
+        self.assertEqual((code, out), (3, ""))
+        self.assertIn("error (computation)", err)
+        self.assertIn(limit, err)
+        code, out, _ = invoke(argv + ["--json"])
+        self.assertEqual(code, 3)
+        payload = json.loads(out)
+        self.assertEqual(payload["error"]["kind"], "computation")
+        self.assertIn(limit, payload["error"]["message"])
 
     def test_json_errors_carry_schema(self):
         code, out, _ = invoke(["integrate", "--expr", "psi*dg", "--json"])

@@ -221,6 +221,15 @@ class TestCech(unittest.TestCase):
             diff = parts["U0"] - pullback(m01, parts["U1"])
             self.assertTrue(diff.is_zero())
 
+    def test_space_label_or_atlas(self):
+        # cech takes a space like derham does: an Atlas or a label.
+        for sheaf in ((0, 0), (1, 0), (-1, 1), (1, 1)):
+            report = cech("p11", sheaf, 6)
+            self.assertEqual(report, cech(P11, sheaf, 6), msg=sheaf)
+            self.assertEqual(report.space, "p11")
+        with self.assertRaises(UnsupportedSpaceError):
+            cech("flat:1,1", (0, 0), 4)
+
     def test_vacuous_probe_window_not_stabilized(self):
         report = cech(P11, (5, 0), 3)
         self.assertFalse(report.stabilized)
