@@ -10,15 +10,24 @@ combination of basis labels (chart id, Monomial, exponent tuple) into forms.
 
 Chart sections of P^{1|1} are polynomial of degree <= D; the overlap window
 is [-(D+|i|+4), D+|i|+4].  `_cech_solve` builds the Cech system
-(s0, s1) |-> s0 - Phi*(s1) once per cutoff and eliminates it: the kernel is
-H^0.  `_h1_probe` inserts the unit vectors of an inner window of half-width
-|i|+4 after the columns, into the same eliminator, to probe H^1, whose unhit
-monomials are the coset representatives; only the callers that report H^1
-run it.  The charts are taken in sorted order, the first carrying
-the overlap.  Pullback is a ring map and the image of g is one Laurent
-monomial b*g^a, so the system needs one pullback per sheaf monomial M (at
-most four): Phi*(g^e*M) is Phi*(M) with every exponent shifted by a*e and
-every coefficient scaled by b^e.
+(s0, s1) |-> s0 - Phi*(s1) once per cutoff: the kernel is H^0.  The charts are
+taken in sorted order, the first carrying the overlap.  Pullback is a ring map
+and the image of g is one Laurent monomial b*g^a, so the system needs one
+pullback per sheaf monomial M (at most four): Phi*(g^e*M) is Phi*(M) with
+every exponent shifted by a*e and every coefficient scaled by b^e.  When psi
+also maps to a monomial multiple of psi, as in every cocycle-checked atlas,
+the torus g -> lambda*g, psi -> mu*psi acts on both charts and the system is
+a direct sum of weight blocks (of at most four columns for the built-in
+gluing); a sheaf monomial that pulls back to a mix of weights is rejected.
+There is one `Eliminator` per block, fed its columns in their global order:
+a column is a pivot exactly when it is independent of the earlier columns of
+its own block, so the kernels come out as from one eliminator for the whole
+system.  Callers that report H^1 ask for the probe, which inserts the unit
+vectors of an inner window of half-width |i|+4 after each block's columns;
+the unhit monomials are the coset representatives.  The blocks are shared by
+the runs at D and D+2: both get one memo dict, which keeps the pullbacks and
+the kernels and probe hits of the D run's blocks, so the second run
+eliminates only the blocks that reach past cutoff D or its probe window.
 
 `_complex_cohomology` walks a complex of d matrices: the eliminator of d[i-1]
 gives rank(d[i-1]), ker(d[i-1]) and the image against which degree-i
@@ -30,11 +39,11 @@ theta_S*delta_S for S = supp(u), E = 0, u in {0, 1}^n with |u| = p, which
 `_flat_derham` only checks to be closed.
 
 Cech and de Rham answers are certified by recomputing at D+2: `_rerun` is
-the one place that runs a computation at D and at D+2, and the reports are
-marked stabilized when both agree.  A negative cutoff is rejected in `_rerun`
-and in `_cech_solve`, which the pairing's Omega^{1|1} solve uses without a
-rerun; `_cech_solve` also rejects any atlas that is not two 1|1 charts, since
-its section bases are those of P^{1|1}.
+the one place that runs a computation at D and at D+2, handing both runs one
+memo dict, and the reports are marked stabilized when both agree.  A negative
+cutoff is rejected in `_rerun` and in `_cech_solve`, which the pairing's
+Omega^{1|1} solve uses without a rerun; `_cech_solve` also rejects any atlas
+that is not two 1|1 charts, since its section bases are those of P^{1|1}.
 """
 
 from dataclasses import dataclass, field
@@ -43,7 +52,12 @@ from itertools import product
 
 from .atlas_morphism import builtin_flat, builtin_p11, pullback
 from .coeff_ring import LaurentPoly, _axpy
-from .errors import StructuralError, UnsupportedSpaceError, WindowOverflowError
+from .errors import (
+    StructuralError,
+    UnsupportedMorphismError,
+    UnsupportedSpaceError,
+    WindowOverflowError,
+)
 from .form_algebra import Monomial, Superform, exterior_d, pair
 
 
@@ -132,10 +146,12 @@ def p11_sheaf_monomials(i, j):
 
 
 def _rerun(compute, cutoff):
-    """compute(cutoff) and its stabilization rerun compute(cutoff + 2)."""
+    """compute(cutoff, memo) and its stabilization rerun compute(cutoff + 2,
+    memo), sharing one memo dict (see `_cech_solve`)."""
     if cutoff < 0:
         raise StructuralError("cutoff must be non-negative, got %d" % cutoff)
-    return compute(cutoff), compute(cutoff + 2)
+    memo = {}
+    return compute(cutoff, memo), compute(cutoff + 2, memo)
 
 
 def _eliminate(columns):
@@ -208,13 +224,41 @@ def _complex_cohomology(d_cols, lo, hi):
     return dims, reps
 
 
-def _cech_solve(atlas, sheaf, cutoff):
-    """Build the Cech system of one sheaf at one cutoff and eliminate it once.
+def _weight(mon, e):
+    """The torus weight of g^e*mon on a P^{1|1} chart: the powers of lambda
+    and mu it picks up under g -> lambda*g, psi -> mu*psi (dg scales like g,
+    dpsi like psi and delta^(k)(dpsi) like mu^-(k+1))."""
+    return (
+        e + len(mon.devens),
+        len(mon.thetas) + sum(p for _, p in mon.dodds) - sum(k + 1 for _, k in mon.deltas),
+    )
 
-    Returns (dom, kernels, index, elim): the column labels (chart id,
+
+def _form_weight(form):
+    """The common torus weight of the terms of a form, None for zero; a form
+    that mixes weights raises UnsupportedMorphismError."""
+    weights = {_weight(mon, exps[0]) for mon, lp in form.terms.items() for exps in lp.terms}
+    if len(weights) > 1:
+        raise UnsupportedMorphismError(
+            "%r mixes the torus weights %s; the Cech system needs transitions that "
+            "preserve the torus weight of P^{1|1}" % (form, sorted(weights))
+        )
+    return weights.pop() if weights else None
+
+
+def _cech_solve(atlas, sheaf, cutoff, memo, probe=False):
+    """Build the Cech system of one sheaf at one cutoff and eliminate it one
+    torus-weight block at a time.
+
+    Returns (dom, kernels, index, reps, elims): the column labels (chart id,
     Monomial, exponent tuple), H^0 as combinations {column: coeff}, the
-    overlap row index and the eliminator holding the columns.  Callers that
-    keep a result take only what they use, so that the eliminator is freed.
+    overlap row index, and, when probe is set, the H^1 representatives as
+    overlap (Monomial, exponent) pairs and the eliminator of each block
+    solved by this call, by weight.  memo holds the pullback of each sheaf
+    monomial and, for each sheaf, the last cutoff solved with the kernels
+    and probe hits of its blocks; a caller passes one dict to its runs at D
+    and D+2 on one atlas, so that the second solves only the blocks that
+    changed.
     """
     if cutoff < 0:
         raise StructuralError("cutoff must be non-negative, got %d" % cutoff)
@@ -230,6 +274,7 @@ def _cech_solve(atlas, sheaf, cutoff):
     w = cutoff + abs(sheaf[0]) + 4
     index = {el: r for r, el in enumerate(product(mons, range(-w, w + 1)))}
     sections = list(product(mons, range(cutoff + 1)))
+    n = len(sections)
     c0, c1 = sorted(atlas.charts)
     m01 = atlas.transition(c0, c1)
     table = m01.target.table
@@ -237,32 +282,70 @@ def _cech_solve(atlas, sheaf, cutoff):
     # so Phi*(g^e*M) is Phi*(M) shifted by a*e and scaled by b^e.
     (a,), b = m01.even_images[0].single_term()
     one = LaurentPoly.const(table.even_names, 1)
-    pulled = {mon: pullback(m01, Superform(c1, table, {mon: one})) for mon in mons}
-    dom = [(c0, mon, (e,)) for mon, e in sections]
-    cols = [{index[el]: Fraction(1)} for el in sections]
-    for mon, e in sections:
-        dom.append((c1, mon, (e,)))
+    for mon in mons:
+        if mon not in memo:
+            pulled = pullback(m01, Superform(c1, table, {mon: one}))
+            memo[mon] = pulled, _form_weight(pulled)
+    dom = [(c0, mon, (e,)) for mon, e in sections] + [(c1, mon, (e,)) for mon, e in sections]
+    unit = lambda el: {index[el]: Fraction(1)}
+
+    def column(t):
+        mon, e = sections[t % n]
+        if t < n:
+            return unit((mon, e))
         key = lambda m, exps: (m, exps[0] + a * e)
-        col = _coordinates(pulled[mon], index, key, _overlap_error)
-        cols.append({r: -(c * b**e) for r, c in col.items()})
-    elim, kernels = _eliminate(cols)
-    return dom, kernels, index, elim
+        col = _coordinates(memo[mon][0], index, key, _overlap_error)
+        return {r: -(c * b**e) for r, c in col.items()}
 
+    cols = {}  # weight -> positions of its columns in dom, ascending
+    for t, (mon, e) in enumerate(sections):
+        cols.setdefault(_weight(mon, e), []).append(t)
+    for t, (mon, e) in enumerate(sections, n):
+        wt = memo[mon][1]
+        cols.setdefault(None if wt is None else (wt[0] + a * e, wt[1]), []).append(t)
+    probes, inner = {}, -1  # weight -> probe rows; the probe window's half-width
+    if probe:
+        # Unhit monomials inside an inner window estimate the cokernel.  The
+        # window is capped by the coverage reach of degree-<=cutoff sections
+        # (their images lead at exponent ~ |i|+1-cutoff), so that a class is
+        # never reported merely because its killing coboundary was truncated
+        # away; the D vs D+2 stabilization flag guards the remaining risk.
+        inner = max(0, min(abs(sheaf[0]) + 4, cutoff - abs(sheaf[0]) - 1))
+        for el in product(mons, range(-inner, inner + 1)):
+            probes.setdefault(_weight(*el), []).append(el)
 
-def _h1_probe(elim, index, i, cutoff):
-    """The H^1 representatives of sheaf degree i as overlap (Monomial,
-    exponent) pairs, probed in the eliminator of the Cech system at cutoff."""
-    # Unhit monomials inside an inner window estimate the cokernel.  The
-    # window is capped by the coverage reach of degree-<=cutoff sections
-    # (their images lead at exponent ~ |i|+1-cutoff), so that a class is
-    # never reported merely because its killing coboundary was truncated
-    # away; the D vs D+2 stabilization flag guards the remaining risk.
-    inner = max(0, min(abs(i) + 4, cutoff - abs(i) - 1))
-    return [
-        el
-        for el, r in index.items()
-        if abs(el[1]) <= inner and elim.insert({r: Fraction(1)}, el) is None
-    ]
+    # A column's weight does not depend on the cutoff, so the block of a
+    # weight at the last cutoff solved for this sheaf held exactly its
+    # columns of exponent <= that cutoff and its probe rows inside that
+    # run's window; from a cutoff no lower, a block whose columns and rows
+    # all lie there is unchanged.  Only blocks with a kernel or a hit are kept.
+    last_cutoff, last_inner, last = memo.get((sheaf, probe), (-1, -1, {}))
+    kept, kernels, reps, elims = {}, [], [], {}
+    for wt in cols | probes:
+        ts, rows = cols.get(wt, []), probes.get(wt, [])
+        if (
+            last_cutoff <= cutoff
+            and all(sections[t % n][1] <= last_cutoff for t in ts)
+            and all(abs(e) <= last_inner for _, e in rows)
+        ):
+            block_kernels, hits = last.get(wt, ((), ()))
+        else:
+            elim, block_kernels = _eliminate([column(t) for t in ts])
+            # The probe rows that raise the rank are the representatives.
+            hits = [el for el in rows if elim.insert(unit(el), el) is None]
+            # Only a probing caller reduces further vectors against the
+            # blocks; the others free each eliminator once it is solved.
+            if probe:
+                elims[wt] = elim
+        if block_kernels or hits:
+            kept[wt] = block_kernels, hits
+        kernels += [{ts[j]: c for j, c in combo.items()} for combo in block_kernels]
+        reps += hits
+    memo[sheaf, probe] = cutoff, inner, kept
+    # A kernel's last column is the dependent one it was found at.
+    kernels.sort(key=max)
+    reps.sort(key=index.__getitem__)
+    return dom, kernels, index, reps, elims
 
 
 def _glue(atlas, labels, combo):
@@ -287,9 +370,9 @@ def cech(space, sheaf, cutoff):
     derham."""
     atlas, label = _resolve_space(space)
 
-    def solve(c):
-        dom, kernels, index, elim = _cech_solve(atlas, sheaf, c)
-        return dom, kernels, _h1_probe(elim, index, sheaf[0], c)
+    def solve(c, memo):
+        dom, kernels, _, reps, _ = _cech_solve(atlas, sheaf, c, memo, probe=True)
+        return dom, kernels, reps
 
     (dom, kernels, reps), (_, kernels_again, reps_again) = _rerun(solve, cutoff)
     c0 = min(atlas.charts)
@@ -316,9 +399,9 @@ def _differential_error(key):
     return WindowOverflowError("differential leaves the section window")
 
 
-def _derham_p11(atlas, picture, lo, hi, cutoff):
+def _derham_p11(atlas, picture, lo, hi, cutoff, memo):
     # degree -> (Cech column labels, global sections as kernel combinations)
-    levels = {i: _cech_solve(atlas, (i, picture), cutoff)[:2] for i in range(lo - 1, hi + 2)}
+    levels = {i: _cech_solve(atlas, (i, picture), cutoff, memo)[:2] for i in range(lo - 1, hi + 2)}
     d_cols = {}
     for i in range(lo - 1, hi + 1):
         labels, sections = levels[i]
@@ -415,12 +498,12 @@ def derham(space, picture, degree_range, cutoff):
         raise StructuralError("empty degree range %r" % (degree_range,))
     atlas, label = _resolve_space(space)
     if len(atlas.charts) == 1:
-        compute = lambda c: _flat_derham(atlas, picture, lo, hi, c)
+        compute = lambda c, _: _flat_derham(atlas, picture, lo, hi, c)
     else:
         # _cech_solve rejects any atlas that is not two 1|1 charts.
         if picture not in (0, 1):
             raise UnsupportedSpaceError("picture %d not supported on P^{1|1}" % picture)
-        compute = lambda c: _derham_p11(atlas, picture, lo, hi, c)
+        compute = lambda c, memo: _derham_p11(atlas, picture, lo, hi, c, memo)
     (dims, gens), (again, _) = _rerun(compute, cutoff)
     return CohomologyReport(
         space=label,
@@ -472,8 +555,7 @@ def pairing_matrix(n, cutoff):
 
     # The H^1 probe of Omega^{1|1} leaves the coboundaries plus the generator
     # as the pivots, which is the basis every product is reduced against.
-    _, _, index, elim = _cech_solve(atlas, (1, 1), cutoff)
-    volume_reps = _h1_probe(elim, index, 1, cutoff)
+    _, _, index, volume_reps, elims = _cech_solve(atlas, (1, 1), cutoff, {}, probe=True)
     generator = (Monomial((0,), (0,), (), ((0, 0),)), -1)
     if volume_reps != [generator]:
         raise StructuralError("the H^1(Omega^{1|1}) probe does not single out the generator")
@@ -484,6 +566,8 @@ def pairing_matrix(n, cutoff):
         for t, parts in enumerate(h0.generators_h0):
             product = pair(rep, parts[rep.chart])
             vec = _coordinates(product, index, _overlap_key, _overlap_error)
+            # A product of weights w1 and w2 reduces in the block of w1 + w2.
+            elim = elims.get(_form_weight(product), Eliminator())
             combo = elim.insert(vec, ("prod", s, t))
             if combo is None:
                 raise WindowOverflowError(
@@ -528,7 +612,7 @@ def cech_derham_check(cutoff):
     cech_dims = {0: 2 - rank, 1: 1 - rank}
 
     # Kunneth: base = theta-free picture-0 global complex of P^1; fiber = C^{0|1}.
-    dom, kernels = _cech_solve(atlas, (0, 0), cutoff)[:2]
+    dom, kernels = _cech_solve(atlas, (0, 0), cutoff, {})[:2]
     base_level0 = [
         parts
         for parts in (_glue(atlas, dom, combo) for combo in kernels)
@@ -537,7 +621,7 @@ def cech_derham_check(cutoff):
     closed0 = [
         parts for parts in base_level0 if all(exterior_d(form).is_zero() for form in parts.values())
     ]
-    base_dims = {0: len(closed0), 1: len(_cech_solve(atlas, (1, 0), cutoff)[1])}
+    base_dims = {0: len(closed0), 1: len(_cech_solve(atlas, (1, 0), cutoff, {})[1])}
 
     fiber = derham(builtin_flat(0, 1), 1, (0, 0), max(4, cutoff // 2))
     fiber_dim = fiber.dims[(0, 1)]

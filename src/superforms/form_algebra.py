@@ -8,14 +8,16 @@ coordinates.  Transposition signs follow the Koszul rule with bidegree table
     delta^(k): (deg -k, par (k+1) mod 2)
 
 and the contraction relation dpsi_j * delta^(k)(dpsi_j) = -k * delta^(k-1)(dpsi_j)
-is applied until monomials are in normal form.  The alternating delta parity
-is the unique choice making the contraction rule commute with transpositions
-(and hence d o d = 0): each contraction consumes one dpsi together with one
-delta order, so the crossing sign of dpsi against delta^(k) cannot depend on k.
+is applied, in one step per odd index, until monomials are in normal form.  The
+alternating delta parity is the unique choice making the contraction rule
+commute with transpositions (and hence d o d = 0): each contraction consumes one
+dpsi together with one delta order, so the crossing sign of dpsi against
+delta^(k) cannot depend on k.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import perm
 from typing import NamedTuple
 
 from .coeff_ring import LaurentPoly, lp_add, lp_mul, lp_partial, lp_scale
@@ -271,8 +273,9 @@ def _validate_atoms(factors, table):
 def normalize(factors, coeff, chart, table):
     """Sort a raw factor sequence into normal form, collecting Koszul signs.
 
-    Repeated odd-parity factors vanish; the contraction rule is applied until
-    dpsi and delta indices are disjoint.  Returns a (possibly zero) Superform.
+    Repeated odd-parity factors vanish; the contraction rule is applied once
+    per odd index carrying both dpsi and a delta, so that dpsi and delta
+    indices are disjoint.  Returns a (possibly zero) Superform.
     """
     if isinstance(coeff, LaurentPoly):
         if coeff.variables != table.even_names:
@@ -304,39 +307,27 @@ def normalize(factors, coeff, chart, table):
         if a[0] == b[0] == DL and a[1] == b[1]:
             return Superform.zero(chart, table)
 
-    # Contraction: move the rightmost dpsi_j next to delta^(k)(dpsi_j).
-    scalar = Fraction(1)
-    while True:
-        dp_positions = {}
-        for t, a in enumerate(fs):
-            if a[0] == DP:
-                dp_positions[a[1]] = t  # rightmost occurrence wins
-        target = None
-        for t, a in enumerate(fs):
-            if a[0] == DL and a[1] in dp_positions:
-                target = (dp_positions[a[1]], t)
-                break
-        if target is None:
-            break
-        p, q = target
-        mover = fs[p]
-        for crossed in fs[p + 1 : q]:
-            sign *= koszul_sign(mover, crossed)
-        k = fs[q][2]
-        if k == 0:
+    # Contraction, once per odd index j: dpsi_j^a * delta^(b)(dpsi_j) =
+    # (-1)^a * b!/(b-a)! * delta^(b-a)(dpsi_j), zero if a > b.  On its way to
+    # delta_j each dpsi_j crosses the dpsis of larger index (sign +1) and the
+    # deltas of smaller index (sign -1 whatever their order).  fs is sorted,
+    # so powers and deltas come in index order.
+    powers = {}
+    for x in fs:
+        if x[0] == DP:
+            powers[x[1]] = powers.get(x[1], 0) + 1
+    scalar = 1
+    deltas = []
+    for crossed, (_, j, order) in enumerate(x for x in fs if x[0] == DL):
+        power = powers.pop(j, 0)
+        if power > order:
             return Superform.zero(chart, table)
-        scalar *= -k
-        fs[q] = (DL, fs[q][1], k - 1)
-        del fs[p]
+        scalar *= (-1) ** (power * (crossed + 1)) * perm(order, power)
+        deltas.append((j, order - power))
 
     thetas = tuple(a[1] for a in fs if a[0] == TH)
     devens = tuple(a[1] for a in fs if a[0] == DG)
-    dodds = {}
-    for a in fs:
-        if a[0] == DP:
-            dodds[a[1]] = dodds.get(a[1], 0) + 1
-    deltas = tuple((a[1], a[2]) for a in fs if a[0] == DL)
-    mon = Monomial(thetas, devens, tuple(sorted(dodds.items())), deltas)
+    mon = Monomial(thetas, devens, tuple(powers.items()), tuple(deltas))
     return Superform(chart, table, {mon: lp_scale(lp, scalar * sign)})
 
 

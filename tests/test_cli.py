@@ -10,6 +10,7 @@ import tempfile
 import time
 import unittest
 from fractions import Fraction
+from math import factorial
 
 from hypothesis import given, settings
 from hypothesis.strategies import integers
@@ -238,6 +239,15 @@ class TestGrammar(unittest.TestCase):
             got = pretty_print(parse(text, T11))
             self.assertLess(time.perf_counter() - start, 1.0, msg=text)
             self.assertEqual(got, want)
+
+    def test_long_contraction_parses_fast(self):
+        # dpsi^4000 * delta^(4000)(dpsi) contracts in one step, to 4000!*delta(dpsi).
+        start = time.perf_counter()
+        form = parse("dpsi^4000*delta^(4000)(dpsi)", T11)
+        self.assertLess(time.perf_counter() - start, 0.1)
+        (mon, lp), = form.terms.items()
+        self.assertEqual(mon.deltas, ((0, 0),))
+        self.assertEqual(lp.coefficient((0,)), factorial(4000))
 
     def assert_matches_fold(self, text, table):
         want = strict_items(parse_outcome(text, table, fold_parse))

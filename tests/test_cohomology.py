@@ -15,11 +15,16 @@ from hypothesis import given, settings
 from hypothesis.strategies import integers
 
 from superforms import (
+    Atlas,
+    Chart,
     Eliminator,
+    GeneratorTable,
     LaurentPoly,
     Monomial,
+    Morphism,
     StructuralError,
     Superform,
+    UnsupportedMorphismError,
     UnsupportedSpaceError,
     WindowOverflowError,
     builtin_flat,
@@ -29,16 +34,20 @@ from superforms import (
     derham,
     exterior_d,
     load_atlas,
+    lp_scale,
     normalize,
     pairing_matrix,
     pretty_print,
     pullback,
 )
+from superforms import cohomology
 from superforms.cohomology import (
     _cech_solve,
     _complex_cohomology,
     _coordinates,
+    _eliminate,
     _glue,
+    _overlap_error,
     p11_sheaf_monomials,
 )
 
@@ -178,12 +187,12 @@ class TestSheafBases(unittest.TestCase):
     def test_section_basis_window(self):
         # Chart sections have exponents 0..D, U0's columns before U1's; the
         # overlap rows run over -(D+|i|+4)..D+|i|+4, monomial by monomial.
-        dom = _cech_solve(P11, (0, 0), 2)[0]
+        dom = _cech_solve(P11, (0, 0), 2, {})[0]
         self.assertEqual(
             [(cid, pretty_print_mon(m), exps) for cid, m, exps in dom],
             [(cid, m, (e,)) for cid in ("U0", "U1") for m in ("1", "psi") for e in range(3)],
         )
-        index = _cech_solve(P11, (1, 1), 1)[2]
+        index = _cech_solve(P11, (1, 1), 1, {})[2]
         self.assertEqual(list(index.values()), list(range(2 * 13)))
         self.assertEqual(
             [(pretty_print_mon(m), e) for m, e in index],
@@ -272,6 +281,137 @@ class TestCech(unittest.TestCase):
             got_derham = [derham(atlas, 0, (0, 3), 6), derham(atlas, 1, (-2, 1), 6)]
             for got, want in zip(got_derham, want_derham):
                 self.assertEqual((got.dims, got.stabilized), (want.dims, want.stabilized), msg=c0)
+
+
+    def test_weight_mixing_transition_rejected(self):
+        # An atlas built through the API skips load_atlas's cocycle check.
+        # psi -> (1+g)*psi mixes torus weights, so its Cech system is no
+        # direct sum of weight blocks; picture 0 used to answer h0 = 2 for
+        # Omega^{0|0} (the built-in atlas gives 1) with stabilized = True.
+        u0, u1 = P11.chart("U0"), P11.chart("U1")
+        inverse = LaurentPoly.monomial(("g",), (-1,))
+        one_plus_g = LaurentPoly(("g",), {(0,): 1, (1,): 1})
+        transitions = dict(P11.transitions)
+        transitions[("U0", "U1")] = Morphism(u0, u1, {0: inverse}, {0: ((one_plus_g, 0),)})
+        atlas = Atlas({"U0": u0, "U1": u1}, transitions)
+        for sheaf in ((0, 0), (1, 0), (0, 1)):
+            with self.assertRaises(UnsupportedMorphismError, msg=sheaf):
+                cech(atlas, sheaf, 6)
+        with self.assertRaises(UnsupportedMorphismError):
+            derham(atlas, 0, (0, 1), 6)
+
+
+def single_eliminator_cech(atlas, sheaf, cutoff):
+    """The Cech system of `_cech_solve` eliminated in one Eliminator, with the
+    unit vectors of the H^1 probe window inserted after all columns: the
+    oracle of the blockwise solve.  Returns (dom, kernels, probe hits)."""
+    i = sheaf[0]
+    mons = p11_sheaf_monomials(*sheaf)
+    w = cutoff + abs(i) + 4
+    index = {el: r for r, el in enumerate(product(mons, range(-w, w + 1)))}
+    sections = list(product(mons, range(cutoff + 1)))
+    c0, c1 = sorted(atlas.charts)
+    m01 = atlas.transition(c0, c1)
+    table = m01.target.table
+    (a,), b = m01.even_images[0].single_term()
+    one = LaurentPoly.const(table.even_names, 1)
+    pulled = {mon: pullback(m01, Superform(c1, table, {mon: one})) for mon in mons}
+    dom = [(c0, mon, (e,)) for mon, e in sections]
+    cols = [{index[el]: Fraction(1)} for el in sections]
+    for mon, e in sections:
+        dom.append((c1, mon, (e,)))
+        key = lambda m, exps: (m, exps[0] + a * e)
+        col = _coordinates(pulled[mon], index, key, _overlap_error)
+        cols.append({r: -(c * b**e) for r, c in col.items()})
+    elim, kernels = _eliminate(cols)
+    inner = max(0, min(abs(i) + 4, cutoff - abs(i) - 1))
+    hits = [
+        el
+        for el, r in index.items()
+        if abs(el[1]) <= inner and elim.insert({r: Fraction(1)}, el) is None
+    ]
+    return dom, kernels, hits
+
+
+def scaled_atlas():
+    """P^{1|1} glued by y = 2/x, s = t/x on charts A and B."""
+    a, b = Chart("A", GeneratorTable(("x",), ("t",))), Chart("B", GeneratorTable(("y",), ("s",)))
+    x_inv = LaurentPoly.monomial(("x",), (-1,))
+    y_inv = LaurentPoly.monomial(("y",), (-1,))
+    transitions = {
+        ("A", "B"): Morphism(a, b, {0: lp_scale(x_inv, 2)}, {0: ((x_inv, 0),)}),
+        ("B", "A"): Morphism(b, a, {0: lp_scale(y_inv, 2)}, {0: ((lp_scale(y_inv, 2), 0),)}),
+    }
+    return Atlas({"A": a, "B": b}, transitions)
+
+
+class TestWeightBlocks(unittest.TestCase):
+    SHEAVES = [(i, j) for i in range(-6, 7) for j in (0, 1)]
+
+    def assert_solves_equal(self, got, want, msg):
+        dom, kernels, reps = got
+        want_dom, want_kernels, want_reps = want
+        self.assertEqual(dom, want_dom, msg=msg)
+        # Kernel combinations with their key order, and the probe hits in order.
+        self.assertEqual(
+            [list(k.items()) for k in kernels], [list(k.items()) for k in want_kernels], msg=msg
+        )
+        self.assertEqual(reps, want_reps, msg=msg)
+
+    def test_blockwise_solve_matches_single_eliminator(self):
+        # Cutoffs 0..12 include the vacuous probe windows (cutoff <= |i|+1).
+        for cutoff in list(range(13)) + [40]:
+            for sheaf in self.SHEAVES:
+                got = _cech_solve(P11, sheaf, cutoff, {}, probe=True)
+                self.assert_solves_equal(
+                    (got[0], got[1], got[3]),
+                    single_eliminator_cech(P11, sheaf, cutoff),
+                    msg=(sheaf, cutoff),
+                )
+
+    def test_shared_blocks_equal_a_fresh_solve(self):
+        # The D+2 run on the blocks of the D run equals a fresh D+2 solve and
+        # the oracle, with and without the probe, also when the transition
+        # carries a coefficient.
+        for atlas in (P11, scaled_atlas()):
+            for cutoff in (0, 1, 2, 5, 9):
+                for sheaf in self.SHEAVES:
+                    for probe in (False, True):
+                        msg = (sorted(atlas.charts), sheaf, cutoff, probe)
+                        memo = {}
+                        _cech_solve(atlas, sheaf, cutoff, memo, probe)
+                        shared = _cech_solve(atlas, sheaf, cutoff + 2, memo, probe)
+                        fresh = _cech_solve(atlas, sheaf, cutoff + 2, {}, probe)
+                        self.assert_solves_equal(
+                            (shared[0], shared[1], shared[3]), (fresh[0], fresh[1], fresh[3]), msg
+                        )
+                        dom, kernels, hits = single_eliminator_cech(atlas, sheaf, cutoff + 2)
+                        self.assert_solves_equal(
+                            (shared[0], shared[1], shared[3]),
+                            (dom, kernels, hits if probe else []),
+                            msg,
+                        )
+                        # Back down to D on the same memo: nothing of D+2 is reused.
+                        again = _cech_solve(atlas, sheaf, cutoff, memo, probe)
+                        fresh = _cech_solve(atlas, sheaf, cutoff, {}, probe)
+                        self.assert_solves_equal(
+                            (again[0], again[1], again[3]), (fresh[0], fresh[1], fresh[3]), msg
+                        )
+
+    def test_rerun_solves_only_the_edge_blocks(self):
+        # The D+2 run eliminates only the blocks that reach past cutoff D or
+        # its probe window, not the whole system again.
+        solved = []
+        eliminate = cohomology._eliminate
+        count = lambda cols: solved.append(len(cols)) or eliminate(cols)
+        with mock.patch.object(cohomology, "_eliminate", side_effect=count):
+            memo = {}
+            _cech_solve(P11, (-3, 1), 40, memo, probe=True)
+            first = len(solved)
+            _cech_solve(P11, (-3, 1), 42, memo, probe=True)
+        # 235 blocks at cutoff 40, of which 14 change at 42.
+        self.assertGreater(first, 200)
+        self.assertLess(len(solved) - first, 20)
 
 
 class TestDeRham(unittest.TestCase):

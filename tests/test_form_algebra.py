@@ -30,9 +30,10 @@ from superforms import (
     theta,
     wedge,
 )
-from superforms.form_algebra import atom_key
+from superforms.coeff_ring import lp_scale
+from superforms.form_algebra import DG, DL, DP, TH, _add_terms, _validate_atoms, atom_key
 
-from formgen import form_degree, random_form, random_monomial, total_parity
+from formgen import form_degree, random_form, random_monomial, random_poly, total_parity
 
 P11 = builtin_p11()
 T11 = P11.chart("U0").table
@@ -75,6 +76,87 @@ def random_sortable_atoms(rng):
             atoms.append(dgamma(i))
     rng.shuffle(atoms)
     return atoms
+
+
+def stepwise_normalize(factors, coeff, chart, table):
+    """normalize with the contraction applied one dpsi at a time: move the
+    rightmost dpsi_j next to delta^(k)(dpsi_j), collecting the crossing signs,
+    replace the pair by -k * delta^(k-1)(dpsi_j) and rescan the factor list.
+    The oracle of normalize's one-step contraction."""
+    lp = coeff if isinstance(coeff, LaurentPoly) else LaurentPoly.const(table.even_names, coeff)
+    if lp.is_zero():
+        return Superform.zero(chart, table)
+    fs = list(factors)
+    _validate_atoms(fs, table)
+    sign = 1
+    for i in range(1, len(fs)):
+        j = i
+        while j > 0 and atom_key(fs[j - 1]) > atom_key(fs[j]):
+            sign *= koszul_sign(fs[j - 1], fs[j])
+            fs[j - 1], fs[j] = fs[j], fs[j - 1]
+            j -= 1
+    for t in range(1, len(fs)):
+        a, b = fs[t - 1], fs[t]
+        if a[0] == b[0] and a[0] in (TH, DG, DL) and a[1] == b[1]:
+            return Superform.zero(chart, table)
+    scalar = Fraction(1)
+    while True:
+        dp_positions = {}
+        for t, a in enumerate(fs):
+            if a[0] == DP:
+                dp_positions[a[1]] = t  # rightmost occurrence wins
+        target = None
+        for t, a in enumerate(fs):
+            if a[0] == DL and a[1] in dp_positions:
+                target = (dp_positions[a[1]], t)
+                break
+        if target is None:
+            break
+        p, q = target
+        mover = fs[p]
+        for crossed in fs[p + 1 : q]:
+            sign *= koszul_sign(mover, crossed)
+        k = fs[q][2]
+        if k == 0:
+            return Superform.zero(chart, table)
+        scalar *= -k
+        fs[q] = (DL, fs[q][1], k - 1)
+        del fs[p]
+    thetas = tuple(a[1] for a in fs if a[0] == TH)
+    devens = tuple(a[1] for a in fs if a[0] == DG)
+    dodds = {}
+    for a in fs:
+        if a[0] == DP:
+            dodds[a[1]] = dodds.get(a[1], 0) + 1
+    deltas = tuple((a[1], a[2]) for a in fs if a[0] == DL)
+    mon = Monomial(thetas, devens, tuple(sorted(dodds.items())), deltas)
+    return Superform(chart, table, {mon: lp_scale(lp, scalar * sign)})
+
+
+def random_contracting_atoms(rng, table):
+    """A shuffled factor list over every odd index of the table: dpsi powers
+    up to 5 against delta orders up to 5 (a contraction that may vanish),
+    thetas and dgammas, and now and then a vanishing repeat."""
+    atoms = []
+    for j in range(len(table.odd_names)):
+        if rng.random() < 0.5:
+            atoms.append(theta(j))
+        atoms.extend([dpsi(j)] * rng.randint(0, 5))
+        if rng.random() < 0.7:
+            atoms.append(delta(j, rng.randrange(6)))
+    for i in range(len(table.even_names)):
+        if rng.random() < 0.5:
+            atoms.append(dgamma(i))
+    if rng.random() < 0.05:
+        atoms.append(rng.choice(atoms or [theta(0)]))
+    rng.shuffle(atoms)
+    return atoms
+
+
+def strict_terms(terms):
+    """A terms map in insertion order, each coefficient polynomial as its
+    (exponents, value, type) list."""
+    return [(mon, [(e, c, type(c)) for e, c in lp.terms.items()]) for mon, lp in terms.items()]
 
 
 class TestNormalForm(unittest.TestCase):
@@ -130,6 +212,20 @@ class TestNormalForm(unittest.TestCase):
         got = mono(atoms, table=T22)
         want = mono(sorted_atoms, sign, table=T22)
         self.assertEqual(got, want)
+
+    def test_one_step_contraction_matches_stepwise(self):
+        # Sums of several products per case, so that term order, cancellation
+        # and the signs of mixed indices are compared as well.
+        rng = random.Random(20261018)
+        for case in range(1500):
+            table = T11 if case % 2 else T22
+            got, want = {}, {}
+            for _ in range(rng.randint(1, 4)):
+                atoms = random_contracting_atoms(rng, table)
+                coeff = random_poly(rng, table.even_names)
+                _add_terms(got, normalize(atoms, coeff, "U0", table).terms)
+                _add_terms(want, stepwise_normalize(atoms, coeff, "U0", table).terms)
+            self.assertEqual(strict_terms(got), strict_terms(want), msg=case)
 
     def test_listing_order_prefers_high_rank_factors(self):
         mons = [
