@@ -21,7 +21,8 @@ exponent arithmetic rather than k wedges.  Only a parenthesized factor is
 wedged onto the product, and `(expr)^k` is k wedges.
 
 Exit codes: 0 success, 2 parse or usage error (such as a negative --cutoff),
-3 computation error, 4 stabilization failure.  With --json every report is a
+3 computation error, 4 stabilization failure (only flat de Rham can fail to
+stabilize).  With --json every report is a
 single versioned JSON object.
 """
 
@@ -637,7 +638,12 @@ def _add_common(sp, space=True, chart=False, target=False, exprs=False, cutoff=F
     if exprs:
         sp.add_argument("--expr", action="append", default=[], help="expression (repeatable)")
     if cutoff:
-        sp.add_argument("--cutoff", type=int, default=10, help="truncation cutoff (default 10)")
+        sp.add_argument(
+            "--cutoff",
+            type=int,
+            default=10,
+            help="flat de Rham degree cutoff (default 10); P^{1|1} answers are exact at any cutoff",
+        )
 
 
 def _build_parser():

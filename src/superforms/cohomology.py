@@ -1,4 +1,4 @@
-"""Truncated section spaces, Cech and de Rham cohomology, exact linear algebra.
+"""Cech and de Rham cohomology and exact linear algebra.
 
 Every group is a kernel modulo an image over exact rationals, and every
 matrix is eliminated once, by `_eliminate`: it inserts the columns into one
@@ -8,26 +8,26 @@ reduced in one ascending pass over the pivot rows it hits.  Sparse
 combinations are accumulated by `coeff_ring._axpy`, and `_glue` alone turns a
 combination of basis labels (chart id, Monomial, exponent tuple) into forms.
 
-Chart sections of P^{1|1} are polynomial of degree <= D; the overlap window
-is [-(D+|i|+4), D+|i|+4].  `_cech_solve` builds the Cech system
-(s0, s1) |-> s0 - Phi*(s1) once per cutoff: the kernel is H^0.  The charts are
-taken in sorted order, the first carrying the overlap.  Pullback is a ring map
-and the image of g is one Laurent monomial b*g^a, so the system needs one
-pullback per sheaf monomial M (at most four): Phi*(g^e*M) is Phi*(M) with
-every exponent shifted by a*e and every coefficient scaled by b^e.  When psi
-also maps to a monomial multiple of psi, as in every cocycle-checked atlas,
-the torus g -> lambda*g, psi -> mu*psi acts on both charts and the system is
-a direct sum of weight blocks (of at most four columns for the built-in
-gluing); a sheaf monomial that pulls back to a mix of weights is rejected.
-There is one `Eliminator` per block, fed its columns in their global order:
-a column is a pivot exactly when it is independent of the earlier columns of
-its own block, so the kernels come out as from one eliminator for the whole
-system.  Callers that report H^1 ask for the probe, which inserts the unit
-vectors of an inner window of half-width |i|+4 after each block's columns;
-the unhit monomials are the coset representatives.  The blocks are shared by
-the runs at D and D+2: both get one memo dict, which keeps the pullbacks and
-the kernels and probe hits of the D run's blocks, so the second run
-eliminates only the blocks that reach past cutoff D or its probe window.
+The Cech system of a sheaf on P^{1|1} is (s0, s1) |-> s0 - Phi*(s1) from the
+sections of the two charts to those of the overlap; its kernel is H^0 and its
+cokernel H^1.  The charts are taken in sorted order, the first carrying the
+overlap.  Pullback is a ring map and the image of g is b*g^-1, so the system
+needs one pullback per sheaf monomial M (at most four): Phi*(g'^e*M) is
+Phi*(M) with every exponent lowered by e and every coefficient scaled by b^e.
+The torus g -> lambda*g, psi -> mu*psi acts on both charts, and the system
+is a direct sum of weight blocks, each with one overlap row and at most one
+column per chart for every sheaf monomial of its second weight; a transition
+that mixes weights, kills a sheaf monomial or maps g to any other power than
+g^-1 is rejected.  The blocks do not depend on any cutoff, and only the
+finitely many first weights of `_class_weights` can carry a class (the
+monomial-by-monomial computation of Cech cohomology of O(d) on P^1).
+`_cech_solve` eliminates each of those blocks once, with its columns in
+their global (chart, monomial, exponent) order, so the kernels come out as
+from one eliminator for the whole system; the unit vectors of the rows are
+inserted after the columns, and the rows they leave unhit are the H^1
+representatives.  `cech` is therefore exact at every cutoff.  The pairing
+multiplies only the H^1 and H^0 generators whose weights sum to (0, 0), the
+weight of the generator of H^1(Omega^{1|1}).
 
 `_complex_cohomology` walks a complex of d matrices: the eliminator of d[i-1]
 gives rank(d[i-1]), ker(d[i-1]) and the image against which degree-i
@@ -38,12 +38,12 @@ a Kunneth argument the only summand with a class is the single closed form
 theta_S*delta_S for S = supp(u), E = 0, u in {0, 1}^n with |u| = p, which
 `_flat_derham` only checks to be closed.
 
-Cech and de Rham answers are certified by recomputing at D+2: `_rerun` is
-the one place that runs a computation at D and at D+2, handing both runs one
-memo dict, and the reports are marked stabilized when both agree.  A negative
-cutoff is rejected in `_rerun` and in `_cech_solve`, which the pairing's
-Omega^{1|1} solve uses without a rerun; `_cech_solve` also rejects any atlas
-that is not two 1|1 charts, since its section bases are those of P^{1|1}.
+de Rham answers are certified by recomputing at D+2: `_rerun` runs a
+computation at D and at D+2, handing both runs one memo dict (the pullbacks
+of `_cech_solve`), and the reports are marked stabilized when both agree.
+Only flat de Rham depends on the cutoff.  A negative cutoff is rejected by
+`_rerun` and by `cech`; `_cech_solve` rejects any atlas that is not two 1|1
+charts, since its section bases are those of P^{1|1}.
 """
 
 from dataclasses import dataclass, field
@@ -88,8 +88,10 @@ class Eliminator:
 
     def insert(self, vec, tag):
         """Insert one column.  Returns None if the rank grew, else the
-        dependency combination {tag: coeff} with coefficient 1 on `tag`."""
-        vec = {r: Fraction(c) for r, c in vec.items() if c}
+        dependency combination {tag: coeff} with coefficient 1 on `tag`.
+        Entries that are not Fractions are converted, so that dividing by
+        the lead entry stays exact."""
+        vec = {r: c if isinstance(c, Fraction) else Fraction(c) for r, c in vec.items() if c}
         combo = {tag: Fraction(1)}
         self._reduce(vec, combo)
         if not vec:
@@ -184,16 +186,6 @@ def _coordinates(form, index, key, error):
     return vec
 
 
-def _overlap_key(mon, exps):
-    return mon, exps[0]
-
-
-def _overlap_error(key):
-    return WindowOverflowError(
-        "section leaves the overlap window at %r; enlarge the cutoff" % (key,)
-    )
-
-
 def _compose_is_zero(cols_first, cols_second):
     for col in cols_first:
         acc = {}
@@ -235,33 +227,46 @@ def _weight(mon, e):
 
 
 def _form_weight(form):
-    """The common torus weight of the terms of a form, None for zero; a form
-    that mixes weights raises UnsupportedMorphismError."""
+    """The torus weight of a form all of whose terms share one; a zero form
+    or one that mixes weights raises UnsupportedMorphismError."""
     weights = {_weight(mon, exps[0]) for mon, lp in form.terms.items() for exps in lp.terms}
-    if len(weights) > 1:
+    if len(weights) != 1:
         raise UnsupportedMorphismError(
-            "%r mixes the torus weights %s; the Cech system needs transitions that "
-            "preserve the torus weight of P^{1|1}" % (form, sorted(weights))
+            "%r has the torus weights %s; the Cech system needs transitions that "
+            "kill no sheaf monomial and preserve the torus weight of P^{1|1}"
+            % (form, sorted(weights))
         )
-    return weights.pop() if weights else None
+    return weights.pop()
 
 
-def _cech_solve(atlas, sheaf, cutoff, memo, probe=False):
-    """Build the Cech system of one sheaf at one cutoff and eliminate it one
-    torus-weight block at a time.
+def _class_weights(lams):
+    """The range (lo, hi) of first weights lambda whose blocks can carry a
+    class, from the first weights lambda1(M) of the pulled sheaf monomials.
 
-    Returns (dom, kernels, index, reps, elims): the column labels (chart id,
-    Monomial, exponent tuple), H^0 as combinations {column: coeff}, the
-    overlap row index, and, when probe is set, the H^1 representatives as
-    overlap (Monomial, exponent) pairs and the eliminator of each block
-    solved by this call, by weight.  memo holds the pullback of each sheaf
-    monomial and, for each sheaf, the last cutoff solved with the kernels
-    and probe hits of its blocks; a caller passes one dict to its runs at D
-    and D+2 on one atlas, so that the second solves only the blocks that
-    changed.
+    Block lambda has one row g^(lambda - #dgamma(M))*M per sheaf monomial M,
+    the U0 columns with exponent lambda - #dgamma(M) >= 0 and the U1 columns
+    with exponent lambda1(M) - lambda >= 0.  Above max(1, max lambda1) the U0
+    columns are the identity on the rows and there is no U1 column; below
+    min(0, min lambda1) there is no U0 column and the U1 columns are Phi* on
+    the weight-lambda part of the overlap, an isomorphism.
     """
-    if cutoff < 0:
-        raise StructuralError("cutoff must be non-negative, got %d" % cutoff)
+    return min(0, min(lams, default=0)), max(1, max(lams, default=0) + 1)
+
+
+def _cech_solve(atlas, sheaf, memo):
+    """Solve the Cech system (s0, s1) |-> s0 - Phi*(s1) of one sheaf, one
+    complete torus-weight block at a time.
+
+    Returns (dom, kernels, reps, elims): the column labels (chart id,
+    Monomial, exponent tuple) of the blocks `_class_weights` admits, in
+    (chart, monomial, exponent) order; H^0 as combinations {column: coeff};
+    the H^1 representatives as overlap (Monomial, exponent) pairs in
+    monomial order; and the eliminator of each block by weight, with the
+    unit vectors of its rows inserted after its columns.  A block has one row
+    per sheaf monomial, keyed by the monomial's position in the sheaf basis.
+    memo holds the pullback of each sheaf monomial; callers on one atlas may
+    share it.
+    """
     # The section bases are those of P^{1|1}; on any other atlas they would
     # ignore coordinates and answer for the wrong space.
     shapes = [(len(c.table.even_names), len(c.table.odd_names)) for c in atlas.charts.values()]
@@ -271,81 +276,57 @@ def _cech_solve(atlas, sheaf, cutoff, memo, probe=False):
             % ", ".join("%d|%d" % shape for shape in shapes)
         )
     mons = p11_sheaf_monomials(*sheaf)
-    w = cutoff + abs(sheaf[0]) + 4
-    index = {el: r for r, el in enumerate(product(mons, range(-w, w + 1)))}
-    sections = list(product(mons, range(cutoff + 1)))
-    n = len(sections)
+    position = {mon: k for k, mon in enumerate(mons)}
     c0, c1 = sorted(atlas.charts)
     m01 = atlas.transition(c0, c1)
     table = m01.target.table
     # Pullback is a ring map and the image of g is one Laurent monomial b*g^a,
-    # so Phi*(g^e*M) is Phi*(M) shifted by a*e and scaled by b^e.
+    # so Phi*(g^e*M) is Phi*(M) shifted by a*e and scaled by b^e.  Only a = -1
+    # makes every block finite and the blocks outside `_class_weights` exact.
     (a,), b = m01.even_images[0].single_term()
+    if a != -1:
+        raise UnsupportedMorphismError(
+            "the Cech system of P^{1|1} needs the even transition b*g^-1, got b*g^%d" % a
+        )
     one = LaurentPoly.const(table.even_names, 1)
     for mon in mons:
         if mon not in memo:
             pulled = pullback(m01, Superform(c1, table, {mon: one}))
             memo[mon] = pulled, _form_weight(pulled)
-    dom = [(c0, mon, (e,)) for mon, e in sections] + [(c1, mon, (e,)) for mon, e in sections]
-    unit = lambda el: {index[el]: Fraction(1)}
+    lo, hi = _class_weights([memo[mon][1][0] for mon in mons])
+    # weight -> positions of its columns in dom, ascending; g'^e*M on U1 has
+    # the weight of Phi*(M) shifted by -e.
+    blocks = {_weight(mon, lam - len(mon.devens)): [] for lam in range(lo, hi + 1) for mon in mons}
+    dom = []
+    for mon in mons:
+        for e in range(max(0, lo - len(mon.devens)), hi - len(mon.devens) + 1):
+            blocks[_weight(mon, e)].append(len(dom))
+            dom.append((c0, mon, (e,)))
+    for mon in mons:
+        lam, mu = memo[mon][1]
+        for e in range(max(0, lam - hi), lam - lo + 1):
+            blocks[lam - e, mu].append(len(dom))
+            dom.append((c1, mon, (e,)))
 
     def column(t):
-        mon, e = sections[t % n]
-        if t < n:
-            return unit((mon, e))
-        key = lambda m, exps: (m, exps[0] + a * e)
-        col = _coordinates(memo[mon][0], index, key, _overlap_error)
-        return {r: -(c * b**e) for r, c in col.items()}
+        cid, mon, (e,) = dom[t]
+        if cid == c0:
+            return {position[mon]: Fraction(1)}
+        pulled = memo[mon][0]
+        return {position[m]: -(c * b**e) for m, lp in pulled.terms.items() for c in lp.terms.values()}
 
-    cols = {}  # weight -> positions of its columns in dom, ascending
-    for t, (mon, e) in enumerate(sections):
-        cols.setdefault(_weight(mon, e), []).append(t)
-    for t, (mon, e) in enumerate(sections, n):
-        wt = memo[mon][1]
-        cols.setdefault(None if wt is None else (wt[0] + a * e, wt[1]), []).append(t)
-    probes, inner = {}, -1  # weight -> probe rows; the probe window's half-width
-    if probe:
-        # Unhit monomials inside an inner window estimate the cokernel.  The
-        # window is capped by the coverage reach of degree-<=cutoff sections
-        # (their images lead at exponent ~ |i|+1-cutoff), so that a class is
-        # never reported merely because its killing coboundary was truncated
-        # away; the D vs D+2 stabilization flag guards the remaining risk.
-        inner = max(0, min(abs(sheaf[0]) + 4, cutoff - abs(sheaf[0]) - 1))
-        for el in product(mons, range(-inner, inner + 1)):
-            probes.setdefault(_weight(*el), []).append(el)
-
-    # A column's weight does not depend on the cutoff, so the block of a
-    # weight at the last cutoff solved for this sheaf held exactly its
-    # columns of exponent <= that cutoff and its probe rows inside that
-    # run's window; from a cutoff no lower, a block whose columns and rows
-    # all lie there is unchanged.  Only blocks with a kernel or a hit are kept.
-    last_cutoff, last_inner, last = memo.get((sheaf, probe), (-1, -1, {}))
-    kept, kernels, reps, elims = {}, [], [], {}
-    for wt in cols | probes:
-        ts, rows = cols.get(wt, []), probes.get(wt, [])
-        if (
-            last_cutoff <= cutoff
-            and all(sections[t % n][1] <= last_cutoff for t in ts)
-            and all(abs(e) <= last_inner for _, e in rows)
-        ):
-            block_kernels, hits = last.get(wt, ((), ()))
-        else:
-            elim, block_kernels = _eliminate([column(t) for t in ts])
-            # The probe rows that raise the rank are the representatives.
-            hits = [el for el in rows if elim.insert(unit(el), el) is None]
-            # Only a probing caller reduces further vectors against the
-            # blocks; the others free each eliminator once it is solved.
-            if probe:
-                elims[wt] = elim
-        if block_kernels or hits:
-            kept[wt] = block_kernels, hits
+    kernels, reps, elims = [], [], {}
+    for (lam, mu), ts in blocks.items():
+        elim, block_kernels = _eliminate([column(t) for t in ts])
         kernels += [{ts[j]: c for j, c in combo.items()} for combo in block_kernels]
-        reps += hits
-    memo[sheaf, probe] = cutoff, inner, kept
+        # The rows the columns leave unhit, in monomial order, are H^1.
+        rows = [(mon, lam - len(mon.devens)) for mon in mons if _weight(mon, 0)[1] == mu]
+        reps += [el for el in rows if elim.insert({position[el[0]]: Fraction(1)}, el) is None]
+        elims[lam, mu] = elim
     # A kernel's last column is the dependent one it was found at.
     kernels.sort(key=max)
-    reps.sort(key=index.__getitem__)
-    return dom, kernels, index, reps, elims
+    reps.sort(key=lambda el: (position[el[0]], el[1]))
+    return dom, kernels, reps, elims
 
 
 def _glue(atlas, labels, combo):
@@ -365,20 +346,14 @@ def _glue(atlas, labels, combo):
 
 
 def cech(space, sheaf, cutoff):
-    """Both Cech groups of one sheaf in a single report, from one solve at the
-    cutoff and one at cutoff + 2.  space is an Atlas or a label, as for
-    derham."""
+    """Both Cech groups of one sheaf in a single report.  space is an Atlas or
+    a label, as for derham.  The answer is exact and does not depend on the
+    cutoff, which must be non-negative and is only recorded."""
     atlas, label = _resolve_space(space)
-
-    def solve(c, memo):
-        dom, kernels, _, reps, _ = _cech_solve(atlas, sheaf, c, memo, probe=True)
-        return dom, kernels, reps
-
-    (dom, kernels, reps), (_, kernels_again, reps_again) = _rerun(solve, cutoff)
+    if cutoff < 0:
+        raise StructuralError("cutoff must be non-negative, got %d" % cutoff)
+    dom, kernels, reps, _ = _cech_solve(atlas, sheaf, {})
     c0 = min(atlas.charts)
-    # An empty probe window (cutoff <= |i|+1) yields a vacuous count of zero;
-    # never let such a run pass itself off as converged.
-    probed = cutoff - abs(sheaf[0]) - 1 > 0
     return CohomologyReport(
         space=label,
         sheaf=sheaf,
@@ -387,7 +362,6 @@ def cech(space, sheaf, cutoff):
         h1=len(reps),
         generators_h0=[_glue(atlas, dom, combo) for combo in kernels],
         generators_h1=[_glue(atlas, [(c0, mon, (e,))], {0: 1})[c0] for mon, e in reps],
-        stabilized=probed and len(kernels) == len(kernels_again) and len(reps) == len(reps_again),
     )
 
 
@@ -399,9 +373,9 @@ def _differential_error(key):
     return WindowOverflowError("differential leaves the section window")
 
 
-def _derham_p11(atlas, picture, lo, hi, cutoff, memo):
+def _derham_p11(atlas, picture, lo, hi, memo):
     # degree -> (Cech column labels, global sections as kernel combinations)
-    levels = {i: _cech_solve(atlas, (i, picture), cutoff, memo)[:2] for i in range(lo - 1, hi + 2)}
+    levels = {i: _cech_solve(atlas, (i, picture), memo)[:2] for i in range(lo - 1, hi + 2)}
     d_cols = {}
     for i in range(lo - 1, hi + 1):
         labels, sections = levels[i]
@@ -503,7 +477,7 @@ def derham(space, picture, degree_range, cutoff):
         # _cech_solve rejects any atlas that is not two 1|1 charts.
         if picture not in (0, 1):
             raise UnsupportedSpaceError("picture %d not supported on P^{1|1}" % picture)
-        compute = lambda c, memo: _derham_p11(atlas, picture, lo, hi, c, memo)
+        compute = lambda c, memo: _derham_p11(atlas, picture, lo, hi, memo)
     (dims, gens), (again, _) = _rerun(compute, cutoff)
     return CohomologyReport(
         space=label,
@@ -538,41 +512,41 @@ def pairing_matrix(n, cutoff):
     """Cohomological pairing H^1(Omega^{n+1|0}) x H^0(Omega^{-n|1}) -> Q.
 
     Each product is reduced modulo Omega^{1|1} coboundaries and read off
-    against the H^1(Omega^{1|1}) generator psi*dg*delta(dpsi)/g.  Returns
-    (matrix rows, exact rank); raises WindowOverflowError unless the `cech`
-    reports of both sheaves are stabilized, as a truncated group truncates
-    the matrix.
+    against the H^1(Omega^{1|1}) generator psi*dg*delta(dpsi)/g, which has
+    torus weight (0, 0).  A product of weights w1 and w2 has weight w1 + w2,
+    so only the pairs with w1 + w2 = (0, 0) are multiplied; every other entry
+    is zero.  Returns (matrix rows, exact rank); the cutoff is checked and
+    recorded as by `cech`.
     """
     if n < 0:
         raise StructuralError("pairing index must be non-negative")
     atlas = builtin_p11()
     h1 = cech(atlas, (n + 1, 0), cutoff)
     h0 = cech(atlas, (-n, 1), cutoff)
-    if not (h1.stabilized and h0.stabilized):
-        raise WindowOverflowError(
-            "pairing n=%d is not stabilized at cutoff %d; enlarge the cutoff" % (n, cutoff)
-        )
 
-    # The H^1 probe of Omega^{1|1} leaves the coboundaries plus the generator
-    # as the pivots, which is the basis every product is reduced against.
-    _, _, index, volume_reps, elims = _cech_solve(atlas, (1, 1), cutoff, {}, probe=True)
+    # The weight-(0, 0) block of Omega^{1|1} holds the coboundaries and the
+    # unit vector of the generator; with every row's unit vector inserted it
+    # spans its rows, so every product there reduces to a combination.
+    _, _, volume_reps, elims = _cech_solve(atlas, (1, 1), {})
     generator = (Monomial((0,), (0,), (), ((0, 0),)), -1)
     if volume_reps != [generator]:
         raise StructuralError("the H^1(Omega^{1|1}) probe does not single out the generator")
+    volume = elims[0, 0]
+    position = {mon: k for k, mon in enumerate(p11_sheaf_monomials(1, 1))}
 
+    c0 = min(atlas.charts)
+    weights0 = [_form_weight(parts[c0]) for parts in h0.generators_h0]
     matrix = []
     for s, rep in enumerate(h1.generators_h1):
+        lam, mu = _form_weight(rep)
         row = []
         for t, parts in enumerate(h0.generators_h0):
-            product = pair(rep, parts[rep.chart])
-            vec = _coordinates(product, index, _overlap_key, _overlap_error)
-            # A product of weights w1 and w2 reduces in the block of w1 + w2.
-            elim = elims.get(_form_weight(product), Eliminator())
-            combo = elim.insert(vec, ("prod", s, t))
-            if combo is None:
-                raise WindowOverflowError(
-                    "pairing product escapes the coboundary window; enlarge the cutoff"
-                )
+            if weights0[t] != (-lam, -mu):
+                row.append(Fraction(0))
+                continue
+            product = pair(rep, parts[c0])
+            vec = {position[m]: c for m, lp in product.terms.items() for c in lp.terms.values()}
+            combo = volume.insert(vec, ("prod", s, t))
             row.append(-combo.get(generator, Fraction(0)))
         matrix.append(row)
 
@@ -612,7 +586,7 @@ def cech_derham_check(cutoff):
     cech_dims = {0: 2 - rank, 1: 1 - rank}
 
     # Kunneth: base = theta-free picture-0 global complex of P^1; fiber = C^{0|1}.
-    dom, kernels = _cech_solve(atlas, (0, 0), cutoff, {})[:2]
+    dom, kernels = _cech_solve(atlas, (0, 0), {})[:2]
     base_level0 = [
         parts
         for parts in (_glue(atlas, dom, combo) for combo in kernels)
@@ -621,7 +595,7 @@ def cech_derham_check(cutoff):
     closed0 = [
         parts for parts in base_level0 if all(exterior_d(form).is_zero() for form in parts.values())
     ]
-    base_dims = {0: len(closed0), 1: len(_cech_solve(atlas, (1, 0), cutoff, {})[1])}
+    base_dims = {0: len(closed0), 1: len(_cech_solve(atlas, (1, 0), {})[1])}
 
     fiber = derham(builtin_flat(0, 1), 1, (0, 0), max(4, cutoff // 2))
     fiber_dim = fiber.dims[(0, 1)]

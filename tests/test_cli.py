@@ -386,17 +386,32 @@ class TestExitCodes(unittest.TestCase):
                 self.assertEqual(code, 3, msg=(picture, extra))
 
     def test_unstable_run_is_4(self):
-        code, out, _ = invoke(["cech", "--sheaf", "5|0", "--cutoff", "3"])
+        # Flat de Rham at cutoff 0 sees only the block u = 0, so the class of
+        # picture 1 appears only in the cutoff-2 rerun.
+        code, out, _ = invoke(["derham", "--space", "flat:1,1", "--picture", "1", "--cutoff", "0"])
         self.assertEqual(code, 4)
         self.assertIn("stabilized = False", out)
 
-    def test_truncated_pairing_is_3(self):
-        # At the default cutoff 10 this was a 16x20 matrix of rank 16, exit 0.
-        for argv in (["pair", "--n", "4"], ["pair", "--n", "4", "--json"]):
-            code, out, err = invoke(argv)
-            self.assertEqual(code, 3, msg=argv)
-            self.assertNotIn("rank", out)
-            self.assertIn("cutoff 10", out + err)
+    def test_small_cutoff_cech_is_0(self):
+        # The Cech blocks are complete at every cutoff; at cutoff 3 this run
+        # reported h1 = 0, unstabilized, with exit 4.
+        code, out, _ = invoke(["cech", "--sheaf", "5|0", "--cutoff", "3"])
+        self.assertEqual(code, 0)
+        self.assertIn("h1 = 20", out.splitlines())
+        self.assertIn("stabilized = True", out.splitlines())
+        later = invoke(["cech", "--sheaf", "5|0", "--cutoff", "40"])[1]
+        self.assertEqual(out.splitlines()[1:], later.splitlines()[1:])
+
+    def test_pair_at_default_cutoff_is_0(self):
+        # At the default cutoff 10 the windowed groups were truncated: this
+        # printed a 16x20 matrix of rank 16, and later exited 3.
+        code, out, _ = invoke(["pair", "--n", "4", "--json"])
+        self.assertEqual(code, 0)
+        payload = json.loads(out)
+        self.assertEqual((payload["size"], payload["rank"]), (20, 20))
+        code, out, _ = invoke(["pair", "--n", "4"])
+        self.assertEqual(code, 0)
+        self.assertIn("rank=20", out.replace(" ", ""))
 
     def test_negative_cutoff_is_2(self):
         for argv in (
@@ -514,6 +529,19 @@ class TestAtlasFiles(unittest.TestCase):
             code, out, err = invoke(argv)
             self.assertEqual((code, out), (3, ""), msg=argv)
             self.assertIn("1|1", err)
+
+    def test_transition_exponent_must_be_minus_one(self):
+        # g -> 2g with g -> g/2 back is a cocycle (the line glued to itself),
+        # but its Cech blocks are not finite; it answered h0(0|0) = 22,
+        # h1 = 8 with exit 4.
+        atlas = json.loads(json.dumps(self.ATLAS))
+        atlas["transitions"][0].update(even_images={"g": "2*g"}, odd_images={"psi": "psi"})
+        atlas["transitions"][1].update(even_images={"g": "1/2*g"}, odd_images={"psi": "psi"})
+        path = self.write_atlas(atlas)
+        for extra in ([], ["--json"]):
+            code, out, err = invoke(["cech", "--atlas", path, "--sheaf", "0|0", "--cutoff", "10"] + extra)
+            self.assertEqual(code, 3, msg=extra)
+            self.assertIn("g^1", out + err)
 
     def test_malformed_file_names_file_and_key(self):
         path = self.write_atlas({"chartz": {}})

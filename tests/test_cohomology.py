@@ -1,5 +1,6 @@
 """Tests for the exact linear algebra and both cohomology pipelines."""
 
+import dataclasses
 import json
 import os
 import random
@@ -36,6 +37,7 @@ from superforms import (
     load_atlas,
     lp_scale,
     normalize,
+    pair,
     pairing_matrix,
     pretty_print,
     pullback,
@@ -43,11 +45,13 @@ from superforms import (
 from superforms import cohomology
 from superforms.cohomology import (
     _cech_solve,
+    _class_weights,
     _complex_cohomology,
     _coordinates,
     _eliminate,
+    _form_weight,
     _glue,
-    _overlap_error,
+    _weight,
     p11_sheaf_monomials,
 )
 
@@ -114,6 +118,19 @@ class TestEliminator(unittest.TestCase):
         combo = elim.insert({}, "z")
         self.assertEqual(combo, {"z": 1})
         self.assertEqual(elim.rank, 0)
+
+    def test_int_entries_give_fraction_pivots(self):
+        # Fractions are taken as they are; ints are still converted, or
+        # dividing by the lead entry would give floats.
+        elim = Eliminator()
+        self.assertIsNone(elim.insert({0: 2, 1: 3}, "a"))
+        self.assertIsNone(elim.insert({1: Fraction(1, 2), 2: 4}, "b"))
+        combo = elim.insert({0: 4, 1: 7, 2: 8}, "c")
+        for vec, pcombo in elim.pivots.values():
+            for c in list(vec.values()) + list(pcombo.values()):
+                self.assertIs(type(c), Fraction)
+        self.assertEqual(combo, {"c": 1, "a": -2, "b": -2})
+        self.assertTrue(all(type(c) is Fraction for c in combo.values()))
 
 
 def as_columns(matrix):
@@ -184,20 +201,28 @@ class TestSheafBases(unittest.TestCase):
         with self.assertRaises(UnsupportedSpaceError):
             p11_sheaf_monomials(0, 2)
 
-    def test_section_basis_window(self):
-        # Chart sections have exponents 0..D, U0's columns before U1's; the
-        # overlap rows run over -(D+|i|+4)..D+|i|+4, monomial by monomial.
-        dom = _cech_solve(P11, (0, 0), 2, {})[0]
+    def test_section_basis_blocks(self):
+        # Phi*(1) and Phi*(psi) have first weights 0 and -1, so the blocks
+        # lambda = -1..1 are solved: U0 takes g^e*M with e = lambda - #dg(M)
+        # >= 0 and U1 takes g'^e*M with e = lambda1(M) - lambda >= 0, U0's
+        # columns before U1's, each in (monomial, exponent) order.
+        dom, _, _, elims = _cech_solve(P11, (0, 0), {})
         self.assertEqual(
-            [(cid, pretty_print_mon(m), exps) for cid, m, exps in dom],
-            [(cid, m, (e,)) for cid in ("U0", "U1") for m in ("1", "psi") for e in range(3)],
+            [(cid, pretty_print_mon(m), e) for cid, m, (e,) in dom],
+            [("U0", "1", 0), ("U0", "1", 1), ("U0", "psi", 0), ("U0", "psi", 1),
+             ("U1", "1", 0), ("U1", "1", 1), ("U1", "psi", 0)],
         )
-        index = _cech_solve(P11, (1, 1), 1, {})[2]
-        self.assertEqual(list(index.values()), list(range(2 * 13)))
+        self.assertEqual(sorted(elims), [(lam, mu) for lam in (-1, 0, 1) for mu in (0, 1)])
+        # One row per sheaf monomial of the block, keyed by its position.
+        dom, _, reps, elims = _cech_solve(P11, (1, 1), {})
         self.assertEqual(
-            [(pretty_print_mon(m), e) for m, e in index],
-            [(m, e) for m in ("dg*delta(dpsi)", "psi*dg*delta(dpsi)") for e in range(-6, 7)],
+            [(cid, pretty_print_mon(m), e) for cid, m, (e,) in dom],
+            [("U0", "dg*delta(dpsi)", 0), ("U0", "psi*dg*delta(dpsi)", 0),
+             ("U1", "dg*delta(dpsi)", 0), ("U1", "dg*delta(dpsi)", 1),
+             ("U1", "psi*dg*delta(dpsi)", 0)],
         )
+        self.assertEqual(sorted(elims[0, 0].pivots), [1])
+        self.assertEqual([(pretty_print_mon(m), e) for m, e in reps], [("psi*dg*delta(dpsi)", -1)])
 
 
 class TestCech(unittest.TestCase):
@@ -239,9 +264,12 @@ class TestCech(unittest.TestCase):
         with self.assertRaises(UnsupportedSpaceError):
             cech("flat:1,1", (0, 0), 4)
 
-    def test_vacuous_probe_window_not_stabilized(self):
+    def test_small_cutoff_is_exact(self):
+        # The blocks are complete at any cutoff: below |i|+2 the probe window
+        # used to be empty, and 5|0 at cutoff 3 reported h1 = 0 unstabilized.
         report = cech(P11, (5, 0), 3)
-        self.assertFalse(report.stabilized)
+        self.assertEqual((report.h0, report.h1, report.stabilized), (0, 20, True))
+        self.assertEqual(report, dataclasses.replace(cech(P11, (5, 0), 40), cutoff=3))
 
     def test_chart_ids_and_transition_coefficients_are_free(self):
         # P^{1|1} glued by y = 2/x, s = t/x: an isomorphic atlas whose charts
@@ -283,6 +311,39 @@ class TestCech(unittest.TestCase):
                 self.assertEqual((got.dims, got.stabilized), (want.dims, want.stabilized), msg=c0)
 
 
+    def test_transition_exponent_must_be_minus_one(self):
+        # The blocks are finite and complete only for g -> b*g^-1.  Through
+        # the API, g -> 2g answered h0(0|0) = 22, h1 = 8 unstabilized at
+        # cutoff 10, and g -> 2g^-2 raised WindowOverflowError.
+        u0, u1 = P11.chart("U0"), P11.chart("U1")
+        one = LaurentPoly.const(("g",), 1)
+        for exponent in (1, -2, 0):
+            image = lp_scale(LaurentPoly.monomial(("g",), (exponent,)), 2)
+            transitions = dict(P11.transitions)
+            transitions[("U0", "U1")] = Morphism(u0, u1, {0: image}, {0: ((one, 0),)})
+            atlas = Atlas({"U0": u0, "U1": u1}, transitions)
+            for sheaf in ((0, 0), (1, 1)):
+                with self.assertRaises(UnsupportedMorphismError, msg=(exponent, sheaf)):
+                    cech(atlas, sheaf, 10)
+            with self.assertRaises(UnsupportedMorphismError, msg=exponent):
+                derham(atlas, 0, (0, 1), 6)
+        # g -> 2/g, psi -> psi glues P^1 x C^{0|1}: H^0(O) holds 1 and psi.
+        transitions = dict(P11.transitions)
+        transitions[("U0", "U1")] = Morphism(
+            u0, u1, {0: lp_scale(LaurentPoly.monomial(("g",), (-1,)), 2)}, {0: ((one, 0),)}
+        )
+        report = cech(Atlas({"U0": u0, "U1": u1}, transitions), (0, 0), 10)
+        self.assertEqual((report.h0, report.h1, report.stabilized), (2, 0, True))
+        self.assertEqual([pretty_print(parts["U0"]) for parts in report.generators_h0], ["1", "psi"])
+
+    def test_zero_odd_image_rejected(self):
+        # psi -> 0 kills psi; picture 0 used to answer h0(0|0) = 8 unstabilized.
+        u0, u1 = P11.chart("U0"), P11.chart("U1")
+        transitions = dict(P11.transitions)
+        transitions[("U0", "U1")] = Morphism(u0, u1, {0: LaurentPoly.monomial(("g",), (-1,))}, {0: ()})
+        with self.assertRaises(UnsupportedMorphismError):
+            cech(Atlas({"U0": u0, "U1": u1}, transitions), (0, 0), 6)
+
     def test_weight_mixing_transition_rejected(self):
         # An atlas built through the API skips load_atlas's cocycle check.
         # psi -> (1+g)*psi mixes torus weights, so its Cech system is no
@@ -301,10 +362,66 @@ class TestCech(unittest.TestCase):
             derham(atlas, 0, (0, 1), 6)
 
 
+def _overlap_error(key):
+    return WindowOverflowError("section leaves the overlap window at %r" % (key,))
+
+
+def windowed_cech_solve(atlas, sheaf, cutoff):
+    """The Cech solve of one cutoff, kept as the oracle of the exact solve:
+    chart sections of exponent <= cutoff, overlap rows in the window
+    [-(cutoff+|i|+4), cutoff+|i|+4], one Eliminator per torus-weight block,
+    and H^1 read off the unit vectors of the inner window of half-width
+    max(0, min(|i|+4, cutoff-|i|-1)).  Returns (dom, kernels, index, reps,
+    elims)."""
+    mons = p11_sheaf_monomials(*sheaf)
+    w = cutoff + abs(sheaf[0]) + 4
+    index = {el: r for r, el in enumerate(product(mons, range(-w, w + 1)))}
+    sections = list(product(mons, range(cutoff + 1)))
+    n = len(sections)
+    c0, c1 = sorted(atlas.charts)
+    m01 = atlas.transition(c0, c1)
+    table = m01.target.table
+    (a,), b = m01.even_images[0].single_term()
+    one = LaurentPoly.const(table.even_names, 1)
+    pulled = {mon: pullback(m01, Superform(c1, table, {mon: one})) for mon in mons}
+    dom = [(c0, mon, (e,)) for mon, e in sections] + [(c1, mon, (e,)) for mon, e in sections]
+    unit = lambda el: {index[el]: Fraction(1)}
+
+    def column(t):
+        mon, e = sections[t % n]
+        if t < n:
+            return unit((mon, e))
+        key = lambda m, exps: (m, exps[0] + a * e)
+        col = _coordinates(pulled[mon], index, key, _overlap_error)
+        return {r: -(c * b**e) for r, c in col.items()}
+
+    cols = {}
+    for t, (mon, e) in enumerate(sections):
+        cols.setdefault(_weight(mon, e), []).append(t)
+    for t, (mon, e) in enumerate(sections, n):
+        lam, mu = _form_weight(pulled[mon])
+        cols.setdefault((lam + a * e, mu), []).append(t)
+    probes = {}
+    inner = max(0, min(abs(sheaf[0]) + 4, cutoff - abs(sheaf[0]) - 1))
+    for el in product(mons, range(-inner, inner + 1)):
+        probes.setdefault(_weight(*el), []).append(el)
+
+    kernels, reps, elims = [], [], {}
+    for wt in cols | probes:
+        ts = cols.get(wt, [])
+        elim, block_kernels = _eliminate([column(t) for t in ts])
+        reps += [el for el in probes.get(wt, []) if elim.insert(unit(el), el) is None]
+        elims[wt] = elim
+        kernels += [{ts[j]: c for j, c in combo.items()} for combo in block_kernels]
+    kernels.sort(key=max)
+    reps.sort(key=index.__getitem__)
+    return dom, kernels, index, reps, elims
+
+
 def single_eliminator_cech(atlas, sheaf, cutoff):
-    """The Cech system of `_cech_solve` eliminated in one Eliminator, with the
-    unit vectors of the H^1 probe window inserted after all columns: the
-    oracle of the blockwise solve.  Returns (dom, kernels, probe hits)."""
+    """The windowed Cech system eliminated in one Eliminator, with the unit
+    vectors of the H^1 probe window inserted after all columns: an oracle
+    that assumes no weight blocks.  Returns (dom, kernels, probe hits)."""
     i = sheaf[0]
     mons = p11_sheaf_monomials(*sheaf)
     w = cutoff + abs(i) + 4
@@ -345,73 +462,91 @@ def scaled_atlas():
     return Atlas({"A": a, "B": b}, transitions)
 
 
-class TestWeightBlocks(unittest.TestCase):
-    SHEAVES = [(i, j) for i in range(-6, 7) for j in (0, 1)]
+def labelled(dom, kernels):
+    """Kernel combinations as (label, coeff) lists, in key order."""
+    return [[(dom[t], c) for t, c in combo.items()] for combo in kernels]
 
-    def assert_solves_equal(self, got, want, msg):
-        dom, kernels, reps = got
-        want_dom, want_kernels, want_reps = want
-        self.assertEqual(dom, want_dom, msg=msg)
-        # Kernel combinations with their key order, and the probe hits in order.
-        self.assertEqual(
-            [list(k.items()) for k in kernels], [list(k.items()) for k in want_kernels], msg=msg
-        )
-        self.assertEqual(reps, want_reps, msg=msg)
+
+def strict_form(form):
+    """A form's terms and coefficients, with their order and types."""
+    return [
+        (mon, [(exps, type(c), c) for exps, c in lp.terms.items()]) for mon, lp in form.terms.items()
+    ]
+
+
+class TestWeightBlocks(unittest.TestCase):
+    SHEAVES = [(i, j) for i in range(-8, 9) for j in (0, 1)]
 
     def test_blockwise_solve_matches_single_eliminator(self):
-        # Cutoffs 0..12 include the vacuous probe windows (cutoff <= |i|+1).
-        for cutoff in list(range(13)) + [40]:
-            for sheaf in self.SHEAVES:
-                got = _cech_solve(P11, sheaf, cutoff, {}, probe=True)
-                self.assert_solves_equal(
-                    (got[0], got[1], got[3]),
-                    single_eliminator_cech(P11, sheaf, cutoff),
-                    msg=(sheaf, cutoff),
-                )
-
-    def test_shared_blocks_equal_a_fresh_solve(self):
-        # The D+2 run on the blocks of the D run equals a fresh D+2 solve and
-        # the oracle, with and without the probe, also when the transition
-        # carries a coefficient.
+        # The exact solve equals the windowed solve at cutoff 40 (kernels
+        # with their key order, H^1 representatives in order), and cech gives
+        # the same strict generators at every cutoff 0..12, also when the
+        # transition carries a coefficient.  On P11 the windowed solve is
+        # checked in turn against one Eliminator for the whole system.  The
+        # exact solves share one pullback memo, as the de Rham levels do.
         for atlas in (P11, scaled_atlas()):
-            for cutoff in (0, 1, 2, 5, 9):
-                for sheaf in self.SHEAVES:
-                    for probe in (False, True):
-                        msg = (sorted(atlas.charts), sheaf, cutoff, probe)
-                        memo = {}
-                        _cech_solve(atlas, sheaf, cutoff, memo, probe)
-                        shared = _cech_solve(atlas, sheaf, cutoff + 2, memo, probe)
-                        fresh = _cech_solve(atlas, sheaf, cutoff + 2, {}, probe)
-                        self.assert_solves_equal(
-                            (shared[0], shared[1], shared[3]), (fresh[0], fresh[1], fresh[3]), msg
-                        )
-                        dom, kernels, hits = single_eliminator_cech(atlas, sheaf, cutoff + 2)
-                        self.assert_solves_equal(
-                            (shared[0], shared[1], shared[3]),
-                            (dom, kernels, hits if probe else []),
-                            msg,
-                        )
-                        # Back down to D on the same memo: nothing of D+2 is reused.
-                        again = _cech_solve(atlas, sheaf, cutoff, memo, probe)
-                        fresh = _cech_solve(atlas, sheaf, cutoff, {}, probe)
-                        self.assert_solves_equal(
-                            (again[0], again[1], again[3]), (fresh[0], fresh[1], fresh[3]), msg
-                        )
-
-    def test_rerun_solves_only_the_edge_blocks(self):
-        # The D+2 run eliminates only the blocks that reach past cutoff D or
-        # its probe window, not the whole system again.
-        solved = []
-        eliminate = cohomology._eliminate
-        count = lambda cols: solved.append(len(cols)) or eliminate(cols)
-        with mock.patch.object(cohomology, "_eliminate", side_effect=count):
+            c0 = min(atlas.charts)
             memo = {}
-            _cech_solve(P11, (-3, 1), 40, memo, probe=True)
-            first = len(solved)
-            _cech_solve(P11, (-3, 1), 42, memo, probe=True)
-        # 235 blocks at cutoff 40, of which 14 change at 42.
-        self.assertGreater(first, 200)
-        self.assertLess(len(solved) - first, 20)
+            for sheaf in self.SHEAVES:
+                msg = (c0, sheaf)
+                dom, kernels, _, reps, _ = windowed_cech_solve(atlas, sheaf, 40)
+                if atlas is P11 and abs(sheaf[0]) <= 4:
+                    want_dom, want_kernels, want_reps = single_eliminator_cech(atlas, sheaf, 40)
+                    self.assertEqual(labelled(dom, kernels), labelled(want_dom, want_kernels), msg)
+                    self.assertEqual(reps, want_reps, msg=msg)
+                got_dom, got_kernels, got_reps, _ = _cech_solve(atlas, sheaf, memo)
+                self.assertEqual(labelled(got_dom, got_kernels), labelled(dom, kernels), msg=msg)
+                self.assertEqual(got_reps, reps, msg=msg)
+                want_h0 = [
+                    [(cid, strict_form(f)) for cid, f in _glue(atlas, dom, k).items()] for k in kernels
+                ]
+                want_h1 = [strict_form(_glue(atlas, [(c0, m, (e,))], {0: 1})[c0]) for m, e in reps]
+                for cutoff in range(13):
+                    report = cech(atlas, sheaf, cutoff)
+                    got_h0 = [
+                        [(cid, strict_form(f)) for cid, f in parts.items()]
+                        for parts in report.generators_h0
+                    ]
+                    self.assertEqual(got_h0, want_h0, msg=(msg, cutoff))
+                    self.assertEqual(
+                        [strict_form(f) for f in report.generators_h1], want_h1, msg=(msg, cutoff)
+                    )
+                    self.assertTrue(report.stabilized, msg=(msg, cutoff))
+
+    def test_widened_weight_range_changes_nothing(self):
+        # Blocks outside _class_weights carry no class: solving six more
+        # weights on each side adds columns but no kernel and no H^1 row.
+        wide = lambda lams: tuple(x + d for x, d in zip(_class_weights(lams), (-6, 6)))
+        for atlas in (P11, scaled_atlas()):
+            for sheaf in self.SHEAVES:
+                dom, kernels, reps, elims = _cech_solve(atlas, sheaf, {})
+                with mock.patch.object(cohomology, "_class_weights", wide):
+                    wide_dom, wide_kernels, wide_reps, wide_elims = _cech_solve(atlas, sheaf, {})
+                msg = (sorted(atlas.charts), sheaf)
+                self.assertEqual(labelled(wide_dom, wide_kernels), labelled(dom, kernels), msg=msg)
+                self.assertEqual(wide_reps, reps, msg=msg)
+                lams = {lam for lam, _ in elims}
+                if lams:
+                    want = set(range(min(lams) - 6, max(lams) + 7))
+                    self.assertEqual({lam for lam, _ in wide_elims}, want, msg=msg)
+
+    def test_solve_is_cutoff_free(self):
+        # cech eliminates the same blocks at every cutoff, and only those in
+        # the weight range of _class_weights (the windowed solve eliminated
+        # 235 blocks for -3|1 at cutoff 40 and again 14 at cutoff 42).
+        sizes = {}
+        eliminate = cohomology._eliminate
+        for cutoff in (0, 40, 100000):
+            solved = sizes.setdefault(cutoff, [])
+            count = lambda cols: solved.append(len(cols)) or eliminate(cols)
+            with mock.patch.object(cohomology, "_eliminate", side_effect=count):
+                report = cech(P11, (-3, 1), cutoff)
+            self.assertEqual((report.h0, report.h1, report.stabilized), (16, 0, True))
+        self.assertEqual(sizes[0], sizes[40])
+        self.assertEqual(sizes[0], sizes[100000])
+        # lambda in 0..5 with the two second weights of each lambda.
+        self.assertEqual(len(sizes[0]), 18)
+        self.assertLessEqual(max(sizes[0]), 8)
 
 
 class TestDeRham(unittest.TestCase):
@@ -683,24 +818,55 @@ class TestPairingMatrix(unittest.TestCase):
             for entry in row:
                 self.assertIsInstance(entry, Fraction)
 
-    def test_truncated_matrix_rejected(self):
-        # At cutoff 10 only 16 of the 20 classes of H^1(Omega^{5|0}) fit.
-        with self.assertRaises(WindowOverflowError) as ctx:
-            pairing_matrix(4, 10)
-        self.assertIn("n=4", str(ctx.exception))
-        self.assertIn("cutoff 10", str(ctx.exception))
+    def test_full_rank_at_default_cutoff(self):
+        # At cutoff 10 the windowed groups held 16 of the 20 classes of
+        # H^1(Omega^{5|0}), so this raised WindowOverflowError.
+        matrix, rank = pairing_matrix(4, 10)
+        self.assertEqual([len(row) for row in matrix], [20] * 20)
+        self.assertEqual(rank, 20)
+        self.assertEqual((matrix, rank), pairing_matrix(4, 13))
 
-    def test_complete_exactly_from_cutoff_2n_plus_3(self):
-        for n in range(3):
-            for cutoff in range(2 * n + 5):
-                if cutoff < 2 * n + 3:
-                    with self.assertRaises(WindowOverflowError, msg=(n, cutoff)):
-                        pairing_matrix(n, cutoff)
-                    continue
+    def test_matches_all_products_oracle(self):
+        # Only products of weights summing to (0, 0) are formed; the matrix,
+        # zero entries and coefficient types included, equals the one with
+        # every product reduced in the windowed blocks at cutoff 2n+5.
+        for n in range(7):
+            want, want_rank = all_products_pairing(n, 2 * n + 5)
+            self.assertEqual(want_rank, 4 * n + 4, msg=n)
+            for cutoff in (0, n, 2 * n + 5):
                 matrix, rank = pairing_matrix(n, cutoff)
-                size = 4 * n + 4
-                self.assertEqual([len(row) for row in matrix], [size] * size, msg=(n, cutoff))
-                self.assertEqual(rank, size, msg=(n, cutoff))
+                self.assertEqual(rank, want_rank, msg=(n, cutoff))
+                self.assertEqual(
+                    [[(type(c), c) for c in row] for row in matrix],
+                    [[(type(c), c) for c in row] for row in want],
+                    msg=(n, cutoff),
+                )
+
+
+def all_products_pairing(n, cutoff):
+    """The pairing matrix with every product formed and reduced in the block
+    of its weight of the windowed Omega^{1|1} solve: the oracle of the
+    weight-selective pairing.  Returns (matrix rows, rank)."""
+    dom, kernels, _, _, _ = windowed_cech_solve(P11, (-n, 1), cutoff)
+    _, _, _, reps, _ = windowed_cech_solve(P11, (n + 1, 0), cutoff)
+    _, _, index, volume_reps, elims = windowed_cech_solve(P11, (1, 1), cutoff)
+    generator = (Monomial((0,), (0,), (), ((0, 0),)), -1)
+    if volume_reps != [generator]:
+        raise StructuralError("the H^1(Omega^{1|1}) probe does not single out the generator")
+    matrix = []
+    for s, (mon, e) in enumerate(reps):
+        rep = _glue(P11, [("U0", mon, (e,))], {0: 1})["U0"]
+        row = []
+        for t, kernel in enumerate(kernels):
+            product = pair(rep, _glue(P11, dom, kernel)["U0"])
+            vec = _coordinates(product, index, lambda m, exps: (m, exps[0]), _overlap_error)
+            elim = elims[_form_weight(product)] if product.terms else Eliminator()
+            combo = elim.insert(vec, ("prod", s, t))
+            if combo is None:
+                raise WindowOverflowError("pairing product escapes the coboundary window")
+            row.append(-combo.get(generator, Fraction(0)))
+        matrix.append(row)
+    return matrix, _eliminate([dict(enumerate(row)) for row in matrix])[0].rank
 
 
 class TestNegativeCutoff(unittest.TestCase):
