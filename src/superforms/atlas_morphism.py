@@ -39,6 +39,10 @@ class Morphism:
     even_images: target even index -> LaurentPoly (single invertible monomial)
     over the source evens.  odd_images: target odd index -> tuple of
     (LaurentPoly coefficient, source odd index) pairs.
+
+    Two morphisms are equal, and hash equal, when their charts and generator
+    images are: the images compare term by term in the order they were given,
+    the order in which a pullback writes its terms.
     """
 
     def __init__(self, source, target, even_images, odd_images):
@@ -65,6 +69,23 @@ class Morphism:
                     raise StructuralError("odd image variables do not match the source chart")
                 if not 0 <= idx < len(source.table.odd_names):
                     raise StructuralError("odd image index %d out of range" % idx)
+        terms = lambda lp: (lp.variables, tuple(lp.terms.items()))
+        self._key = (
+            source,
+            target,
+            tuple(terms(self.even_images[i]) for i in range(len(target.table.even_names))),
+            tuple(
+                tuple((terms(c), idx) for c, idx in self.odd_images[j])
+                for j in range(len(target.table.odd_names))
+            ),
+        )
+        self._hash = hash(self._key)
+
+    def __eq__(self, other):
+        return isinstance(other, Morphism) and self._key == other._key
+
+    def __hash__(self):
+        return self._hash
 
     def substitution_images(self):
         out = {}

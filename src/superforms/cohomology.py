@@ -38,16 +38,20 @@ a Kunneth argument the only summand with a class is the single closed form
 theta_S*delta_S for S = supp(u), E = 0, u in {0, 1}^n with |u| = p, which
 `_flat_derham` only checks to be closed.
 
-de Rham answers are certified by recomputing at D+2: `_rerun` runs a
-computation at D and at D+2, handing both runs one memo dict (the pullbacks
-of `_cech_solve`), and the reports are marked stabilized when both agree.
-Only flat de Rham depends on the cutoff.  A negative cutoff is rejected by
-`_rerun` and by `cech`; `_cech_solve` rejects any atlas that is not two 1|1
-charts, since its section bases are those of P^{1|1}.
+Every report is computed once.  P^{1|1} answers do not depend on the cutoff
+and are stabilized; a flat answer holds the classes in the box |u_j| <= D,
+which misses one only at D = 0, so a flat report is unstabilized exactly
+when D = 0 and a picture p >= 1 has degree 0 in range.  Phi*(M) depends only
+on the transition and M, so `_pulled_monomial` computes it once per process;
+a `Morphism` compares by its generator images, so fresh builds of one atlas
+share the entries.  A negative cutoff is rejected by `cech` and `derham`;
+`_cech_solve` rejects any atlas that is not two 1|1 charts, since its
+section bases are those of P^{1|1}.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from .atlas_morphism import builtin_flat, builtin_p11, pullback
@@ -56,7 +60,6 @@ from .errors import (
     StructuralError,
     UnsupportedMorphismError,
     UnsupportedSpaceError,
-    WindowOverflowError,
 )
 from .form_algebra import Monomial, Superform, exterior_d, pair
 
@@ -145,15 +148,6 @@ def p11_sheaf_monomials(i, j):
                 out.append(Monomial(thetas, devens, (), ((0, k),)))
     out.sort(key=Monomial.sort_key)
     return out
-
-
-def _rerun(compute, cutoff):
-    """compute(cutoff, memo) and its stabilization rerun compute(cutoff + 2,
-    memo), sharing one memo dict (see `_cech_solve`)."""
-    if cutoff < 0:
-        raise StructuralError("cutoff must be non-negative, got %d" % cutoff)
-    memo = {}
-    return compute(cutoff, memo), compute(cutoff + 2, memo)
 
 
 def _eliminate(columns):
@@ -245,15 +239,29 @@ def _class_weights(lams):
 
     Block lambda has one row g^(lambda - #dgamma(M))*M per sheaf monomial M,
     the U0 columns with exponent lambda - #dgamma(M) >= 0 and the U1 columns
-    with exponent lambda1(M) - lambda >= 0.  Above max(1, max lambda1) the U0
-    columns are the identity on the rows and there is no U1 column; below
-    min(0, min lambda1) there is no U0 column and the U1 columns are Phi* on
-    the weight-lambda part of the overlap, an isomorphism.
+    with exponent lambda1(M) - lambda >= 0.  For lambda >= 1 every U0 column
+    is there, so above max(0, max lambda1) the U0 columns are the identity on
+    the rows and there is no U1 column.  For lambda < 0 there is no U0
+    column, so at and below min(-1, min lambda1) the U1 columns are all of
+    them and are Phi* on the weight-lambda part of the overlap, an
+    isomorphism.  Neither edge block carries a class.
     """
-    return min(0, min(lams, default=0)), max(1, max(lams, default=0) + 1)
+    return min(0, min(lams, default=0) + 1), max(0, max(lams, default=0))
 
 
-def _cech_solve(atlas, sheaf, memo):
+@lru_cache(maxsize=4096)  # a sheaf has at most four monomials
+def _pulled_monomial(transition, mon):
+    """The pullback Phi*(M) of a sheaf monomial M on the transition's target
+    chart, as ((Monomial, coeff), ...) in term order, and its torus weight.
+    A form that mixes weights raises (and an exception is not cached)."""
+    table = transition.target.table
+    one = LaurentPoly.const(table.even_names, 1)
+    pulled = pullback(transition, Superform(transition.target.id, table, {mon: one}))
+    terms = tuple((m, c) for m, lp in pulled.terms.items() for c in lp.terms.values())
+    return terms, _form_weight(pulled)
+
+
+def _cech_solve(atlas, sheaf):
     """Solve the Cech system (s0, s1) |-> s0 - Phi*(s1) of one sheaf, one
     complete torus-weight block at a time.
 
@@ -264,8 +272,6 @@ def _cech_solve(atlas, sheaf, memo):
     monomial order; and the eliminator of each block by weight, with the
     unit vectors of its rows inserted after its columns.  A block has one row
     per sheaf monomial, keyed by the monomial's position in the sheaf basis.
-    memo holds the pullback of each sheaf monomial; callers on one atlas may
-    share it.
     """
     # The section bases are those of P^{1|1}; on any other atlas they would
     # ignore coordinates and answer for the wrong space.
@@ -279,7 +285,8 @@ def _cech_solve(atlas, sheaf, memo):
     position = {mon: k for k, mon in enumerate(mons)}
     c0, c1 = sorted(atlas.charts)
     m01 = atlas.transition(c0, c1)
-    table = m01.target.table
+    if m01.target.id != c1:
+        raise StructuralError("form does not live on the morphism target chart")
     # Pullback is a ring map and the image of g is one Laurent monomial b*g^a,
     # so Phi*(g^e*M) is Phi*(M) shifted by a*e and scaled by b^e.  Only a = -1
     # makes every block finite and the blocks outside `_class_weights` exact.
@@ -288,12 +295,8 @@ def _cech_solve(atlas, sheaf, memo):
         raise UnsupportedMorphismError(
             "the Cech system of P^{1|1} needs the even transition b*g^-1, got b*g^%d" % a
         )
-    one = LaurentPoly.const(table.even_names, 1)
-    for mon in mons:
-        if mon not in memo:
-            pulled = pullback(m01, Superform(c1, table, {mon: one}))
-            memo[mon] = pulled, _form_weight(pulled)
-    lo, hi = _class_weights([memo[mon][1][0] for mon in mons])
+    pulled = {mon: _pulled_monomial(m01, mon) for mon in mons}
+    lo, hi = _class_weights([pulled[mon][1][0] for mon in mons])
     # weight -> positions of its columns in dom, ascending; g'^e*M on U1 has
     # the weight of Phi*(M) shifted by -e.
     blocks = {_weight(mon, lam - len(mon.devens)): [] for lam in range(lo, hi + 1) for mon in mons}
@@ -303,7 +306,7 @@ def _cech_solve(atlas, sheaf, memo):
             blocks[_weight(mon, e)].append(len(dom))
             dom.append((c0, mon, (e,)))
     for mon in mons:
-        lam, mu = memo[mon][1]
+        lam, mu = pulled[mon][1]
         for e in range(max(0, lam - hi), lam - lo + 1):
             blocks[lam - e, mu].append(len(dom))
             dom.append((c1, mon, (e,)))
@@ -312,8 +315,7 @@ def _cech_solve(atlas, sheaf, memo):
         cid, mon, (e,) = dom[t]
         if cid == c0:
             return {position[mon]: Fraction(1)}
-        pulled = memo[mon][0]
-        return {position[m]: -(c * b**e) for m, lp in pulled.terms.items() for c in lp.terms.values()}
+        return {position[m]: -(c * b**e) for m, c in pulled[mon][0]}
 
     kernels, reps, elims = [], [], {}
     for (lam, mu), ts in blocks.items():
@@ -352,7 +354,7 @@ def cech(space, sheaf, cutoff):
     atlas, label = _resolve_space(space)
     if cutoff < 0:
         raise StructuralError("cutoff must be non-negative, got %d" % cutoff)
-    dom, kernels, reps, _ = _cech_solve(atlas, sheaf, {})
+    dom, kernels, reps, _ = _cech_solve(atlas, sheaf)
     c0 = min(atlas.charts)
     return CohomologyReport(
         space=label,
@@ -370,12 +372,12 @@ def cech(space, sheaf, cutoff):
 
 
 def _differential_error(key):
-    return WindowOverflowError("differential leaves the section window")
+    return StructuralError("differential of a global section leaves the complex")
 
 
-def _derham_p11(atlas, picture, lo, hi, memo):
+def _derham_p11(atlas, picture, lo, hi):
     # degree -> (Cech column labels, global sections as kernel combinations)
-    levels = {i: _cech_solve(atlas, (i, picture), memo)[:2] for i in range(lo - 1, hi + 2)}
+    levels = {i: _cech_solve(atlas, (i, picture))[:2] for i in range(lo - 1, hi + 2)}
     d_cols = {}
     for i in range(lo - 1, hi + 1):
         labels, sections = levels[i]
@@ -430,9 +432,10 @@ def _derham_p11(atlas, picture, lo, hi, memo):
 # with |u| = p and T = S = supp(u).  That summand is the one form
 # theta_S*delta_S, in degree 0 and with d = 0, so `_flat_derham` writes down
 # the class of each such u inside the box |u_j| <= D without eliminating
-# anything (the tests eliminate the full blocks as the oracle).  The D+2
-# rerun of `_rerun` is still made: at D = 0 the box holds only u = 0, so a
-# picture p >= 1 reports no class and is not stabilized.
+# anything (the tests eliminate the full blocks as the oracle).  From D = 1 on
+# the box holds every u in {0, 1}^n; at D = 0 it holds only u = 0, so a
+# picture p >= 1 with degree 0 in range reports no class and `derham` marks
+# it unstabilized (the box rule).
 
 
 def _flat_derham(atlas, picture, lo, hi, cutoff):
@@ -471,20 +474,24 @@ def derham(space, picture, degree_range, cutoff):
     if lo > hi:
         raise StructuralError("empty degree range %r" % (degree_range,))
     atlas, label = _resolve_space(space)
-    if len(atlas.charts) == 1:
-        compute = lambda c, _: _flat_derham(atlas, picture, lo, hi, c)
+    flat = len(atlas.charts) == 1
+    # _cech_solve rejects any other atlas that is not two 1|1 charts.
+    if not flat and picture not in (0, 1):
+        raise UnsupportedSpaceError("picture %d not supported on P^{1|1}" % picture)
+    if cutoff < 0:
+        raise StructuralError("cutoff must be non-negative, got %d" % cutoff)
+    if flat:
+        dims, gens = _flat_derham(atlas, picture, lo, hi, cutoff)
+        stabilized = not (cutoff == 0 and picture >= 1 and lo <= 0 <= hi)
     else:
-        # _cech_solve rejects any atlas that is not two 1|1 charts.
-        if picture not in (0, 1):
-            raise UnsupportedSpaceError("picture %d not supported on P^{1|1}" % picture)
-        compute = lambda c, memo: _derham_p11(atlas, picture, lo, hi, memo)
-    (dims, gens), (again, _) = _rerun(compute, cutoff)
+        dims, gens = _derham_p11(atlas, picture, lo, hi)
+        stabilized = True
     return CohomologyReport(
         space=label,
         cutoff=cutoff,
         dims=dims,
         generators=gens,
-        stabilized=dims == again,
+        stabilized=stabilized,
     )
 
 
@@ -527,7 +534,7 @@ def pairing_matrix(n, cutoff):
     # The weight-(0, 0) block of Omega^{1|1} holds the coboundaries and the
     # unit vector of the generator; with every row's unit vector inserted it
     # spans its rows, so every product there reduces to a combination.
-    _, _, volume_reps, elims = _cech_solve(atlas, (1, 1), {})
+    _, _, volume_reps, elims = _cech_solve(atlas, (1, 1))
     generator = (Monomial((0,), (0,), (), ((0, 0),)), -1)
     if volume_reps != [generator]:
         raise StructuralError("the H^1(Omega^{1|1}) probe does not single out the generator")
@@ -586,7 +593,7 @@ def cech_derham_check(cutoff):
     cech_dims = {0: 2 - rank, 1: 1 - rank}
 
     # Kunneth: base = theta-free picture-0 global complex of P^1; fiber = C^{0|1}.
-    dom, kernels = _cech_solve(atlas, (0, 0), {})[:2]
+    dom, kernels = _cech_solve(atlas, (0, 0))[:2]
     base_level0 = [
         parts
         for parts in (_glue(atlas, dom, combo) for combo in kernels)
@@ -595,7 +602,7 @@ def cech_derham_check(cutoff):
     closed0 = [
         parts for parts in base_level0 if all(exterior_d(form).is_zero() for form in parts.values())
     ]
-    base_dims = {0: len(closed0), 1: len(_cech_solve(atlas, (1, 0), {})[1])}
+    base_dims = {0: len(closed0), 1: len(_cech_solve(atlas, (1, 0))[1])}
 
     fiber = derham(builtin_flat(0, 1), 1, (0, 0), max(4, cutoff // 2))
     fiber_dim = fiber.dims[(0, 1)]

@@ -202,25 +202,23 @@ class TestSheafBases(unittest.TestCase):
             p11_sheaf_monomials(0, 2)
 
     def test_section_basis_blocks(self):
-        # Phi*(1) and Phi*(psi) have first weights 0 and -1, so the blocks
-        # lambda = -1..1 are solved: U0 takes g^e*M with e = lambda - #dg(M)
-        # >= 0 and U1 takes g'^e*M with e = lambda1(M) - lambda >= 0, U0's
-        # columns before U1's, each in (monomial, exponent) order.
-        dom, _, _, elims = _cech_solve(P11, (0, 0), {})
+        # Phi*(1) and Phi*(psi) have first weights 0 and -1, so only the
+        # blocks lambda = 0 are solved: U0 takes g^e*M with e = lambda -
+        # #dg(M) >= 0 and U1 takes g'^e*M with e = lambda1(M) - lambda >= 0,
+        # U0's columns before U1's, each in (monomial, exponent) order.
+        dom, _, _, elims = _cech_solve(P11, (0, 0))
         self.assertEqual(
             [(cid, pretty_print_mon(m), e) for cid, m, (e,) in dom],
-            [("U0", "1", 0), ("U0", "1", 1), ("U0", "psi", 0), ("U0", "psi", 1),
-             ("U1", "1", 0), ("U1", "1", 1), ("U1", "psi", 0)],
+            [("U0", "1", 0), ("U0", "psi", 0), ("U1", "1", 0)],
         )
-        self.assertEqual(sorted(elims), [(lam, mu) for lam in (-1, 0, 1) for mu in (0, 1)])
+        self.assertEqual(sorted(elims), [(0, 0), (0, 1)])
         # One row per sheaf monomial of the block, keyed by its position.
-        dom, _, reps, elims = _cech_solve(P11, (1, 1), {})
+        dom, _, reps, elims = _cech_solve(P11, (1, 1))
         self.assertEqual(
             [(cid, pretty_print_mon(m), e) for cid, m, (e,) in dom],
-            [("U0", "dg*delta(dpsi)", 0), ("U0", "psi*dg*delta(dpsi)", 0),
-             ("U1", "dg*delta(dpsi)", 0), ("U1", "dg*delta(dpsi)", 1),
-             ("U1", "psi*dg*delta(dpsi)", 0)],
+            [("U1", "dg*delta(dpsi)", 0)],
         )
+        self.assertEqual(sorted(elims), [(0, -1), (0, 0)])
         self.assertEqual(sorted(elims[0, 0].pivots), [1])
         self.assertEqual([(pretty_print_mon(m), e) for m, e in reps], [("psi*dg*delta(dpsi)", -1)])
 
@@ -343,6 +341,16 @@ class TestCech(unittest.TestCase):
         transitions[("U0", "U1")] = Morphism(u0, u1, {0: LaurentPoly.monomial(("g",), (-1,))}, {0: ()})
         with self.assertRaises(UnsupportedMorphismError):
             cech(Atlas({"U0": u0, "U1": u1}, transitions), (0, 0), 6)
+
+    def test_transition_to_another_chart_rejected(self):
+        # The sheaf monomials are pulled back from the transition's own
+        # target chart, which must be the atlas's second chart.
+        u0, u1 = P11.chart("U0"), P11.chart("U1")
+        inverse = LaurentPoly.monomial(("g",), (-1,))
+        transitions = dict(P11.transitions)
+        transitions[("U0", "U1")] = Morphism(u0, Chart("V", u1.table), {0: inverse}, {0: ((inverse, 0),)})
+        with self.assertRaises(StructuralError):
+            cech(Atlas({"U0": u0, "U1": u1}, transitions), (0, 0), 4)
 
     def test_weight_mixing_transition_rejected(self):
         # An atlas built through the API skips load_atlas's cocycle check.
@@ -482,11 +490,9 @@ class TestWeightBlocks(unittest.TestCase):
         # with their key order, H^1 representatives in order), and cech gives
         # the same strict generators at every cutoff 0..12, also when the
         # transition carries a coefficient.  On P11 the windowed solve is
-        # checked in turn against one Eliminator for the whole system.  The
-        # exact solves share one pullback memo, as the de Rham levels do.
+        # checked in turn against one Eliminator for the whole system.
         for atlas in (P11, scaled_atlas()):
             c0 = min(atlas.charts)
-            memo = {}
             for sheaf in self.SHEAVES:
                 msg = (c0, sheaf)
                 dom, kernels, _, reps, _ = windowed_cech_solve(atlas, sheaf, 40)
@@ -494,7 +500,7 @@ class TestWeightBlocks(unittest.TestCase):
                     want_dom, want_kernels, want_reps = single_eliminator_cech(atlas, sheaf, 40)
                     self.assertEqual(labelled(dom, kernels), labelled(want_dom, want_kernels), msg)
                     self.assertEqual(reps, want_reps, msg=msg)
-                got_dom, got_kernels, got_reps, _ = _cech_solve(atlas, sheaf, memo)
+                got_dom, got_kernels, got_reps, _ = _cech_solve(atlas, sheaf)
                 self.assertEqual(labelled(got_dom, got_kernels), labelled(dom, kernels), msg=msg)
                 self.assertEqual(got_reps, reps, msg=msg)
                 want_h0 = [
@@ -513,15 +519,45 @@ class TestWeightBlocks(unittest.TestCase):
                     )
                     self.assertTrue(report.stabilized, msg=(msg, cutoff))
 
+    def test_transitions_compare_by_their_images(self):
+        # The pullbacks of the sheaf monomials are cached by transition and
+        # monomial: two builds of one atlas share them, other gluings do not,
+        # and what was solved before does not change an answer.
+        m01 = builtin_p11().transition("U0", "U1")
+        again = builtin_p11().transition("U0", "U1")
+        self.assertIsNot(m01, again)
+        self.assertEqual(m01, again)
+        self.assertEqual(hash(m01), hash(again))
+        self.assertNotEqual(m01, builtin_p11().transition("U1", "U0"))
+        self.assertNotEqual(m01, scaled_atlas().transition("A", "B"))
+        inverse = LaurentPoly.monomial(("g",), (-1,))
+        for even, odd in ((lp_scale(inverse, 2), inverse), (inverse, lp_scale(inverse, 2))):
+            other = Morphism(P11.chart("U0"), P11.chart("U1"), {0: even}, {0: ((odd, 0),)})
+            self.assertNotEqual(m01, other)
+
+        def strict_cech(atlas):
+            out = []
+            for sheaf in self.SHEAVES:
+                report = cech(atlas, sheaf, 6)
+                h0 = [[(cid, strict_form(f)) for cid, f in parts.items()] for parts in report.generators_h0]
+                out.append((h0, [strict_form(f) for f in report.generators_h1]))
+            return out
+
+        cohomology._pulled_monomial.cache_clear()
+        alone = strict_cech(scaled_atlas())
+        cohomology._pulled_monomial.cache_clear()
+        strict_cech(P11)
+        self.assertEqual(strict_cech(scaled_atlas()), alone)
+
     def test_widened_weight_range_changes_nothing(self):
         # Blocks outside _class_weights carry no class: solving six more
         # weights on each side adds columns but no kernel and no H^1 row.
         wide = lambda lams: tuple(x + d for x, d in zip(_class_weights(lams), (-6, 6)))
         for atlas in (P11, scaled_atlas()):
             for sheaf in self.SHEAVES:
-                dom, kernels, reps, elims = _cech_solve(atlas, sheaf, {})
+                dom, kernels, reps, elims = _cech_solve(atlas, sheaf)
                 with mock.patch.object(cohomology, "_class_weights", wide):
-                    wide_dom, wide_kernels, wide_reps, wide_elims = _cech_solve(atlas, sheaf, {})
+                    wide_dom, wide_kernels, wide_reps, wide_elims = _cech_solve(atlas, sheaf)
                 msg = (sorted(atlas.charts), sheaf)
                 self.assertEqual(labelled(wide_dom, wide_kernels), labelled(dom, kernels), msg=msg)
                 self.assertEqual(wide_reps, reps, msg=msg)
@@ -533,7 +569,8 @@ class TestWeightBlocks(unittest.TestCase):
     def test_solve_is_cutoff_free(self):
         # cech eliminates the same blocks at every cutoff, and only those in
         # the weight range of _class_weights (the windowed solve eliminated
-        # 235 blocks for -3|1 at cutoff 40 and again 14 at cutoff 42).
+        # 235 blocks for -3|1 at cutoff 40 and again 14 at cutoff 42, and
+        # the range one block wider at each end 18).
         sizes = {}
         eliminate = cohomology._eliminate
         for cutoff in (0, 40, 100000):
@@ -544,8 +581,8 @@ class TestWeightBlocks(unittest.TestCase):
             self.assertEqual((report.h0, report.h1, report.stabilized), (16, 0, True))
         self.assertEqual(sizes[0], sizes[40])
         self.assertEqual(sizes[0], sizes[100000])
-        # lambda in 0..5 with the two second weights of each lambda.
-        self.assertEqual(len(sizes[0]), 18)
+        # lambda in 0..4 with the three second weights -5..-3 of each lambda.
+        self.assertEqual(len(sizes[0]), 15)
         self.assertLessEqual(max(sizes[0]), 8)
 
 
@@ -578,12 +615,14 @@ class TestDeRham(unittest.TestCase):
         self.assertEqual(gens, ["psi1*delta(dpsi1)", "psi2*delta(dpsi2)"])
 
     def test_flat_range_without_degree_zero(self):
-        # Every flat class lies in degree 0.
+        # Every flat class lies in degree 0, so a range without it misses
+        # nothing, also at cutoff 0.
         for lo, hi in ((1, 2), (-2, -1)):
-            report = derham("flat:1,2", 1, (lo, hi), 3)
-            self.assertEqual(report.dims, {(i, 1): 0 for i in range(lo, hi + 1)})
-            self.assertEqual(report.generators, {i: [] for i in range(lo, hi + 1)})
-            self.assertTrue(report.stabilized)
+            for cutoff in (0, 3):
+                report = derham("flat:1,2", 1, (lo, hi), cutoff)
+                self.assertEqual(report.dims, {(i, 1): 0 for i in range(lo, hi + 1)})
+                self.assertEqual(report.generators, {i: [] for i in range(lo, hi + 1)})
+                self.assertTrue(report.stabilized, msg=(lo, hi, cutoff))
 
     def test_unknown_space_label(self):
         with self.assertRaises(UnsupportedSpaceError):
@@ -593,6 +632,45 @@ class TestDeRham(unittest.TestCase):
         for picture in (-1, 2):
             with self.assertRaises(UnsupportedSpaceError, msg=picture):
                 derham("flat:1,1", picture, (0, 1), 2)
+
+    def test_one_solve_per_level(self):
+        # Picture 1 over -4..1 needs the levels -5..2, each solved once; the
+        # cutoff + 2 rerun used to solve every level a second time.
+        with mock.patch.object(cohomology, "_cech_solve", wraps=cohomology._cech_solve) as solve:
+            report = derham("p11", 1, (-4, 1), 6)
+        self.assertEqual(solve.call_count, 8)
+        self.assertTrue(report.stabilized)
+
+    def test_projective_answer_is_cutoff_free(self):
+        # Term order and coefficient types included, P^{1|1} de Rham answers
+        # at every cutoff what it answers at cutoff 8.
+        def strict(report):
+            gens = {
+                i: [[(cid, strict_form(f)) for cid, f in parts.items()] for parts in group]
+                for i, group in report.generators.items()
+            }
+            return report.dims, gens, report.stabilized
+
+        for picture, degrees in ((0, (0, 4)), (1, (-4, 1))):
+            want = strict(derham("p11", picture, degrees, 8))
+            self.assertTrue(want[2])
+            for cutoff in list(range(13)) + [100000]:
+                got = strict(derham("p11", picture, degrees, cutoff))
+                self.assertEqual(got, want, msg=(picture, cutoff))
+
+    def test_differential_leaving_the_complex_is_structural(self):
+        # The complete weight blocks hold d of every global section, so a
+        # term outside the next level's basis is a fault of the engine, not
+        # of a window too small: g^1000*dg lies in no solved block.
+        far = Monomial((), (0,), (), ())
+
+        def leaky_d(form):
+            extra = {far: LaurentPoly.monomial(form.table.even_names, (1000,))}
+            return exterior_d(form) + Superform(form.chart, form.table, extra)
+
+        with mock.patch.object(cohomology, "exterior_d", leaky_d):
+            with self.assertRaises(StructuralError):
+                derham("p11", 0, (0, 0), 4)
 
 
 # The flat block enumerator: the reference that derham's flat classes are
@@ -825,6 +903,18 @@ class TestPairingMatrix(unittest.TestCase):
         self.assertEqual([len(row) for row in matrix], [20] * 20)
         self.assertEqual(rank, 20)
         self.assertEqual((matrix, rank), pairing_matrix(4, 13))
+
+    def test_second_call_pulls_back_nothing(self):
+        # pairing_matrix builds a fresh builtin_p11() on every call; its
+        # transitions equal the last call's, so every pullback is reused.
+        cohomology._pulled_monomial.cache_clear()
+        with mock.patch.object(cohomology, "pullback", wraps=pullback) as pulled:
+            first = pairing_matrix(4, 10)
+            calls = pulled.call_count
+            second = pairing_matrix(4, 10)
+        self.assertGreater(calls, 0)
+        self.assertEqual(pulled.call_count, calls)
+        self.assertEqual(second, first)
 
     def test_matches_all_products_oracle(self):
         # Only products of weights summing to (0, 0) are formed; the matrix,
