@@ -671,7 +671,7 @@ def _build_parser():
 
     sp = sub.add_parser("cech", help="Cech cohomology of a sheaf Omega^{i|j}")
     _add_common(sp, cutoff=True)
-    sp.add_argument("--sheaf", required=True, help="sheaf label 'i|j' (quote negative i)")
+    sp.add_argument("--sheaf", required=True, help="sheaf label 'i|j'")
     sp.set_defaults(func=_cmd_cech)
 
     sp = sub.add_parser("derham", help="holomorphic de Rham cohomology")
@@ -695,9 +695,10 @@ def _build_parser():
     return parser
 
 
-def _merge_range_values(argv):
-    # argparse treats a bare "-4:1" after --range as an unknown flag, so fold
-    # negative-degree range values into the "--range=a:b" form it does accept.
+def _merge_negative_values(argv):
+    # argparse treats a bare "-4:1" after --range or "-3|1" after --sheaf as an
+    # unknown flag, so fold such values into the "--flag=value" form it accepts.
+    patterns = {"--range": r"-\d+:-?\d+", "--sheaf": r"-\d+\|\d+"}
     merged = []
     skip = False
     for pos, token in enumerate(argv):
@@ -705,8 +706,8 @@ def _merge_range_values(argv):
             skip = False
             continue
         nxt = argv[pos + 1] if pos + 1 < len(argv) else None
-        if token == "--range" and nxt is not None and re.fullmatch(r"-\d+:-?\d+", nxt):
-            merged.append("--range=" + nxt)
+        if token in patterns and nxt is not None and re.fullmatch(patterns[token], nxt):
+            merged.append(token + "=" + nxt)
             skip = True
         else:
             merged.append(token)
@@ -716,7 +717,7 @@ def _merge_range_values(argv):
 def run_command(argv):
     """Execute one CLI invocation; returns the exit status."""
     parser = _build_parser()
-    args = parser.parse_args(_merge_range_values(argv))
+    args = parser.parse_args(_merge_negative_values(argv))
     json_mode = getattr(args, "json", False)
     try:
         if getattr(args, "cutoff", 0) < 0:

@@ -308,6 +308,12 @@ class TestCommands(unittest.TestCase):
         self.assertIn("h1 = 0", lines)
         self.assertIn("stabilized = True", lines)
 
+    def test_cech_negative_sheaf_unquoted(self):
+        # argparse takes a bare "-3|1" for an option; quoting cannot help.
+        code, out, _ = invoke(["cech", "--sheaf", "-3|1", "--cutoff", "5"])
+        self.assertEqual(code, 0)
+        self.assertIn("h0 = 16", out.splitlines())
+
     def test_cech_json_report(self):
         code, out, _ = invoke(["cech", "--sheaf", "1|1", "--cutoff", "8", "--json"])
         self.assertEqual(code, 0)

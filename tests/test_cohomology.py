@@ -206,20 +206,28 @@ class TestSheafBases(unittest.TestCase):
         # blocks lambda = 0 are solved: U0 takes g^e*M with e = lambda -
         # #dg(M) >= 0 and U1 takes g'^e*M with e = lambda1(M) - lambda >= 0,
         # U0's columns before U1's, each in (monomial, exponent) order.
-        dom, _, _, elims = _cech_solve(P11, (0, 0))
+        def solved(sheaf):
+            cohomology._solve.cache_clear()
+            blocks = []
+            record = lambda cols: blocks.append(cols) or _eliminate(cols)
+            with mock.patch.object(cohomology, "_eliminate", side_effect=record):
+                return _cech_solve(P11, sheaf), blocks
+
+        (dom, _, _), blocks = solved((0, 0))
         self.assertEqual(
             [(cid, pretty_print_mon(m), e) for cid, m, (e,) in dom],
             [("U0", "1", 0), ("U0", "psi", 0), ("U1", "1", 0)],
         )
-        self.assertEqual(sorted(elims), [(0, 0), (0, 1)])
-        # One row per sheaf monomial of the block, keyed by its position.
-        dom, _, reps, elims = _cech_solve(P11, (1, 1))
+        # Blocks (0, 0) and (0, 1): U0 1 with U1 1, and U0 psi.
+        self.assertEqual(blocks, [[{0: 1}, {0: -1}], [{1: 1}]])
+        # One row per sheaf monomial of the block, keyed by its position:
+        # block (0, -1) has the U1 column, block (0, 0) none.
+        (dom, _, reps), blocks = solved((1, 1))
         self.assertEqual(
             [(cid, pretty_print_mon(m), e) for cid, m, (e,) in dom],
             [("U1", "dg*delta(dpsi)", 0)],
         )
-        self.assertEqual(sorted(elims), [(0, -1), (0, 0)])
-        self.assertEqual(sorted(elims[0, 0].pivots), [1])
+        self.assertEqual(blocks, [[{0: 1}], []])
         self.assertEqual([(pretty_print_mon(m), e) for m, e in reps], [("psi*dg*delta(dpsi)", -1)])
 
 
@@ -349,6 +357,16 @@ class TestCech(unittest.TestCase):
         inverse = LaurentPoly.monomial(("g",), (-1,))
         transitions = dict(P11.transitions)
         transitions[("U0", "U1")] = Morphism(u0, Chart("V", u1.table), {0: inverse}, {0: ((inverse, 0),)})
+        with self.assertRaises(StructuralError):
+            cech(Atlas({"U0": u0, "U1": u1}, transitions), (0, 0), 4)
+
+    def test_transition_from_another_chart_rejected(self):
+        # The solve labels its columns with the transition's own chart ids,
+        # so the transition (U0, U1) must start on U0.
+        u0, u1 = P11.chart("U0"), P11.chart("U1")
+        inverse = LaurentPoly.monomial(("g",), (-1,))
+        transitions = dict(P11.transitions)
+        transitions[("U0", "U1")] = Morphism(Chart("V", u0.table), u1, {0: inverse}, {0: ((inverse, 0),)})
         with self.assertRaises(StructuralError):
             cech(Atlas({"U0": u0, "U1": u1}, transitions), (0, 0), 4)
 
@@ -500,9 +518,9 @@ class TestWeightBlocks(unittest.TestCase):
                     want_dom, want_kernels, want_reps = single_eliminator_cech(atlas, sheaf, 40)
                     self.assertEqual(labelled(dom, kernels), labelled(want_dom, want_kernels), msg)
                     self.assertEqual(reps, want_reps, msg=msg)
-                got_dom, got_kernels, got_reps, _ = _cech_solve(atlas, sheaf)
+                got_dom, got_kernels, got_reps = _cech_solve(atlas, sheaf)
                 self.assertEqual(labelled(got_dom, got_kernels), labelled(dom, kernels), msg=msg)
-                self.assertEqual(got_reps, reps, msg=msg)
+                self.assertEqual(list(got_reps), reps, msg=msg)
                 want_h0 = [
                     [(cid, strict_form(f)) for cid, f in _glue(atlas, dom, k).items()] for k in kernels
                 ]
@@ -520,9 +538,9 @@ class TestWeightBlocks(unittest.TestCase):
                     self.assertTrue(report.stabilized, msg=(msg, cutoff))
 
     def test_transitions_compare_by_their_images(self):
-        # The pullbacks of the sheaf monomials are cached by transition and
-        # monomial: two builds of one atlas share them, other gluings do not,
-        # and what was solved before does not change an answer.
+        # The Cech solves are cached by transition and sheaf: two builds of
+        # one atlas share them, other gluings do not, and what was solved
+        # before does not change an answer.
         m01 = builtin_p11().transition("U0", "U1")
         again = builtin_p11().transition("U0", "U1")
         self.assertIsNot(m01, again)
@@ -543,28 +561,53 @@ class TestWeightBlocks(unittest.TestCase):
                 out.append((h0, [strict_form(f) for f in report.generators_h1]))
             return out
 
-        cohomology._pulled_monomial.cache_clear()
+        cohomology._solve.cache_clear()
         alone = strict_cech(scaled_atlas())
-        cohomology._pulled_monomial.cache_clear()
+        cohomology._solve.cache_clear()
         strict_cech(P11)
         self.assertEqual(strict_cech(scaled_atlas()), alone)
+
+    def test_second_solve_eliminates_nothing(self):
+        # The solve is cached by (transition, sheaf), and a fresh build of
+        # P11 has an equal transition, so a second cech eliminates no block.
+        cohomology._solve.cache_clear()
+        cech(builtin_p11(), (-3, 1), 5)
+        with mock.patch.object(cohomology, "_eliminate", wraps=_eliminate) as eliminate:
+            report = cech(builtin_p11(), (-3, 1), 5)
+        self.assertEqual(eliminate.call_count, 0)
+        self.assertEqual((report.h0, report.h1), (16, 0))
+
+    def test_solve_returns_read_only_labels(self):
+        # Every caller shares the cached solve, so none may change it.
+        dom, kernels, reps = _cech_solve(P11, (-3, 1))
+        self.assertEqual([type(x) for x in (dom, kernels, reps)], [tuple] * 3)
+        with self.assertRaises(TypeError):
+            kernels[0][0] = Fraction(1)
 
     def test_widened_weight_range_changes_nothing(self):
         # Blocks outside _class_weights carry no class: solving six more
         # weights on each side adds columns but no kernel and no H^1 row.
+        # The cache is cleared around each solve, so the widened one is
+        # computed and then forgotten.
         wide = lambda lams: tuple(x + d for x, d in zip(_class_weights(lams), (-6, 6)))
+
+        def solve(atlas, sheaf):
+            cohomology._solve.cache_clear()
+            with mock.patch.object(cohomology, "_eliminate", wraps=_eliminate) as eliminate:
+                result = _cech_solve(atlas, sheaf)
+            cohomology._solve.cache_clear()
+            return result, eliminate.call_count
+
         for atlas in (P11, scaled_atlas()):
             for sheaf in self.SHEAVES:
-                dom, kernels, reps, elims = _cech_solve(atlas, sheaf)
+                (dom, kernels, reps), blocks = solve(atlas, sheaf)
                 with mock.patch.object(cohomology, "_class_weights", wide):
-                    wide_dom, wide_kernels, wide_reps, wide_elims = _cech_solve(atlas, sheaf)
+                    (wide_dom, wide_kernels, wide_reps), wide_blocks = solve(atlas, sheaf)
                 msg = (sorted(atlas.charts), sheaf)
                 self.assertEqual(labelled(wide_dom, wide_kernels), labelled(dom, kernels), msg=msg)
                 self.assertEqual(wide_reps, reps, msg=msg)
-                lams = {lam for lam, _ in elims}
-                if lams:
-                    want = set(range(min(lams) - 6, max(lams) + 7))
-                    self.assertEqual({lam for lam, _ in wide_elims}, want, msg=msg)
+                mus = {_weight(mon, 0)[1] for mon in p11_sheaf_monomials(*sheaf)}
+                self.assertEqual(wide_blocks, blocks + 12 * len(mus), msg=msg)
 
     def test_solve_is_cutoff_free(self):
         # cech eliminates the same blocks at every cutoff, and only those in
@@ -574,6 +617,7 @@ class TestWeightBlocks(unittest.TestCase):
         sizes = {}
         eliminate = cohomology._eliminate
         for cutoff in (0, 40, 100000):
+            cohomology._solve.cache_clear()
             solved = sizes.setdefault(cutoff, [])
             count = lambda cols: solved.append(len(cols)) or eliminate(cols)
             with mock.patch.object(cohomology, "_eliminate", side_effect=count):
@@ -904,10 +948,21 @@ class TestPairingMatrix(unittest.TestCase):
         self.assertEqual(rank, 20)
         self.assertEqual((matrix, rank), pairing_matrix(4, 13))
 
+    def test_product_off_the_generator_is_structural(self):
+        # An entry is the coefficient on psi*dg*delta(dpsi)/g; a product with
+        # any other term has no such reading.
+        table = P11.chart("U0").table
+        volume = Monomial((0,), (0,), (), ((0, 0),))
+        for mon, e in ((Monomial((), (0,), (), ((0, 0),)), -1), (volume, 0)):
+            stray = Superform("U0", table, {mon: LaurentPoly.monomial(("g",), (e,))})
+            with mock.patch.object(cohomology, "pair", return_value=stray):
+                with self.assertRaises(StructuralError, msg=(mon, e)):
+                    pairing_matrix(0, 8)
+
     def test_second_call_pulls_back_nothing(self):
         # pairing_matrix builds a fresh builtin_p11() on every call; its
         # transitions equal the last call's, so every pullback is reused.
-        cohomology._pulled_monomial.cache_clear()
+        cohomology._solve.cache_clear()
         with mock.patch.object(cohomology, "pullback", wraps=pullback) as pulled:
             first = pairing_matrix(4, 10)
             calls = pulled.call_count
