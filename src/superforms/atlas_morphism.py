@@ -8,8 +8,9 @@ substitution, dgamma/dpsi by d of the images, delta factors by delta_expand.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from .coeff_ring import LaurentPoly, lp_substitute_monomial
+from .coeff_ring import LaurentPoly, lp_mul, lp_substitute_monomial
 from .errors import StructuralError, UnsupportedMorphismError
 from .form_algebra import (
     DG,
@@ -146,6 +147,27 @@ def _atom_image(m, atom, extra):
     return delta_expand(order, _atom_image(m, (DP, j), extra), order + extra)
 
 
+# An entry is a few terms, about 2 KiB on P^{1|1} (tracemalloc).  1024
+# entries hold the at most four sheaf monomials of each of the 256 cached
+# Cech solves.
+@lru_cache(maxsize=1024)
+def _monomial_image(m, mon, extra):
+    """Phi*(mon) of one normal-form monomial, once per (transition, monomial,
+    truncation) and process: the atom images wedged onto 1 left to right.
+
+    Returns read-only ((Monomial, LaurentPoly), ...) in the order of the
+    wedge chain; a delta series that does not terminate raises, which is not
+    cached.
+    """
+    src = m.source
+    acc = Superform.constant(src.id, src.table, 1)
+    for atom in mon.factors():
+        acc = wedge(acc, _atom_image(m, atom, extra))
+        if acc.is_zero():
+            break
+    return tuple(acc.terms.items())
+
+
 def pullback(m, a):
     """Pull a form on m.target back to m.source.
 
@@ -153,7 +175,8 @@ def pullback(m, a):
     max dpsi power in `a` plus the number of source odd coordinates (at least
     one).  That is exact whenever the non-leading part of the dpsi image is
     nilpotent (true for the built-in atlases); a series that does not
-    terminate within its truncation raises UnsupportedMorphismError.
+    terminate within its truncation raises UnsupportedMorphismError.  The
+    image of each monomial comes from `_monomial_image`.
     """
     if a.chart != m.target.id or a.table != m.target.table:
         raise StructuralError("form does not live on the morphism target chart")
@@ -166,12 +189,10 @@ def pullback(m, a):
     out = Superform.zero(src.id, src.table)
     for mon, f in a.terms.items():
         pulled_f = lp_substitute_monomial(f, images, src.table.even_names)
-        acc = Superform.from_poly(src.id, src.table, pulled_f)
-        for atom in mon.factors():
-            if acc.is_zero():
-                break
-            acc = wedge(acc, _atom_image(m, atom, extra))
-        _add_terms(out.terms, acc.terms)
+        if pulled_f.is_zero():
+            continue
+        for pulled_mon, c in _monomial_image(m, mon, extra):
+            _add_terms(out.terms, {pulled_mon: lp_mul(pulled_f, c)})
     return out
 
 

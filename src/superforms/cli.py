@@ -89,6 +89,11 @@ def _tokenize(text):
     return tokens
 
 
+# The coefficient of a coordinate or atom piece.  A Fraction, never the int 1:
+# an int raised to a negative power would turn into a float.
+_ONE = Fraction(1)
+
+
 class _Parser:
     def __init__(self, text, table, chart_id):
         self.text = text
@@ -149,8 +154,12 @@ class _Parser:
             elif run is None:
                 run = [piece[0], piece[1], list(piece[2])]
             else:
-                run[0] *= piece[0]
-                run[1] = [a + b for a, b in zip(run[1], piece[1])]
+                # Atoms and coordinates carry the shared factor 1 and no
+                # exponents; the run's coefficient stays a Fraction.
+                if piece[0] is not _ONE:
+                    run[0] *= piece[0]
+                if piece[1] is not self.no_exps:
+                    run[1] = [a + b for a, b in zip(run[1], piece[1])]
                 run[2] += piece[2]
             if not self.at_op("*"):
                 return self.flush(form, run)
@@ -251,7 +260,7 @@ class _Parser:
         table = self.table
         if name in table.even_names:
             idx = table.even_names.index(name)
-            return Fraction(1), tuple(int(k == idx) for k in range(len(table.even_names))), ()
+            return _ONE, tuple(int(k == idx) for k in range(len(table.even_names))), ()
         if name in table.odd_names:
             return self.atom_form(theta(table.odd_names.index(name)))
         if name.startswith("d"):
@@ -262,7 +271,7 @@ class _Parser:
         raise FormParseError("unknown coordinate %r" % name, pos)
 
     def atom_form(self, atom):
-        return Fraction(1), self.no_exps, (atom,)
+        return _ONE, self.no_exps, (atom,)
 
 
 def parse(text, table=None, chart="U0"):

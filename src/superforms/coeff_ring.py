@@ -42,7 +42,16 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, variables, exps, coeff=1):
-        return cls(variables, {tuple(exps): Fraction(coeff)})
+        out = cls(variables)
+        exps = tuple(int(e) for e in exps)
+        if len(exps) != len(out.variables):
+            raise StructuralError(
+                "exponent tuple %r does not match variables %r" % (exps, out.variables)
+            )
+        coeff = Fraction(coeff)
+        if coeff:
+            out.terms[exps] = coeff
+        return out
 
     def is_zero(self):
         return not self.terms
@@ -142,6 +151,9 @@ def lp_neg(a):
 
 
 def lp_scale(a, scalar):
+    """scalar * a; a itself when scalar is 1 (LaurentPolys are shared as values)."""
+    if scalar == 1:
+        return a
     scalar = Fraction(scalar)
     out = LaurentPoly(a.variables)
     if scalar:

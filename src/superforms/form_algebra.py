@@ -288,13 +288,16 @@ def normalize(factors, coeff, chart, table):
 
     fs = list(factors)
     _validate_atoms(fs, table)
+    keys = [atom_key(a) for a in fs]
     sign = 1
-    # Insertion sort with Koszul signs (stable: equal keys never swap).
+    # Insertion sort with Koszul signs (stable: equal keys never swap), each
+    # factor's key computed once.
     for i in range(1, len(fs)):
         j = i
-        while j > 0 and atom_key(fs[j - 1]) > atom_key(fs[j]):
+        while j > 0 and keys[j - 1] > keys[j]:
             sign *= koszul_sign(fs[j - 1], fs[j])
             fs[j - 1], fs[j] = fs[j], fs[j - 1]
+            keys[j - 1], keys[j] = keys[j], keys[j - 1]
             j -= 1
 
     # Squares of odd-parity generators vanish; so do same-index double deltas.
@@ -328,7 +331,9 @@ def normalize(factors, coeff, chart, table):
     thetas = tuple(a[1] for a in fs if a[0] == TH)
     devens = tuple(a[1] for a in fs if a[0] == DG)
     mon = Monomial(thetas, devens, tuple(powers.items()), tuple(deltas))
-    return Superform(chart, table, {mon: lp_scale(lp, scalar * sign)})
+    out = Superform(chart, table)
+    out.terms[mon] = lp_scale(lp, scalar * sign)
+    return out
 
 
 def wedge(a, b):

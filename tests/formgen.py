@@ -1,4 +1,5 @@
-"""Seeded random generators for forms, shared by the test modules.
+"""Seeded random generators for forms, shared by the test modules, with the
+scaled P^{1|1} atlas and the strict term dump that several of them use.
 
 Everything is driven by an explicit random.Random instance so that failures
 reproduce from the printed seed.
@@ -7,7 +8,17 @@ reproduce from the printed seed.
 import random
 from fractions import Fraction
 
-from superforms import LaurentPoly, Monomial, Superform, normalize
+from superforms import (
+    Atlas,
+    Chart,
+    GeneratorTable,
+    LaurentPoly,
+    Monomial,
+    Morphism,
+    Superform,
+    lp_scale,
+    normalize,
+)
 
 
 def random_rational(rng, span=6):
@@ -67,3 +78,22 @@ def form_degree(form):
     if len(degs) != 1:
         raise ValueError("form is not homogeneous: %s" % sorted(degs))
     return degs.pop()
+
+
+def scaled_atlas():
+    """P^{1|1} glued by y = 2/x, s = t/x on charts A and B."""
+    a, b = Chart("A", GeneratorTable(("x",), ("t",))), Chart("B", GeneratorTable(("y",), ("s",)))
+    x_inv = LaurentPoly.monomial(("x",), (-1,))
+    y_inv = LaurentPoly.monomial(("y",), (-1,))
+    transitions = {
+        ("A", "B"): Morphism(a, b, {0: lp_scale(x_inv, 2)}, {0: ((x_inv, 0),)}),
+        ("B", "A"): Morphism(b, a, {0: lp_scale(y_inv, 2)}, {0: ((lp_scale(y_inv, 2), 0),)}),
+    }
+    return Atlas({"A": a, "B": b}, transitions)
+
+
+def strict_form(form):
+    """A form's terms and coefficients, with their order and types."""
+    return [
+        (mon, [(exps, type(c), c) for exps, c in lp.terms.items()]) for mon, lp in form.terms.items()
+    ]

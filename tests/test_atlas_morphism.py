@@ -3,12 +3,14 @@
 import random
 import unittest
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis.strategies import integers
 
 from superforms import (
     LaurentPoly,
+    Monomial,
     Morphism,
     StructuralError,
     Superform,
@@ -20,6 +22,7 @@ from superforms import (
     dpsi,
     exterior_d,
     identity_morphism,
+    lp_substitute_monomial,
     normalize,
     pretty_print,
     pullback,
@@ -28,7 +31,13 @@ from superforms import (
     wedge,
 )
 
-from formgen import random_form
+from superforms import atlas_morphism
+from superforms.atlas_morphism import _atom_image
+
+from formgen import random_form, scaled_atlas, strict_form
+
+# Counts the delta series a pullback expands.
+EXPAND = dict(target=atlas_morphism, attribute="delta_expand", wraps=atlas_morphism.delta_expand)
 
 P11 = builtin_p11()
 T0 = P11.chart("U0").table
@@ -46,6 +55,42 @@ def u0(factors, coeff=1):
 
 def gpow(form, k):
     return form.times_poly(LaurentPoly.monomial(("g",), (k,)))
+
+
+def chain_pullback(m, a):
+    """The earlier pullback, kept as the oracle of the per-monomial cache:
+    each term's substituted coefficient is wedged with the atom images of its
+    monomial one factor at a time, with nothing reused between terms or
+    calls."""
+    if a.chart != m.target.id or a.table != m.target.table:
+        raise StructuralError("form does not live on the morphism target chart")
+    max_dpsi = 0
+    for mon in a.terms:
+        max_dpsi = max(max_dpsi, sum(p for _, p in mon.dodds))
+    extra = max_dpsi + max(1, len(m.source.table.odd_names))
+    images = m.substitution_images()
+    src = m.source
+    out = Superform.zero(src.id, src.table)
+    for mon, f in a.terms.items():
+        pulled_f = lp_substitute_monomial(f, images, src.table.even_names)
+        acc = Superform.from_poly(src.id, src.table, pulled_f)
+        for atom in mon.factors():
+            if acc.is_zero():
+                break
+            acc = wedge(acc, _atom_image(m, atom, extra))
+        out = out + acc
+    return out
+
+
+def non_terminating_morphism():
+    # psi1 -> psi1 + psi2 sends dpsi1 to dpsi1 + dpsi2, and dpsi2 is not
+    # nilpotent: no truncation of the delta series is exact.
+    chart = builtin_flat(1, 2).chart("U0")
+    one = LaurentPoly.const(("g",), 1)
+    m = Morphism(
+        chart, chart, {0: LaurentPoly.monomial(("g",), (1,))}, {0: ((one, 0), (one, 1)), 1: ((one, 1),)}
+    )
+    return m, normalize([delta(0)], 1, "U0", chart.table)
 
 
 class TestAtlasStructure(unittest.TestCase):
@@ -142,16 +187,102 @@ class TestFunctoriality(unittest.TestCase):
 
 class TestDeltaSeries(unittest.TestCase):
     def test_non_terminating_series_rejected(self):
-        # psi1 -> psi1 + psi2 sends dpsi1 to dpsi1 + dpsi2, and dpsi2 is not
-        # nilpotent: no truncation of the delta series is exact.
-        chart = builtin_flat(1, 2).chart("U0")
-        one = LaurentPoly.const(("g",), 1)
-        m = Morphism(
-            chart, chart, {0: LaurentPoly.monomial(("g",), (1,))}, {0: ((one, 0), (one, 1)), 1: ((one, 1),)}
-        )
-        form = normalize([delta(0)], 1, "U0", chart.table)
+        m, form = non_terminating_morphism()
         with self.assertRaises(UnsupportedMorphismError):
             pullback(m, form)
+
+
+class TestMonomialImageCache(unittest.TestCase):
+    def transitions(self):
+        p11, scaled = builtin_p11(), scaled_atlas()
+        flat = builtin_flat(2, 2)
+        # psi -> (g^-1 + g^2)*psi: images with several terms per monomial,
+        # and no delta image (its dpsi coefficient is not invertible).
+        skew = LaurentPoly(("g",), {(-1,): 1, (2,): 1})
+        inverse = LaurentPoly.monomial(("g",), (-1,))
+        skewed = Morphism(P11.chart("U0"), P11.chart("U1"), {0: inverse}, {0: ((skew, 0),)})
+        return [
+            P11.transition("U0", "U1"),
+            P11.transition("U1", "U0"),
+            P11.transition("U0", "U0"),
+            P11.transition("U1", "U1"),
+            p11.transition("U0", "U1"),
+            scaled.transition("A", "B"),
+            scaled.transition("B", "A"),
+            flat.transition("U0", "U0"),
+            skewed,
+        ]
+
+    def test_matches_chain_pullback_oracle(self):
+        # Terms, their order and coefficient types equal the term-by-term
+        # wedge chain, whatever the cache already holds.
+        rng = random.Random(14)
+        for m in self.transitions():
+            t = m.target
+            evens = t.table.even_names
+            for k in range(40):
+                a = random_form(rng, t.id, t.table, terms=rng.randint(1, 4), max_order=5, max_exp=3)
+                g_power = LaurentPoly.monomial(evens, (k % 5 - 2,) * len(evens), rng.randint(1, 5))
+                a = a + normalize([theta(0), dgamma(0), delta(0, k % 4)], g_power, t.id, t.table)
+                a = a + normalize([dpsi(0)] * (1 + k % 3), g_power, t.id, t.table)
+                a = a + normalize([theta(0), dpsi(0)], g_power, t.id, t.table)
+                if not m.odd_images[0][0][0].is_monomial():
+                    a = Superform(t.id, t.table, {mon: lp for mon, lp in a.terms.items() if not mon.deltas})
+                msg = (t.id, m.source.id, k)
+                want = chain_pullback(m, a)
+                got = pullback(m, a)
+                self.assertEqual((got.chart, strict_form(got)), (want.chart, strict_form(want)), msg=msg)
+                again = pullback(m, a)
+                self.assertEqual(strict_form(again), strict_form(want), msg=msg)
+
+    def test_second_pullback_expands_no_delta(self):
+        # The cache is keyed by the transition's value, so a fresh build of
+        # P11 reuses the image of delta''(dpsi) computed on another build.
+        form = u1([theta(0), delta(0, 2)], 3)
+        atlas_morphism._monomial_image.cache_clear()
+        first = pullback(builtin_p11().transition("U0", "U1"), form)
+        with mock.patch.object(**EXPAND) as expand:
+            second = pullback(builtin_p11().transition("U0", "U1"), form)
+        self.assertEqual(expand.call_count, 0)
+        self.assertEqual(strict_form(second), strict_form(first))
+
+    def test_other_gluing_shares_no_entry(self):
+        # y = 2/x, s = t/x pulls back the same Monomial to another image.
+        mon = Monomial(devens=(0,), deltas=((0, 1),))
+        atlas_morphism._monomial_image.cache_clear()
+        pullback(M01, Superform("U1", T1, {mon: LaurentPoly.const(("g",), 1)}))
+        scaled = scaled_atlas().transition("A", "B")
+        form = Superform("B", scaled.target.table, {mon: LaurentPoly.const(("y",), 1)})
+        with mock.patch.object(**EXPAND) as expand:
+            got = pullback(scaled, form)
+        self.assertEqual(expand.call_count, 1)
+        self.assertEqual(atlas_morphism._monomial_image.cache_info().currsize, 2)
+        self.assertEqual(strict_form(got), strict_form(chain_pullback(scaled, form)))
+        self.assertNotEqual(strict_form(got), strict_form(pullback(M01, u1([dgamma(0), delta(0, 1)]))))
+
+    def test_non_terminating_series_raises_every_time(self):
+        # An exception is not cached: the second call expands and raises again.
+        m, form = non_terminating_morphism()
+        atlas_morphism._monomial_image.cache_clear()
+        for _ in range(2):
+            with mock.patch.object(**EXPAND) as expand:
+                with self.assertRaises(UnsupportedMorphismError):
+                    pullback(m, form)
+            self.assertEqual(expand.call_count, 1)
+        self.assertEqual(atlas_morphism._monomial_image.cache_info().currsize, 0)
+
+    def test_cached_image_is_read_only(self):
+        # Every pullback shares the cached image: it is a tuple, and a
+        # caller that changes its result does not change the next one.
+        form = u1([dpsi(0), dpsi(0), dgamma(0)])
+        image = atlas_morphism._monomial_image(M01, Monomial(devens=(0,), dodds=((0, 2),)), 3)
+        self.assertIs(type(image), tuple)
+        with self.assertRaises(TypeError):
+            image[0] = image[0]
+        want = strict_form(pullback(M01, form))
+        for lp in pullback(M01, form).terms.values():
+            lp.terms.clear()
+        self.assertEqual(strict_form(pullback(M01, form)), want)
 
 
 class TestCocycleVerification(unittest.TestCase):

@@ -273,6 +273,24 @@ class TestGrammar(unittest.TestCase):
                 text = text[:cut] + rng.choice(["", "^", "*", "q", "^-1", "(", "^(-1)", "/0"])
             self.assert_matches_fold(text, table)
 
+    def test_coefficients_stay_fractions(self):
+        # Atoms and coordinates multiply nothing into a product's coefficient;
+        # what is stored is still a Fraction, never an int or a float (an int
+        # raised to a negative power is a float).
+        cases = {
+            "g^-2*psi": "g^-2*psi",
+            "psi*g^-1*2": "2*g^-1*psi",
+            "dpsi^3*delta^(3)(dpsi)": "-6*delta(dpsi)",
+            "psi*dg*g^-3": "g^-3*psi*dg",
+            "(psi*dg)^1": "psi*dg",
+        }
+        for text, want in cases.items():
+            form = parse(text, T11)
+            self.assertEqual(pretty_print(form), want, msg=text)
+            types = {type(c) for lp in form.terms.values() for c in lp.terms.values()}
+            self.assertEqual(types, {Fraction}, msg=text)
+            self.assert_matches_fold(text, T11)
+
     def test_round_trip_bulk(self):
         rng = random.Random(20260814)
         for _ in range(1000):

@@ -55,6 +55,8 @@ from superforms.cohomology import (
     p11_sheaf_monomials,
 )
 
+from formgen import scaled_atlas, strict_form
+
 P11 = builtin_p11()
 ACCEPTANCE_SHEAVES = (
     [(0, 0)] + [(n, 0) for n in range(1, 6)] + [(-n, 1) for n in range(6)] + [(1, 1)]
@@ -476,28 +478,9 @@ def single_eliminator_cech(atlas, sheaf, cutoff):
     return dom, kernels, hits
 
 
-def scaled_atlas():
-    """P^{1|1} glued by y = 2/x, s = t/x on charts A and B."""
-    a, b = Chart("A", GeneratorTable(("x",), ("t",))), Chart("B", GeneratorTable(("y",), ("s",)))
-    x_inv = LaurentPoly.monomial(("x",), (-1,))
-    y_inv = LaurentPoly.monomial(("y",), (-1,))
-    transitions = {
-        ("A", "B"): Morphism(a, b, {0: lp_scale(x_inv, 2)}, {0: ((x_inv, 0),)}),
-        ("B", "A"): Morphism(b, a, {0: lp_scale(y_inv, 2)}, {0: ((lp_scale(y_inv, 2), 0),)}),
-    }
-    return Atlas({"A": a, "B": b}, transitions)
-
-
 def labelled(dom, kernels):
     """Kernel combinations as (label, coeff) lists, in key order."""
     return [[(dom[t], c) for t, c in combo.items()] for combo in kernels]
-
-
-def strict_form(form):
-    """A form's terms and coefficients, with their order and types."""
-    return [
-        (mon, [(exps, type(c), c) for exps, c in lp.terms.items()]) for mon, lp in form.terms.items()
-    ]
 
 
 class TestWeightBlocks(unittest.TestCase):
