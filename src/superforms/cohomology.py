@@ -32,11 +32,13 @@ one row hit by no coboundary, and reads off the coefficient of that row.
 `_complex_cohomology` walks a complex of d matrices: the eliminator of d[i-1]
 gives rank(d[i-1]), ker(d[i-1]) and the image against which degree-i
 representatives are picked.  P^{1|1} de Rham runs it on the complex of global
-sections.  Flat-space de Rham needs no elimination: d keeps the even weight
-E, the odd weight vector u and the set of delta-carrying odd indices, and by
-a Kunneth argument the only summand with a class is the single closed form
-theta_S*delta_S for S = supp(u), E = 0, u in {0, 1}^n with |u| = p, which
-`_flat_derham` only checks to be closed.
+sections, the H^0 kernels of the Cech solves coordinatized by their lead
+columns: d(section) is read off at the next level's leads, and an exact
+residual checks that it is global.  Flat-space de Rham needs no elimination:
+d keeps the even weight E, the odd weight vector u and the set of
+delta-carrying odd indices, and by a Kunneth argument the only summand with a
+class is the single closed form theta_S*delta_S for S = supp(u), E = 0,
+u in {0, 1}^n with |u| = p, which `_flat_derham` only checks to be closed.
 
 Every report is computed once.  P^{1|1} answers do not depend on the cutoff
 and are stabilized; a flat answer holds the classes in the box |u_j| <= D,
@@ -155,7 +157,10 @@ def _eliminate(columns):
     """Insert the columns, tagged 0, 1, ..., into one Eliminator.
 
     Returns the eliminator and the kernel as combinations {column: coeff},
-    one per dependent column, after the rank-nullity self-check.
+    one per dependent column, after the rank-nullity self-check.  A kernel is
+    1 at its lead, its largest column and the dependent one, and is otherwise
+    made of pivot columns, so a vector the kernels span has each kernel's
+    coordinate as its entry at that kernel's lead.
     """
     elim = Eliminator()
     kernels = []
@@ -325,7 +330,7 @@ def _solve(m01, sheaf):
         # The rows the columns leave unhit, in monomial order, are H^1.
         rows = [(mon, lam - len(mon.devens)) for mon in mons if _weight(mon, 0)[1] == mu]
         reps += [el for el in rows if elim.insert({position[el[0]]: Fraction(1)}, el) is None]
-    # A kernel's last column is the dependent one it was found at.
+    # Blocks share no column, so `_eliminate`'s lead convention holds across them.
     kernels.sort(key=max)
     reps.sort(key=lambda el: (position[el[0]], el[1]))
     return tuple(dom), tuple(MappingProxyType(k) for k in kernels), tuple(reps)
@@ -383,17 +388,21 @@ def _derham_p11(atlas, picture, lo, hi):
         labels, sections = levels[i]
         dom, kernels = levels[i + 1]
         index = {label: t for t, label in enumerate(dom)}
-        solver, _ = _eliminate(kernels)
+        # A global vector's coordinates are its entries at the leads (`_eliminate`).
+        lead = {max(k): s for s, k in enumerate(kernels)}
         cols = []
         for section in sections:
             dv = {}
             for cid, form in _glue(atlas, labels, section).items():
                 key = lambda mon, exps, cid=cid: (cid, mon, exps)
                 dv.update(_coordinates(exterior_d(form), index, key, _differential_error))
-            combo = solver.insert(dv, "image")
-            if combo is None:
+            col = {lead[t]: c for t, c in dv.items() if t in lead}
+            # A non-global dv or a wrong coordinate leaves a non-zero residual.
+            for s, c in col.items():
+                _axpy(dv, kernels[s], -c)
+            if dv:
                 raise StructuralError("differential of a global section is not global")
-            cols.append({s: -c for s, c in combo.items() if s != "image"})
+            cols.append(col)
         d_cols[i] = cols
 
     dims, reps = _complex_cohomology(d_cols, lo, hi)
@@ -475,9 +484,7 @@ def derham(space, picture, degree_range, cutoff):
         raise StructuralError("empty degree range %r" % (degree_range,))
     atlas, label = _resolve_space(space)
     flat = len(atlas.charts) == 1
-    # _cech_solve rejects any other atlas that is not two 1|1 charts.
-    if not flat and picture not in (0, 1):
-        raise UnsupportedSpaceError("picture %d not supported on P^{1|1}" % picture)
+    # _cech_solve rejects an atlas that is not two 1|1 charts, and any picture but 0 or 1.
     if cutoff < 0:
         raise StructuralError("cutoff must be non-negative, got %d" % cutoff)
     if flat:

@@ -409,6 +409,15 @@ class TestExitCodes(unittest.TestCase):
                 )
                 self.assertEqual(code, 3, msg=(picture, extra))
 
+    def test_projective_picture_out_of_range_is_3(self):
+        message = "picture 2 not supported on P^{1|1}"
+        code, out, err = invoke(["derham", "--picture", "2"])
+        self.assertEqual((code, out), (3, ""))
+        self.assertIn("error (computation): " + message, err)
+        code, out, _ = invoke(["derham", "--picture", "2", "--json"])
+        self.assertEqual(code, 3)
+        self.assertEqual(json.loads(out)["error"], {"kind": "computation", "message": message})
+
     def test_unstable_run_is_4(self):
         # Flat de Rham at cutoff 0 sees only the block u = 0, so the class of
         # picture 1 appears only in the cutoff-2 rerun.

@@ -520,6 +520,21 @@ class TestWeightBlocks(unittest.TestCase):
                     )
                     self.assertTrue(report.stabilized, msg=(msg, cutoff))
 
+    def test_kernel_leads(self):
+        # `_derham_p11` reads a global vector's coordinates at the kernels'
+        # leads: each kernel is 1 at its largest column, a column of the
+        # second chart that no other kernel has.
+        for atlas in (P11, scaled_atlas()):
+            c1 = max(atlas.charts)
+            for sheaf in product(range(-12, 13), (0, 1)):
+                dom, kernels, _ = _cech_solve(atlas, sheaf)
+                for k in kernels:
+                    lead = max(k)
+                    msg = (c1, sheaf, dom[lead])
+                    self.assertEqual(k[lead], 1, msg=msg)
+                    self.assertEqual(dom[lead][0], c1, msg=msg)
+                    self.assertEqual(sum(lead in other for other in kernels), 1, msg=msg)
+
     def test_transitions_compare_by_their_images(self):
         # The Cech solves are cached by transition and sheaf: two builds of
         # one atlas share them, other gluings do not, and what was solved
@@ -667,6 +682,12 @@ class TestDeRham(unittest.TestCase):
             report = derham("p11", 1, (-4, 1), 6)
         self.assertEqual(solve.call_count, 8)
         self.assertTrue(report.stabilized)
+        # With every solve cached, only `_complex_cohomology` eliminates: the
+        # d matrices of levels -5..1, one each.  The coordinates of a
+        # differential are read off the next level's kernels, not solved for.
+        with mock.patch.object(cohomology, "_eliminate", wraps=_eliminate) as eliminate:
+            derham("p11", 1, (-4, 1), 6)
+        self.assertEqual(eliminate.call_count, 7)
 
     def test_projective_answer_is_cutoff_free(self):
         # Term order and coefficient types included, P^{1|1} de Rham answers
@@ -698,6 +719,47 @@ class TestDeRham(unittest.TestCase):
         with mock.patch.object(cohomology, "exterior_d", leaky_d):
             with self.assertRaises(StructuralError):
                 derham("p11", 0, (0, 0), 4)
+
+    def test_differential_on_one_chart_is_not_global(self):
+        # d(1) + dpsi on U0 alone lies in the next level's basis but in no
+        # global section: its entries at the kernels' leads (U1 columns)
+        # are all zero, and the residual is not.
+        dpsi = Monomial((), (), ((0, 1),), ())
+
+        def one_chart_d(form):
+            if form.chart != "U0":
+                return exterior_d(form)
+            extra = {dpsi: LaurentPoly.const(form.table.even_names, 1)}
+            return exterior_d(form) + Superform(form.chart, form.table, extra)
+
+        with mock.patch.object(cohomology, "exterior_d", one_chart_d):
+            with self.assertRaisesRegex(StructuralError, "is not global"):
+                derham("p11", 0, (0, 0), 4)
+
+    def test_differential_at_a_lead_is_not_global(self):
+        # delta(dpsi) on U1 is the lead of a global section of Omega^{0|1}:
+        # added to d of each degree -1 section it is read as a coordinate,
+        # and the rest of that global section stays in the residual.
+        delta = Monomial((), (), (), ((0, 0),))
+        dom, kernels, _ = _cech_solve(P11, (0, 1))
+        self.assertIn(("U1", delta, (0,)), [dom[max(k)] for k in kernels])
+
+        def lead_d(form):
+            if form.chart != "U1" or {mon.degree() for mon in form.terms} != {-1}:
+                return exterior_d(form)
+            extra = {delta: LaurentPoly.const(form.table.even_names, 1)}
+            return exterior_d(form) + Superform(form.chart, form.table, extra)
+
+        with mock.patch.object(cohomology, "exterior_d", lead_d):
+            with self.assertRaisesRegex(StructuralError, "is not global"):
+                derham(P11, 1, (0, 0), 4)
+
+    def test_projective_picture_out_of_range(self):
+        # The sheaf basis rejects the picture, as for cech.
+        for picture in (-1, 2):
+            with self.assertRaises(UnsupportedSpaceError, msg=picture) as ctx:
+                derham("p11", picture, (0, 1), 4)
+            self.assertEqual(str(ctx.exception), "picture %d not supported on P^{1|1}" % picture)
 
 
 # The flat block enumerator: the reference that derham's flat classes are
