@@ -40,7 +40,6 @@ from .errors import (
     StructuralError,
     UnsupportedMorphismError,
     UnsupportedSpaceError,
-    WindowOverflowError,
 )
 from .form_algebra import (
     Bidegree,
@@ -79,7 +78,6 @@ __all__ = [
     "Superform",
     "UnsupportedMorphismError",
     "UnsupportedSpaceError",
-    "WindowOverflowError",
     "berezin_integral",
     "berezin_reduce",
     "bidegree_components",

@@ -50,7 +50,6 @@ from .errors import (
     StructuralError,
     UnsupportedMorphismError,
     UnsupportedSpaceError,
-    WindowOverflowError,
 )
 from .form_algebra import (
     DP,
@@ -739,7 +738,6 @@ def run_command(argv):
         StructuralError,
         UnsupportedMorphismError,
         UnsupportedSpaceError,
-        WindowOverflowError,
         NotATopFormError,
         OSError,
     ) as exc:

@@ -16,39 +16,60 @@ needs one pullback per sheaf monomial M (at most four): Phi*(g'^e*M) is
 Phi*(M) with every exponent lowered by e and every coefficient scaled by b^e.
 The torus g -> lambda*g, psi -> mu*psi acts on both charts, and the system
 is a direct sum of weight blocks, each with one overlap row and at most one
-column per chart for every sheaf monomial of its second weight; a transition
-that mixes weights, kills a sheaf monomial or maps g to any other power than
-g^-1 is rejected.  The blocks do not depend on any cutoff, and only the
-finitely many first weights of `_class_weights` can carry a class (the
-monomial-by-monomial computation of Cech cohomology of O(d) on P^1).
-`_cech_solve` eliminates each of those blocks once, with its columns in
-their global (chart, monomial, exponent) order, so the kernels come out as
-from one eliminator for the whole system; the unit vectors of the rows are
-inserted after the columns, and the rows they leave unhit are the H^1
-representatives.  `cech` is therefore exact at every cutoff.  The pairing
-multiplies only generators of weight sum (0, 0), where H^1(Omega^{1|1}) is
-one row hit by no coboundary, and reads off the coefficient of that row.
+column per chart for every sheaf monomial of its second weight.
+`_transition` checks this from the generator images, once per call and before
+any sheaf is looked at: the image of g must be b*g^-1, and that of psi one
+non-zero Laurent monomial times psi (a sum mixes weights, and psi -> 0 kills
+every sheaf monomial with a theta).  The blocks do not depend on any cutoff,
+and only the finitely many first weights of `_class_weights` can carry a
+class (the monomial-by-monomial computation of Cech cohomology of O(d) on
+P^1).  `_layout` lays the blocks out and `_solve` eliminates each of them
+once, with its columns in their global (chart, monomial, exponent) order, so
+the kernels come out as from one eliminator for the whole system; the unit
+vectors of the rows are inserted after the columns, and the rows they leave
+unhit are the H^1 representatives.  `cech` is therefore exact at every
+cutoff.  The pairing multiplies only generators of weight sum (0, 0), where
+H^1(Omega^{1|1}) is one row hit by no coboundary, and reads off the
+coefficient of that row.
 
 `_complex_cohomology` walks a complex of d matrices: the eliminator of d[i-1]
 gives rank(d[i-1]), ker(d[i-1]) and the image against which degree-i
-representatives are picked.  P^{1|1} de Rham runs it on the complex of global
-sections, the H^0 kernels of the Cech solves coordinatized by their lead
-columns: d(section) is read off at the next level's leads, and an exact
-residual checks that it is global.  Flat-space de Rham needs no elimination:
-d keeps the even weight E, the odd weight vector u and the set of
-delta-carrying odd indices, and by a Kunneth argument the only summand with a
-class is the single closed form theta_S*delta_S for S = supp(u), E = 0,
-u in {0, 1}^n with |u| = p, which `_flat_derham` only checks to be closed.
+representatives are picked.  P^{1|1} de Rham runs it on the weight-(0, 0)
+part of the complex of global sections alone.  d keeps the torus weight (dg
+scales like g, dpsi like psi), so that complex is the direct sum of its
+weight summands, and every summand but (0, 0) is acyclic.  The Euler fields
+g*d/dg and psi*d/dpsi are global: under g' = b/g, psi' = c*g^k*psi they read
+-g'*d/dg' + k*psi'*d/dpsi' and psi'*d/dpsi'.  Their Lie derivatives multiply
+a form of weight (lambda, mu) by lambda and by mu, and by Cartan's formula
+L_E = d*i_E + i_E*d, so i_E/lambda for E = g*d/dg (or i_E/mu for
+E = psi*d/dpsi) is a contracting homotopy of a summand with lambda != 0 (or
+mu != 0).  For
+psi*d/dpsi the contraction acts on delta^(k)(dpsi), a distribution in dpsi
+(Witten, arXiv:1209.2199), by raising its order: i_E delta^(k)(dpsi) =
++-psi*delta^(k+1)(dpsi).  The engine has no contraction, so the tests carry
+the argument: they split the full complex by weight and find every other
+summand acyclic.  A global section is fixed by its U0 part, since Phi* is
+injective, and a U0 label g^e*M (e >= 0) has weight (0, 0) only if e = 0, M
+has no dgamma and its second weight is 0.  So `_invariant_sections`
+eliminates the weight-(0, 0) block of the levels whose sheaf has such an M,
+and no layout of any other level is built.  d(section) is read off at the
+next level's leads, and an exact residual checks that it is global.
+
+Flat-space de Rham needs no elimination: d keeps the even weight E, the odd
+weight vector u and the set of delta-carrying odd indices, and by a Kunneth
+argument the only summand with a class is the single closed form
+theta_S*delta_S for S = supp(u), E = 0, u in {0, 1}^n with |u| = p, which
+`_flat_derham` only checks to be closed.
 
 Every report is computed once.  P^{1|1} answers do not depend on the cutoff
 and are stabilized; a flat answer holds the classes in the box |u_j| <= D,
 which misses one only at D = 0, so a flat report is unstabilized exactly
 when D = 0 and a picture p >= 1 has degree 0 in range.  `_solve` computes
-the Cech solve of each (transition, sheaf) once per process, as read-only
-labels; a `Morphism` compares by its generator images, so fresh builds of
-one atlas share the entries.  A negative cutoff is rejected by `cech` and
-`derham`; `_cech_solve` rejects any atlas that is not two 1|1 charts, since
-its section bases are those of P^{1|1}.
+the Cech solve of each (transition, sheaf) for `cech` and the pairing once
+per process, as read-only labels; a `Morphism` compares by its generator
+images, so fresh builds of one atlas share the entries.  A negative cutoff is
+rejected by `cech` and `derham`; `_transition` rejects any atlas that is not
+two 1|1 charts, since the section bases are those of P^{1|1}.
 """
 
 from dataclasses import dataclass, field
@@ -255,9 +276,12 @@ def _class_weights(lams):
     return min(0, min(lams, default=0) + 1), max(0, max(lams, default=0))
 
 
-def _cech_solve(atlas, sheaf):
-    """Solve the Cech system (s0, s1) |-> s0 - Phi*(s1) of one sheaf, one
-    complete torus-weight block at a time; see `_solve` for the result."""
+def _transition(atlas):
+    """The transition m01 from the first chart of a P^{1|1} atlas to the
+    second, checked from its generator images before any sheaf is looked at:
+    two 1|1 charts, m01 running between them in sorted order, g -> b*g^-1 and
+    psi -> c*g^k*psi with c != 0.  Across such an m01 the Cech system of
+    every sheaf is a direct sum of finite, complete torus-weight blocks."""
     # The section bases are those of P^{1|1}; on any other atlas they would
     # ignore coordinates and answer for the wrong space.
     shapes = [(len(c.table.even_names), len(c.table.odd_names)) for c in atlas.charts.values()]
@@ -271,34 +295,46 @@ def _cech_solve(atlas, sheaf):
     # The solve labels its columns with the transition's own chart ids.
     if (m01.source.id, m01.target.id) != (c0, c1):
         raise StructuralError("the transition (%s, %s) joins other charts" % (c0, c1))
-    return _solve(m01, tuple(sheaf))
-
-
-# A cached solve grows linearly in |i|: about 15 KiB for -3|1, 0.5 MiB for -200|1.
-@lru_cache(maxsize=256)
-def _solve(m01, sheaf):
-    """The Cech solve across the transition m01 from chart c0 to chart c1,
-    once per process (a rejected transition raises, which is not cached).
-
-    Returns read-only (dom, kernels, reps): the column labels (chart id,
-    Monomial, exponent tuple) of the blocks `_class_weights` admits, in
-    (chart, monomial, exponent) order; H^0 as combinations {column: coeff};
-    the H^1 representatives as overlap (Monomial, exponent) pairs in
-    monomial order.  A block has one row per sheaf monomial, keyed by the
-    monomial's position in the sheaf basis, and the unit vectors of its rows
-    are inserted after its columns.
-    """
-    mons = p11_sheaf_monomials(*sheaf)
-    position = {mon: k for k, mon in enumerate(mons)}
-    c0, c1 = m01.source.id, m01.target.id
-    # Pullback is a ring map and the image of g is one Laurent monomial b*g^a,
-    # so Phi*(g^e*M) is Phi*(M) shifted by a*e and scaled by b^e.  Only a = -1
-    # makes every block finite and the blocks outside `_class_weights` exact.
-    (a,), b = m01.even_images[0].single_term()
+    # Only a = -1 makes every block finite and the blocks outside
+    # `_class_weights` exact.
+    (a,), _ = m01.even_images[0].single_term()
     if a != -1:
         raise UnsupportedMorphismError(
             "the Cech system of P^{1|1} needs the even transition b*g^-1, got b*g^%d" % a
         )
+    # A sum of terms mixes torus weights and psi -> 0 kills a sheaf monomial;
+    # both are checked here, since a sheaf without monomials would not show it.
+    odd = m01.odd_image_form(0)
+    theta = Monomial((0,))
+    if list(odd.terms) != [theta] or not odd.terms[theta].is_monomial():
+        raise UnsupportedMorphismError(
+            "the Cech system of P^{1|1} needs the odd transition c*g^k*psi with c != 0, got %r"
+            % (odd,)
+        )
+    return m01
+
+
+def _cech_solve(atlas, sheaf):
+    """Solve the Cech system (s0, s1) |-> s0 - Phi*(s1) of one sheaf, one
+    complete torus-weight block at a time; see `_solve` for the result."""
+    return _solve(_transition(atlas), tuple(sheaf))
+
+
+def _layout(m01, mons):
+    """The weight blocks of the Cech system across m01 on the sheaf monomials
+    mons, as (dom, blocks, column).
+
+    dom lists the column labels (chart id, Monomial, exponent tuple) of the
+    blocks `_class_weights` admits, in (chart, monomial, exponent) order;
+    blocks maps each weight to the ascending positions of its columns in dom;
+    column(t) is the column of dom[t], one entry per overlap row, keyed by
+    the position of the row's sheaf monomial in mons.
+    """
+    position = {mon: k for k, mon in enumerate(mons)}
+    c0, c1 = m01.source.id, m01.target.id
+    # Pullback is a ring map and the image of g is b*g^-1 (`_transition`), so
+    # Phi*(g^e*M) is Phi*(M) shifted by -e and scaled by b^e.
+    _, b = m01.even_images[0].single_term()
     one = LaurentPoly.const(m01.target.table.even_names, 1)
     pulled = {mon: pullback(m01, Superform(c1, m01.target.table, {mon: one})) for mon in mons}
     weights = {mon: _form_weight(pulled[mon]) for mon in mons}
@@ -323,17 +359,34 @@ def _solve(m01, sheaf):
             return {position[mon]: Fraction(1)}
         return {position[m]: -(c * b**e) for m, lp in pulled[mon].terms.items() for c in lp.terms.values()}
 
+    return dom, blocks, column
+
+
+# A cached solve grows linearly in |i|: about 15 KiB for -3|1, 0.5 MiB for -200|1.
+@lru_cache(maxsize=256)
+def _solve(m01, sheaf):
+    """The Cech solve across the transition m01 from chart c0 to chart c1,
+    once per process (a rejected transition raises, which is not cached).
+
+    Returns read-only (dom, kernels, reps): the column labels of `_layout`;
+    H^0 as combinations {column: coeff}; the H^1 representatives as overlap
+    (Monomial, exponent) pairs in monomial order.  A block has one row per
+    sheaf monomial, and the unit vectors of its rows are inserted after its
+    columns.
+    """
+    mons = p11_sheaf_monomials(*sheaf)
+    dom, blocks, column = _layout(m01, mons)
     kernels, reps = [], []
     for (lam, mu), ts in blocks.items():
         elim, block_kernels = _eliminate([column(t) for t in ts])
         kernels += [{ts[j]: c for j, c in combo.items()} for combo in block_kernels]
         # The rows the columns leave unhit, in monomial order, are H^1.
-        rows = [(mon, lam - len(mon.devens)) for mon in mons if _weight(mon, 0)[1] == mu]
-        reps += [el for el in rows if elim.insert({position[el[0]]: Fraction(1)}, el) is None]
+        rows = [(k, lam - len(mon.devens)) for k, mon in enumerate(mons) if _weight(mon, 0)[1] == mu]
+        reps += [el for el in rows if elim.insert({el[0]: Fraction(1)}, el) is None]
     # Blocks share no column, so `_eliminate`'s lead convention holds across them.
     kernels.sort(key=max)
-    reps.sort(key=lambda el: (position[el[0]], el[1]))
-    return tuple(dom), tuple(MappingProxyType(k) for k in kernels), tuple(reps)
+    reps = tuple((mons[k], e) for k, e in sorted(reps))
+    return tuple(dom), tuple(MappingProxyType(k) for k in kernels), reps
 
 
 def _glue(atlas, labels, combo):
@@ -380,9 +433,24 @@ def _differential_error(key):
     return StructuralError("differential of a global section leaves the complex")
 
 
+def _invariant_sections(m01, sheaf):
+    """The weight-(0, 0) global sections of one sheaf, as (labels, kernels):
+    the column labels of its weight-(0, 0) Cech block and the block's H^0 as
+    combinations {column: coeff}.  A U0 label g^e*M has that weight only if
+    e = 0 and M has it, so a sheaf without such an M has no such section, and
+    its layout is not built."""
+    mons = p11_sheaf_monomials(*sheaf)
+    if all(_weight(mon, 0) != (0, 0) for mon in mons):
+        return (), []
+    dom, blocks, column = _layout(m01, mons)
+    ts = blocks[(0, 0)]
+    return [dom[t] for t in ts], _eliminate([column(t) for t in ts])[1]
+
+
 def _derham_p11(atlas, picture, lo, hi):
-    # degree -> (Cech column labels, global sections as kernel combinations)
-    levels = {i: _cech_solve(atlas, (i, picture))[:2] for i in range(lo - 1, hi + 2)}
+    m01 = _transition(atlas)
+    # degree -> (column labels, weight-(0, 0) global sections as kernel combinations)
+    levels = {i: _invariant_sections(m01, (i, picture)) for i in range(lo - 1, hi + 2)}
     d_cols = {}
     for i in range(lo - 1, hi + 1):
         labels, sections = levels[i]
@@ -484,7 +552,8 @@ def derham(space, picture, degree_range, cutoff):
         raise StructuralError("empty degree range %r" % (degree_range,))
     atlas, label = _resolve_space(space)
     flat = len(atlas.charts) == 1
-    # _cech_solve rejects an atlas that is not two 1|1 charts, and any picture but 0 or 1.
+    # _transition rejects an atlas that is not two 1|1 charts, and the sheaf
+    # basis any picture but 0 or 1.
     if cutoff < 0:
         raise StructuralError("cutoff must be non-negative, got %d" % cutoff)
     if flat:

@@ -13,10 +13,6 @@ class UnsupportedSpaceError(ValueError):
     """Sheaf or picture outside what the space supports."""
 
 
-class WindowOverflowError(RuntimeError):
-    """A computed section left the truncation window (window too small)."""
-
-
 class NotATopFormError(ValueError):
     """Integrand is missing part of its dgamma or delta block."""
 

@@ -7,7 +7,7 @@ import random
 import tempfile
 import unittest
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb
 from unittest import mock
 
@@ -27,7 +27,6 @@ from superforms import (
     Superform,
     UnsupportedMorphismError,
     UnsupportedSpaceError,
-    WindowOverflowError,
     builtin_flat,
     builtin_p11,
     cech,
@@ -43,6 +42,7 @@ from superforms import (
     pullback,
 )
 from superforms import cohomology
+from superforms.coeff_ring import _axpy
 from superforms.cohomology import (
     _cech_solve,
     _class_weights,
@@ -61,6 +61,22 @@ P11 = builtin_p11()
 ACCEPTANCE_SHEAVES = (
     [(0, 0)] + [(n, 0) for n in range(1, 6)] + [(-n, 1) for n in range(6)] + [(1, 1)]
 )
+ONE = LaurentPoly.const(("g",), 1)
+INVERSE = LaurentPoly.monomial(("g",), (-1,))
+
+
+def glued_p11(even, odd):
+    """P11 with the transition (U0, U1) replaced by g -> even and psi -> odd*psi,
+    or psi -> 0 for odd None.  Built through the API, so no cocycle check."""
+    u0, u1 = P11.chart("U0"), P11.chart("U1")
+    transitions = dict(P11.transitions)
+    images = () if odd is None else ((odd, 0),)
+    transitions[("U0", "U1")] = Morphism(u0, u1, {0: even}, {0: images})
+    return Atlas({"U0": u0, "U1": u1}, transitions)
+
+
+# g -> 2/g, psi -> psi glues P^1 x C^{0|1}.
+P1_TIMES_ODD_LINE = glued_p11(lp_scale(INVERSE, 2), ONE)
 
 
 def random_columns(rng, rows, count, density=0.6):
@@ -323,34 +339,51 @@ class TestCech(unittest.TestCase):
         # The blocks are finite and complete only for g -> b*g^-1.  Through
         # the API, g -> 2g answered h0(0|0) = 22, h1 = 8 unstabilized at
         # cutoff 10, and g -> 2g^-2 raised WindowOverflowError.
-        u0, u1 = P11.chart("U0"), P11.chart("U1")
-        one = LaurentPoly.const(("g",), 1)
         for exponent in (1, -2, 0):
-            image = lp_scale(LaurentPoly.monomial(("g",), (exponent,)), 2)
-            transitions = dict(P11.transitions)
-            transitions[("U0", "U1")] = Morphism(u0, u1, {0: image}, {0: ((one, 0),)})
-            atlas = Atlas({"U0": u0, "U1": u1}, transitions)
+            atlas = glued_p11(lp_scale(LaurentPoly.monomial(("g",), (exponent,)), 2), ONE)
             for sheaf in ((0, 0), (1, 1)):
                 with self.assertRaises(UnsupportedMorphismError, msg=(exponent, sheaf)):
                     cech(atlas, sheaf, 10)
             with self.assertRaises(UnsupportedMorphismError, msg=exponent):
                 derham(atlas, 0, (0, 1), 6)
         # g -> 2/g, psi -> psi glues P^1 x C^{0|1}: H^0(O) holds 1 and psi.
-        transitions = dict(P11.transitions)
-        transitions[("U0", "U1")] = Morphism(
-            u0, u1, {0: lp_scale(LaurentPoly.monomial(("g",), (-1,)), 2)}, {0: ((one, 0),)}
-        )
-        report = cech(Atlas({"U0": u0, "U1": u1}, transitions), (0, 0), 10)
+        report = cech(P1_TIMES_ODD_LINE, (0, 0), 10)
         self.assertEqual((report.h0, report.h1, report.stabilized), (2, 0, True))
         self.assertEqual([pretty_print(parts["U0"]) for parts in report.generators_h0], ["1", "psi"])
 
     def test_zero_odd_image_rejected(self):
         # psi -> 0 kills psi; picture 0 used to answer h0(0|0) = 8 unstabilized.
-        u0, u1 = P11.chart("U0"), P11.chart("U1")
-        transitions = dict(P11.transitions)
-        transitions[("U0", "U1")] = Morphism(u0, u1, {0: LaurentPoly.monomial(("g",), (-1,))}, {0: ()})
         with self.assertRaises(UnsupportedMorphismError):
-            cech(Atlas({"U0": u0, "U1": u1}, transitions), (0, 0), 6)
+            cech(glued_p11(INVERSE, None), (0, 0), 6)
+
+    def test_rejected_transition_rejected_for_every_sheaf_and_range(self):
+        # The transition is checked from its generator images before any
+        # sheaf is looked at.  A sheaf without monomials (4|1, -1|0) has
+        # nothing to pull back, so psi -> 0 and psi -> (1+g)*psi used to
+        # answer h0 = h1 = 0 there, and derham over a range whose levels
+        # have no monomials, or none of weight (0, 0), all zeros.
+        rejected = {
+            "g -> 2g": glued_p11(lp_scale(LaurentPoly.monomial(("g",), (1,)), 2), ONE),
+            "g -> 2g^-2": glued_p11(lp_scale(LaurentPoly.monomial(("g",), (-2,)), 2), ONE),
+            "g -> 2": glued_p11(LaurentPoly.const(("g",), 2), ONE),
+            "psi -> 0": glued_p11(INVERSE, None),
+            "psi -> (1+g)*psi": glued_p11(INVERSE, LaurentPoly(("g",), {(0,): 1, (1,): 1})),
+        }
+        ranges = ((0, (0, 1)), (0, (3, 5)), (1, (-8, -3)), (1, (4, 6)))
+        for name, atlas in rejected.items():
+            for sheaf in ((0, 0), (4, 1), (-1, 0)):
+                with self.assertRaises(UnsupportedMorphismError, msg=(name, sheaf)):
+                    cech(atlas, sheaf, 6)
+            for picture, degrees in ranges:
+                with self.assertRaises(UnsupportedMorphismError, msg=(name, picture, degrees)):
+                    derham(atlas, picture, degrees, 6)
+        for sheaf in ((0, 0), (4, 1), (-1, 0)):
+            report = cech(P1_TIMES_ODD_LINE, sheaf, 6)
+            self.assertTrue(report.stabilized, msg=sheaf)
+        for picture, degrees in ranges:
+            report = derham(P1_TIMES_ODD_LINE, picture, degrees, 6)
+            want = {(i, picture): int(i == 0) for i in range(degrees[0], degrees[1] + 1)}
+            self.assertEqual(report.dims, want, msg=(picture, degrees))
 
     def test_transition_to_another_chart_rejected(self):
         # The sheaf monomials are pulled back from the transition's own
@@ -377,12 +410,7 @@ class TestCech(unittest.TestCase):
         # psi -> (1+g)*psi mixes torus weights, so its Cech system is no
         # direct sum of weight blocks; picture 0 used to answer h0 = 2 for
         # Omega^{0|0} (the built-in atlas gives 1) with stabilized = True.
-        u0, u1 = P11.chart("U0"), P11.chart("U1")
-        inverse = LaurentPoly.monomial(("g",), (-1,))
-        one_plus_g = LaurentPoly(("g",), {(0,): 1, (1,): 1})
-        transitions = dict(P11.transitions)
-        transitions[("U0", "U1")] = Morphism(u0, u1, {0: inverse}, {0: ((one_plus_g, 0),)})
-        atlas = Atlas({"U0": u0, "U1": u1}, transitions)
+        atlas = glued_p11(INVERSE, LaurentPoly(("g",), {(0,): 1, (1,): 1}))
         for sheaf in ((0, 0), (1, 0), (0, 1)):
             with self.assertRaises(UnsupportedMorphismError, msg=sheaf):
                 cech(atlas, sheaf, 6)
@@ -390,8 +418,12 @@ class TestCech(unittest.TestCase):
             derham(atlas, 0, (0, 1), 6)
 
 
+class WindowOverflow(Exception):
+    """A section or product of a windowed oracle left its window."""
+
+
 def _overlap_error(key):
-    return WindowOverflowError("section leaves the overlap window at %r" % (key,))
+    return WindowOverflow("section leaves the overlap window at %r" % (key,))
 
 
 def windowed_cech_solve(atlas, sheaf, cutoff):
@@ -676,18 +708,29 @@ class TestDeRham(unittest.TestCase):
                 derham("flat:1,1", picture, (0, 1), 2)
 
     def test_one_solve_per_level(self):
-        # Picture 1 over -4..1 needs the levels -5..2, each solved once; the
-        # cutoff + 2 rerun used to solve every level a second time.
-        with mock.patch.object(cohomology, "_cech_solve", wraps=cohomology._cech_solve) as solve:
-            report = derham("p11", 1, (-4, 1), 6)
-        self.assertEqual(solve.call_count, 8)
-        self.assertTrue(report.stabilized)
-        # With every solve cached, only `_complex_cohomology` eliminates: the
-        # d matrices of levels -5..1, one each.  The coordinates of a
-        # differential are read off the next level's kernels, not solved for.
-        with mock.patch.object(cohomology, "_eliminate", wraps=_eliminate) as eliminate:
-            derham("p11", 1, (-4, 1), 6)
-        self.assertEqual(eliminate.call_count, 7)
+        # de Rham never runs the full Cech solve: of the levels -5..2 of
+        # picture 1 over -4..1 only degree 0 has a weight-(0, 0) monomial,
+        # so one block of two columns is eliminated, plus the d matrices of
+        # levels -5..1 in `_complex_cohomology`.  The full complex made 8
+        # `_solve` calls, then 7 `_eliminate` and 120 `Eliminator.insert`
+        # calls with every solve cached.
+        inserts = []
+        insert = Eliminator.insert
+
+        def counted(elim, vec, tag):
+            inserts.append(tag)
+            return insert(elim, vec, tag)
+
+        for _ in range(2):
+            inserts.clear()
+            with mock.patch.object(cohomology, "_solve", wraps=cohomology._solve) as solve, \
+                    mock.patch.object(cohomology, "_eliminate", wraps=_eliminate) as eliminate, \
+                    mock.patch.object(Eliminator, "insert", counted):
+                report = derham("p11", 1, (-4, 1), 6)
+            self.assertEqual(solve.call_count, 0)
+            self.assertTrue(report.stabilized)
+            self.assertEqual(eliminate.call_count, 8)
+            self.assertEqual(len(inserts), 4)
 
     def test_projective_answer_is_cutoff_free(self):
         # Term order and coefficient types included, P^{1|1} de Rham answers
@@ -721,9 +764,9 @@ class TestDeRham(unittest.TestCase):
                 derham("p11", 0, (0, 0), 4)
 
     def test_differential_on_one_chart_is_not_global(self):
-        # d(1) + dpsi on U0 alone lies in the next level's basis but in no
-        # global section: its entries at the kernels' leads (U1 columns)
-        # are all zero, and the residual is not.
+        # d(1) + dpsi on U0 alone is not global.  dpsi has weight (0, 1),
+        # so it lies outside the weight-(0, 0) block of the next level, the
+        # only part of the complex that is assembled.
         dpsi = Monomial((), (), ((0, 1),), ())
 
         def one_chart_d(form):
@@ -733,26 +776,34 @@ class TestDeRham(unittest.TestCase):
             return exterior_d(form) + Superform(form.chart, form.table, extra)
 
         with mock.patch.object(cohomology, "exterior_d", one_chart_d):
-            with self.assertRaisesRegex(StructuralError, "is not global"):
+            with self.assertRaisesRegex(StructuralError, "leaves the complex"):
                 derham("p11", 0, (0, 0), 4)
 
     def test_differential_at_a_lead_is_not_global(self):
-        # delta(dpsi) on U1 is the lead of a global section of Omega^{0|1}:
-        # added to d of each degree -1 section it is read as a coordinate,
-        # and the rest of that global section stays in the residual.
+        # delta(dpsi) on U1 is the lead of a global section of Omega^{0|1}.
+        # With those sections patched in as level 1 of picture 1, the
+        # delta(dpsi) added to d(psi*delta(dpsi)) on U1 is read as that
+        # section's coordinate, and the rest of the section, which the added
+        # term misses, stays in the residual.
         delta = Monomial((), (), (), ((0, 0),))
         dom, kernels, _ = _cech_solve(P11, (0, 1))
         self.assertIn(("U1", delta, (0,)), [dom[max(k)] for k in kernels])
+        sections = cohomology._invariant_sections
+
+        def level_one(m01, sheaf):
+            return (dom, kernels) if sheaf == (1, 1) else sections(m01, sheaf)
 
         def lead_d(form):
-            if form.chart != "U1" or {mon.degree() for mon in form.terms} != {-1}:
+            if form.chart != "U1" or {mon.degree() for mon in form.terms} != {0}:
                 return exterior_d(form)
             extra = {delta: LaurentPoly.const(form.table.even_names, 1)}
             return exterior_d(form) + Superform(form.chart, form.table, extra)
 
-        with mock.patch.object(cohomology, "exterior_d", lead_d):
-            with self.assertRaisesRegex(StructuralError, "is not global"):
-                derham(P11, 1, (0, 0), 4)
+        with mock.patch.object(cohomology, "_invariant_sections", level_one):
+            self.assertEqual(derham(P11, 1, (0, 0), 4).dims, {(0, 1): 1})
+            with mock.patch.object(cohomology, "exterior_d", lead_d):
+                with self.assertRaisesRegex(StructuralError, "is not global"):
+                    derham(P11, 1, (0, 0), 4)
 
     def test_projective_picture_out_of_range(self):
         # The sheaf basis rejects the picture, as for cech.
@@ -760,6 +811,114 @@ class TestDeRham(unittest.TestCase):
             with self.assertRaises(UnsupportedSpaceError, msg=picture) as ctx:
                 derham("p11", picture, (0, 1), 4)
             self.assertEqual(str(ctx.exception), "picture %d not supported on P^{1|1}" % picture)
+
+
+# The complex of all global sections, which P^{1|1} de Rham assembled before
+# it kept the weight-(0, 0) block alone: the oracle of the homotopy argument.
+
+
+def global_section_complex(atlas, picture, lo, hi):
+    """Every Cech kernel of the levels lo-1..hi+1 as a global section:
+    (levels, d_cols), levels[i] = (labels, sections) and d_cols[i] the
+    coordinates of d(section) in the sections of level i+1, read at their
+    leads and checked by an exact residual."""
+    levels = {i: _cech_solve(atlas, (i, picture))[:2] for i in range(lo - 1, hi + 2)}
+    d_cols = {}
+    for i in range(lo - 1, hi + 1):
+        labels, sections = levels[i]
+        dom, kernels = levels[i + 1]
+        index = {label: t for t, label in enumerate(dom)}
+        lead = {max(k): s for s, k in enumerate(kernels)}
+        cols = []
+        for section in sections:
+            dv = {}
+            for cid, form in _glue(atlas, labels, section).items():
+                key = lambda mon, exps, cid=cid: (cid, mon, exps)
+                dv.update(_coordinates(exterior_d(form), index, key, cohomology._differential_error))
+            col = {lead[t]: c for t, c in dv.items() if t in lead}
+            for s, c in col.items():
+                _axpy(dv, kernels[s], -c)
+            if dv:
+                raise StructuralError("differential of a global section is not global")
+            cols.append(col)
+        d_cols[i] = cols
+    return levels, d_cols
+
+
+def complex_answer(atlas, picture, lo, hi, levels, d_cols):
+    """The strict (dims, generators) of a complex of global sections, with
+    the generators composed and glued as derham reports them."""
+    dims, reps = _complex_cohomology(d_cols, lo, hi)
+    gens = {}
+    for i in range(lo, hi + 1):
+        labels, sections = levels[i]
+        gens[i] = []
+        for z in reps[i]:
+            combo = {}
+            for t, c in z.items():
+                _axpy(combo, sections[t], c)
+            gens[i].append(_glue(atlas, labels, combo))
+    return strict_answer({(i, picture): dim for i, dim in dims.items()}, gens)
+
+
+def strict_answer(dims, gens):
+    """dims and the generators' strict term dumps, chart by chart."""
+    return dims, {
+        i: [[(cid, strict_form(f)) for cid, f in parts.items()] for parts in group]
+        for i, group in gens.items()
+    }
+
+
+def split_by_weight(atlas, levels, d_cols):
+    """The weight summands {weight: (levels, d_cols)} of a complex of global
+    sections, each section weighed by its part on the first chart.  A d
+    column that leaves its section's weight raises."""
+    c0 = min(atlas.charts)
+    weights = {
+        i: [_form_weight(_glue(atlas, labels, s)[c0]) for s in sections]
+        for i, (labels, sections) in levels.items()
+    }
+    summands = {}
+    for w in set(chain.from_iterable(weights.values())):
+        keep = {i: [t for t, x in enumerate(ws) if x == w] for i, ws in weights.items()}
+        renumber = {i: {t: k for k, t in enumerate(ts)} for i, ts in keep.items()}
+        sub_d = {}
+        for i, cols in d_cols.items():
+            sub_d[i] = []
+            for t in keep[i]:
+                if any(weights[i + 1][r] != w for r in cols[t]):
+                    raise StructuralError("d leaves the weight %r" % (w,))
+                sub_d[i].append({renumber[i + 1][r]: c for r, c in cols[t].items()})
+        sub_levels = {i: (levels[i][0], [levels[i][1][t] for t in ts]) for i, ts in keep.items()}
+        summands[w] = (sub_levels, sub_d)
+    return summands
+
+
+class TestWeightSplit(unittest.TestCase):
+    def test_only_weight_zero_carries_cohomology(self):
+        # d keeps the torus weight, so the complex of all global sections is
+        # the direct sum of its weight summands.  Every summand but (0, 0)
+        # is acyclic (Cartan's formula for the Euler fields g*d/dg and
+        # psi*d/dpsi), and the (0, 0) summand, like the whole complex, gives
+        # derham's answer, term order and coefficient types included.
+        atlases = {"P11": P11, "scaled": scaled_atlas(), "P^1 x C^{0|1}": P1_TIMES_ODD_LINE}
+        for name, atlas in atlases.items():
+            for picture, (lo, hi) in ((0, (-3, 6)), (1, (-12, 3))):
+                msg = (name, picture)
+                report = derham(atlas, picture, (lo, hi), 6)
+                want = strict_answer(report.dims, report.generators)
+                levels, d_cols = global_section_complex(atlas, picture, lo, hi)
+                self.assertEqual(complex_answer(atlas, picture, lo, hi, levels, d_cols), want, msg=msg)
+                summands = split_by_weight(atlas, levels, d_cols)
+                self.assertIn((0, 0), summands, msg=msg)
+                if picture == 1:
+                    self.assertGreater(len(summands), 1, msg=msg)
+                for w, (sub_levels, sub_d) in summands.items():
+                    got = complex_answer(atlas, picture, lo, hi, sub_levels, sub_d)
+                    if w == (0, 0):
+                        self.assertEqual(got, want, msg=msg)
+                    else:
+                        self.assertEqual(set(got[0].values()), {0}, msg=(msg, w))
 
 
 # The flat block enumerator: the reference that derham's flat classes are
@@ -1053,7 +1212,7 @@ def all_products_pairing(n, cutoff):
             elim = elims[_form_weight(product)] if product.terms else Eliminator()
             combo = elim.insert(vec, ("prod", s, t))
             if combo is None:
-                raise WindowOverflowError("pairing product escapes the coboundary window")
+                raise WindowOverflow("pairing product escapes the coboundary window")
             row.append(-combo.get(generator, Fraction(0)))
         matrix.append(row)
     return matrix, _eliminate([dict(enumerate(row)) for row in matrix])[0].rank
