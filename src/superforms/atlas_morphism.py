@@ -161,8 +161,12 @@ def _monomial_image(m, mon, extra):
     """
     src = m.source
     acc = Superform.constant(src.id, src.table, 1)
+    # dpsi^b lists dpsi b times; its image is computed once.
+    images = {}
     for atom in mon.factors():
-        acc = wedge(acc, _atom_image(m, atom, extra))
+        if atom not in images:
+            images[atom] = _atom_image(m, atom, extra)
+        acc = wedge(acc, images[atom])
         if acc.is_zero():
             break
     return tuple(acc.terms.items())

@@ -28,9 +28,10 @@ once, with its columns in their global (chart, monomial, exponent) order, so
 the kernels come out as from one eliminator for the whole system; the unit
 vectors of the rows are inserted after the columns, and the rows they leave
 unhit are the H^1 representatives.  `cech` is therefore exact at every
-cutoff.  The pairing multiplies only generators of weight sum (0, 0), where
-H^1(Omega^{1|1}) is one row hit by no coboundary, and reads off the
-coefficient of that row.
+cutoff.  The pairing is block-diagonal by weight: it pairs only labels of
+weight sum (0, 0), where H^1(Omega^{1|1}) is one row hit by no coboundary,
+and reads each entry off the `_solve` labels as the coefficient of that row,
+forming one product per pair of sheaf monomials.
 
 `_complex_cohomology` walks a complex of d matrices: the eliminator of d[i-1]
 gives rank(d[i-1]), ker(d[i-1]) and the image against which degree-i
@@ -68,8 +69,9 @@ when D = 0 and a picture p >= 1 has degree 0 in range.  `_solve` computes
 the Cech solve of each (transition, sheaf) for `cech` and the pairing once
 per process, as read-only labels; a `Morphism` compares by its generator
 images, so fresh builds of one atlas share the entries.  A negative cutoff is
-rejected by `cech` and `derham`; `_transition` rejects any atlas that is not
-two 1|1 charts, since the section bases are those of P^{1|1}.
+rejected by `cech`, `derham` and `pairing_matrix`; `_transition` rejects any
+atlas that is not two 1|1 charts, since the section bases are those of
+P^{1|1}.
 """
 
 from dataclasses import dataclass, field
@@ -151,14 +153,20 @@ class CohomologyReport:
 
 
 def p11_sheaf_monomials(i, j):
-    """Monomials spanning Omega^{i|j} fibers on a P^{1|1} chart."""
+    """Monomials spanning Omega^{i|j} fibers on a P^{1|1} chart, in listing
+    order (`Monomial.sort_key`), built in that order.
+
+    The key compares the top factor first: dpsi^b or delta^(k)(dpsi), then
+    dg, then psi.  So dg*dpsi^(i-1) precedes dpsi^i, delta^(-i)(dpsi)
+    precedes dg*delta^(1-i)(dpsi), and psi, the last factor compared, only
+    lengthens the key: M precedes psi*M.
+    """
     if j not in (0, 1):
         raise UnsupportedSpaceError("picture %d not supported on P^{1|1}" % j)
     out = []
-    for th in (0, 1):
-        thetas = (0,) if th else ()
-        for e in (0, 1):
-            devens = (0,) if e else ()
+    for e in (1, 0) if j == 0 else (0, 1):
+        devens = (0,) if e else ()
+        for thetas in ((), (0,)):
             if j == 0:
                 b = i - e
                 if b < 0:
@@ -170,7 +178,6 @@ def p11_sheaf_monomials(i, j):
                 if k < 0:
                     continue
                 out.append(Monomial(thetas, devens, (), ((0, k),)))
-    out.sort(key=Monomial.sort_key)
     return out
 
 
@@ -595,43 +602,74 @@ def pairing_matrix(n, cutoff):
     """Cohomological pairing H^1(Omega^{n+1|0}) x H^0(Omega^{-n|1}) -> Q.
 
     The H^1(Omega^{1|1}) generator psi*dg*delta(dpsi)/g has torus weight
-    (0, 0), and a product of weights w1 and w2 has weight w1 + w2, so only
-    the pairs with w1 + w2 = (0, 0) are multiplied; every other entry is
-    zero.  The weight-(0, 0) block of Omega^{1|1} is the generator's row
-    alone, hit by no coboundary, so an entry is the product's coefficient on
-    the generator.  Returns (matrix rows, exact rank); the cutoff is checked
-    and recorded as by `cech`.
+    (0, 0), and a product of weights w1 and w2 has weight w1 + w2, so the
+    matrix is block-diagonal by weight: a representative g^e1*M1 of weight w
+    meets only the H^0 generators whose U0 part has weight -w, and every
+    other entry is zero.  The weight-(0, 0) block of Omega^{1|1} is the
+    generator's row alone, hit by no coboundary, so an entry is the
+    product's coefficient on the generator.  Both factors are read off the
+    `_solve` labels, with no form glued: the product of g^e1*M1 with a U0
+    label g^e2*M2 is g^(e1+e2)*(M1*M2), and M1*M2 comes from one `pair` per
+    pair of sheaf monomials (at most 16).  Returns (matrix rows, exact
+    rank), the rank summed over the weight blocks; the cutoff must be
+    non-negative and does not change the answer.
     """
     if n < 0:
         raise StructuralError("pairing index must be non-negative")
-    atlas = builtin_p11()
-    h1 = cech(atlas, (n + 1, 0), cutoff)
-    h0 = cech(atlas, (-n, 1), cutoff)
+    if cutoff < 0:
+        raise StructuralError("cutoff must be non-negative, got %d" % cutoff)
+    m01 = _transition(builtin_p11())
+    reps = _solve(m01, (n + 1, 0))[2]
+    dom, kernels, _ = _solve(m01, (-n, 1))
 
     # The probe certifies that no column of Omega^{1|1} hits the generator's
     # row, the weight-(0, 0) block, so a product is read off by its coefficient.
     generator = (Monomial((0,), (0,), (), ((0, 0),)), -1)
-    if _cech_solve(atlas, (1, 1))[2] != (generator,):
+    if _solve(m01, (1, 1))[2] != (generator,):
         raise StructuralError("the H^1(Omega^{1|1}) probe does not single out the generator")
 
-    c0 = min(atlas.charts)
-    weights0 = [_form_weight(parts[c0]) for parts in h0.generators_h0]
-    matrix = []
-    for rep in h1.generators_h1:
-        lam, mu = _form_weight(rep)
-        row = []
-        for t, parts in enumerate(h0.generators_h0):
-            if weights0[t] != (-lam, -mu):
-                row.append(Fraction(0))
-                continue
-            product = pair(rep, parts[c0])
-            coeffs = {(m, exps[0]): c for m, lp in product.terms.items() for exps, c in lp.terms.items()}
+    # U0 weight -> [(generator position, its U0 labels as (M2, e2, coeff))].
+    c0 = m01.source.id
+    by_weight = {}
+    for t, combo in enumerate(kernels):
+        part = [(dom[s][1], dom[s][2][0], c) for s, c in combo.items() if dom[s][0] == c0]
+        weights = {_weight(mon, e) for mon, e, _ in part}
+        if len(weights) != 1:
+            raise StructuralError("H^0 generator %d has the U0 weights %s" % (t, sorted(weights)))
+        by_weight.setdefault(weights.pop(), []).append((t, part))
+
+    table = m01.source.table
+    one = LaurentPoly.const(table.even_names, 1)
+    products = {}  # (M1, M2) -> the terms (M, e, s) of M1*M2
+
+    def unit_product(m1, m2):
+        if (m1, m2) not in products:
+            form = pair(Superform(c0, table, {m1: one}), Superform(c0, table, {m2: one}))
+            products[m1, m2] = [(m, e, s) for m, lp in form.terms.items() for (e,), s in lp.terms.items()]
+        return products[m1, m2]
+
+    matrix, blocks = [], {}
+    for m1, e1 in reps:
+        lam, mu = _weight(m1, e1)
+        entries = {}
+        for t, part in by_weight.get((-lam, -mu), ()):
+            coeffs = {}
+            for m2, e2, c in part:
+                _axpy(coeffs, {(m, e1 + e2 + e): s for m, e, s in unit_product(m1, m2)}, c)
             if not coeffs.keys() <= {generator}:
-                raise StructuralError("pairing product %r is no multiple of the generator" % product)
-            row.append(coeffs.get(generator, Fraction(0)))
+                raise StructuralError(
+                    "pairing product of g^%d*%r and H^0 generator %d is no multiple of the "
+                    "generator: %r" % (e1, m1, t, coeffs)
+                )
+            if coeffs:
+                entries[t] = coeffs[generator]
+        blocks.setdefault((lam, mu), []).append(entries)
+        row = [Fraction(0)] * len(kernels)
+        for t, c in entries.items():
+            row[t] = c
         matrix.append(row)
 
-    return matrix, _eliminate([dict(enumerate(row)) for row in matrix])[0].rank
+    return matrix, sum(_eliminate(rows)[0].rank for rows in blocks.values())
 
 
 @dataclass

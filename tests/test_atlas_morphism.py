@@ -284,6 +284,17 @@ class TestMonomialImageCache(unittest.TestCase):
             lp.terms.clear()
         self.assertEqual(strict_form(pullback(M01, form)), want)
 
+    def test_repeated_atom_imaged_once(self):
+        # dpsi^6 lists dpsi six times; d of the odd image is taken once.
+        form = u1([dpsi(0)] * 6)
+        want = chain_pullback(M01, form)
+        atlas_morphism._monomial_image.cache_clear()
+        d = dict(target=atlas_morphism, attribute="exterior_d", wraps=atlas_morphism.exterior_d)
+        with mock.patch.object(**d) as exterior_d:
+            got = pullback(M01, form)
+        self.assertEqual(exterior_d.call_count, 1)
+        self.assertEqual(strict_form(got), strict_form(want))
+
 
 class TestCocycleVerification(unittest.TestCase):
     def test_standard_probes_pass(self):

@@ -219,6 +219,26 @@ class TestSheafBases(unittest.TestCase):
         with self.assertRaises(UnsupportedSpaceError):
             p11_sheaf_monomials(0, 2)
 
+    def test_built_in_listing_order(self):
+        # The oracle enumerates every monomial in psi, dg and one dpsi power
+        # or delta order of bidegree (i, picture), and sorts by the listing
+        # key, which expands dpsi^b into b atoms.
+        for picture in (0, 1):
+            for i in range(-60, 61):
+                tops = (
+                    [((0, b),) if b else () for b in range(i + 1)]
+                    if picture == 0
+                    else [((0, k),) for k in range(abs(i) + 2)]
+                )
+                candidates = [
+                    Monomial(thetas, devens, *((top, ()) if picture == 0 else ((), top)))
+                    for top in tops
+                    for thetas in ((), (0,))
+                    for devens in ((), (0,))
+                ]
+                want = sorted((m for m in candidates if m.degree() == i), key=Monomial.sort_key)
+                self.assertEqual(p11_sheaf_monomials(i, picture), want, msg=(i, picture))
+
     def test_section_basis_blocks(self):
         # Phi*(1) and Phi*(psi) have first weights 0 and -1, so only the
         # blocks lambda = 0 are solved: U0 takes g^e*M with e = lambda -
@@ -1153,13 +1173,16 @@ class TestPairingMatrix(unittest.TestCase):
         self.assertEqual((matrix, rank), pairing_matrix(4, 13))
 
     def test_product_off_the_generator_is_structural(self):
-        # An entry is the coefficient on psi*dg*delta(dpsi)/g; a product with
-        # any other term has no such reading.
+        # An entry is the coefficient on psi*dg*delta(dpsi)/g.  Each product
+        # of sheaf monomials M1*M2 is read at g^(e1+e2); a stray term there,
+        # another monomial or another power of g, has no such reading.
         table = P11.chart("U0").table
         volume = Monomial((0,), (0,), (), ((0, 0),))
-        for mon, e in ((Monomial((), (0,), (), ((0, 0),)), -1), (volume, 0)):
-            stray = Superform("U0", table, {mon: LaurentPoly.monomial(("g",), (e,))})
-            with mock.patch.object(cohomology, "pair", return_value=stray):
+        for mon, e in ((Monomial((), (0,), (), ((0, 0),)), 0), (volume, 1)):
+            stray = lambda a, b: pair(a, b) + Superform(
+                "U0", table, {mon: LaurentPoly.monomial(("g",), (e,))}
+            )
+            with mock.patch.object(cohomology, "pair", side_effect=stray):
                 with self.assertRaises(StructuralError, msg=(mon, e)):
                     pairing_matrix(0, 8)
 
@@ -1174,6 +1197,35 @@ class TestPairingMatrix(unittest.TestCase):
         self.assertGreater(calls, 0)
         self.assertEqual(pulled.call_count, calls)
         self.assertEqual(second, first)
+
+    def test_warm_call_reads_the_solve_labels(self):
+        # No report is built and no form glued; M1*M2 is formed once per
+        # pair of sheaf monomials, at most 4 x 4 of them.
+        pairing_matrix(4, 10)
+        with (
+            mock.patch.object(cohomology, "cech", wraps=cech) as reports,
+            mock.patch.object(cohomology, "_glue", wraps=_glue) as glued,
+            mock.patch.object(cohomology, "pair", wraps=pair) as paired,
+        ):
+            matrix, rank = pairing_matrix(4, 13)
+        self.assertEqual((reports.call_count, glued.call_count), (0, 0))
+        self.assertLessEqual(paired.call_count, 16)
+        self.assertGreater(paired.call_count, 0)
+        self.assertEqual((matrix, rank), pairing_matrix(4, 10))
+
+    def test_matches_report_pairing_oracle(self):
+        # Entries, their types and the rank equal those of the pairing of
+        # the glued cech generators, for every n and cutoff.
+        for n in range(13):
+            want, want_rank = report_pairing(n, 2 * n + 5)
+            for cutoff in (0, n, 2 * n + 5):
+                matrix, rank = pairing_matrix(n, cutoff)
+                self.assertEqual(rank, want_rank, msg=(n, cutoff))
+                self.assertEqual(
+                    [[(type(c), c) for c in row] for row in matrix],
+                    [[(type(c), c) for c in row] for row in want],
+                    msg=(n, cutoff),
+                )
 
     def test_matches_all_products_oracle(self):
         # Only products of weights summing to (0, 0) are formed; the matrix,
@@ -1214,6 +1266,34 @@ def all_products_pairing(n, cutoff):
             if combo is None:
                 raise WindowOverflow("pairing product escapes the coboundary window")
             row.append(-combo.get(generator, Fraction(0)))
+        matrix.append(row)
+    return matrix, _eliminate([dict(enumerate(row)) for row in matrix])[0].rank
+
+
+def report_pairing(n, cutoff):
+    """The pairing matrix from the two cech reports: each H^1 representative
+    wedged with the U0 part of each glued H^0 generator of the opposite
+    weight, read as the coefficient on the generator.  The oracle of the
+    pairing read off the solve labels.  Returns (matrix rows, rank)."""
+    h1 = cech(P11, (n + 1, 0), cutoff)
+    h0 = cech(P11, (-n, 1), cutoff)
+    generator = (Monomial((0,), (0,), (), ((0, 0),)), -1)
+    if _cech_solve(P11, (1, 1))[2] != (generator,):
+        raise StructuralError("the H^1(Omega^{1|1}) probe does not single out the generator")
+    weights0 = [_form_weight(parts["U0"]) for parts in h0.generators_h0]
+    matrix = []
+    for rep in h1.generators_h1:
+        lam, mu = _form_weight(rep)
+        row = []
+        for t, parts in enumerate(h0.generators_h0):
+            if weights0[t] != (-lam, -mu):
+                row.append(Fraction(0))
+                continue
+            product = pair(rep, parts["U0"])
+            coeffs = {(m, exps[0]): c for m, lp in product.terms.items() for exps, c in lp.terms.items()}
+            if not coeffs.keys() <= {generator}:
+                raise StructuralError("pairing product %r is no multiple of the generator" % product)
+            row.append(coeffs.get(generator, Fraction(0)))
         matrix.append(row)
     return matrix, _eliminate([dict(enumerate(row)) for row in matrix])[0].rank
 
