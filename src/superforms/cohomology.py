@@ -33,28 +33,27 @@ weight sum (0, 0), where H^1(Omega^{1|1}) is one row hit by no coboundary,
 and reads each entry off the `_solve` labels as the coefficient of that row,
 forming one product per pair of sheaf monomials.
 
-`_complex_cohomology` walks a complex of d matrices: the eliminator of d[i-1]
-gives rank(d[i-1]), ker(d[i-1]) and the image against which degree-i
-representatives are picked.  P^{1|1} de Rham runs it on the weight-(0, 0)
-part of the complex of global sections alone.  d keeps the torus weight (dg
-scales like g, dpsi like psi), so that complex is the direct sum of its
-weight summands, and every summand but (0, 0) is acyclic.  The Euler fields
-g*d/dg and psi*d/dpsi are global: under g' = b/g, psi' = c*g^k*psi they read
--g'*d/dg' + k*psi'*d/dpsi' and psi'*d/dpsi'.  Their Lie derivatives multiply
-a form of weight (lambda, mu) by lambda and by mu, and by Cartan's formula
-L_E = d*i_E + i_E*d, so i_E/lambda for E = g*d/dg (or i_E/mu for
-E = psi*d/dpsi) is a contracting homotopy of a summand with lambda != 0 (or
-mu != 0).  For
-psi*d/dpsi the contraction acts on delta^(k)(dpsi), a distribution in dpsi
-(Witten, arXiv:1209.2199), by raising its order: i_E delta^(k)(dpsi) =
-+-psi*delta^(k+1)(dpsi).  The engine has no contraction, so the tests carry
-the argument: they split the full complex by weight and find every other
-summand acyclic.  A global section is fixed by its U0 part, since Phi* is
-injective, and a U0 label g^e*M (e >= 0) has weight (0, 0) only if e = 0, M
-has no dgamma and its second weight is 0.  So `_invariant_sections`
-eliminates the weight-(0, 0) block of the levels whose sheaf has such an M,
-and no layout of any other level is built.  d(section) is read off at the
-next level's leads, and an exact residual checks that it is global.
+P^{1|1} de Rham is the cohomology of the complex of global sections.  d
+keeps the torus weight (dg scales like g, dpsi like psi), so that complex is
+the direct sum of its weight summands, and every summand but (0, 0) is
+acyclic.  The Euler fields g*d/dg and psi*d/dpsi are global: under g' = b/g,
+psi' = c*g^k*psi they read -g'*d/dg' + k*psi'*d/dpsi' and psi'*d/dpsi'.
+Their Lie derivatives multiply a form of weight (lambda, mu) by lambda and
+by mu, and by Cartan's formula L_E = d*i_E + i_E*d, so i_E/lambda for
+E = g*d/dg (or i_E/mu for E = psi*d/dpsi) is a contracting homotopy of a
+summand with lambda != 0 (or mu != 0).  For psi*d/dpsi the contraction acts
+on delta^(k)(dpsi), a distribution in dpsi (Witten, arXiv:1209.2199), by
+raising its order: i_E delta^(k)(dpsi) = +-psi*delta^(k+1)(dpsi).  The
+engine has no contraction, so the tests carry the argument: they split the
+full complex by weight and find every other summand acyclic.  A global
+section is fixed by its U0 part, since Phi* is injective, and a U0 label
+g^e*M (e >= 0) has weight (0, 0) only if e = 0, M has no dgamma and its
+second weight is 0.  Among the sheaf monomials only M = 1 (picture 0) and
+M = psi*delta(dpsi) (picture 1) qualify, both of degree 0, so the (0, 0)
+summand lies in degree 0, every differential of it is zero, and its
+cohomology is its degree-0 part.  `_derham_p11` eliminates the weight-(0, 0)
+Cech block of the sheaf (0, picture) once, whatever the range, and checks
+that d of each global section it finds is zero.
 
 Flat-space de Rham needs no elimination: d keeps the even weight E, the odd
 weight vector u and the set of delta-carrying odd indices, and by a Kunneth
@@ -188,7 +187,8 @@ def _eliminate(columns):
     one per dependent column, after the rank-nullity self-check.  A kernel is
     1 at its lead, its largest column and the dependent one, and is otherwise
     made of pivot columns, so a vector the kernels span has each kernel's
-    coordinate as its entry at that kernel's lead.
+    coordinate as its entry at that kernel's lead.  `_solve` orders its
+    kernels by lead, and the tests read global sections by their leads.
     """
     elim = Eliminator()
     kernels = []
@@ -199,49 +199,6 @@ def _eliminate(columns):
     if elim.rank + len(kernels) != len(columns):
         raise StructuralError("rank-nullity self-check failed")
     return elim, kernels
-
-
-def _coordinates(form, index, key, error):
-    """Sparse coordinates {row: coeff} of a form in a basis index keyed by
-    key(monomial, exponents); a term outside the basis raises error(key)."""
-    vec = {}
-    for mon, lp in form.terms.items():
-        for exps, c in lp.items():
-            k = key(mon, exps)
-            if k not in index:
-                raise error(k)
-            vec[index[k]] = c
-    return vec
-
-
-def _compose_is_zero(cols_first, cols_second):
-    for col in cols_first:
-        acc = {}
-        for s, c in col.items():
-            _axpy(acc, cols_second[s], c)
-        if acc:
-            return False
-    return True
-
-
-def _complex_cohomology(d_cols, lo, hi):
-    """Cohomology of a complex in degrees lo..hi, each differential eliminated once.
-
-    d_cols[i] lists the columns {row: coeff} of d: C^i -> C^{i+1}, one per
-    basis element of C^i, for at least i = lo-1..hi; consecutive entries must
-    compose to zero.  Returns ({i: dim}, {i: [representative {row: coeff}]}).
-    """
-    for i in d_cols:
-        if i + 1 in d_cols and not _compose_is_zero(d_cols[i], d_cols[i + 1]):
-            raise StructuralError("d o d != 0 in the assembled de Rham complex")
-    dims, reps = {}, {}
-    image, _ = _eliminate(d_cols[lo - 1])
-    for i in range(lo, hi + 1):
-        elim, kernels = _eliminate(d_cols[i])
-        dims[i] = len(kernels) - image.rank
-        reps[i] = [z for k, z in enumerate(kernels) if image.insert(z, ("z", k)) is None]
-        image = elim
-    return dims, reps
 
 
 def _weight(mon, e):
@@ -390,7 +347,8 @@ def _solve(m01, sheaf):
         # The rows the columns leave unhit, in monomial order, are H^1.
         rows = [(k, lam - len(mon.devens)) for k, mon in enumerate(mons) if _weight(mon, 0)[1] == mu]
         reps += [el for el in rows if elim.insert({el[0]: Fraction(1)}, el) is None]
-    # Blocks share no column, so `_eliminate`'s lead convention holds across them.
+    # Blocks share no column, so `_eliminate`'s lead convention holds across
+    # them, and ordered by lead the kernels come out as from one eliminator.
     kernels.sort(key=max)
     reps = tuple((mons[k], e) for k, e in sorted(reps))
     return tuple(dom), tuple(MappingProxyType(k) for k in kernels), reps
@@ -433,64 +391,25 @@ def cech(space, sheaf, cutoff):
 
 
 # ---------------------------------------------------------------------------
-# de Rham: P^{1|1} via global-section complexes
-
-
-def _differential_error(key):
-    return StructuralError("differential of a global section leaves the complex")
-
-
-def _invariant_sections(m01, sheaf):
-    """The weight-(0, 0) global sections of one sheaf, as (labels, kernels):
-    the column labels of its weight-(0, 0) Cech block and the block's H^0 as
-    combinations {column: coeff}.  A U0 label g^e*M has that weight only if
-    e = 0 and M has it, so a sheaf without such an M has no such section, and
-    its layout is not built."""
-    mons = p11_sheaf_monomials(*sheaf)
-    if all(_weight(mon, 0) != (0, 0) for mon in mons):
-        return (), []
-    dom, blocks, column = _layout(m01, mons)
-    ts = blocks[(0, 0)]
-    return [dom[t] for t in ts], _eliminate([column(t) for t in ts])[1]
+# de Rham: P^{1|1}, the weight-(0, 0) global sections of degree 0
 
 
 def _derham_p11(atlas, picture, lo, hi):
+    """P^{1|1} de Rham: the weight-(0, 0) global sections of the sheaf
+    (0, picture), each checked to be closed, are the classes of degree 0."""
     m01 = _transition(atlas)
-    # degree -> (column labels, weight-(0, 0) global sections as kernel combinations)
-    levels = {i: _invariant_sections(m01, (i, picture)) for i in range(lo - 1, hi + 2)}
-    d_cols = {}
-    for i in range(lo - 1, hi + 1):
-        labels, sections = levels[i]
-        dom, kernels = levels[i + 1]
-        index = {label: t for t, label in enumerate(dom)}
-        # A global vector's coordinates are its entries at the leads (`_eliminate`).
-        lead = {max(k): s for s, k in enumerate(kernels)}
-        cols = []
-        for section in sections:
-            dv = {}
-            for cid, form in _glue(atlas, labels, section).items():
-                key = lambda mon, exps, cid=cid: (cid, mon, exps)
-                dv.update(_coordinates(exterior_d(form), index, key, _differential_error))
-            col = {lead[t]: c for t, c in dv.items() if t in lead}
-            # A non-global dv or a wrong coordinate leaves a non-zero residual.
-            for s, c in col.items():
-                _axpy(dv, kernels[s], -c)
-            if dv:
-                raise StructuralError("differential of a global section is not global")
-            cols.append(col)
-        d_cols[i] = cols
-
-    dims, reps = _complex_cohomology(d_cols, lo, hi)
-    gens = {}
-    for i in range(lo, hi + 1):
-        labels, sections = levels[i]
-        gens[i] = []
-        for z in reps[i]:
-            combo = {}
-            for t, c in z.items():
-                _axpy(combo, sections[t], c)
-            gens[i].append(_glue(atlas, labels, combo))
-    return {(i, picture): dim for i, dim in dims.items()}, gens
+    dom, blocks, column = _layout(m01, p11_sheaf_monomials(0, picture))
+    ts = blocks[(0, 0)]
+    labels = [dom[t] for t in ts]
+    classes = [_glue(atlas, labels, combo) for combo in _eliminate([column(t) for t in ts])[1]]
+    if not all(exterior_d(form).is_zero() for parts in classes for form in parts.values()):
+        raise StructuralError("P^{1|1} de Rham class is not closed")
+    dims = {(i, picture): 0 for i in range(lo, hi + 1)}
+    gens = {i: [] for i in range(lo, hi + 1)}
+    if lo <= 0 <= hi:
+        dims[(0, picture)] = len(classes)
+        gens[0] = classes
+    return dims, gens
 
 
 # ---------------------------------------------------------------------------
@@ -550,9 +469,8 @@ def derham(space, picture, degree_range, cutoff):
     """de Rham cohomology H^{i|picture} for i in degree_range (inclusive).
 
     space is an Atlas (one chart: flat; otherwise it must be P^{1|1}, two
-    charts of dimension 1|1) or one of the labels "p11" / "flat:m,n".  The
-    complex is extended one step to the left of the range so every reported
-    degree has its incoming differential.
+    charts of dimension 1|1) or one of the labels "p11" / "flat:m,n".  Every
+    class lies in degree 0, so a range without it reports zeros.
     """
     lo, hi = degree_range
     if lo > hi:

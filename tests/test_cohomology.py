@@ -46,8 +46,6 @@ from superforms.coeff_ring import _axpy
 from superforms.cohomology import (
     _cech_solve,
     _class_weights,
-    _complex_cohomology,
-    _coordinates,
     _eliminate,
     _form_weight,
     _glue,
@@ -149,6 +147,54 @@ class TestEliminator(unittest.TestCase):
                 self.assertIs(type(c), Fraction)
         self.assertEqual(combo, {"c": 1, "a": -2, "b": -2})
         self.assertTrue(all(type(c) is Fraction for c in combo.values()))
+
+
+# The complex walk and the coordinate read the oracles below are built on.
+# derham needs neither: every P^{1|1} and flat class lies in degree 0, where
+# d is zero.
+
+
+def _coordinates(form, index, key, error):
+    """Sparse coordinates {row: coeff} of a form in a basis index keyed by
+    key(monomial, exponents); a term outside the basis raises error(key)."""
+    vec = {}
+    for mon, lp in form.terms.items():
+        for exps, c in lp.items():
+            k = key(mon, exps)
+            if k not in index:
+                raise error(k)
+            vec[index[k]] = c
+    return vec
+
+
+def _compose_is_zero(cols_first, cols_second):
+    for col in cols_first:
+        acc = {}
+        for s, c in col.items():
+            _axpy(acc, cols_second[s], c)
+        if acc:
+            return False
+    return True
+
+
+def _complex_cohomology(d_cols, lo, hi):
+    """Cohomology of a complex in degrees lo..hi, each differential eliminated once.
+
+    d_cols[i] lists the columns {row: coeff} of d: C^i -> C^{i+1}, one per
+    basis element of C^i, for at least i = lo-1..hi; consecutive entries must
+    compose to zero.  Returns ({i: dim}, {i: [representative {row: coeff}]}).
+    """
+    for i in d_cols:
+        if i + 1 in d_cols and not _compose_is_zero(d_cols[i], d_cols[i + 1]):
+            raise StructuralError("d o d != 0 in the assembled de Rham complex")
+    dims, reps = {}, {}
+    image, _ = _eliminate(d_cols[lo - 1])
+    for i in range(lo, hi + 1):
+        elim, kernels = _eliminate(d_cols[i])
+        dims[i] = len(kernels) - image.rank
+        reps[i] = [z for k, z in enumerate(kernels) if image.insert(z, ("z", k)) is None]
+        image = elim
+    return dims, reps
 
 
 def as_columns(matrix):
@@ -573,9 +619,9 @@ class TestWeightBlocks(unittest.TestCase):
                     self.assertTrue(report.stabilized, msg=(msg, cutoff))
 
     def test_kernel_leads(self):
-        # `_derham_p11` reads a global vector's coordinates at the kernels'
-        # leads: each kernel is 1 at its largest column, a column of the
-        # second chart that no other kernel has.
+        # `global_section_complex` reads a global vector's coordinates at
+        # the kernels' leads: each kernel is 1 at its largest column, a
+        # column of the second chart that no other kernel has.
         for atlas in (P11, scaled_atlas()):
             c1 = max(atlas.charts)
             for sheaf in product(range(-12, 13), (0, 1)):
@@ -728,12 +774,9 @@ class TestDeRham(unittest.TestCase):
                 derham("flat:1,1", picture, (0, 1), 2)
 
     def test_one_solve_per_level(self):
-        # de Rham never runs the full Cech solve: of the levels -5..2 of
-        # picture 1 over -4..1 only degree 0 has a weight-(0, 0) monomial,
-        # so one block of two columns is eliminated, plus the d matrices of
-        # levels -5..1 in `_complex_cohomology`.  The full complex made 8
-        # `_solve` calls, then 7 `_eliminate` and 120 `Eliminator.insert`
-        # calls with every solve cached.
+        # de Rham never runs the full Cech solve: it eliminates the
+        # weight-(0, 0) block of the sheaf 0|1 alone, two columns, and takes
+        # d of the one class on each chart, whatever the range.
         inserts = []
         insert = Eliminator.insert
 
@@ -741,16 +784,19 @@ class TestDeRham(unittest.TestCase):
             inserts.append(tag)
             return insert(elim, vec, tag)
 
-        for _ in range(2):
+        for degrees in ((-4, 1), (-4, 1), (5, 7)):
             inserts.clear()
             with mock.patch.object(cohomology, "_solve", wraps=cohomology._solve) as solve, \
                     mock.patch.object(cohomology, "_eliminate", wraps=_eliminate) as eliminate, \
+                    mock.patch.object(cohomology, "exterior_d", wraps=exterior_d) as d, \
                     mock.patch.object(Eliminator, "insert", counted):
-                report = derham("p11", 1, (-4, 1), 6)
-            self.assertEqual(solve.call_count, 0)
-            self.assertTrue(report.stabilized)
-            self.assertEqual(eliminate.call_count, 8)
-            self.assertEqual(len(inserts), 4)
+                report = derham("p11", 1, degrees, 6)
+            msg = degrees
+            self.assertEqual(solve.call_count, 0, msg=msg)
+            self.assertTrue(report.stabilized, msg=msg)
+            self.assertEqual(eliminate.call_count, 1, msg=msg)
+            self.assertEqual(len(inserts), 2, msg=msg)
+            self.assertEqual(d.call_count, 2, msg=msg)
 
     def test_projective_answer_is_cutoff_free(self):
         # Term order and coefficient types included, P^{1|1} de Rham answers
@@ -770,9 +816,8 @@ class TestDeRham(unittest.TestCase):
                 self.assertEqual(got, want, msg=(picture, cutoff))
 
     def test_differential_leaving_the_complex_is_structural(self):
-        # The complete weight blocks hold d of every global section, so a
-        # term outside the next level's basis is a fault of the engine, not
-        # of a window too small: g^1000*dg lies in no solved block.
+        # d of a class is zero on every chart, so any term is a fault of the
+        # engine, also one as far from every Cech block as g^1000*dg.
         far = Monomial((), (0,), (), ())
 
         def leaky_d(form):
@@ -780,13 +825,11 @@ class TestDeRham(unittest.TestCase):
             return exterior_d(form) + Superform(form.chart, form.table, extra)
 
         with mock.patch.object(cohomology, "exterior_d", leaky_d):
-            with self.assertRaises(StructuralError):
+            with self.assertRaisesRegex(StructuralError, "not closed"):
                 derham("p11", 0, (0, 0), 4)
 
     def test_differential_on_one_chart_is_not_global(self):
-        # d(1) + dpsi on U0 alone is not global.  dpsi has weight (0, 1),
-        # so it lies outside the weight-(0, 0) block of the next level, the
-        # only part of the complex that is assembled.
+        # d(1) + dpsi on U0 alone: the class 1 of picture 0 is not closed.
         dpsi = Monomial((), (), ((0, 1),), ())
 
         def one_chart_d(form):
@@ -796,45 +839,53 @@ class TestDeRham(unittest.TestCase):
             return exterior_d(form) + Superform(form.chart, form.table, extra)
 
         with mock.patch.object(cohomology, "exterior_d", one_chart_d):
-            with self.assertRaisesRegex(StructuralError, "leaves the complex"):
+            with self.assertRaisesRegex(StructuralError, "not closed"):
                 derham("p11", 0, (0, 0), 4)
 
-    def test_differential_at_a_lead_is_not_global(self):
-        # delta(dpsi) on U1 is the lead of a global section of Omega^{0|1}.
-        # With those sections patched in as level 1 of picture 1, the
-        # delta(dpsi) added to d(psi*delta(dpsi)) on U1 is read as that
-        # section's coordinate, and the rest of the section, which the added
-        # term misses, stays in the residual.
+    def test_differential_on_the_second_chart_is_not_closed(self):
+        # delta(dpsi) added to d(psi*delta(dpsi)) on U1 alone: the class of
+        # picture 1 is not closed.
         delta = Monomial((), (), (), ((0, 0),))
-        dom, kernels, _ = _cech_solve(P11, (0, 1))
-        self.assertIn(("U1", delta, (0,)), [dom[max(k)] for k in kernels])
-        sections = cohomology._invariant_sections
+        klass = Monomial((0,), (), (), ((0, 0),))
 
-        def level_one(m01, sheaf):
-            return (dom, kernels) if sheaf == (1, 1) else sections(m01, sheaf)
-
-        def lead_d(form):
-            if form.chart != "U1" or {mon.degree() for mon in form.terms} != {0}:
+        def second_chart_d(form):
+            if form.chart != "U1" or klass not in form.terms:
                 return exterior_d(form)
             extra = {delta: LaurentPoly.const(form.table.even_names, 1)}
             return exterior_d(form) + Superform(form.chart, form.table, extra)
 
-        with mock.patch.object(cohomology, "_invariant_sections", level_one):
-            self.assertEqual(derham(P11, 1, (0, 0), 4).dims, {(0, 1): 1})
-            with mock.patch.object(cohomology, "exterior_d", lead_d):
-                with self.assertRaisesRegex(StructuralError, "is not global"):
-                    derham(P11, 1, (0, 0), 4)
+        self.assertEqual(derham(P11, 1, (0, 0), 4).dims, {(0, 1): 1})
+        with mock.patch.object(cohomology, "exterior_d", second_chart_d):
+            with self.assertRaisesRegex(StructuralError, "not closed"):
+                derham(P11, 1, (0, 0), 4)
+
+    def test_only_degree_zero_has_a_weight_zero_monomial(self):
+        # Why `_derham_p11` looks at degree 0 alone: a U0 label g^e*M of
+        # weight (0, 0) has e = 0 and M of weight (0, 0), and only the
+        # sheaves 0|0 and 0|1 have such an M, 1 and psi*delta(dpsi).
+        want = {0: Monomial(), 1: Monomial((0,), (), (), ((0, 0),))}
+        for j in (0, 1):
+            for i in range(-60, 61):
+                found = [m for m in p11_sheaf_monomials(i, j) if _weight(m, 0) == (0, 0)]
+                self.assertEqual(found, [want[j]] if i == 0 else [], msg=(i, j))
 
     def test_projective_picture_out_of_range(self):
-        # The sheaf basis rejects the picture, as for cech.
+        # The sheaf basis rejects the picture, as for cech, also when the
+        # range misses degree 0.
         for picture in (-1, 2):
-            with self.assertRaises(UnsupportedSpaceError, msg=picture) as ctx:
-                derham("p11", picture, (0, 1), 4)
-            self.assertEqual(str(ctx.exception), "picture %d not supported on P^{1|1}" % picture)
+            for degrees in ((0, 1), (5, 7), (-7, -5)):
+                msg = (picture, degrees)
+                with self.assertRaises(UnsupportedSpaceError, msg=msg) as ctx:
+                    derham("p11", picture, degrees, 4)
+                self.assertEqual(str(ctx.exception), "picture %d not supported on P^{1|1}" % picture)
 
 
 # The complex of all global sections, which P^{1|1} de Rham assembled before
 # it kept the weight-(0, 0) block alone: the oracle of the homotopy argument.
+
+
+def _differential_error(key):
+    return StructuralError("differential of a global section leaves the complex")
 
 
 def global_section_complex(atlas, picture, lo, hi):
@@ -854,7 +905,7 @@ def global_section_complex(atlas, picture, lo, hi):
             dv = {}
             for cid, form in _glue(atlas, labels, section).items():
                 key = lambda mon, exps, cid=cid: (cid, mon, exps)
-                dv.update(_coordinates(exterior_d(form), index, key, cohomology._differential_error))
+                dv.update(_coordinates(exterior_d(form), index, key, _differential_error))
             col = {lead[t]: c for t, c in dv.items() if t in lead}
             for s, c in col.items():
                 _axpy(dv, kernels[s], -c)
