@@ -133,7 +133,7 @@ def identity_morphism(chart):
     return Morphism(chart, chart, even_images, odd_images)
 
 
-def _atom_image(m, atom, extra):
+def _atom_image(m, atom):
     """Pullback of one generator factor."""
     src = m.source
     kind = atom[0]
@@ -144,16 +144,16 @@ def _atom_image(m, atom, extra):
     if kind == DP:
         return exterior_d(m.odd_image_form(atom[1]))
     j, order = atom[1], atom[2]
-    return delta_expand(order, _atom_image(m, (DP, j), extra), order + extra)
+    return delta_expand(order, _atom_image(m, (DP, j)))
 
 
 # An entry is a few terms, about 2 KiB on P^{1|1} (tracemalloc).  1024
 # entries hold the at most four sheaf monomials of each of the 256 cached
 # Cech solves.
 @lru_cache(maxsize=1024)
-def _monomial_image(m, mon, extra):
-    """Phi*(mon) of one normal-form monomial, once per (transition, monomial,
-    truncation) and process: the atom images wedged onto 1 left to right.
+def _monomial_image(m, mon):
+    """Phi*(mon) of one normal-form monomial, once per (transition, monomial)
+    and process: the atom images wedged onto 1 left to right.
 
     Returns read-only ((Monomial, LaurentPoly), ...) in the order of the
     wedge chain; a delta series that does not terminate raises, which is not
@@ -165,7 +165,7 @@ def _monomial_image(m, mon, extra):
     images = {}
     for atom in mon.factors():
         if atom not in images:
-            images[atom] = _atom_image(m, atom, extra)
+            images[atom] = _atom_image(m, atom)
         acc = wedge(acc, images[atom])
         if acc.is_zero():
             break
@@ -175,19 +175,14 @@ def _monomial_image(m, mon, extra):
 def pullback(m, a):
     """Pull a form on m.target back to m.source.
 
-    Each delta^(k) factor expands to truncation k + extra, where extra is the
-    max dpsi power in `a` plus the number of source odd coordinates (at least
-    one).  That is exact whenever the non-leading part of the dpsi image is
-    nilpotent (true for the built-in atlases); a series that does not
-    terminate within its truncation raises UnsupportedMorphismError.  The
-    image of each monomial comes from `_monomial_image`.
+    Each delta^(k) factor expands by `delta_expand`, which is exact: its
+    series ends when the non-leading part of the dpsi image is nilpotent (as
+    on the built-in atlases), and otherwise it raises
+    UnsupportedMorphismError.  The image of each monomial comes from
+    `_monomial_image`.
     """
     if a.chart != m.target.id or a.table != m.target.table:
         raise StructuralError("form does not live on the morphism target chart")
-    max_dpsi = 0
-    for mon in a.terms:
-        max_dpsi = max(max_dpsi, sum(p for _, p in mon.dodds))
-    extra = max_dpsi + max(1, len(m.source.table.odd_names))
     images = m.substitution_images()
     src = m.source
     out = Superform.zero(src.id, src.table)
@@ -195,7 +190,7 @@ def pullback(m, a):
         pulled_f = lp_substitute_monomial(f, images, src.table.even_names)
         if pulled_f.is_zero():
             continue
-        for pulled_mon, c in _monomial_image(m, mon, extra):
+        for pulled_mon, c in _monomial_image(m, mon):
             _add_terms(out.terms, {pulled_mon: lp_mul(pulled_f, c)})
     return out
 

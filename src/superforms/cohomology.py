@@ -23,15 +23,16 @@ non-zero Laurent monomial times psi (a sum mixes weights, and psi -> 0 kills
 every sheaf monomial with a theta).  The blocks do not depend on any cutoff,
 and only the finitely many first weights of `_class_weights` can carry a
 class (the monomial-by-monomial computation of Cech cohomology of O(d) on
-P^1).  `_layout` lays the blocks out and `_solve` eliminates each of them
-once, with its columns in their global (chart, monomial, exponent) order, so
-the kernels come out as from one eliminator for the whole system; the unit
+P^1).  `_solve` lays the blocks out and eliminates each of them once, with
+its columns in their global (chart, monomial, exponent) order, so the
+kernels come out as from one eliminator for the whole system; the unit
 vectors of the rows are inserted after the columns, and the rows they leave
 unhit are the H^1 representatives.  `cech` is therefore exact at every
 cutoff.  The pairing is block-diagonal by weight: it pairs only labels of
 weight sum (0, 0), where H^1(Omega^{1|1}) is one row hit by no coboundary,
 and reads each entry off the `_solve` labels as the coefficient of that row,
-forming one product per pair of sheaf monomials.
+forming one product per pair of sheaf monomials; `_by_u0_weight` groups the
+H^0 kernels by the weight of their U0 labels.
 
 P^{1|1} de Rham is the cohomology of the complex of global sections.  d
 keeps the torus weight (dg scales like g, dpsi like psi), so that complex is
@@ -51,9 +52,9 @@ g^e*M (e >= 0) has weight (0, 0) only if e = 0, M has no dgamma and its
 second weight is 0.  Among the sheaf monomials only M = 1 (picture 0) and
 M = psi*delta(dpsi) (picture 1) qualify, both of degree 0, so the (0, 0)
 summand lies in degree 0, every differential of it is zero, and its
-cohomology is its degree-0 part.  `_derham_p11` eliminates the weight-(0, 0)
-Cech block of the sheaf (0, picture) once, whatever the range, and checks
-that d of each global section it finds is zero.
+cohomology is its degree-0 part.  `_derham_p11` reads the global sections
+of the sheaf (0, picture) off its `_solve`, whatever the range, keeps those
+whose U0 labels have weight (0, 0), and checks that d of each is zero.
 
 Flat-space de Rham needs no elimination: d keeps the even weight E, the odd
 weight vector u and the set of delta-carrying odd indices, and by a Kunneth
@@ -65,9 +66,10 @@ Every report is computed once.  P^{1|1} answers do not depend on the cutoff
 and are stabilized; a flat answer holds the classes in the box |u_j| <= D,
 which misses one only at D = 0, so a flat report is unstabilized exactly
 when D = 0 and a picture p >= 1 has degree 0 in range.  `_solve` computes
-the Cech solve of each (transition, sheaf) for `cech` and the pairing once
-per process, as read-only labels; a `Morphism` compares by its generator
-images, so fresh builds of one atlas share the entries.  A negative cutoff is
+the Cech solve of each (transition, sheaf) for `cech`, the pairing and
+P^{1|1} de Rham once per process, as read-only labels; a `Morphism`
+compares by its generator images, so fresh builds of one atlas share the
+entries.  A negative cutoff is
 rejected by `cech`, `derham` and `pairing_matrix`; `_transition` rejects any
 atlas that is not two 1|1 charts, since the section bases are those of
 P^{1|1}.
@@ -284,16 +286,21 @@ def _cech_solve(atlas, sheaf):
     return _solve(_transition(atlas), tuple(sheaf))
 
 
-def _layout(m01, mons):
-    """The weight blocks of the Cech system across m01 on the sheaf monomials
-    mons, as (dom, blocks, column).
+# A cached solve grows linearly in |i|: about 15 KiB for -3|1, 0.5 MiB for -200|1.
+@lru_cache(maxsize=256)
+def _solve(m01, sheaf):
+    """The Cech solve across the transition m01 from chart c0 to chart c1,
+    once per process (a rejected transition raises, which is not cached).
 
-    dom lists the column labels (chart id, Monomial, exponent tuple) of the
-    blocks `_class_weights` admits, in (chart, monomial, exponent) order;
-    blocks maps each weight to the ascending positions of its columns in dom;
-    column(t) is the column of dom[t], one entry per overlap row, keyed by
-    the position of the row's sheaf monomial in mons.
+    Returns read-only (dom, kernels, reps).  dom lists the column labels
+    (chart id, Monomial, exponent tuple) of the blocks `_class_weights`
+    admits, in (chart, monomial, exponent) order; H^0 comes as combinations
+    {column: coeff}; the H^1 representatives as overlap (Monomial, exponent)
+    pairs in monomial order.  A block has one row per sheaf monomial, keyed
+    by its position in the sheaf's list, and the unit vectors of its rows
+    are inserted after its columns.
     """
+    mons = p11_sheaf_monomials(*sheaf)
     position = {mon: k for k, mon in enumerate(mons)}
     c0, c1 = m01.source.id, m01.target.id
     # Pullback is a ring map and the image of g is b*g^-1 (`_transition`), so
@@ -306,43 +313,24 @@ def _layout(m01, mons):
     # weight -> positions of its columns in dom, ascending; g'^e*M on U1 has
     # the weight of Phi*(M) shifted by -e.
     blocks = {_weight(mon, lam - len(mon.devens)): [] for lam in range(lo, hi + 1) for mon in mons}
-    dom = []
+    dom, columns = [], []
     for mon in mons:
         for e in range(max(0, lo - len(mon.devens)), hi - len(mon.devens) + 1):
             blocks[_weight(mon, e)].append(len(dom))
             dom.append((c0, mon, (e,)))
+            columns.append({position[mon]: Fraction(1)})
     for mon in mons:
         lam, mu = weights[mon]
         for e in range(max(0, lam - hi), lam - lo + 1):
             blocks[lam - e, mu].append(len(dom))
             dom.append((c1, mon, (e,)))
+            columns.append(
+                {position[m]: -(c * b**e) for m, lp in pulled[mon].terms.items() for c in lp.terms.values()}
+            )
 
-    def column(t):
-        cid, mon, (e,) = dom[t]
-        if cid == c0:
-            return {position[mon]: Fraction(1)}
-        return {position[m]: -(c * b**e) for m, lp in pulled[mon].terms.items() for c in lp.terms.values()}
-
-    return dom, blocks, column
-
-
-# A cached solve grows linearly in |i|: about 15 KiB for -3|1, 0.5 MiB for -200|1.
-@lru_cache(maxsize=256)
-def _solve(m01, sheaf):
-    """The Cech solve across the transition m01 from chart c0 to chart c1,
-    once per process (a rejected transition raises, which is not cached).
-
-    Returns read-only (dom, kernels, reps): the column labels of `_layout`;
-    H^0 as combinations {column: coeff}; the H^1 representatives as overlap
-    (Monomial, exponent) pairs in monomial order.  A block has one row per
-    sheaf monomial, and the unit vectors of its rows are inserted after its
-    columns.
-    """
-    mons = p11_sheaf_monomials(*sheaf)
-    dom, blocks, column = _layout(m01, mons)
     kernels, reps = [], []
     for (lam, mu), ts in blocks.items():
-        elim, block_kernels = _eliminate([column(t) for t in ts])
+        elim, block_kernels = _eliminate([columns[t] for t in ts])
         kernels += [{ts[j]: c for j, c in combo.items()} for combo in block_kernels]
         # The rows the columns leave unhit, in monomial order, are H^1.
         rows = [(k, lam - len(mon.devens)) for k, mon in enumerate(mons) if _weight(mon, 0)[1] == mu]
@@ -352,6 +340,23 @@ def _solve(m01, sheaf):
     kernels.sort(key=max)
     reps = tuple((mons[k], e) for k, e in sorted(reps))
     return tuple(dom), tuple(MappingProxyType(k) for k in kernels), reps
+
+
+def _by_u0_weight(m01, dom, kernels):
+    """The H^0 kernels of a solve across m01 grouped by the torus weight of
+    their U0 labels: {weight: [(kernel position, [(M, e, coeff) for each U0
+    label g^e*M])]}, in kernel order.  A kernel lies in one weight block and
+    Phi* is injective, so its U0 labels share one weight; a kernel whose U0
+    labels do not raises StructuralError."""
+    c0 = m01.source.id
+    by_weight = {}
+    for t, combo in enumerate(kernels):
+        part = [(dom[s][1], dom[s][2][0], c) for s, c in combo.items() if dom[s][0] == c0]
+        weights = {_weight(mon, e) for mon, e, _ in part}
+        if len(weights) != 1:
+            raise StructuralError("H^0 generator %d has the U0 weights %s" % (t, sorted(weights)))
+        by_weight.setdefault(weights.pop(), []).append((t, part))
+    return by_weight
 
 
 def _glue(atlas, labels, combo):
@@ -396,12 +401,12 @@ def cech(space, sheaf, cutoff):
 
 def _derham_p11(atlas, picture, lo, hi):
     """P^{1|1} de Rham: the weight-(0, 0) global sections of the sheaf
-    (0, picture), each checked to be closed, are the classes of degree 0."""
+    (0, picture), read off its Cech solve and each checked to be closed, are
+    the classes of degree 0."""
     m01 = _transition(atlas)
-    dom, blocks, column = _layout(m01, p11_sheaf_monomials(0, picture))
-    ts = blocks[(0, 0)]
-    labels = [dom[t] for t in ts]
-    classes = [_glue(atlas, labels, combo) for combo in _eliminate([column(t) for t in ts])[1]]
+    dom, kernels, _ = _solve(m01, (0, picture))
+    invariant = _by_u0_weight(m01, dom, kernels).get((0, 0), ())
+    classes = [_glue(atlas, dom, kernels[t]) for t, _ in invariant]
     if not all(exterior_d(form).is_zero() for parts in classes for form in parts.values()):
         raise StructuralError("P^{1|1} de Rham class is not closed")
     dims = {(i, picture): 0 for i in range(lo, hi + 1)}
@@ -546,16 +551,8 @@ def pairing_matrix(n, cutoff):
     if _solve(m01, (1, 1))[2] != (generator,):
         raise StructuralError("the H^1(Omega^{1|1}) probe does not single out the generator")
 
-    # U0 weight -> [(generator position, its U0 labels as (M2, e2, coeff))].
+    by_weight = _by_u0_weight(m01, dom, kernels)
     c0 = m01.source.id
-    by_weight = {}
-    for t, combo in enumerate(kernels):
-        part = [(dom[s][1], dom[s][2][0], c) for s, c in combo.items() if dom[s][0] == c0]
-        weights = {_weight(mon, e) for mon, e, _ in part}
-        if len(weights) != 1:
-            raise StructuralError("H^0 generator %d has the U0 weights %s" % (t, sorted(weights)))
-        by_weight.setdefault(weights.pop(), []).append((t, part))
-
     table = m01.source.table
     one = LaurentPoly.const(table.even_names, 1)
     products = {}  # (M1, M2) -> the terms (M, e, s) of M1*M2

@@ -382,19 +382,22 @@ def bidegree_components(a):
     return out
 
 
-def delta_expand(order, argument, truncation):
+def delta_expand(order, argument):
     """Series expansion of delta^(order) about its invertible dpsi term.
 
     argument = c*dpsi_target + rest with c an invertible Laurent monomial; the
-    result is sum_{m=0..truncation} (rest^m / m!) c^{-(order+m+1)}
-    delta^(order+m)(dpsi_target), normalized.  The sum is exact only when
-    rest^(truncation+1) = 0; otherwise UnsupportedMorphismError is raised
-    rather than a truncated series returned.
+    result is sum_m (rest^m / m!) c^{-(order+m+1)} delta^(order+m)(dpsi_target),
+    normalized, over every m with rest^m != 0.  The series ends exactly when
+    no term of rest is made of dpsi factors alone (a scalar counts as one).
+    Every other term carries a theta, dgamma or delta factor, each of which
+    squares to zero and is removed neither by normalize nor by a
+    contraction, so rest^(m+2n+1) = 0 on an m|n chart.  The dpsi-only part
+    lives in a commutative integral domain, so none of its powers is zero,
+    and no other term of rest^N can cancel them: such a rest raises
+    UnsupportedMorphismError before any term is added.
     """
     if order < 0:
         raise StructuralError("delta order must be non-negative")
-    if truncation < 0:
-        raise StructuralError("truncation must be non-negative")
     chart, table = argument.chart, argument.table
 
     target = None
@@ -414,26 +417,26 @@ def delta_expand(order, argument, truncation):
 
     dpsi_term = Superform(chart, table, {Monomial(dodds=((j, 1),)): c_lp})
     rest = argument - dpsi_term
+    if any(not (mon.thetas or mon.devens or mon.deltas) for mon in rest.terms):
+        raise UnsupportedMorphismError(
+            "delta series does not terminate: a term of rest is made of dpsi "
+            "factors alone, so no power of rest is zero"
+        )
 
     out = Superform.zero(chart, table)
     rest_power = Superform.constant(chart, table, 1)
+    m = 0
     m_factorial = 1
-    for m in range(truncation + 1):
-        if m:
-            rest_power = wedge(rest_power, rest)
-            m_factorial *= m
-        if rest_power.is_zero():
-            break
+    while not rest_power.is_zero():
         power = -(order + m + 1)
         c_pow = LaurentPoly.monomial(
             table.even_names, tuple(power * e for e in c_exps), c_coeff ** power
         )
         delta_part = normalize(((DL, j, order + m),), c_pow, chart, table)
         _add_terms(out.terms, wedge(rest_power, delta_part).scale(Fraction(1, m_factorial)).terms)
-    if not rest_power.is_zero() and not wedge(rest_power, rest).is_zero():
-        raise UnsupportedMorphismError(
-            "delta series does not terminate: rest^%d != 0" % (truncation + 1)
-        )
+        m += 1
+        m_factorial *= m
+        rest_power = wedge(rest_power, rest)
     return out
 
 

@@ -64,10 +64,6 @@ def chain_pullback(m, a):
     calls."""
     if a.chart != m.target.id or a.table != m.target.table:
         raise StructuralError("form does not live on the morphism target chart")
-    max_dpsi = 0
-    for mon in a.terms:
-        max_dpsi = max(max_dpsi, sum(p for _, p in mon.dodds))
-    extra = max_dpsi + max(1, len(m.source.table.odd_names))
     images = m.substitution_images()
     src = m.source
     out = Superform.zero(src.id, src.table)
@@ -77,14 +73,14 @@ def chain_pullback(m, a):
         for atom in mon.factors():
             if acc.is_zero():
                 break
-            acc = wedge(acc, _atom_image(m, atom, extra))
+            acc = wedge(acc, _atom_image(m, atom))
         out = out + acc
     return out
 
 
 def non_terminating_morphism():
     # psi1 -> psi1 + psi2 sends dpsi1 to dpsi1 + dpsi2, and dpsi2 is not
-    # nilpotent: no truncation of the delta series is exact.
+    # nilpotent: the delta series does not terminate.
     chart = builtin_flat(1, 2).chart("U0")
     one = LaurentPoly.const(("g",), 1)
     m = Morphism(
@@ -275,7 +271,7 @@ class TestMonomialImageCache(unittest.TestCase):
         # Every pullback shares the cached image: it is a tuple, and a
         # caller that changes its result does not change the next one.
         form = u1([dpsi(0), dpsi(0), dgamma(0)])
-        image = atlas_morphism._monomial_image(M01, Monomial(devens=(0,), dodds=((0, 2),)), 3)
+        image = atlas_morphism._monomial_image(M01, Monomial(devens=(0,), dodds=((0, 2),)))
         self.assertIs(type(image), tuple)
         with self.assertRaises(TypeError):
             image[0] = image[0]

@@ -638,6 +638,32 @@ class TestAtlasFiles(unittest.TestCase):
         self.assertIn(path, err)
         self.assertIn("inverse", err)
 
+    def test_non_terminating_delta_series_is_3(self):
+        # psi1 -> psi1 + psi2 sends delta(dpsi1) to a series in dpsi2, which is
+        # never nilpotent; the atlas check pulls a delta back and must stop.
+        chart = {"even": ["g"], "odd": ["psi1", "psi2"]}
+        odd = {"psi1": "psi1 + psi2", "psi2": "psi2"}, {"psi1": "psi1 - psi2", "psi2": "psi2"}
+        path = self.write_atlas(
+            {
+                "charts": {"U0": chart, "U1": chart},
+                "transitions": [
+                    {"source": s, "target": t, "even_images": {"g": "g"}, "odd_images": images}
+                    for (s, t), images in zip((("U0", "U1"), ("U1", "U0")), odd)
+                ],
+            }
+        )
+        argv = ["normalize", "--atlas", path, "--expr", "psi1"]
+        prefix = "delta series does not terminate"
+        code, out, err = invoke(argv)
+        self.assertEqual((code, out), (3, ""))
+        self.assertTrue(err.startswith("error (computation): " + prefix), msg=err)
+        code, out, _ = invoke(argv + ["--json"])
+        self.assertEqual(code, 3)
+        message = json.loads(out)["error"]["message"]
+        self.assertTrue(message.startswith(prefix), msg=message)
+        # No power of rest is zero, so the message names no power.
+        self.assertNotRegex(err + message, r"\^\d")
+
     def test_value_types_checked(self):
         path = self.write_atlas({"charts": []})
         code, out, err = invoke(["cech", "--atlas", path, "--sheaf", "0|0"])

@@ -774,9 +774,11 @@ class TestDeRham(unittest.TestCase):
                 derham("flat:1,1", picture, (0, 1), 2)
 
     def test_one_solve_per_level(self):
-        # de Rham never runs the full Cech solve: it eliminates the
-        # weight-(0, 0) block of the sheaf 0|1 alone, two columns, and takes
-        # d of the one class on each chart, whatever the range.
+        # de Rham reads its classes off the one cached Cech solve of the
+        # sheaf 0|1 and eliminates nothing of its own: cold, it makes the
+        # eliminations of that solve alone; warm, it hits the cache and
+        # makes none.  It takes d of the one class on each chart, whatever
+        # the range.
         inserts = []
         insert = Eliminator.insert
 
@@ -784,18 +786,29 @@ class TestDeRham(unittest.TestCase):
             inserts.append(tag)
             return insert(elim, vec, tag)
 
-        for degrees in ((-4, 1), (-4, 1), (5, 7)):
+        solve_cache = cohomology._solve
+        solve_cache.cache_clear()
+        with mock.patch.object(cohomology, "_eliminate", wraps=_eliminate) as eliminate, \
+                mock.patch.object(Eliminator, "insert", counted):
+            _cech_solve(P11, (0, 1))
+        solve_eliminates, solve_inserts = eliminate.call_count, len(inserts)
+        self.assertGreater(solve_eliminates, 0)
+        for degrees, cold in (((-4, 1), True), ((-4, 1), False), ((5, 7), False)):
+            if cold:
+                solve_cache.cache_clear()
+            hits = solve_cache.cache_info().hits
             inserts.clear()
-            with mock.patch.object(cohomology, "_solve", wraps=cohomology._solve) as solve, \
+            with mock.patch.object(cohomology, "_solve", wraps=solve_cache) as solve, \
                     mock.patch.object(cohomology, "_eliminate", wraps=_eliminate) as eliminate, \
                     mock.patch.object(cohomology, "exterior_d", wraps=exterior_d) as d, \
                     mock.patch.object(Eliminator, "insert", counted):
                 report = derham("p11", 1, degrees, 6)
-            msg = degrees
-            self.assertEqual(solve.call_count, 0, msg=msg)
+            msg = degrees, cold
+            self.assertEqual(solve.call_count, 1, msg=msg)
+            self.assertEqual(solve_cache.cache_info().hits - hits, 0 if cold else 1, msg=msg)
             self.assertTrue(report.stabilized, msg=msg)
-            self.assertEqual(eliminate.call_count, 1, msg=msg)
-            self.assertEqual(len(inserts), 2, msg=msg)
+            self.assertEqual(eliminate.call_count, solve_eliminates if cold else 0, msg=msg)
+            self.assertEqual(len(inserts), solve_inserts if cold else 0, msg=msg)
             self.assertEqual(d.call_count, 2, msg=msg)
 
     def test_projective_answer_is_cutoff_free(self):

@@ -343,11 +343,11 @@ class TestDeltaExpand(unittest.TestCase):
     def test_identity_argument(self):
         arg = mono([dpsi(0)])
         for k in range(4):
-            self.assertEqual(delta_expand(k, arg, 5), mono([delta(0, k)]))
+            self.assertEqual(delta_expand(k, arg), mono([delta(0, k)]))
 
     def test_scalar_rescaling(self):
         arg = mono([dpsi(0)]).times_poly(LaurentPoly.monomial(("g",), (2,), Fraction(3)))
-        got = delta_expand(1, arg, 4)
+        got = delta_expand(1, arg)
         want = mono([delta(0, 1)]).times_poly(
             LaurentPoly.monomial(("g",), (-4,), Fraction(1, 9))
         )
@@ -358,7 +358,7 @@ class TestDeltaExpand(unittest.TestCase):
         # invertible term has exactly two surviving orders.
         tail = mono([theta(0), dgamma(0)], -1).times_poly(LaurentPoly.monomial(("g",), (-2,)))
         arg = mono([dpsi(0)]).times_poly(LaurentPoly.monomial(("g",), (-1,))) + tail
-        got = delta_expand(0, arg, 6)
+        got = delta_expand(0, arg)
         want = mono([delta(0, 0)]).times_poly(
             LaurentPoly.monomial(("g",), (1,))
         ) + mono([theta(0), dgamma(0), delta(0, 1)], -1)
@@ -366,22 +366,40 @@ class TestDeltaExpand(unittest.TestCase):
         self.assertEqual(pretty_print(got), "g*delta(dpsi) - psi*dg*delta'(dpsi)")
 
     def test_truncation_must_reach_a_zero_power(self):
-        # rest = -g^-2*psi*dg has rest^2 = 0: truncation 1 is exact, 0 is not.
+        # rest = -g^-2*psi*dg has rest^2 = 0: the series stops after the
+        # terms of rest^0 and rest^1, and adds nothing for rest^2.
         tail = mono([theta(0), dgamma(0)], -1).times_poly(LaurentPoly.monomial(("g",), (-2,)))
         arg = mono([dpsi(0)]).times_poly(LaurentPoly.monomial(("g",), (-1,))) + tail
-        self.assertEqual(delta_expand(0, arg, 1), delta_expand(0, arg, 6))
-        with self.assertRaises(UnsupportedMorphismError):
-            delta_expand(0, arg, 0)
+        orders = [dl[0][1] for dl in (mon.deltas for mon in delta_expand(0, arg).terms)]
+        self.assertEqual(orders, [0, 1])
         # dpsi_2 is even and never nilpotent.
         arg = normalize([dpsi(0)], 1, "U0", T22) + normalize([dpsi(1)], 1, "U0", T22)
-        with self.assertRaises(UnsupportedMorphismError):
-            delta_expand(0, arg, 4)
+        with self.assertRaisesRegex(UnsupportedMorphismError, "^delta series does not terminate"):
+            delta_expand(0, arg)
+
+    def test_series_runs_to_the_first_zero_power(self):
+        # On flat:2,2, rest = psi1*dg1 + psi2*dg2 has rest^2 = 2*psi1*psi2*dg1*dg2
+        # and rest^3 = 0, so the series needs the delta'' term of rest^2/2!.
+        arg = (
+            normalize([dpsi(0)], 1, "U0", T22)
+            + normalize([theta(0), dgamma(0)], 1, "U0", T22)
+            + normalize([theta(1), dgamma(1)], 1, "U0", T22)
+        )
+        self.assertEqual(
+            pretty_print(delta_expand(0, arg)),
+            "delta(dpsi1) + psi1*dg1*delta'(dpsi1) + psi2*dg2*delta'(dpsi1)"
+            " + psi1*psi2*dg1*dg2*delta''(dpsi1)",
+        )
+
+    def test_scalar_rest_does_not_terminate(self):
+        # rest = 1 is made of dpsi factors alone (none): every power is 1.
+        arg = mono([dpsi(0)]) + Superform.constant("U0", T11, 1)
+        with self.assertRaisesRegex(UnsupportedMorphismError, "^delta series does not terminate"):
+            delta_expand(0, arg)
 
     def test_invalid_orders_rejected(self):
         with self.assertRaises(StructuralError):
-            delta_expand(-1, mono([dpsi(0)]), 3)
-        with self.assertRaises(StructuralError):
-            delta_expand(0, mono([dpsi(0)]), -2)
+            delta_expand(-1, mono([dpsi(0)]))
 
 
 class TestPairing(unittest.TestCase):
