@@ -147,9 +147,10 @@ def _atom_image(m, atom):
     return delta_expand(order, _atom_image(m, (DP, j)))
 
 
-# An entry is a few terms, about 2 KiB on P^{1|1} (tracemalloc).  1024
-# entries hold the at most four sheaf monomials of each of the 256 cached
-# Cech solves.
+# An entry is a few terms, about 2 KiB on P^{1|1} (tracemalloc).  Cech solves
+# keep their own results and never read an entry again: one pass over the
+# seed-1 benchmark job lists reads 0 hits and 48 misses on p11_cech, and 2000
+# hits and 49 misses on algebra_mix, whose one-shot pullbacks repeat.
 @lru_cache(maxsize=1024)
 def _monomial_image(m, mon):
     """Phi*(mon) of one normal-form monomial, once per (transition, monomial)

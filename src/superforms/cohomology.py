@@ -610,12 +610,13 @@ def cech_derham_check(cutoff):
     # Constant sheaf on the two-chart cover: the generator is global, so the
     # coboundary matrix is (c0, c1) |-> c0 - c * c1 on the overlap span.
     table = atlas.chart("U1").table
-    gen1 = Superform("U1", table, {Monomial((0,), (), (), ((0, 0),)): LaurentPoly.const(table.even_names, 1)})
-    pulled = pullback(atlas.transition("U0", "U1"), gen1)
-    gen0 = Superform("U0", table, {Monomial((0,), (), (), ((0, 0),)): LaurentPoly.const(table.even_names, 1)})
-    if set(pulled.terms) != set(gen0.terms):
+    gen = Monomial((0,), (), (), ((0, 0),))
+    one = LaurentPoly.const(table.even_names, 1)
+    pulled = pullback(atlas.transition("U0", "U1"), Superform("U1", table, {gen: one}))
+    # Only c*gen with c a non-zero constant (the one exponent (0,)) passes.
+    if list(pulled.terms) != [gen] or list(pulled.terms[gen].terms) != [(0,)]:
         raise StructuralError("constant-sheaf generator is not preserved by the transition")
-    # The matrix [1, -c] of a preserved generator has rank 1 for every c.
+    # The matrix [1, -c] of a preserved generator has rank 1 for every c != 0.
     cech_dims = {0: 1, 1: 0}
 
     # Kunneth: base = theta-free picture-0 global complex of P^1; fiber = C^{0|1}.

@@ -23,13 +23,11 @@ from typing import NamedTuple
 from .coeff_ring import LaurentPoly, lp_add, lp_mul, lp_partial, lp_scale
 from .errors import StructuralError, UnsupportedMorphismError
 
-# Factor atom kinds.  An atom is ("th", j), ("dg", i), ("dp", j) or ("dl", j, k).
-TH = "th"
-DG = "dg"
-DP = "dp"
-DL = "dl"
-
-_RANK = {TH: 0, DG: 1, DP: 2, DL: 3}
+# Factor atom kinds, numbered in normal order.  An atom is (TH, j), (DG, i),
+# (DP, j) or (DL, j, k), so atoms compare as plain tuples in normal order:
+# thetas, dgammas, dpsis, deltas, each by index, deltas then by order.
+TH, DG, DP, DL = 0, 1, 2, 3
+_KIND_NAMES = ("th", "dg", "dp", "dl")
 
 
 def theta(j):
@@ -48,13 +46,6 @@ def delta(j, order=0):
     if order < 0:
         raise StructuralError("delta order must be non-negative, got %d" % order)
     return (DL, j, order)
-
-
-def atom_key(a):
-    """Canonical ordering key: thetas, dgammas, dpsis, deltas, each by index."""
-    if a[0] == DL:
-        return (3, a[1], a[2])
-    return (_RANK[a[0]], a[1], 0)
 
 
 def atom_degree(a):
@@ -140,7 +131,7 @@ class Monomial:
     def sort_key(self):
         # Listing order compares the highest-rank factors first, so that e.g.
         # delta(dpsi) precedes psi*dg*delta'(dpsi).
-        return tuple(atom_key(a) for a in reversed(self.factors()))
+        return tuple(reversed(self.factors()))
 
 
 UNIT_MONOMIAL = Monomial()
@@ -224,7 +215,8 @@ class Superform:
             return "Superform(%s, 0)" % self.chart
         bits = []
         for mon in sorted(self.terms, key=Monomial.sort_key):
-            bits.append("%r:%r" % (mon.factors(), self.terms[mon]))
+            named = tuple((_KIND_NAMES[a[0]],) + a[1:] for a in mon.factors())
+            bits.append("%r:%r" % (named, self.terms[mon]))
         return "Superform(%s, %s)" % (self.chart, "; ".join(bits))
 
 
@@ -257,7 +249,7 @@ def _validate_atoms(factors, table):
     n_odd = len(table.odd_names)
     for a in factors:
         kind = a[0]
-        if kind not in _RANK:
+        if kind not in (TH, DG, DP, DL):
             raise StructuralError("unknown factor atom %r" % (a,))
         idx = a[1]
         if kind == DG:
@@ -288,26 +280,19 @@ def normalize(factors, coeff, chart, table):
 
     fs = list(factors)
     _validate_atoms(fs, table)
-    keys = [atom_key(a) for a in fs]
     sign = 1
-    # Insertion sort with Koszul signs (stable: equal keys never swap), each
-    # factor's key computed once.
+    # Insertion sort with Koszul signs (stable: equal atoms never swap).
     for i in range(1, len(fs)):
         j = i
-        while j > 0 and keys[j - 1] > keys[j]:
+        while j > 0 and fs[j - 1] > fs[j]:
             sign *= koszul_sign(fs[j - 1], fs[j])
             fs[j - 1], fs[j] = fs[j], fs[j - 1]
-            keys[j - 1], keys[j] = keys[j], keys[j - 1]
             j -= 1
 
     # Squares of odd-parity generators vanish; so do same-index double deltas.
     for t in range(1, len(fs)):
         a, b = fs[t - 1], fs[t]
-        if a[0] == b[0] == TH and a[1] == b[1]:
-            return Superform.zero(chart, table)
-        if a[0] == b[0] == DG and a[1] == b[1]:
-            return Superform.zero(chart, table)
-        if a[0] == b[0] == DL and a[1] == b[1]:
+        if a[0] == b[0] != DP and a[1] == b[1]:
             return Superform.zero(chart, table)
 
     # Contraction, once per odd index j: dpsi_j^a * delta^(b)(dpsi_j) =

@@ -327,10 +327,16 @@ class TestCommands(unittest.TestCase):
         self.assertIn("stabilized = True", lines)
 
     def test_cech_negative_sheaf_unquoted(self):
-        # argparse takes a bare "-3|1" for an option; quoting cannot help.
-        code, out, _ = invoke(["cech", "--sheaf", "-3|1", "--cutoff", "5"])
-        self.assertEqual(code, 0)
-        self.assertIn("h0 = 16", out.splitlines())
+        # argparse takes a bare "-3|1" for an option; quoting cannot help.  The
+        # bare value must act as "--sheaf=-3|1" does, a negative picture too.
+        rejected = "picture -1 not supported on P^{1|1}"
+        cases = (("-3|1", 0, "h0 = 16", '"h0": 16'), ("-3|-1", 3, rejected, rejected))
+        for sheaf, code, text, json_text in cases:
+            for flags, want in (([], text), (["--json"], json_text)):
+                got = invoke(["cech", "--sheaf", sheaf, "--cutoff", "5"] + flags)
+                self.assertEqual(got, invoke(["cech", "--sheaf=" + sheaf, "--cutoff", "5"] + flags))
+                self.assertEqual(got[0], code, msg=(sheaf, flags))
+                self.assertIn(want, got[1] + got[2], msg=(sheaf, flags))
 
     def test_cech_json_report(self):
         code, out, _ = invoke(["cech", "--sheaf", "1|1", "--cutoff", "8", "--json"])

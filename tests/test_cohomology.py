@@ -1383,6 +1383,23 @@ class TestCechDeRhamConsistency(unittest.TestCase):
         self.assertEqual(report.derham_dims, report.constant_sheaf_dims)
         self.assertEqual(report.fiber_dim, 1)
 
+    def test_generator_image_must_be_a_constant_multiple(self):
+        # With the caches warm, the check pulls back the generator alone, so
+        # a transition that scales its image is seen there and nowhere else.
+        cech_derham_check(8)
+        cases = ((LaurentPoly.monomial(("g",), (3,)), False), (LaurentPoly.const(("g",), 2), True))
+        for factor, preserved in cases:
+            scaled = lambda m, form: pullback(m, form).times_poly(factor)
+            with mock.patch.object(cohomology, "pullback", side_effect=scaled) as pulled:
+                if preserved:
+                    report = cech_derham_check(8)
+                    self.assertTrue(report.passed)
+                    self.assertEqual(report.constant_sheaf_dims, {0: 1, 1: 0})
+                else:
+                    with self.assertRaises(StructuralError):
+                        cech_derham_check(8)
+            self.assertEqual(pulled.call_count, 1)
+
 
 def printed(parts):
     return {chart_id: pretty_print(form) for chart_id, form in parts.items()}

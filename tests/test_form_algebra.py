@@ -26,12 +26,13 @@ from superforms import (
     koszul_sign,
     normalize,
     pair,
+    parse,
     pretty_print,
     theta,
     wedge,
 )
 from superforms.coeff_ring import lp_scale
-from superforms.form_algebra import DG, DL, DP, TH, _add_terms, _validate_atoms, atom_key
+from superforms.form_algebra import DG, DL, DP, TH, _add_terms, _validate_atoms
 
 from formgen import form_degree, random_form, random_monomial, random_poly, total_parity
 
@@ -45,6 +46,17 @@ def mono(factors, coeff=1, table=T11):
     return normalize(list(factors), coeff, "U0", table)
 
 
+# The normal order written out as ranks, so that the oracles below do not
+# rely on how the atoms themselves compare.
+RANK = {TH: 0, DG: 1, DP: 2, DL: 3}
+
+
+def rank_key(a):
+    """Normal order: thetas, dgammas, dpsis, deltas, each by index, deltas
+    then by order."""
+    return (RANK[a[0]], a[1], a[2] if a[0] == DL else 0)
+
+
 def bubble_sign(atoms):
     """Reference sign: sort by adjacent transpositions, multiplying pair signs."""
     atoms = list(atoms)
@@ -53,7 +65,7 @@ def bubble_sign(atoms):
     while changed:
         changed = False
         for i in range(len(atoms) - 1):
-            if atom_key(atoms[i]) > atom_key(atoms[i + 1]):
+            if rank_key(atoms[i]) > rank_key(atoms[i + 1]):
                 sign *= koszul_sign(atoms[i], atoms[i + 1])
                 atoms[i], atoms[i + 1] = atoms[i + 1], atoms[i]
                 changed = True
@@ -91,7 +103,7 @@ def stepwise_normalize(factors, coeff, chart, table):
     sign = 1
     for i in range(1, len(fs)):
         j = i
-        while j > 0 and atom_key(fs[j - 1]) > atom_key(fs[j]):
+        while j > 0 and rank_key(fs[j - 1]) > rank_key(fs[j]):
             sign *= koszul_sign(fs[j - 1], fs[j])
             fs[j - 1], fs[j] = fs[j], fs[j - 1]
             j -= 1
@@ -236,6 +248,22 @@ class TestNormalForm(unittest.TestCase):
         ]
         shuffled = [mons[2], mons[0], mons[3], mons[1]]
         self.assertEqual(sorted(shuffled, key=lambda m: m.sort_key()), mons)
+
+    def test_atoms_compare_in_normal_order(self):
+        # normalize and Monomial.sort_key compare the atoms themselves.
+        atoms = [make(j) for make in (theta, dgamma, dpsi) for j in range(3)]
+        atoms += [delta(j, k) for j in range(3) for k in range(6)]
+        for a in atoms:
+            for b in atoms:
+                self.assertEqual(a < b, rank_key(a) < rank_key(b), msg=(a, b))
+
+    def test_repr_names_the_kinds(self):
+        # Error messages embed forms, so the repr prints the kinds by name.
+        self.assertEqual(
+            repr(parse("g*psi*dg*dpsi^2 + delta^(3)(dpsi)")),
+            "Superform(U0, (('th', 0), ('dg', 0), ('dp', 0), ('dp', 0)):LaurentPoly(1*(1,)); "
+            "(('dl', 0, 3),):LaurentPoly(1*(0,)))",
+        )
 
 
 class TestWedge(unittest.TestCase):
