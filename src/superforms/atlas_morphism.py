@@ -162,14 +162,12 @@ def _monomial_image(m, mon):
     """
     src = m.source
     acc = Superform.constant(src.id, src.table, 1)
-    # dpsi^b lists dpsi b times; its image is computed once.
-    images = {}
-    for atom in mon.factors():
-        if atom not in images:
-            images[atom] = _atom_image(m, atom)
-        acc = wedge(acc, images[atom])
-        if acc.is_zero():
-            break
+    for atom, power in mon.powers():
+        image = _atom_image(m, atom)
+        for _ in range(power):
+            acc = wedge(acc, image)
+            if acc.is_zero():
+                return ()
     return tuple(acc.terms.items())
 
 
@@ -207,25 +205,26 @@ class CocycleReport:
 
 
 def verify_cocycle(atlas, probes):
-    """Check f_ii = id and f_ij o f_ji = id on each probe form."""
+    """Check f_ii = id and f_ij o f_ji = id on each probe form.  A pullback
+    that raises has the transition and the probe added to its message."""
     report = CocycleReport()
     for probe in probes:
         chart_id = probe.chart
         for (src, tgt), m in atlas.transitions.items():
-            if tgt != chart_id:
-                continue
-            if src == chart_id:
-                report.checked += 1
-                if pullback(m, probe) != probe:
-                    report.failures.append((src, tgt, probe))
-                continue
-            back = atlas.transitions.get((chart_id, src))
-            if back is None:
+            legs = (m,) if src == chart_id else (m, atlas.transitions.get((chart_id, src)))
+            if tgt != chart_id or None in legs:
                 continue
             report.checked += 1
-            once = pullback(m, probe)
-            twice = pullback(back, once)
-            if twice != probe:
+            image = probe
+            for leg in legs:
+                try:
+                    image = pullback(leg, image)
+                except UnsupportedMorphismError as exc:
+                    raise UnsupportedMorphismError(
+                        "%s (transition %s -> %s, checking the probe %r)"
+                        % (exc, leg.source.id, leg.target.id, probe)
+                    ) from None
+            if image != probe:
                 report.failures.append((src, tgt, probe))
     return report
 

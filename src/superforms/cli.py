@@ -16,9 +16,9 @@ are admitted on even coordinates only.
 
 A product is normalized once: its numbers, coordinate powers and atoms are
 gathered into one raw run (a coefficient, an exponent per even coordinate and
-a list of atoms) and handed to `normalize`, so a coordinate power `g^k` is
-exponent arithmetic rather than k wedges.  Only a parenthesized factor is
-wedged onto the product, and `(expr)^k` is k wedges.
+a list of (atom, power) pairs) and put in normal form, so `g^k` is exponent
+arithmetic and `dpsi^k` one factor power rather than k wedges.  Only a
+parenthesized factor is wedged onto the product, and `(expr)^k` is k wedges.
 
 Exit codes: 0 success, 2 parse or usage error (such as a negative --cutoff),
 3 computation error, 4 stabilization failure (only flat de Rham can fail to
@@ -52,10 +52,10 @@ from .errors import (
     UnsupportedSpaceError,
 )
 from .form_algebra import (
-    DP,
     GeneratorTable,
     Superform,
     UNIT_MONOMIAL,
+    _add_normal,
     _add_terms,
     delta,
     dgamma,
@@ -168,14 +168,14 @@ class _Parser:
         """form times the normal form of run; None stands for an absent one."""
         if run is None:
             return form
-        coeff, exps, atoms = run
-        lp = LaurentPoly.monomial(self.table.even_names, exps, coeff)
-        out = normalize(atoms, lp, self.chart, self.table)
+        coeff, exps, pairs = run
+        out = Superform(self.chart, self.table)
+        _add_normal(out.terms, pairs, LaurentPoly.monomial(self.table.even_names, exps, coeff))
         return out if form is None else wedge(form, out)
 
     def factor(self):
-        """A raw piece (coefficient, even exponents, atoms), or a Superform
-        for a parenthesized factor."""
+        """A raw piece (coefficient, even exponents, (atom, power) pairs), or
+        a Superform for a parenthesized factor."""
         piece = self.primary()
         if not self.at_op("^"):
             return piece
@@ -192,11 +192,9 @@ class _Parser:
             for _ in range(exponent):
                 out = wedge(out, piece)
             return out
-        coeff, exps, atoms = piece
-        # theta, dgamma and delta square to zero; dpsi does not.
-        if exponent >= 2 and atoms and atoms[0][0] != DP:
-            return 0, self.no_exps, ()
-        return coeff**exponent, tuple(exponent * e for e in exps), atoms * exponent
+        coeff, exps, pairs = piece
+        pairs = tuple((a, p * exponent) for a, p in pairs if exponent)
+        return coeff**exponent, tuple(exponent * e for e in exps), pairs
 
     def signed_int(self):
         sign = 1
@@ -209,8 +207,8 @@ class _Parser:
         return sign * int(tok[1])
 
     def primary(self):
-        """A raw piece (coefficient, even exponents, atoms), or a Superform
-        for a parenthesized expression."""
+        """A raw piece (coefficient, even exponents, (atom, power) pairs), or
+        a Superform for a parenthesized expression."""
         tok = self.peek()
         if tok[0] == "number":
             self.take()
@@ -270,7 +268,7 @@ class _Parser:
         raise FormParseError("unknown coordinate %r" % name, pos)
 
     def atom_form(self, atom):
-        return _ONE, self.no_exps, (atom,)
+        return _ONE, self.no_exps, ((atom, 1),)
 
 
 def parse(text, table=None, chart="U0"):

@@ -7,12 +7,13 @@ coordinates.  Transposition signs follow the Koszul rule with bidegree table
     theta: (deg 0, par 1)   dgamma: (1, 0)   dpsi: (1, 1)
     delta^(k): (deg -k, par (k+1) mod 2)
 
-and the contraction relation dpsi_j * delta^(k)(dpsi_j) = -k * delta^(k-1)(dpsi_j)
-is applied, in one step per odd index, until monomials are in normal form.  The
-alternating delta parity is the unique choice making the contraction rule
-commute with transpositions (and hence d o d = 0): each contraction consumes one
-dpsi together with one delta order, so the crossing sign of dpsi against
-delta^(k) cannot depend on k.
+so a factor power a^p passes b^q with the sign koszul_sign(a, b)^(p*q) (dpsi_j^p
+is one factor), and the contraction relation dpsi_j * delta^(k)(dpsi_j) =
+-k * delta^(k-1)(dpsi_j) is applied, in one step per odd index, until monomials
+are in normal form.  The alternating delta parity is the unique choice making
+the contraction rule commute with transpositions (and hence d o d = 0): each
+contraction consumes one dpsi together with one delta order, so the crossing
+sign of dpsi against delta^(k) cannot depend on k.
 """
 
 from dataclasses import dataclass
@@ -107,13 +108,16 @@ class Monomial:
     dodds: tuple = ()
     deltas: tuple = ()
 
-    def factors(self):
-        out = [(TH, j) for j in self.thetas]
-        out += [(DG, i) for i in self.devens]
-        for j, power in self.dodds:
-            out += [(DP, j)] * power
-        out += [(DL, j, k) for j, k in self.deltas]
+    def powers(self):
+        """The factors as (atom, power) pairs in normal order, dpsi_j^p as one."""
+        out = [((TH, j), 1) for j in self.thetas]
+        out += [((DG, i), 1) for i in self.devens]
+        out += [((DP, j), p) for j, p in self.dodds]
+        out += [((DL, j, k), 1) for j, k in self.deltas]
         return tuple(out)
+
+    def factors(self):
+        return tuple(a for a, p in self.powers() for _ in range(p))
 
     def degree(self):
         return (
@@ -130,8 +134,9 @@ class Monomial:
 
     def sort_key(self):
         # Listing order compares the highest-rank factors first, so that e.g.
-        # delta(dpsi) precedes psi*dg*delta'(dpsi).
-        return tuple(reversed(self.factors()))
+        # delta(dpsi) precedes psi*dg*delta'(dpsi); a run of p atoms a ends in a
+        # lower factor, so (a, p) < (a, q) orders as the atoms spelled out.
+        return tuple(reversed(self.powers()))
 
 
 UNIT_MONOMIAL = Monomial()
@@ -277,61 +282,63 @@ def normalize(factors, coeff, chart, table):
         lp = LaurentPoly.const(table.even_names, coeff)
     if lp.is_zero():
         return Superform.zero(chart, table)
-
     fs = list(factors)
     _validate_atoms(fs, table)
+    out = Superform(chart, table)
+    _add_normal(out.terms, [(a, 1) for a in fs], lp)
+    return out
+
+
+def _add_normal(terms, pairs, lp):
+    """Add lp times the normal form of valid (atom, power >= 1) pairs to terms.
+    A stable insertion sort passes a^p over b^q with koszul_sign(a, b)^(p*q);
+    dpsi_j powers add; any other atom with power >= 2 or a repeated index gives zero."""
+    fs = list(pairs)
     sign = 1
-    # Insertion sort with Koszul signs (stable: equal atoms never swap).
     for i in range(1, len(fs)):
         j = i
-        while j > 0 and fs[j - 1] > fs[j]:
-            sign *= koszul_sign(fs[j - 1], fs[j])
+        while j > 0 and fs[j - 1][0] > fs[j][0]:
+            (a, p), (b, q) = fs[j - 1], fs[j]
+            sign *= koszul_sign(a, b) if p * q % 2 else 1
             fs[j - 1], fs[j] = fs[j], fs[j - 1]
             j -= 1
 
-    # Squares of odd-parity generators vanish; so do same-index double deltas.
-    for t in range(1, len(fs)):
-        a, b = fs[t - 1], fs[t]
-        if a[0] == b[0] != DP and a[1] == b[1]:
-            return Superform.zero(chart, table)
+    # dpsi_j powers add; squares of the other generators vanish, as do same-index deltas.
+    powers = {}
+    for t, (a, p) in enumerate(fs):
+        if a[0] == DP:
+            powers[a[1]] = powers.get(a[1], 0) + p
+        elif p > 1 or t and a[:2] == fs[t - 1][0][:2]:
+            return
 
     # Contraction, once per odd index j: dpsi_j^a * delta^(b)(dpsi_j) =
     # (-1)^a * b!/(b-a)! * delta^(b-a)(dpsi_j), zero if a > b.  On its way to
     # delta_j each dpsi_j crosses the dpsis of larger index (sign +1) and the
     # deltas of smaller index (sign -1 whatever their order).  fs is sorted,
     # so powers and deltas come in index order.
-    powers = {}
-    for x in fs:
-        if x[0] == DP:
-            powers[x[1]] = powers.get(x[1], 0) + 1
     scalar = 1
     deltas = []
-    for crossed, (_, j, order) in enumerate(x for x in fs if x[0] == DL):
+    for crossed, (_, j, order) in enumerate(a for a, _ in fs if a[0] == DL):
         power = powers.pop(j, 0)
         if power > order:
-            return Superform.zero(chart, table)
+            return
         scalar *= (-1) ** (power * (crossed + 1)) * perm(order, power)
         deltas.append((j, order - power))
 
-    thetas = tuple(a[1] for a in fs if a[0] == TH)
-    devens = tuple(a[1] for a in fs if a[0] == DG)
+    thetas = tuple(a[1] for a, _ in fs if a[0] == TH)
+    devens = tuple(a[1] for a, _ in fs if a[0] == DG)
     mon = Monomial(thetas, devens, tuple(powers.items()), tuple(deltas))
-    out = Superform(chart, table)
-    out.terms[mon] = lp_scale(lp, scalar * sign)
-    return out
+    _add_terms(terms, {mon: lp_scale(lp, scalar * sign)})
 
 
 def wedge(a, b):
-    """Bilinear extension of monomial concatenation followed by normalize."""
+    """Bilinear extension of the product of factor powers in normal form."""
     _check_same_chart(a, b)
     out = Superform.zero(a.chart, a.table)
     for ma, ca in a.terms.items():
-        fa = ma.factors()
+        pa = ma.powers()
         for mb, cb in b.terms.items():
-            c = lp_mul(ca, cb)
-            if c.is_zero():
-                continue
-            _add_terms(out.terms, normalize(fa + mb.factors(), c, a.chart, a.table).terms)
+            _add_normal(out.terms, pa + mb.powers(), lp_mul(ca, cb))
     return out
 
 
@@ -340,21 +347,16 @@ def exterior_d(a):
 
     d(f)*M expands through lp_partial; d acts on factors by the degree-graded
     Leibniz rule with d(theta_j) = dpsi_j and d(dgamma) = d(dpsi) = d(delta) = 0.
-    """
+    The thetas come first and have degree 0, so d(theta_j) takes no sign."""
     out = Superform.zero(a.chart, a.table)
     for mon, f in a.terms.items():
-        factors = mon.factors()
+        pairs = mon.powers()
         for i in range(len(a.table.even_names)):
             g = lp_partial(f, i)
             if not g.is_zero():
-                _add_terms(out.terms, normalize(((DG, i),) + factors, g, a.chart, a.table).terms)
-        prefix_degree = 0
-        for t, atom in enumerate(factors):
-            if atom[0] == TH:
-                coeff = f if prefix_degree % 2 == 0 else lp_scale(f, -1)
-                swapped = factors[:t] + ((DP, atom[1]),) + factors[t + 1 :]
-                _add_terms(out.terms, normalize(swapped, coeff, a.chart, a.table).terms)
-            prefix_degree += atom_degree(atom)
+                _add_normal(out.terms, (((DG, i), 1),) + pairs, g)
+        for t, j in enumerate(mon.thetas):
+            _add_normal(out.terms, pairs[:t] + (((DP, j), 1),) + pairs[t + 1 :], f)
     return out
 
 

@@ -53,10 +53,10 @@ def random_monomial(rng, table, max_order=3, max_power=2):
     return Monomial(thetas, devens, tuple(dodds), tuple(deltas))
 
 
-def random_form(rng, chart, table, terms=3, max_order=3, **poly_kwargs):
+def random_form(rng, chart, table, terms=3, max_order=3, max_power=2, **poly_kwargs):
     acc = Superform.zero(chart, table)
     for _ in range(terms):
-        mon = random_monomial(rng, table, max_order=max_order)
+        mon = random_monomial(rng, table, max_order=max_order, max_power=max_power)
         base = normalize(mon.factors(), 1, chart, table)
         acc = acc + base.times_poly(random_poly(rng, table.even_names, **poly_kwargs))
     return acc

@@ -670,6 +670,25 @@ class TestAtlasFiles(unittest.TestCase):
         # No power of rest is zero, so the message names no power.
         self.assertNotRegex(err + message, r"\^\d")
 
+    def test_rejected_pullback_names_transition_and_probe(self):
+        # psi -> psi + g*psi has no invertible dpsi term, so the round trip of
+        # the probe delta(dpsi) on U0 fails on its way back through U0 -> U1.
+        atlas = json.loads(json.dumps(self.ATLAS))
+        atlas["transitions"][0]["odd_images"] = {"psi": "psi + g*psi"}
+        path = self.write_atlas(atlas)
+        argv = ["normalize", "--atlas", path, "--expr", "psi"]
+        cause = "delta argument has no invertible-monomial dpsi term to expand about"
+        probe = "Superform(U0, (('dl', 0, 0),):LaurentPoly(1*(0,)))"
+        code, out, err = invoke(argv)
+        self.assertEqual((code, out), (3, ""))
+        code, json_out, _ = invoke(argv + ["--json"])
+        self.assertEqual(code, 3)
+        for message in (err, json.loads(json_out)["error"]["message"]):
+            self.assertIn(cause, message)
+            self.assertIn("transition U0 -> U1", message)
+            self.assertIn(probe, message)
+        self.assertTrue(err.startswith("error (computation): " + cause), msg=err)
+
     def test_value_types_checked(self):
         path = self.write_atlas({"charts": []})
         code, out, err = invoke(["cech", "--atlas", path, "--sheaf", "0|0"])

@@ -4,6 +4,7 @@ import random
 import unittest
 from fractions import Fraction
 from math import factorial
+from unittest import mock
 
 import sympy
 from hypothesis import given, settings
@@ -31,10 +32,18 @@ from superforms import (
     theta,
     wedge,
 )
-from superforms.coeff_ring import lp_scale
-from superforms.form_algebra import DG, DL, DP, TH, _add_terms, _validate_atoms
+from superforms import form_algebra
+from superforms.coeff_ring import lp_mul, lp_partial, lp_scale
+from superforms.form_algebra import DG, DL, DP, TH, _add_terms, _validate_atoms, atom_degree
 
-from formgen import form_degree, random_form, random_monomial, random_poly, total_parity
+from formgen import (
+    form_degree,
+    random_form,
+    random_monomial,
+    random_poly,
+    strict_form,
+    total_parity,
+)
 
 P11 = builtin_p11()
 T11 = P11.chart("U0").table
@@ -165,6 +174,37 @@ def random_contracting_atoms(rng, table):
     return atoms
 
 
+def atomwise_wedge(a, b):
+    """wedge with each dpsi^p spelled as p atoms: normalize of the
+    concatenated factor lists.  The oracle of the product of factor powers."""
+    out = Superform.zero(a.chart, a.table)
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            c = lp_mul(ca, cb)
+            _add_terms(out.terms, normalize(ma.factors() + mb.factors(), c, a.chart, a.table).terms)
+    return out
+
+
+def atomwise_d(a):
+    """exterior_d atom by atom: each theta_j swapped for dpsi_j in place, with
+    the sign of the degree before it, and the factor list normalized."""
+    out = Superform.zero(a.chart, a.table)
+    for mon, f in a.terms.items():
+        factors = mon.factors()
+        for i in range(len(a.table.even_names)):
+            g = lp_partial(f, i)
+            if not g.is_zero():
+                _add_terms(out.terms, normalize(((DG, i),) + factors, g, a.chart, a.table).terms)
+        prefix_degree = 0
+        for t, atom in enumerate(factors):
+            if atom[0] == TH:
+                coeff = f if prefix_degree % 2 == 0 else lp_scale(f, -1)
+                swapped = factors[:t] + ((DP, atom[1]),) + factors[t + 1 :]
+                _add_terms(out.terms, normalize(swapped, coeff, a.chart, a.table).terms)
+            prefix_degree += atom_degree(atom)
+    return out
+
+
 def strict_terms(terms):
     """A terms map in insertion order, each coefficient polynomial as its
     (exponents, value, type) list."""
@@ -249,6 +289,16 @@ class TestNormalForm(unittest.TestCase):
         shuffled = [mons[2], mons[0], mons[3], mons[1]]
         self.assertEqual(sorted(shuffled, key=lambda m: m.sort_key()), mons)
 
+    def test_listing_order_reads_factor_powers(self):
+        # sort_key compares (atom, power) pairs, in the order of the reversed
+        # factor tuples that spell each power out.
+        rng = random.Random(20261019)
+        mons = [random_monomial(rng, table, max_order=5, max_power=7) for table in (T11, T22) * 150]
+        spelled = lambda m: tuple(reversed(m.factors()))
+        for a in mons:
+            for b in mons[:60]:
+                self.assertEqual(a.sort_key() < b.sort_key(), spelled(a) < spelled(b), msg=(a, b))
+
     def test_atoms_compare_in_normal_order(self):
         # normalize and Monomial.sort_key compare the atoms themselves.
         atoms = [make(j) for make in (theta, dgamma, dpsi) for j in range(3)]
@@ -298,6 +348,40 @@ class TestWedge(unittest.TestCase):
         ab = wedge(a, b)
         ba = wedge(b, a)
         self.assertEqual(ab, -ba if flip else ba)
+
+    def test_matches_atomwise_oracle(self):
+        # wedge and d against the atom-by-atom oracles, term order and
+        # coefficient types included, with dpsi powers up to 7 against delta
+        # orders 0-5: odd powers >= 3 are where koszul_sign^(p*q) differs from
+        # a sign taken once per pair of factor powers.
+        spaces = [(P11, "U0"), (P11, "U1"), (FLAT22, "U0")]
+        spaces += [(builtin_flat(2, 6), "U0"), (builtin_flat(1, 3), "U0")]
+        rng = random.Random(20261019)
+        odd_powers = 0
+        for case in range(400):
+            atlas, chart = spaces[case % len(spaces)]
+            table = atlas.chart(chart).table
+            kw = dict(terms=rng.randint(1, 3), max_order=rng.randrange(6), max_power=7)
+            a = random_form(rng, chart, table, **kw)
+            b = random_form(rng, chart, table, **kw)
+            product = wedge(a, b)
+            self.assertEqual(strict_form(product), strict_form(atomwise_wedge(a, b)), msg=case)
+            self.assertEqual(strict_form(exterior_d(a)), strict_form(atomwise_d(a)), msg=case)
+            want = strict_form(atomwise_d(product))
+            self.assertEqual(strict_form(exterior_d(product)), want, msg=case)
+            odd_powers += any(p >= 3 and p % 2 for mon in product.terms for _, p in mon.dodds)
+        self.assertGreater(odd_powers, 50)
+
+    def test_dpsi_power_passes_as_one_factor(self):
+        # dg passes dpsi^201 with one sign, not one per dpsi.
+        a, b = parse("g*psi*dpsi^201"), parse("dg")
+        with mock.patch.object(form_algebra, "koszul_sign", wraps=koszul_sign) as sign:
+            product = wedge(a, b)
+        self.assertLessEqual(sign.call_count, 2)
+        self.assertEqual(strict_form(product), strict_form(atomwise_wedge(a, b)))
+        self.assertEqual(pretty_print(product), "-g*psi*dg*dpsi^201")
+        self.assertEqual(pretty_print(parse("psi^1000000")), "0")
+        self.assertEqual(pretty_print(parse("dg^2")), "0")
 
     def test_chart_mismatch_rejected(self):
         a = Superform.constant("U0", T11, 1)
