@@ -10,9 +10,9 @@ Grammar (ASCII):
     NUMBER  := INT ['/' INT]
 
 Atoms are the active chart's coordinate names (`g`, `g1`, `psi`, ...), their
-differentials (`dg`, `dpsi1`, ...) and delta factors `delta(dpsi)`,
-`delta'(dpsi)`, `delta^(k)(dpsi)`.  `*` is the wedge product; negative powers
-are admitted on even coordinates only.
+differentials, spelled "d" + name (`dg`, `dpsi1`, ...), and delta factors
+`delta(dpsi)`, `delta'(dpsi)`, `delta^(k)(dpsi)`.  `*` is the wedge product;
+negative powers are admitted on even coordinates only.
 
 A product is normalized once: its numbers, coordinate powers and atoms are
 gathered into one raw run (a coefficient, an exponent per even coordinate and
@@ -31,6 +31,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import reduce
 
 from . import cohomology
 from .atlas_morphism import (
@@ -52,38 +53,40 @@ from .errors import (
     UnsupportedSpaceError,
 )
 from .form_algebra import (
+    DL,
+    DP,
     GeneratorTable,
     Superform,
     UNIT_MONOMIAL,
+    _NAME_RE,
     _add_normal,
     _add_terms,
     delta,
-    dgamma,
     dpsi,
     exterior_d,
     normalize,
-    theta,
     wedge,
 )
 
 SCHEMA_VERSION = 1
 
-_TOKEN_RE = re.compile(r"(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z]+\d*)|(?P<op>[-+*^()'])")
+# \s is exactly what str.isspace() accepts; a character that starts no token
+# is an error.
+_TOKEN_RE = re.compile(
+    r"(?P<number>\d+(?:/\d+)?)|(?P<name>%s)|(?P<op>[-+*^()'])|(?P<space>\s+)|(?P<other>.)"
+    % _NAME_RE.pattern,
+    re.S,
+)
 
 
 def _tokenize(text):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise FormParseError("unexpected character %r" % text[pos], pos)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tokens.append((kind, m.group(), pos))
-        pos = m.end()
+        if kind == "other":
+            raise FormParseError("unexpected character %r" % m.group(), m.start())
+        if kind != "space":
+            tokens.append((kind, m.group(), m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -95,9 +98,9 @@ _ONE = Fraction(1)
 
 class _Parser:
     def __init__(self, text, table, chart_id):
-        self.text = text
         self.table = table
         self.chart = chart_id
+        self.words = table._words
         self.tokens = _tokenize(text)
         self.pos = 0
         self.no_exps = (0,) * len(table.even_names)
@@ -223,10 +226,14 @@ class _Parser:
             self.take("op", ")")
             return form
         name_tok = self.take("name")
-        name = name_tok[1]
-        if name == "delta":
+        if name_tok[1] == "delta":
             return self.delta_factor(name_tok)
-        return self.named_atom(name, name_tok[2])
+        generator = self.words.get(name_tok[1])
+        if generator is None:
+            raise FormParseError("unknown coordinate %r" % name_tok[1], name_tok[2])
+        if isinstance(generator, int):
+            return _ONE, tuple(int(k == generator) for k in range(len(self.no_exps))), ()
+        return _ONE, self.no_exps, ((generator, 1),)
 
     def delta_factor(self, name_tok):
         order = 0
@@ -244,31 +251,10 @@ class _Parser:
         self.take("op", "(")
         arg = self.take("name")
         self.take("op", ")")
-        j = self.odd_differential_index(arg)
-        return self.atom_form(delta(j, order))
-
-    def odd_differential_index(self, tok):
-        name = tok[1]
-        if name.startswith("d") and name[1:] in self.table.odd_names:
-            return self.table.odd_names.index(name[1:])
-        raise FormParseError("expected an odd differential, found %r" % name, tok[2])
-
-    def named_atom(self, name, pos):
-        table = self.table
-        if name in table.even_names:
-            idx = table.even_names.index(name)
-            return _ONE, tuple(int(k == idx) for k in range(len(table.even_names))), ()
-        if name in table.odd_names:
-            return self.atom_form(theta(table.odd_names.index(name)))
-        if name.startswith("d"):
-            if name[1:] in table.even_names:
-                return self.atom_form(dgamma(table.even_names.index(name[1:])))
-            if name[1:] in table.odd_names:
-                return self.atom_form(dpsi(table.odd_names.index(name[1:])))
-        raise FormParseError("unknown coordinate %r" % name, pos)
-
-    def atom_form(self, atom):
-        return _ONE, self.no_exps, ((atom, 1),)
+        atom = self.words.get(arg[1])
+        if not isinstance(atom, tuple) or atom[0] != DP:
+            raise FormParseError("expected an odd differential, found %r" % arg[1], arg[2])
+        return _ONE, self.no_exps, ((delta(atom[1], order), 1),)
 
 
 def parse(text, table=None, chart="U0"):
@@ -286,10 +272,14 @@ def _delta_head(order):
     return "delta^(%d)" % order
 
 
+def _power(word, e):
+    return word if e == 1 else "%s^%d" % (word, e)
+
+
 def pretty_print(a):
     """Deterministic rendering; parse(pretty_print(a)) == a.  A coefficient
     too long for the interpreter to print raises StructuralError."""
-    table = a.table
+    spell = {generator: word for word, generator in a.table._words.items()}
     entries = []
     for mon, lp in a.terms.items():
         for exps, c in lp.items():
@@ -299,21 +289,12 @@ def pretty_print(a):
     entries.sort(key=lambda e: e[0])
     rendered = []
     for _, mon, exps, c in entries:
-        parts = []
-        for k, e in enumerate(exps):
-            if e == 0:
-                continue
-            name = table.even_names[k]
-            parts.append(name if e == 1 else "%s^%d" % (name, e))
-        for j in mon.thetas:
-            parts.append(table.odd_names[j])
-        for i in mon.devens:
-            parts.append("d" + table.even_names[i])
-        for j, b in mon.dodds:
-            name = "d" + table.odd_names[j]
-            parts.append(name if b == 1 else "%s^%d" % (name, b))
-        for j, k in mon.deltas:
-            parts.append("%s(d%s)" % (_delta_head(k), table.odd_names[j]))
+        parts = [_power(spell[k], e) for k, e in enumerate(exps) if e]
+        for atom, p in mon.powers():
+            if atom[0] == DL:
+                parts.append("%s(%s)" % (_delta_head(atom[2]), spell[dpsi(atom[1])]))
+            else:
+                parts.append(_power(spell[atom], p))
         mag = abs(c)
         if mag != 1 or not parts:
             try:
@@ -341,13 +322,14 @@ _JSON_TYPES = {dict: "object", list: "list", str: "string"}
 def load_atlas(path):
     """Declarative atlas: chart coordinate lists plus transition images
     written in the expression grammar over the source chart.  A file that is
-    not JSON, lacks a key, holds a value of the wrong type, names an unknown
-    chart or whose transitions are not mutually inverse on the coordinates
+    not UTF-8 JSON, lacks a key, holds a value of the wrong type, names a
+    coordinate the grammar cannot write (see `GeneratorTable`) or an unknown
+    chart, or whose transitions are not mutually inverse on the coordinates
     and their differentials raises StructuralError."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise StructuralError("atlas file %s is not JSON: %s" % (path, exc)) from None
 
     def field(obj, key, where, kind=object, item=None):
@@ -361,16 +343,20 @@ def load_atlas(path):
             raise StructuralError("atlas file %s: %r in %s must be a JSON %s" % (path, key, where, what))
         return value
 
-    charts = {}
+    # Per chart: its table, its identity transition, and the cocycle probes
+    # (each word of the chart, then delta of each odd differential).
+    charts, transitions, probes = {}, {}, []
     for cid, coords in field(data, "charts", "the file", dict, dict).items():
         where = "chart %r" % cid
-        table = GeneratorTable(
-            tuple(field(coords, "even", where, list, str)), tuple(field(coords, "odd", where, list, str))
-        )
+        evens, odds = field(coords, "even", where, list, str), field(coords, "odd", where, list, str)
+        try:
+            table = GeneratorTable(tuple(evens), tuple(odds))
+        except StructuralError as exc:
+            raise StructuralError("atlas file %s: %s: %s" % (path, where, exc)) from None
         charts[cid] = Chart(cid, table)
-    transitions = {}
-    for cid, chart in charts.items():
-        transitions[(cid, cid)] = identity_morphism(chart)
+        transitions[(cid, cid)] = identity_morphism(charts[cid])
+        probes += [parse(word, table, cid) for word in table._words]
+        probes += [normalize([delta(j)], 1, cid, table) for j in range(len(odds))]
     listed = field(data, "transitions", "the file", list, dict) if "transitions" in data else []
     for k, tr in enumerate(listed):
         where = "transition %d" % k
@@ -401,16 +387,6 @@ def load_atlas(path):
             odd_images[tgt.table.odd_names.index(name)] = tuple(pieces)
         transitions[(src.id, tgt.id)] = Morphism(src, tgt, even_images, odd_images)
     atlas = Atlas(charts, transitions)
-    probes = []
-    for cid, chart in charts.items():
-        table = chart.table
-        m, n = len(table.even_names), len(table.odd_names)
-        for i in range(m):
-            coordinate = LaurentPoly.monomial(table.even_names, [int(k == i) for k in range(m)])
-            probes.append(Superform.from_poly(cid, table, coordinate))
-        atoms = [theta(j) for j in range(n)] + [dgamma(i) for i in range(m)]
-        atoms += [dpsi(j) for j in range(n)] + [delta(j) for j in range(n)]
-        probes += [normalize([atom], 1, cid, table) for atom in atoms]
     if not verify_cocycle(atlas, probes).passed:
         raise StructuralError("atlas file %s: transitions are not mutually inverse" % path)
     return atlas
@@ -442,10 +418,14 @@ def _parse_range(text):
         raise FormParseError("range must look like 'a:b', got %r" % text, 0) from None
 
 
-def _single_expr(args):
+def _single_form(args, chart_id):
+    """The atlas, its chart chart_id and the one --expr parsed on it, in that
+    order, so a bad atlas or chart is reported before a bad expression."""
+    atlas, _ = _space_atlas(args)
+    chart = atlas.chart(chart_id)
     if len(args.expr) != 1:
         raise FormParseError("exactly one --expr is required", 0)
-    return args.expr[0]
+    return atlas, chart, parse(args.expr[0], chart.table, chart.id)
 
 
 def _emit(args, payload, lines):
@@ -457,48 +437,35 @@ def _emit(args, payload, lines):
             print(line)
 
 
-def _cmd_normalize(args):
-    atlas, _ = _space_atlas(args)
-    chart = atlas.chart(args.chart)
-    form = parse(_single_expr(args), chart.table, chart.id)
-    text = pretty_print(form)
-    _emit(args, {"chart": chart.id, "form": text}, [text])
+def _emit_form(args, payload, form):
+    """Print form, or emit it as payload's "form"."""
+    payload["form"] = text = pretty_print(form)
+    _emit(args, payload, [text])
     return 0
+
+
+def _cmd_normalize(args):
+    _, chart, form = _single_form(args, args.chart)
+    return _emit_form(args, {"chart": chart.id}, form)
 
 
 def _cmd_wedge(args):
-    atlas, _ = _space_atlas(args)
-    chart = atlas.chart(args.chart)
+    chart = _space_atlas(args)[0].chart(args.chart)
     if len(args.expr) < 2:
         raise FormParseError("wedge needs at least two --expr operands", 0)
     forms = [parse(t, chart.table, chart.id) for t in args.expr]
-    out = forms[0]
-    for f in forms[1:]:
-        out = wedge(out, f)
-    text = pretty_print(out)
-    _emit(args, {"chart": chart.id, "form": text}, [text])
-    return 0
+    return _emit_form(args, {"chart": chart.id}, reduce(wedge, forms))
 
 
 def _cmd_d(args):
-    atlas, _ = _space_atlas(args)
-    chart = atlas.chart(args.chart)
-    form = parse(_single_expr(args), chart.table, chart.id)
-    out = exterior_d(form)
-    text = pretty_print(out)
-    _emit(args, {"chart": chart.id, "form": text}, [text])
-    return 0
+    _, chart, form = _single_form(args, args.chart)
+    return _emit_form(args, {"chart": chart.id}, exterior_d(form))
 
 
 def _cmd_pullback(args):
-    atlas, _ = _space_atlas(args)
-    target = atlas.chart(args.target)
-    form = parse(_single_expr(args), target.table, target.id)
+    atlas, _, form = _single_form(args, args.target)
     morphism = atlas.transition(args.chart, args.target)
-    out = pullback(morphism, form)
-    text = pretty_print(out)
-    _emit(args, {"chart": args.chart, "target": args.target, "form": text}, [text])
-    return 0
+    return _emit_form(args, {"chart": args.chart, "target": args.target}, pullback(morphism, form))
 
 
 def _cmd_cech(args):
@@ -530,7 +497,7 @@ def _cmd_cech(args):
         lines.append("h1[%d] overlap: %s" % (k, g))
     lines.append("stabilized = %s" % report.stabilized)
     _emit(args, payload, lines)
-    return 0 if report.stabilized else 4
+    return 0
 
 
 def _cmd_derham(args):
@@ -589,9 +556,7 @@ def _cmd_pair(args):
 
 
 def _cmd_integrate(args):
-    atlas, _ = _space_atlas(args)
-    chart = atlas.chart(args.chart)
-    form = parse(_single_expr(args), chart.table, chart.id)
+    _, chart, form = _single_form(args, args.chart)
     reduced = berezin_reduce(form)
     residue = berezin_integral(form)
     reduced_text = pretty_print(Superform.from_poly(chart.id, chart.table, reduced))
@@ -632,24 +597,34 @@ def _cmd_selftest(args):
     return 0 if ok else 3
 
 
-def _add_common(sp, space=True, chart=False, target=False, exprs=False, cutoff=False):
-    if space:
-        sp.add_argument("--space", default="p11", help="p11 or flat:m,n (default p11)")
-        sp.add_argument("--atlas", default=None, help="path to an atlas description file")
-    sp.add_argument("--json", action="store_true", help="emit one JSON report object")
-    if chart:
-        sp.add_argument("--chart", default="U0", help="active chart id (default U0)")
-    if target:
-        sp.add_argument("--target", default="U1", help="chart the expression lives on")
-    if exprs:
-        sp.add_argument("--expr", action="append", default=[], help="expression (repeatable)")
-    if cutoff:
-        sp.add_argument(
-            "--cutoff",
-            type=int,
-            default=10,
-            help="flat de Rham degree cutoff (default 10); P^{1|1} answers are exact at any cutoff",
-        )
+_FLAGS = {
+    "space": dict(default="p11", help="p11 or flat:m,n (default p11)"),
+    "atlas": dict(default=None, help="path to an atlas description file"),
+    "json": dict(action="store_true", help="emit one JSON report object"),
+    "chart": dict(default="U0", help="active chart id (default U0)"),
+    "target": dict(default="U1", help="chart the expression lives on"),
+    "expr": dict(action="append", default=[], help="expression (repeatable)"),
+    "cutoff": dict(
+        type=int,
+        default=10,
+        help="flat de Rham degree cutoff (default 10); P^{1|1} answers are exact at any cutoff",
+    ),
+    "sheaf": dict(required=True, help="sheaf label 'i|j'"),
+    "picture": dict(type=int, default=0, help="picture number (default 0)"),
+    "range": dict(default=None, help="degree range 'a:b' inclusive"),
+    "n": dict(type=int, required=True, help="pairing index n >= 0"),
+}
+_COMMANDS = (
+    ("normalize", "normalize an expression", _cmd_normalize, "space atlas json chart expr"),
+    ("wedge", "wedge two or more expressions", _cmd_wedge, "space atlas json chart expr"),
+    ("d", "exterior differential", _cmd_d, "space atlas json chart expr"),
+    ("pullback", "pull a form back along a transition", _cmd_pullback, "space atlas json chart target expr"),
+    ("cech", "Cech cohomology of a sheaf Omega^{i|j}", _cmd_cech, "space atlas json cutoff sheaf"),
+    ("derham", "holomorphic de Rham cohomology", _cmd_derham, "space atlas json cutoff picture range"),
+    ("pair", "cohomological pairing matrix and rank on P^{1|1}", _cmd_pair, "json cutoff n"),
+    ("integrate", "Berezin reduction and bosonic residue", _cmd_integrate, "space atlas json chart expr"),
+    ("selftest", "run the built-in verification battery", _cmd_selftest, "json"),
+)
 
 
 def _build_parser():
@@ -658,46 +633,11 @@ def _build_parser():
         description="Integral-form algebra and cohomology of supermanifolds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("normalize", help="normalize an expression")
-    _add_common(sp, chart=True, exprs=True)
-    sp.set_defaults(func=_cmd_normalize)
-
-    sp = sub.add_parser("wedge", help="wedge two or more expressions")
-    _add_common(sp, chart=True, exprs=True)
-    sp.set_defaults(func=_cmd_wedge)
-
-    sp = sub.add_parser("d", help="exterior differential")
-    _add_common(sp, chart=True, exprs=True)
-    sp.set_defaults(func=_cmd_d)
-
-    sp = sub.add_parser("pullback", help="pull a form back along a transition")
-    _add_common(sp, chart=True, target=True, exprs=True)
-    sp.set_defaults(func=_cmd_pullback)
-
-    sp = sub.add_parser("cech", help="Cech cohomology of a sheaf Omega^{i|j}")
-    _add_common(sp, cutoff=True)
-    sp.add_argument("--sheaf", required=True, help="sheaf label 'i|j'")
-    sp.set_defaults(func=_cmd_cech)
-
-    sp = sub.add_parser("derham", help="holomorphic de Rham cohomology")
-    _add_common(sp, cutoff=True)
-    sp.add_argument("--picture", type=int, default=0, help="picture number (default 0)")
-    sp.add_argument("--range", default=None, help="degree range 'a:b' inclusive")
-    sp.set_defaults(func=_cmd_derham)
-
-    sp = sub.add_parser("pair", help="cohomological pairing matrix and rank on P^{1|1}")
-    _add_common(sp, space=False, cutoff=True)
-    sp.add_argument("--n", type=int, required=True, help="pairing index n >= 0")
-    sp.set_defaults(func=_cmd_pair)
-
-    sp = sub.add_parser("integrate", help="Berezin reduction and bosonic residue")
-    _add_common(sp, chart=True, exprs=True)
-    sp.set_defaults(func=_cmd_integrate)
-
-    sp = sub.add_parser("selftest", help="run the built-in verification battery")
-    _add_common(sp, space=False)
-    sp.set_defaults(func=_cmd_selftest)
+    for name, help_text, handler, flags in _COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            sp.add_argument("--" + flag, **_FLAGS[flag])
+        sp.set_defaults(func=handler)
     return parser
 
 

@@ -16,6 +16,7 @@ contraction consumes one dpsi together with one delta order, so the crossing
 sign of dpsi against delta^(k) cannot depend on k.
 """
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import perm
@@ -29,6 +30,9 @@ from .errors import StructuralError, UnsupportedMorphismError
 # thetas, dgammas, dpsis, deltas, each by index, deltas then by order.
 TH, DG, DP, DL = 0, 1, 2, 3
 _KIND_NAMES = ("th", "dg", "dp", "dl")
+
+# A coordinate name is one NAME token of the expression grammar.
+_NAME_RE = re.compile(r"[A-Za-z]+\d*")
 
 
 def theta(j):
@@ -82,7 +86,14 @@ class Bidegree(NamedTuple):
 
 @dataclass(frozen=True)
 class GeneratorTable:
-    """Ordered even and odd coordinate names of one chart."""
+    """Ordered even and odd coordinate names of one chart.
+
+    `_words` is the chart's one name table, read by the parser and the
+    printer: each coordinate name and "d" + each name, mapped to the
+    generator it stands for, an even coordinate's index or an atom.  A name
+    that is not a NAME token, two equal words or the word `delta` raise
+    StructuralError: a form printed with them would not read back as itself.
+    """
 
     even_names: tuple
     odd_names: tuple
@@ -90,9 +101,22 @@ class GeneratorTable:
     def __post_init__(self):
         object.__setattr__(self, "even_names", tuple(self.even_names))
         object.__setattr__(self, "odd_names", tuple(self.odd_names))
-        names = self.even_names + self.odd_names
-        if len(set(names)) != len(names):
-            raise StructuralError("coordinate names must be unique: %r" % (names,))
+        words = {}
+        for prefix, generator, names in (
+            ("", int, self.even_names),
+            ("", theta, self.odd_names),
+            ("d", dgamma, self.even_names),
+            ("d", dpsi, self.odd_names),
+        ):
+            for i, name in enumerate(names):
+                word = prefix + name
+                if word in words or word == "delta" or not _NAME_RE.fullmatch(word):
+                    raise StructuralError(
+                        "the word %r cannot be read back: coordinate names must match %s, and the"
+                        " names, \"d\" + each name and delta must all differ" % (word, _NAME_RE.pattern)
+                    )
+                words[word] = generator(i)
+        object.__setattr__(self, "_words", words)
 
 
 @dataclass(frozen=True)

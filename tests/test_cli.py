@@ -1,10 +1,12 @@
 """Tests for the expression grammar, pretty printer, and command line."""
 
+import argparse
 import contextlib
 import io
 import json
 import os
 import random
+import string
 import sys
 import tempfile
 import time
@@ -17,10 +19,13 @@ from hypothesis.strategies import integers
 
 from superforms import (
     FormParseError,
+    GeneratorTable,
     LaurentPoly,
+    StructuralError,
     Superform,
     builtin_flat,
     builtin_p11,
+    delta,
     dgamma,
     dpsi,
     normalize,
@@ -30,7 +35,7 @@ from superforms import (
     theta,
     wedge,
 )
-from superforms.cli import _Parser
+from superforms.cli import _Parser, _build_parser
 
 from formgen import random_form
 
@@ -42,7 +47,9 @@ T22 = builtin_flat(2, 2).chart("U0").table
 class FoldParser(_Parser):
     """The earlier product parser, kept as the oracle: every factor becomes a
     normalized Superform and a product is folded with one wedge per '*' and
-    per unit of an exponent."""
+    per unit of an exponent.  It resolves names by the earlier rules (even,
+    odd, "d" + even, "d" + odd, in that order), not by the chart's name
+    table."""
 
     def term(self):
         form = self.factor()
@@ -111,6 +118,31 @@ class FoldParser(_Parser):
             if name[1:] in table.odd_names:
                 return self.atom_form(dpsi(table.odd_names.index(name[1:]))), None
         raise FormParseError("unknown coordinate %r" % name, pos)
+
+    def delta_factor(self, name_tok):
+        order = 0
+        if self.at_op("'"):
+            while self.at_op("'"):
+                self.take()
+                order += 1
+        elif self.at_op("^"):
+            self.take()
+            self.take("op", "(")
+            order = self.signed_int()
+            self.take("op", ")")
+            if order < 0:
+                raise FormParseError("delta order must be non-negative", name_tok[2])
+        self.take("op", "(")
+        arg = self.take("name")
+        self.take("op", ")")
+        j = self.odd_differential_index(arg)
+        return self.atom_form(delta(j, order))
+
+    def odd_differential_index(self, tok):
+        name = tok[1]
+        if name.startswith("d") and name[1:] in self.table.odd_names:
+            return self.table.odd_names.index(name[1:])
+        raise FormParseError("expected an odd differential, found %r" % name, tok[2])
 
     def atom_form(self, atom):
         return normalize([atom], 1, self.chart, self.table)
@@ -215,6 +247,28 @@ class TestGrammar(unittest.TestCase):
             with self.assertRaises(FormParseError, msg=text) as ctx:
                 parse(text, T11)
             self.assertEqual(ctx.exception.position, pos, msg=text)
+
+    def test_whitespace_and_stray_characters(self):
+        # Every character that str.isspace() accepts separates tokens; any
+        # other character that starts no token is an error at its position.
+        want = parse("g*psi", T11)
+        spaces = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+        self.assertGreater(len(spaces), 20)
+        for c in spaces:
+            self.assertEqual(parse("g" + c + "*psi", T11), want, msg=repr(c))
+            self.assertEqual(parse(c * 3 + "g*" + c + "psi" + c, T11), want, msg=repr(c))
+        rng = random.Random(20261019)
+        token_starts = set(string.ascii_letters + "-+*^()'")
+        stray = ["$", "!", "#", ".", "/", "\x00", "\u00e9", "\u2227", "\ud800", "\U0010ffff"]
+        stray += [chr(k) for k in rng.sample(range(sys.maxunicode + 1), 3000)]
+        stray = [c for c in stray if not (c.isspace() or c.isdecimal() or c in token_starts)]
+        self.assertGreater(len(stray), 2500)
+        for c in stray:
+            prefix = rng.choice(["", "g", "g*", "2/3 * psi", "delta'(dpsi) ", "(g + "])
+            with self.assertRaises(FormParseError, msg=repr(c)) as ctx:
+                parse(prefix + c + "*psi" + c, T11)
+            self.assertEqual(ctx.exception.position, len(prefix), msg=repr(c))
+            self.assertEqual(str(ctx.exception), "unexpected character %r (at position %d)" % (c, len(prefix)))
 
     def test_indexed_coordinates(self):
         form = parse("g1*psi2*dg2*delta'(dpsi1)", T22)
@@ -378,6 +432,60 @@ class TestCommands(unittest.TestCase):
         first = invoke(argv)
         second = invoke(argv)
         self.assertEqual(first, second)
+
+
+def _actions(parser):
+    """Each action of parser as (option strings, dest, default, type,
+    required, action class, help), in order."""
+    return [
+        (tuple(a.option_strings), a.dest, a.default, a.type, a.required, type(a).__name__, a.help)
+        for a in parser._actions
+    ]
+
+
+class TestCommandTable(unittest.TestCase):
+    # The argparse actions of every command, as the parser built them before
+    # the flags moved into one table.  argparse formats --help differently
+    # across Python versions, so the actions are pinned, not the help text.
+    HELP = (("-h", "--help"), "help", argparse.SUPPRESS, None, False, "_HelpAction", "show this help message and exit")
+    SPACE = (("--space",), "space", "p11", None, False, "_StoreAction", "p11 or flat:m,n (default p11)")
+    ATLAS = (("--atlas",), "atlas", None, None, False, "_StoreAction", "path to an atlas description file")
+    JSON = (("--json",), "json", False, None, False, "_StoreTrueAction", "emit one JSON report object")
+    CHART = (("--chart",), "chart", "U0", None, False, "_StoreAction", "active chart id (default U0)")
+    TARGET = (("--target",), "target", "U1", None, False, "_StoreAction", "chart the expression lives on")
+    EXPR = (("--expr",), "expr", [], None, False, "_AppendAction", "expression (repeatable)")
+    CUTOFF = (
+        ("--cutoff",), "cutoff", 10, int, False, "_StoreAction",
+        "flat de Rham degree cutoff (default 10); P^{1|1} answers are exact at any cutoff",
+    )
+    SHEAF = (("--sheaf",), "sheaf", None, None, True, "_StoreAction", "sheaf label 'i|j'")
+    PICTURE = (("--picture",), "picture", 0, int, False, "_StoreAction", "picture number (default 0)")
+    RANGE = (("--range",), "range", None, None, False, "_StoreAction", "degree range 'a:b' inclusive")
+    N = (("--n",), "n", None, int, True, "_StoreAction", "pairing index n >= 0")
+    COMMANDS = [
+        ("normalize", "normalize an expression", [HELP, SPACE, ATLAS, JSON, CHART, EXPR]),
+        ("wedge", "wedge two or more expressions", [HELP, SPACE, ATLAS, JSON, CHART, EXPR]),
+        ("d", "exterior differential", [HELP, SPACE, ATLAS, JSON, CHART, EXPR]),
+        ("pullback", "pull a form back along a transition", [HELP, SPACE, ATLAS, JSON, CHART, TARGET, EXPR]),
+        ("cech", "Cech cohomology of a sheaf Omega^{i|j}", [HELP, SPACE, ATLAS, JSON, CUTOFF, SHEAF]),
+        ("derham", "holomorphic de Rham cohomology", [HELP, SPACE, ATLAS, JSON, CUTOFF, PICTURE, RANGE]),
+        ("pair", "cohomological pairing matrix and rank on P^{1|1}", [HELP, JSON, CUTOFF, N]),
+        ("integrate", "Berezin reduction and bosonic residue", [HELP, SPACE, ATLAS, JSON, CHART, EXPR]),
+        ("selftest", "run the built-in verification battery", [HELP, JSON]),
+    ]
+
+    def test_commands_and_their_flags(self):
+        parser = _build_parser()
+        self.assertEqual(parser.prog, "superforms")
+        self.assertEqual(parser.description, "Integral-form algebra and cohomology of supermanifolds.")
+        help_action, sub = parser._actions
+        self.assertEqual(_actions(parser)[0], self.HELP)
+        self.assertEqual((sub.dest, sub.required), ("command", True))
+        got = [(c.dest, c.help, _actions(sub.choices[c.dest])) for c in sub._choices_actions]
+        self.assertEqual(got, self.COMMANDS)
+        self.assertEqual(list(sub.choices), [name for name, _, _ in self.COMMANDS])
+        for name, sp in sub.choices.items():
+            self.assertEqual(sp.get_default("func").__name__, "_cmd_" + name)
 
 
 class TestExitCodes(unittest.TestCase):
@@ -688,6 +796,52 @@ class TestAtlasFiles(unittest.TestCase):
             self.assertIn("transition U0 -> U1", message)
             self.assertIn(probe, message)
         self.assertTrue(err.startswith("error (computation): " + cause), msg=err)
+
+    def test_names_the_grammar_cannot_write_rejected(self):
+        # With odd dg, d(g^2) printed 2*g*dg, which reads back as 2*g*theta;
+        # with even elta it printed 2*elta*delta, which does not parse; a
+        # name such as "x y" can never be written; dd is d + d and an odd dd.
+        cases = [
+            ({"even": ["g"], "odd": ["dg"]}, "g^2", "dg"),
+            ({"even": ["elta"], "odd": ["psi"]}, "elta^2", "delta"),
+            ({"even": ["delta"], "odd": ["psi"]}, "psi", "delta"),
+            ({"even": ["x y"], "odd": ["psi"]}, "psi", "x y"),
+            ({"even": ["g"], "odd": ["2psi"]}, "g", "2psi"),
+            ({"even": ["g\u00e9"], "odd": ["psi"]}, "psi", "g\u00e9"),
+            ({"even": ["d"], "odd": ["dd"]}, "d", "dd"),
+            ({"even": ["g"], "odd": ["g"]}, "g", "g"),
+        ]
+        for coords, expr, word in cases:
+            path = self.write_atlas({"charts": {"V": coords}})
+            argv = ["d", "--atlas", path, "--chart", "V", "--expr", expr]
+            code, out, err = invoke(argv)
+            self.assertEqual((code, out), (3, ""), msg=coords)
+            code, json_out, _ = invoke(argv + ["--json"])
+            self.assertEqual(code, 3, msg=coords)
+            for message in (err, json.loads(json_out)["error"]["message"]):
+                self.assertIn(path, message)
+                self.assertIn("chart 'V'", message)
+                self.assertIn(repr(word), message)
+        # A table built in the library is checked when it is built.
+        with self.assertRaises(StructuralError):
+            GeneratorTable(("g",), ("dg",))
+
+    def test_non_utf8_file_is_not_json(self):
+        # This ended in a UnicodeDecodeError traceback with exit 1, also
+        # under --json.
+        with tempfile.NamedTemporaryFile("wb", suffix=".json", delete=False) as fh:
+            fh.write(b"\xff\xfe{")
+        self.addCleanup(os.unlink, fh.name)
+        argv = ["normalize", "--atlas", fh.name, "--expr", "psi"]
+        prefix = "atlas file %s is not JSON: " % fh.name
+        code, out, err = invoke(argv)
+        self.assertEqual((code, out), (3, ""))
+        self.assertTrue(err.startswith("error (computation): " + prefix), msg=err)
+        code, out, _ = invoke(argv + ["--json"])
+        self.assertEqual(code, 3)
+        payload = json.loads(out)
+        self.assertEqual(payload["error"]["kind"], "computation")
+        self.assertTrue(payload["error"]["message"].startswith(prefix), msg=payload)
 
     def test_value_types_checked(self):
         path = self.write_atlas({"charts": []})
