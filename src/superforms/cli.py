@@ -279,7 +279,7 @@ def _power(word, e):
 def pretty_print(a):
     """Deterministic rendering; parse(pretty_print(a)) == a.  A coefficient
     too long for the interpreter to print raises StructuralError."""
-    spell = {generator: word for word, generator in a.table._words.items()}
+    spell = a.table._spell
     entries = []
     for mon, lp in a.terms.items():
         for exps, c in lp.items():
@@ -511,11 +511,8 @@ def _cmd_derham(args):
     report = cohomology.derham(atlas, args.picture, (lo, hi), args.cutoff)
     dims = {"%d|%d" % key: val for key, val in sorted(report.dims.items())}
     gens = {
-        str(i): [
-            {cid: pretty_print(sf) for cid, sf in sorted(parts.items())}
-            for parts in report.generators.get(i, [])
-        ]
-        for i in range(lo, hi + 1)
+        str(i): [{cid: pretty_print(parts[cid]) for cid in sorted(parts)} for parts in group]
+        for i, group in report.generators.items()
     }
     payload = {
         "space": label,
@@ -527,12 +524,10 @@ def _cmd_derham(args):
         "stabilized": report.stabilized,
     }
     lines = ["space %s picture %d cutoff %d" % (label, args.picture, args.cutoff)]
-    for key, val in sorted(report.dims.items()):
-        lines.append("H^{%d|%d} = %d" % (key[0], key[1], val))
-    for i in sorted(report.generators):
-        for k, parts in enumerate(report.generators[i]):
-            for cid in sorted(parts):
-                lines.append("H^{%d|%d}[%d] %s: %s" % (i, args.picture, k, cid, pretty_print(parts[cid])))
+    lines += ["H^{%s} = %d" % item for item in dims.items()]
+    for i, group in gens.items():
+        for k, parts in enumerate(group):
+            lines += ["H^{%s|%d}[%d] %s: %s" % (i, args.picture, k, *row) for row in parts.items()]
     lines.append("stabilized = %s" % report.stabilized)
     _emit(args, payload, lines)
     return 0 if report.stabilized else 4

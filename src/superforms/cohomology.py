@@ -53,19 +53,22 @@ second weight is 0.  Among the sheaf monomials only M = 1 (picture 0) and
 M = psi*delta(dpsi) (picture 1) qualify, both of degree 0, so the (0, 0)
 summand lies in degree 0, every differential of it is zero, and its
 cohomology is its degree-0 part.  `_derham_p11` reads the global sections
-of the sheaf (0, picture) off its `_solve`, whatever the range, keeps those
-whose U0 labels have weight (0, 0), and checks that d of each is zero.
+of the sheaf (0, picture) off its `_solve`, whatever the range, and keeps
+those whose U0 labels have weight (0, 0).
 
 Flat-space de Rham needs no elimination: d keeps the even weight E, the odd
 weight vector u and the set of delta-carrying odd indices, and by a Kunneth
 argument the only summand with a class is the single closed form
 theta_S*delta_S for S = supp(u), E = 0, u in {0, 1}^n with |u| = p, which
-`_flat_derham` only checks to be closed.
+`_flat_derham` writes down.
 
-Every report is computed once.  P^{1|1} answers do not depend on the cutoff
-and are stabilized; a flat answer holds the classes in the box |u_j| <= D,
-which misses one only at D = 0, so a flat report is unstabilized exactly
-when D = 0 and a picture p >= 1 has degree 0 in range.  `_solve` computes
+Each engine returns its list of degree-0 classes, and `derham` alone checks
+that d of every class is zero on every chart and lays the list out over the
+range.  P^{1|1} answers do not depend on the cutoff and are stabilized; a
+flat answer holds the classes in the box |u_j| <= D, which misses one only
+at D = 0.  `derham` states this box rule once: a flat report is
+unstabilized, and lists no class, exactly when D = 0 and a picture p >= 1
+has degree 0 in range.  Every report is computed once.  `_solve` computes
 the Cech solve of each (transition, sheaf) for `cech`, the pairing and
 P^{1|1} de Rham once per process, as read-only labels; a `Morphism`
 compares by its generator images, so fresh builds of one atlas share the
@@ -78,7 +81,7 @@ P^{1|1}.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations
 from types import MappingProxyType
 
 from .atlas_morphism import builtin_flat, builtin_p11, pullback
@@ -253,8 +256,8 @@ def _transition(atlas):
     shapes = [(len(c.table.even_names), len(c.table.odd_names)) for c in atlas.charts.values()]
     if shapes != [(1, 1), (1, 1)]:
         raise UnsupportedSpaceError(
-            "Cech and P^{1|1} de Rham need two charts of dimension 1|1, got %s"
-            % ", ".join("%d|%d" % shape for shape in shapes)
+            "Cech and P^{1|1} de Rham need two charts of dimension 1|1, got %d chart(s) of"
+            " dimension %s" % (len(shapes), ", ".join("%d|%d" % shape for shape in shapes))
         )
     c0, c1 = sorted(atlas.charts)
     m01 = atlas.transition(c0, c1)
@@ -399,22 +402,13 @@ def cech(space, sheaf, cutoff):
 # de Rham: P^{1|1}, the weight-(0, 0) global sections of degree 0
 
 
-def _derham_p11(atlas, picture, lo, hi):
+def _derham_p11(atlas, picture):
     """P^{1|1} de Rham: the weight-(0, 0) global sections of the sheaf
-    (0, picture), read off its Cech solve and each checked to be closed, are
-    the classes of degree 0."""
+    (0, picture), read off its Cech solve, are the classes of degree 0."""
     m01 = _transition(atlas)
     dom, kernels, _ = _solve(m01, (0, picture))
     invariant = _by_u0_weight(m01, dom, kernels).get((0, 0), ())
-    classes = [_glue(atlas, dom, kernels[t]) for t, _ in invariant]
-    if not all(exterior_d(form).is_zero() for parts in classes for form in parts.values()):
-        raise StructuralError("P^{1|1} de Rham class is not closed")
-    dims = {(i, picture): 0 for i in range(lo, hi + 1)}
-    gens = {i: [] for i in range(lo, hi + 1)}
-    if lo <= 0 <= hi:
-        dims[(0, picture)] = len(classes)
-        gens[0] = classes
-    return dims, gens
+    return [_glue(atlas, dom, kernels[t]) for t, _ in invariant]
 
 
 # ---------------------------------------------------------------------------
@@ -439,35 +433,24 @@ def _derham_p11(atlas, picture, lo, hi):
 # A class therefore needs E = 0, u_j = 1 on T and u_j = 0 off T: u in {0, 1}^n
 # with |u| = p and T = S = supp(u).  That summand is the one form
 # theta_S*delta_S, in degree 0 and with d = 0, so `_flat_derham` writes down
-# the class of each such u inside the box |u_j| <= D without eliminating
-# anything (the tests eliminate the full blocks as the oracle).  From D = 1 on
-# the box holds every u in {0, 1}^n; at D = 0 it holds only u = 0, so a
-# picture p >= 1 with degree 0 in range reports no class and `derham` marks
-# it unstabilized (the box rule).
+# the class of each such S without eliminating anything (the tests eliminate
+# the full blocks as the oracle), and `derham` checks it closed, as it checks
+# every class.  From D = 1 on the box |u_j| <= D holds every u in {0, 1}^n;
+# at D = 0 it holds only u = 0.  `derham` states this box rule once.
 
 
-def _flat_derham(atlas, picture, lo, hi, cutoff):
-    """Flat de Rham at one cutoff: the class theta_S*delta_S of each candidate
-    block, in u order."""
+def _flat_derham(atlas, picture, listed):
+    """The classes theta_S*delta_S, one per set S of `picture` odd indices,
+    in u order (u_0 most significant) if listed, else none; the picture is
+    checked either way."""
     (chart,) = atlas.charts.values()
     m, n = len(chart.table.even_names), len(chart.table.odd_names)
     if not 0 <= picture <= n:
         raise UnsupportedSpaceError("picture %d not supported on this flat space" % picture)
-    dims = {(i, picture): 0 for i in range(lo, hi + 1)}
-    gens = {i: [] for i in range(lo, hi + 1)}
-    if not lo <= 0 <= hi:
-        return dims, gens
-    for u in product((0, 1), repeat=n):
-        if sum(u) != picture or max(u, default=0) > cutoff:
-            continue
-        carriers = tuple(j for j in range(n) if u[j])
-        mon = Monomial(carriers, (), (), tuple((j, 0) for j in carriers))
-        parts = _glue(atlas, [(chart.id, mon, (0,) * m)], {0: Fraction(1)})
-        if not exterior_d(parts[chart.id]).is_zero():
-            raise StructuralError("flat de Rham class theta_S*delta_S is not closed")
-        dims[(0, picture)] += 1
-        gens[0].append(parts)
-    return dims, gens
+    # Reversed, the combinations come in u order.
+    sets = reversed(list(combinations(range(n), picture))) if listed else ()
+    mons = (Monomial(s, (), (), tuple((j, 0) for j in s)) for s in sets)
+    return [_glue(atlas, [(chart.id, mon, (0,) * m)], {0: Fraction(1)}) for mon in mons]
 
 
 def derham(space, picture, degree_range, cutoff):
@@ -481,22 +464,25 @@ def derham(space, picture, degree_range, cutoff):
     if lo > hi:
         raise StructuralError("empty degree range %r" % (degree_range,))
     atlas, label = _resolve_space(space)
-    flat = len(atlas.charts) == 1
     # _transition rejects an atlas that is not two 1|1 charts, and the sheaf
     # basis any picture but 0 or 1.
     if cutoff < 0:
         raise StructuralError("cutoff must be non-negative, got %d" % cutoff)
-    if flat:
-        dims, gens = _flat_derham(atlas, picture, lo, hi, cutoff)
-        stabilized = not (cutoff == 0 and picture >= 1 and lo <= 0 <= hi)
+    in_range = lo <= 0 <= hi
+    if len(atlas.charts) == 1:
+        # The box rule: at D = 0 the box misses every class of a picture p >= 1.
+        stabilized = not (in_range and cutoff == 0 and picture >= 1)
+        classes = _flat_derham(atlas, picture, in_range and stabilized)
     else:
-        dims, gens = _derham_p11(atlas, picture, lo, hi)
         stabilized = True
+        classes = _derham_p11(atlas, picture)
+    if not all(exterior_d(form).is_zero() for parts in classes for form in parts.values()):
+        raise StructuralError("de Rham class is not closed")
     return CohomologyReport(
         space=label,
         cutoff=cutoff,
-        dims=dims,
-        generators=gens,
+        dims={(i, picture): len(classes) if i == 0 else 0 for i in range(lo, hi + 1)},
+        generators={i: classes if i == 0 else [] for i in range(lo, hi + 1)},
         stabilized=stabilized,
     )
 

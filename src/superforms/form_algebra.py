@@ -88,11 +88,12 @@ class Bidegree(NamedTuple):
 class GeneratorTable:
     """Ordered even and odd coordinate names of one chart.
 
-    `_words` is the chart's one name table, read by the parser and the
-    printer: each coordinate name and "d" + each name, mapped to the
-    generator it stands for, an even coordinate's index or an atom.  A name
-    that is not a NAME token, two equal words or the word `delta` raise
-    StructuralError: a form printed with them would not read back as itself.
+    `_words` is the chart's one name table, read by the parser: each
+    coordinate name and "d" + each name, mapped to the generator it stands
+    for, an even coordinate's index or an atom; `_spell`, its inverse, is
+    read by the printer.  Neither takes part in equality.  A name that is not
+    a NAME token, two equal words or the word `delta` raise StructuralError:
+    a form printed with them would not read back as itself.
     """
 
     even_names: tuple
@@ -117,6 +118,7 @@ class GeneratorTable:
                     )
                 words[word] = generator(i)
         object.__setattr__(self, "_words", words)
+        object.__setattr__(self, "_spell", {generator: word for word, generator in words.items()})
 
 
 @dataclass(frozen=True)
@@ -380,7 +382,9 @@ def exterior_d(a):
             if not g.is_zero():
                 _add_normal(out.terms, (((DG, i), 1),) + pairs, g)
         for t, j in enumerate(mon.thetas):
-            _add_normal(out.terms, pairs[:t] + (((DP, j), 1),) + pairs[t + 1 :], f)
+            # dpsi_j*delta(dpsi_j) contracts to zero: skip it before the sort.
+            if (j, 0) not in mon.deltas:
+                _add_normal(out.terms, pairs[:t] + (((DP, j), 1),) + pairs[t + 1 :], f)
     return out
 
 

@@ -13,6 +13,7 @@ import time
 import unittest
 from fractions import Fraction
 from math import factorial
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis.strategies import integers
@@ -224,6 +225,9 @@ class TestGrammar(unittest.TestCase):
             "(g+psi)^2": "g^2 + 2*g*psi",
             "dpsi*dpsi*delta''(dpsi)": "2*delta(dpsi)",
             "g*delta(dpsi) - psi*dg*delta'(dpsi)": "g*delta(dpsi) - psi*dg*delta'(dpsi)",
+            # A form takes a leading sign, and primes count the order.
+            "-psi": "-psi",
+            "delta'''(dpsi)": "delta^(3)(dpsi)",
         }
         for text, want in cases.items():
             self.assertEqual(pretty_print(parse(text, T11)), want, msg=text)
@@ -242,6 +246,8 @@ class TestGrammar(unittest.TestCase):
             "g*(psi": 6,
             "3*delta^(-1)(dpsi)": 2,
             "psi*1/0": 4,
+            # A factor takes no sign: "expected name, found '-'".
+            "g*-psi": 2,
         }
         for text, pos in cases.items():
             with self.assertRaises(FormParseError, msg=text) as ctx:
@@ -417,6 +423,24 @@ class TestCommands(unittest.TestCase):
         self.assertEqual(code, 0)
         self.assertEqual(payload["dims"], {"0|1": 1, "1|1": 0, "2|1": 0})
 
+    def test_derham_prints_each_generator_once(self):
+        # The text lines are read off the JSON payload, so each chart form
+        # of a class is printed once, in text and in --json; flat:2,6
+        # picture 3 made 40 calls for its 20 classes when both were built.
+        for argv, forms in (
+            (["--space", "flat:2,6", "--picture", "3", "--range", "0:0"], 20),
+            (["--picture", "1"], 2),
+        ):
+            outs = []
+            for flags in ([], ["--json"]):
+                with mock.patch("superforms.cli.pretty_print", wraps=pretty_print) as printed:
+                    code, out, _ = invoke(["derham"] + argv + flags)
+                self.assertEqual((code, printed.call_count), (0, forms), msg=argv + flags)
+                outs.append(out)
+            gens = json.loads(outs[1])["generators"]
+            texts = [line.split(": ", 1)[1] for line in outs[0].splitlines() if "]" in line]
+            self.assertEqual(texts, [t for g in gens.values() for parts in g for t in parts.values()])
+
     def test_pair_rank(self):
         code, out, _ = invoke(["pair", "--n", "1", "--cutoff", "10"])
         self.assertEqual(code, 0)
@@ -514,6 +538,16 @@ class TestExitCodes(unittest.TestCase):
     def test_unknown_space_is_3(self):
         code, _, _ = invoke(["cech", "--space", "bogus", "--sheaf", "0|0"])
         self.assertEqual(code, 3)
+
+    def test_cech_names_the_chart_count(self):
+        # A one-chart atlas used to be reported as "got 1|1", its one shape.
+        message = "need two charts of dimension 1|1, got 1 chart(s) of dimension 1|1"
+        code, out, err = invoke(["cech", "--space", "flat:1,1", "--sheaf", "0|0"])
+        self.assertEqual((code, out), (3, ""))
+        self.assertTrue(err.rstrip().endswith(message), msg=err)
+        code, out, _ = invoke(["cech", "--space", "flat:2,1", "--sheaf", "0|0", "--json"])
+        self.assertEqual(code, 3)
+        self.assertIn("got 1 chart(s) of dimension 2|1", json.loads(out)["error"]["message"])
 
     def test_flat_picture_out_of_range_is_3(self):
         for picture in ("-1", "2"):

@@ -1129,7 +1129,68 @@ def box_walk(atlas, blocks, picture, lo, hi, cutoff):
     return dims, gens
 
 
+def u_scan_derham(m, n, picture, degree_range, cutoff):
+    """Flat de Rham (dims, generators, stabilized) as the scan over u in
+    {0, 1}^n computed it, with the box rule stated in the scan and again for
+    `stabilized`: the oracle of the classes in combinations order."""
+    lo, hi = degree_range
+    if lo > hi:
+        raise StructuralError("empty degree range %r" % (degree_range,))
+    atlas = builtin_flat(m, n)
+    if cutoff < 0:
+        raise StructuralError("cutoff must be non-negative, got %d" % cutoff)
+    (chart,) = atlas.charts.values()
+    if not 0 <= picture <= n:
+        raise UnsupportedSpaceError("picture %d not supported on this flat space" % picture)
+    dims = {(i, picture): 0 for i in range(lo, hi + 1)}
+    gens = {i: [] for i in range(lo, hi + 1)}
+    if lo <= 0 <= hi:
+        for u in product((0, 1), repeat=n):
+            if sum(u) != picture or max(u, default=0) > cutoff:
+                continue
+            carriers = tuple(j for j in range(n) if u[j])
+            mon = Monomial(carriers, (), (), tuple((j, 0) for j in carriers))
+            parts = _glue(atlas, [(chart.id, mon, (0,) * m)], {0: Fraction(1)})
+            if not exterior_d(parts[chart.id]).is_zero():
+                raise StructuralError("flat de Rham class theta_S*delta_S is not closed")
+            dims[(0, picture)] += 1
+            gens[0].append(parts)
+    return dims, gens, not (cutoff == 0 and picture >= 1 and lo <= 0 <= hi)
+
+
 class TestFlatBlocks(unittest.TestCase):
+    def test_matches_u_scan(self):
+        # The classes in reversed combinations order, the box rule stated
+        # once and the closedness check in derham answer as the u scan did:
+        # dims, generators (term order and coefficient types), stabilized
+        # and errors, with and without degree 0 in range.
+        def outcome(run):
+            try:
+                dims, gens, stabilized = run()
+            except (StructuralError, UnsupportedSpaceError) as exc:
+                return type(exc), str(exc)
+            strict = {
+                i: [[(cid, strict_form(f)) for cid, f in parts.items()] for parts in group]
+                for i, group in gens.items()
+            }
+            return dims, strict, stabilized
+
+        def report(*args):
+            got = derham(*args)
+            return got.dims, got.generators, got.stabilized
+
+        listed = 0
+        for m, n in product(range(3), range(7)):
+            space = "flat:%d,%d" % (m, n)
+            for picture, cutoff in product(range(-1, n + 2), range(3)):
+                for degrees in ((0, 0), (-2, 1), (0, 3), (1, 3), (-3, -1), (2, 1)):
+                    msg = (space, picture, degrees, cutoff)
+                    want = outcome(lambda: u_scan_derham(m, n, picture, degrees, cutoff))
+                    got = outcome(lambda: report(space, picture, degrees, cutoff))
+                    self.assertEqual(got, want, msg=msg)
+                    listed += len(want) == 3 and want[0].get((0, picture), 0) > 1
+        self.assertGreater(listed, 100)
+
     def test_candidate_blocks_equal_box_walk(self):
         # Only the blocks E = 0, u in {0, 1}^n with |u| = picture can carry a
         # class; derham must equal the walk over the whole box at D and D + 2.

@@ -409,6 +409,21 @@ class TestExteriorDerivative(unittest.TestCase):
         form = exterior_d(mono([theta(0), delta(0, 1)]))
         self.assertEqual(form, mono([delta(0, 0)], -1))
 
+    def test_zero_contraction_is_not_normalized(self):
+        # d(theta_j) = dpsi_j meets delta(dpsi_j) in a zero contraction, so
+        # d(theta_S*delta_S) puts no term in normal form; it made |S| calls
+        # before the skip.  A delta order >= 1 still contracts to a term.
+        table = builtin_flat(1, 4).chart("U0").table
+        for s in ((), (0,), (1, 3), (0, 1, 2, 3)):
+            form = normalize([theta(j) for j in s] + [delta(j, 0) for j in s], 1, "U0", table)
+            with mock.patch.object(form_algebra, "_add_normal", wraps=form_algebra._add_normal) as add:
+                self.assertTrue(exterior_d(form).is_zero(), msg=s)
+            self.assertEqual(add.call_count, 0, msg=s)
+        form = mono([theta(0), delta(0, 1)])
+        with mock.patch.object(form_algebra, "_add_normal", wraps=form_algebra._add_normal) as add:
+            form = exterior_d(form)
+        self.assertEqual((form, add.call_count), (mono([delta(0, 0)], -1), 1))
+
     @settings(deadline=None, max_examples=120)
     @given(integers(0, 10**6))
     def test_d_squared_zero(self, seed):
