@@ -2,12 +2,27 @@
 
 The coefficient ring of every form in the package: finite maps from integer
 exponent tuples (one slot per even coordinate) to exact rationals.  Negative
-exponents are permitted; zero coefficients are never stored.
+exponents are permitted; zero coefficients are never stored.  Exponents are
+integers (`_exponents` rejects any other entry), `_axpy` is the one sparse
+accumulation, and `LaurentPoly._of` takes only clean terms, unchecked.
 """
 
 from fractions import Fraction
+from operator import add
 
 from .errors import StructuralError, UnsupportedMorphismError
+
+
+def _exponents(exps, n):
+    """exps as a tuple of n ints; StructuralError, never a truncation, otherwise."""
+    exps = tuple(exps)
+    try:
+        ints = tuple(map(int, exps))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != exps or len(exps) != n:
+        raise StructuralError("exponent tuple %r is not a tuple of %d integers" % (exps, n))
+    return ints
 
 
 class LaurentPoly:
@@ -16,20 +31,22 @@ class LaurentPoly:
     __slots__ = ("variables", "terms")
 
     def __init__(self, variables, terms=None):
+        # Equal integral keys are one dict key, so converted keys never collide.
         self.variables = tuple(variables)
-        clean = {}
+        self.terms = {}
         for exps, c in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != len(self.variables):
-                raise StructuralError(
-                    "exponent tuple %r does not match variables %r" % (exps, self.variables)
-                )
+            exps = _exponents(exps, len(self.variables))
             c = Fraction(c)
             if c:
-                clean[exps] = clean.get(exps, Fraction(0)) + c
-                if not clean[exps]:
-                    del clean[exps]
-        self.terms = clean
+                self.terms[exps] = c
+
+    @classmethod
+    def _of(cls, variables, terms):
+        """Wrap clean terms (int tuples of the right length, nonzero Fractions) as they are."""
+        out = cls.__new__(cls)
+        out.variables = variables
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls, variables):
@@ -38,20 +55,11 @@ class LaurentPoly:
     @classmethod
     def const(cls, variables, value):
         variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): Fraction(value)})
+        return cls(variables, {(0,) * len(variables): value})
 
     @classmethod
     def monomial(cls, variables, exps, coeff=1):
-        out = cls(variables)
-        exps = tuple(int(e) for e in exps)
-        if len(exps) != len(out.variables):
-            raise StructuralError(
-                "exponent tuple %r does not match variables %r" % (exps, out.variables)
-            )
-        coeff = Fraction(coeff)
-        if coeff:
-            out.terms[exps] = coeff
-        return out
+        return cls(variables, {tuple(exps): coeff})
 
     def is_zero(self):
         return not self.terms
@@ -121,12 +129,13 @@ def _check_same_variables(a, b):
         )
 
 
-def _axpy(dst, src, factor):
-    """dst += factor * src in place, for sparse maps {key: coefficient}.
+def _axpy(dst, pairs, factor):
+    """dst += factor * pairs in place, for a sparse map dst {key: coefficient}
+    and (key, coefficient) pairs such as `m.items()` or a generator.
 
-    Entries that cancel are dropped and new keys are appended in src order.
+    Entries that cancel are dropped and new keys are appended in pair order.
     """
-    for key, c in src.items():
+    for key, c in pairs:
         s = dst.get(key, 0) + c * factor
         if s:
             dst[key] = s
@@ -138,16 +147,12 @@ def lp_add(a, b):
     """Termwise exact sum; zero terms pruned."""
     _check_same_variables(a, b)
     terms = dict(a.terms)
-    _axpy(terms, b.terms, 1)
-    out = LaurentPoly(a.variables)
-    out.terms = terms
-    return out
+    _axpy(terms, b.terms.items(), 1)
+    return LaurentPoly._of(a.variables, terms)
 
 
 def lp_neg(a):
-    out = LaurentPoly(a.variables)
-    out.terms = {e: -c for e, c in a.terms.items()}
-    return out
+    return lp_scale(a, -1)
 
 
 def lp_scale(a, scalar):
@@ -155,10 +160,8 @@ def lp_scale(a, scalar):
     if scalar == 1:
         return a
     scalar = Fraction(scalar)
-    out = LaurentPoly(a.variables)
-    if scalar:
-        out.terms = {e: scalar * c for e, c in a.terms.items()}
-    return out
+    terms = {e: scalar * c for e, c in a.terms.items()} if scalar else {}
+    return LaurentPoly._of(a.variables, terms)
 
 
 def lp_mul(a, b):
@@ -166,16 +169,8 @@ def lp_mul(a, b):
     _check_same_variables(a, b)
     terms = {}
     for ea, ca in a.terms.items():
-        for eb, cb in b.terms.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            s = terms.get(e, Fraction(0)) + ca * cb
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-    out = LaurentPoly(a.variables)
-    out.terms = terms
-    return out
+        _axpy(terms, ((tuple(map(add, ea, eb)), cb) for eb, cb in b.terms.items()), ca)
+    return LaurentPoly._of(a.variables, terms)
 
 
 def lp_substitute_monomial(p, images, out_variables=None):
@@ -192,29 +187,19 @@ def lp_substitute_monomial(p, images, out_variables=None):
             raise StructuralError("no image for variable %r" % name)
         c, exps = images[name]
         c = Fraction(c)
-        exps = tuple(int(e) for e in exps)
-        if len(exps) != len(out_vars):
-            raise StructuralError("image exponents %r do not fit %r" % (exps, out_vars))
+        exps = _exponents(exps, len(out_vars))
         if c == 0:
             raise UnsupportedMorphismError("variable image must be invertible, got 0")
         table.append((c, exps))
     terms = {}
     for exps, coeff in p.terms.items():
         out_exp = [0] * len(out_vars)
-        c = coeff
         for k, (ic, ie) in zip(exps, table):
-            c *= ic ** k
+            coeff *= ic ** k
             for slot, e in enumerate(ie):
                 out_exp[slot] += k * e
-        key = tuple(out_exp)
-        s = terms.get(key, Fraction(0)) + c
-        if s:
-            terms[key] = s
-        else:
-            terms.pop(key, None)
-    out = LaurentPoly(out_vars)
-    out.terms = terms
-    return out
+        _axpy(terms, ((tuple(out_exp), coeff),), 1)
+    return LaurentPoly._of(out_vars, terms)
 
 
 def lp_partial(p, variable):
@@ -230,11 +215,6 @@ def lp_partial(p, variable):
     terms = {}
     for exps, c in p.terms.items():
         k = exps[idx]
-        if k == 0:
-            continue
-        e = list(exps)
-        e[idx] = k - 1
-        terms[tuple(e)] = c * k
-    out = LaurentPoly(p.variables)
-    out.terms = terms
-    return out
+        if k:
+            terms[exps[:idx] + (k - 1,) + exps[idx + 1 :]] = c * k
+    return LaurentPoly._of(p.variables, terms)

@@ -116,8 +116,8 @@ class Eliminator:
         for r in sorted(vec.keys() & self.pivots.keys()):
             pvec, pcombo = self.pivots[r]
             factor = -vec[r]
-            _axpy(vec, pvec, factor)
-            _axpy(combo, pcombo, factor)
+            _axpy(vec, pvec.items(), factor)
+            _axpy(combo, pcombo.items(), factor)
 
     def insert(self, vec, tag):
         """Insert one column.  Returns None if the rank grew, else the
@@ -136,8 +136,8 @@ class Eliminator:
         for pvec, pcombo in self.pivots.values():
             if r in pvec:
                 factor = -pvec[r]
-                _axpy(pvec, vec, factor)
-                _axpy(pcombo, combo, factor)
+                _axpy(pvec, vec.items(), factor)
+                _axpy(pcombo, combo.items(), factor)
         self.pivots[r] = (vec, combo)
         return None
 
@@ -387,6 +387,7 @@ def cech(space, sheaf, cutoff):
         raise StructuralError("cutoff must be non-negative, got %d" % cutoff)
     dom, kernels, reps = _cech_solve(atlas, sheaf)
     c0 = min(atlas.charts)
+    table = atlas.chart(c0).table
     return CohomologyReport(
         space=label,
         sheaf=sheaf,
@@ -394,7 +395,10 @@ def cech(space, sheaf, cutoff):
         h0=len(kernels),
         h1=len(reps),
         generators_h0=[_glue(atlas, dom, combo) for combo in kernels],
-        generators_h1=[_glue(atlas, [(c0, mon, (e,))], {0: 1})[c0] for mon, e in reps],
+        generators_h1=[
+            Superform(c0, table, {mon: LaurentPoly.monomial(table.even_names, (e,))})
+            for mon, e in reps
+        ],
     )
 
 
@@ -444,13 +448,14 @@ def _flat_derham(atlas, picture, listed):
     in u order (u_0 most significant) if listed, else none; the picture is
     checked either way."""
     (chart,) = atlas.charts.values()
-    m, n = len(chart.table.even_names), len(chart.table.odd_names)
+    n = len(chart.table.odd_names)
     if not 0 <= picture <= n:
         raise UnsupportedSpaceError("picture %d not supported on this flat space" % picture)
     # Reversed, the combinations come in u order.
     sets = reversed(list(combinations(range(n), picture))) if listed else ()
+    one = LaurentPoly.const(chart.table.even_names, 1)
     mons = (Monomial(s, (), (), tuple((j, 0) for j in s)) for s in sets)
-    return [_glue(atlas, [(chart.id, mon, (0,) * m)], {0: Fraction(1)}) for mon in mons]
+    return [{chart.id: Superform(chart.id, chart.table, {mon: one})} for mon in mons]
 
 
 def derham(space, picture, degree_range, cutoff):
@@ -556,7 +561,7 @@ def pairing_matrix(n, cutoff):
         for t, part in by_weight.get((-lam, -mu), ()):
             coeffs = {}
             for m2, e2, c in part:
-                _axpy(coeffs, {(m, e1 + e2 + e): s for m, e, s in unit_product(m1, m2)}, c)
+                _axpy(coeffs, (((m, e1 + e2 + e), s) for m, e, s in unit_product(m1, m2)), c)
             if not coeffs.keys() <= {generator}:
                 raise StructuralError(
                     "pairing product of g^%d*%r and H^0 generator %d is no multiple of the "

@@ -214,9 +214,7 @@ class Superform:
         return self + (-other)
 
     def __neg__(self):
-        out = Superform(self.chart, self.table)
-        out.terms = {m: lp_scale(lp, -1) for m, lp in self.terms.items()}
-        return out
+        return self.scale(-1)
 
     def scale(self, scalar):
         scalar = Fraction(scalar)

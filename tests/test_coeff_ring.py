@@ -19,6 +19,8 @@ from superforms import (
     lp_substitute_monomial,
 )
 
+from superforms.coeff_ring import _axpy
+
 from formgen import random_poly
 
 VARS = ("g", "h")
@@ -57,6 +59,29 @@ class TestConstruction(unittest.TestCase):
     def test_exponent_arity_checked(self):
         with self.assertRaises(StructuralError):
             LaurentPoly(VARS, {(1,): Fraction(1)})
+        with self.assertRaises(StructuralError):
+            LaurentPoly.monomial(VARS, (1, 2, 3))
+        with self.assertRaises(StructuralError):
+            lp_substitute_monomial(LaurentPoly.const(("g",), 1), {"g": (1, (1, 0))})
+
+    def test_non_integral_exponents_rejected(self):
+        # Each of the first three used to truncate: to 3*g, to g^2 and g -> 1.
+        with self.assertRaises(StructuralError):
+            LaurentPoly(("g",), {(1.5,): 1, (1,): 2})
+        with self.assertRaises(StructuralError):
+            LaurentPoly.monomial(("g",), (2.7,))
+        with self.assertRaises(StructuralError):
+            lp_substitute_monomial(LaurentPoly.monomial(("g",), (1,)), {"g": (1, (0.5,))})
+        for bad in ("3", Fraction(1, 2), float("nan"), float("inf"), None):
+            with self.assertRaises(StructuralError):
+                LaurentPoly(("g",), {(bad,): 1})
+        # Integral entries of other types are integers.
+        p = LaurentPoly(VARS, {(Fraction(2), True): 3, (2.0, -1): 0, (0, 4): 1})
+        self.assertEqual(p.terms, {(2, 1): 3, (0, 4): 1})
+        q = LaurentPoly.monomial(VARS, (Fraction(-6, 3), False), 5)
+        self.assertEqual(q.terms, {(-2, 0): 5})
+        for exps in (*p.terms, *q.terms):
+            self.assertEqual([type(e) for e in exps], [int, int])
 
     def test_monomial_and_accessors(self):
         p = LaurentPoly.monomial(VARS, (-2, 3), Fraction(1, 3))
@@ -72,6 +97,20 @@ class TestConstruction(unittest.TestCase):
         third = LaurentPoly.const(VARS, Fraction(1, 3))
         three = LaurentPoly.const(VARS, 3)
         self.assertEqual(lp_mul(third, three), LaurentPoly.const(VARS, 1))
+
+
+class TestAccumulate(unittest.TestCase):
+    def test_each_accumulation_cancels_in_order(self):
+        g, one = LaurentPoly.monomial(("g",), (1,)), LaurentPoly.const(("g",), 1)
+        # The two g terms cancel; g^2 and -1 keep the order of the products.
+        self.assertEqual(list(lp_mul(g + one, g - one).items()), [((2,), 1), ((0,), -1)])
+        # g -> h and h -> h send g - h to a sum whose two terms cancel.
+        gh = LaurentPoly(VARS, {(1, 0): 1, (0, 1): -1})
+        images = {"g": (1, (0, 1)), "h": (1, (0, 1))}
+        self.assertEqual(lp_substitute_monomial(gh, images).terms, {})
+        dst = {"a": Fraction(1), "b": Fraction(2)}
+        _axpy(dst, ((k, c) for k, c in (("b", 1), ("c", 3), ("a", Fraction(-1, 2)))), 2)
+        self.assertEqual(list(dst.items()), [("b", 4), ("c", 6)])
 
 
 class TestRingAxioms(unittest.TestCase):

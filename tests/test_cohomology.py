@@ -171,7 +171,7 @@ def _compose_is_zero(cols_first, cols_second):
     for col in cols_first:
         acc = {}
         for s, c in col.items():
-            _axpy(acc, cols_second[s], c)
+            _axpy(acc, cols_second[s].items(), c)
         if acc:
             return False
     return True
@@ -921,7 +921,7 @@ def global_section_complex(atlas, picture, lo, hi):
                 dv.update(_coordinates(exterior_d(form), index, key, _differential_error))
             col = {lead[t]: c for t, c in dv.items() if t in lead}
             for s, c in col.items():
-                _axpy(dv, kernels[s], -c)
+                _axpy(dv, kernels[s].items(), -c)
             if dv:
                 raise StructuralError("differential of a global section is not global")
             cols.append(col)
@@ -940,7 +940,7 @@ def complex_answer(atlas, picture, lo, hi, levels, d_cols):
         for z in reps[i]:
             combo = {}
             for t, c in z.items():
-                _axpy(combo, sections[t], c)
+                _axpy(combo, sections[t].items(), c)
             gens[i].append(_glue(atlas, labels, combo))
     return strict_answer({(i, picture): dim for i, dim in dims.items()}, gens)
 
