@@ -14,7 +14,6 @@ from .coeff_ring import LaurentPoly, lp_mul, lp_substitute_monomial
 from .errors import StructuralError, UnsupportedMorphismError
 from .form_algebra import (
     DG,
-    DL,
     DP,
     TH,
     GeneratorTable,
@@ -23,7 +22,6 @@ from .form_algebra import (
     _add_terms,
     delta_expand,
     exterior_d,
-    normalize,
     wedge,
 )
 
@@ -99,7 +97,7 @@ class Morphism:
         src = self.source
         out = Superform.zero(src.id, src.table)
         for c, idx in self.odd_images[j]:
-            _add_terms(out.terms, normalize(((TH, idx),), c, src.id, src.table).terms)
+            _add_terms(out.terms, {Monomial(thetas=(idx,)): c})
         return out
 
 

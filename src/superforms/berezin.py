@@ -41,20 +41,13 @@ def berezin_reduce(form):
 
 
 def bosonic_residue(poly, variable):
-    """Coefficient of the exponent -1 in one even variable, other exponents
-    summed only where they vanish; the residue of a Laurent polynomial."""
-    if variable in poly.variables:
-        idx = poly.variables.index(variable)
-    else:
+    """Coefficient of the exponent -1 in one even variable and 0 in the
+    others; the residue of a Laurent polynomial."""
+    if variable not in poly.variables:
         raise StructuralError("unknown even coordinate %r" % variable)
-    total = 0
-    for exps, c in poly.items():
-        if exps[idx] != -1:
-            continue
-        if any(e != 0 for k, e in enumerate(exps) if k != idx):
-            continue
-        total += c
-    return total
+    exps = [0] * len(poly.variables)
+    exps[poly.variables.index(variable)] = -1
+    return poly.coefficient(exps)
 
 
 def berezin_integral(form):

@@ -216,7 +216,7 @@ class _Parser:
         if tok[0] == "number":
             self.take()
             try:
-                value = Fraction(tok[1])
+                value = Fraction(*map(int, tok[1].split("/")))
             except ZeroDivisionError:
                 raise FormParseError("zero denominator in %r" % tok[1], tok[2]) from None
             return value, self.no_exps, ()

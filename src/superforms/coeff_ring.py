@@ -156,10 +156,12 @@ def lp_neg(a):
 
 
 def lp_scale(a, scalar):
-    """scalar * a; a itself when scalar is 1 (LaurentPolys are shared as values)."""
+    """scalar * a; a itself when scalar is 1 (LaurentPolys are shared as values).
+    A Fraction scalar is used as it is, any other is converted once."""
     if scalar == 1:
         return a
-    scalar = Fraction(scalar)
+    if not isinstance(scalar, Fraction):
+        scalar = Fraction(scalar)
     terms = {e: scalar * c for e, c in a.terms.items()} if scalar else {}
     return LaurentPoly._of(a.variables, terms)
 

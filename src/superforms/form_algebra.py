@@ -14,12 +14,17 @@ are in normal form.  The alternating delta parity is the unique choice making
 the contraction rule commute with transpositions (and hence d o d = 0): each
 contraction consumes one dpsi together with one delta order, so the crossing
 sign of dpsi against delta^(k) cannot depend on k.
+
+`normalize` is the checked entry point for raw factor lists: it takes only
+atoms of the chart's `GeneratorTable`.  Products inside the package sort
+through `_add_normal`, and one-term forms (the series terms of `delta_expand`
+among them) are built directly, not normalized.
 """
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import perm
+from math import factorial, perm
 from typing import NamedTuple
 
 from .coeff_ring import LaurentPoly, lp_add, lp_mul, lp_partial, lp_scale
@@ -225,12 +230,7 @@ class Superform:
 
     def times_poly(self, lp):
         """Multiply by an even coefficient polynomial (central)."""
-        out = Superform(self.chart, self.table)
-        for mon, c in self.terms.items():
-            p = lp_mul(c, lp)
-            if not p.is_zero():
-                out.terms[mon] = p
-        return out
+        return Superform(self.chart, self.table, {m: lp_mul(c, lp) for m, c in self.terms.items()})
 
     def bidegree(self):
         """The common Bidegree of all terms, or None if inhomogeneous/zero."""
@@ -274,29 +274,25 @@ def _check_same_chart(a, b):
 
 
 def _validate_atoms(factors, table):
-    n_even = len(table.even_names)
-    n_odd = len(table.odd_names)
+    """Raise StructuralError unless each factor is an atom of the chart: a
+    generator tuple of `table._spell`, or (DL, j, k) with (DP, j) one of
+    them and k >= 0."""
+    spell = table._spell
     for a in factors:
-        kind = a[0]
-        if kind not in (TH, DG, DP, DL):
-            raise StructuralError("unknown factor atom %r" % (a,))
-        idx = a[1]
-        if kind == DG:
-            if not 0 <= idx < n_even:
-                raise StructuralError("even index %d out of range" % idx)
-        else:
-            if not 0 <= idx < n_odd:
-                raise StructuralError("odd index %d out of range" % idx)
-        if kind == DL and a[2] < 0:
-            raise StructuralError("delta order must be non-negative")
+        if not isinstance(a, tuple) or a not in spell and not (
+            len(a) == 3 and a[0] == DL and (DP, a[1]) in spell and a[2] >= 0
+        ):
+            raise StructuralError("factor %r is not an atom of the chart" % (a,))
 
 
 def normalize(factors, coeff, chart, table):
     """Sort a raw factor sequence into normal form, collecting Koszul signs.
 
-    Repeated odd-parity factors vanish; the contraction rule is applied once
-    per odd index carrying both dpsi and a delta, so that dpsi and delta
-    indices are disjoint.  Returns a (possibly zero) Superform.
+    The checked entry point for factor lists from callers: a factor that is
+    not an atom of the chart raises StructuralError.  Repeated odd-parity
+    factors vanish; the contraction rule is applied once per odd index
+    carrying both dpsi and a delta, so that dpsi and delta indices are
+    disjoint.  Returns a (possibly zero) Superform.
     """
     if isinstance(coeff, LaurentPoly):
         if coeff.variables != table.even_names:
@@ -304,8 +300,6 @@ def normalize(factors, coeff, chart, table):
         lp = coeff
     else:
         lp = LaurentPoly.const(table.even_names, coeff)
-    if lp.is_zero():
-        return Superform.zero(chart, table)
     fs = list(factors)
     _validate_atoms(fs, table)
     out = Superform(chart, table)
@@ -398,57 +392,48 @@ def bidegree_components(a):
 def delta_expand(order, argument):
     """Series expansion of delta^(order) about its invertible dpsi term.
 
-    argument = c*dpsi_target + rest with c an invertible Laurent monomial; the
-    result is sum_m (rest^m / m!) c^{-(order+m+1)} delta^(order+m)(dpsi_target),
-    normalized, over every m with rest^m != 0.  The series ends exactly when
-    no term of rest is made of dpsi factors alone (a scalar counts as one).
-    Every other term carries a theta, dgamma or delta factor, each of which
-    squares to zero and is removed neither by normalize nor by a
-    contraction, so rest^(m+2n+1) = 0 on an m|n chart.  The dpsi-only part
-    lives in a commutative integral domain, so none of its powers is zero,
-    and no other term of rest^N can cancel them: such a rest raises
-    UnsupportedMorphismError before any term is added.
+    argument = c*dpsi_j + rest with c an invertible Laurent monomial; the
+    result is the sum over every m with rest^m != 0 of rest^m wedged with the
+    one-term form {delta^(order+m)(dpsi_j): c^{-(order+m+1)}/m!}, which is
+    built directly, not normalized.  c*dpsi_j must be the only term made of
+    dpsi factors alone (`bare`; a scalar counts as one).  Every other term
+    carries a theta, dgamma or delta factor, each of which squares to zero
+    and is removed by no contraction, so rest^(m+2n+1) = 0 on an m|n chart.
+    A second bare term lives in a commutative integral domain, so none of its
+    powers is zero and no other term of rest^N can cancel them: such an
+    argument raises UnsupportedMorphismError before any term is added.
     """
     if order < 0:
         raise StructuralError("delta order must be non-negative")
     chart, table = argument.chart, argument.table
-
-    target = None
-    for mon, lp in argument.terms.items():
-        if mon.thetas or mon.devens or mon.deltas:
-            continue
-        if len(mon.dodds) == 1 and mon.dodds[0][1] == 1 and lp.is_monomial():
-            j = mon.dodds[0][0]
-            if target is None or j < target[0]:
-                target = (j, lp)
-    if target is None:
+    bare = [
+        (mon, lp) for mon, lp in argument.terms.items() if not (mon.thetas or mon.devens or mon.deltas)
+    ]
+    if not any(len(mon.dodds) == 1 and mon.dodds[0][1] == 1 and lp.is_monomial() for mon, lp in bare):
         raise UnsupportedMorphismError(
             "delta argument has no invertible-monomial dpsi term to expand about"
         )
-    j, c_lp = target
-    c_exps, c_coeff = c_lp.single_term()
-
-    dpsi_term = Superform(chart, table, {Monomial(dodds=((j, 1),)): c_lp})
-    rest = argument - dpsi_term
-    if any(not (mon.thetas or mon.devens or mon.deltas) for mon in rest.terms):
+    if len(bare) > 1:
         raise UnsupportedMorphismError(
             "delta series does not terminate: a term of rest is made of dpsi "
             "factors alone, so no power of rest is zero"
         )
+    [(head, c_lp)] = bare
+    j = head.dodds[0][0]
+    c_exps, c_coeff = c_lp.single_term()
+    rest = Superform(chart, table, {mon: lp for mon, lp in argument.terms.items() if mon != head})
 
     out = Superform.zero(chart, table)
     rest_power = Superform.constant(chart, table, 1)
     m = 0
-    m_factorial = 1
     while not rest_power.is_zero():
         power = -(order + m + 1)
         c_pow = LaurentPoly.monomial(
-            table.even_names, tuple(power * e for e in c_exps), c_coeff ** power
+            table.even_names, tuple(power * e for e in c_exps), c_coeff**power / factorial(m)
         )
-        delta_part = normalize(((DL, j, order + m),), c_pow, chart, table)
-        _add_terms(out.terms, wedge(rest_power, delta_part).scale(Fraction(1, m_factorial)).terms)
+        delta_part = Superform(chart, table, {Monomial(deltas=((j, order + m),)): c_pow})
+        _add_terms(out.terms, wedge(rest_power, delta_part).terms)
         m += 1
-        m_factorial *= m
         rest_power = wedge(rest_power, rest)
     return out
 

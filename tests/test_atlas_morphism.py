@@ -125,6 +125,17 @@ class TestTransitionImages(unittest.TestCase):
     def test_odd_coordinate(self):
         self.assertEqual(pretty_print(pullback(M01, u1([theta(0)]))), "g^-1*psi")
 
+    def test_odd_image_pieces_on_one_index_add(self):
+        # psi -> g*psi + g^2*psi - g*psi: the pieces on index 0 add term by
+        # term, and the two g*psi pieces cancel without a trace.
+        g = LaurentPoly.monomial(("g",), (1,))
+        pieces = ((g, 0), (LaurentPoly.monomial(("g",), (2,)), 0), (-g, 0))
+        m = Morphism(P11.chart("U0"), P11.chart("U1"), {0: g}, {0: pieces})
+        image = m.odd_image_form(0)
+        self.assertEqual(image, u0([theta(0)]).times_poly(LaurentPoly.monomial(("g",), (2,))))
+        self.assertEqual(list(image.terms), [Monomial(thetas=(0,))])
+        self.assertEqual(pretty_print(pullback(m, u1([theta(0)]))), "g^2*psi")
+
     def test_odd_differential(self):
         self.assertEqual(
             pretty_print(pullback(M01, u1([dpsi(0)]))), "-g^-2*psi*dg + g^-1*dpsi"

@@ -120,6 +120,19 @@ class TestResidue(unittest.TestCase):
         with self.assertRaises(StructuralError):
             bosonic_residue(LaurentPoly.const(("g",), 1), "z")
 
+    def test_missing_residue_is_fraction_zero(self):
+        # Both reads return the stored coefficient or Fraction(0), never int 0.
+        lp = LaurentPoly(("g1", "g2"), {(-1, 1): Fraction(7), (1, -1): Fraction(2)})
+        for variable in ("g1", "g2"):
+            got = bosonic_residue(lp, variable)
+            self.assertEqual((type(got), got), (Fraction, Fraction(0)))
+        g2 = LaurentPoly.monomial(("g",), (2,))
+        form = normalize([theta(0), dgamma(0), delta(0, 0)], g2, "U0", T11)
+        got = berezin_integral(form)
+        self.assertEqual((type(got), got), (Fraction, Fraction(0)))
+        got = berezin_integral(Superform.zero("U0", T11))
+        self.assertEqual((type(got), got), (Fraction, Fraction(0)))
+
 
 class TestIntegral(unittest.TestCase):
     def test_unit_volume(self):

@@ -212,6 +212,35 @@ def strict_terms(terms):
 
 
 class TestNormalForm(unittest.TestCase):
+    def test_atoms_outside_the_chart_rejected(self):
+        # Each factor must be an atom of the chart's generator table: a theta
+        # with trailing entries used to read as psi, a dgamma with one as dg,
+        # and (DL, 0) raised a bare IndexError.
+        bad = [
+            (TH, 0, 5),
+            (DG, 0, 9),
+            (DL, 0),
+            (DG, 1),
+            (TH, 1),
+            (DP, 1),
+            (DL, 1, 0),
+            (TH, -1),
+            (DL, 0, -1),
+            (4, 0),
+            (),
+            0,
+        ]
+        for atom in bad:
+            for coeff in (1, 0):
+                with self.assertRaisesRegex(StructuralError, "is not an atom of the chart", msg=atom):
+                    normalize([theta(0), atom], coeff, "U0", T11)
+        with self.assertRaisesRegex(StructuralError, r"^factor \(1, 2\) is not an atom"):
+            normalize([dgamma(2)], 1, "U0", T22)
+        self.assertEqual(
+            pretty_print(normalize([dgamma(1), theta(1), delta(0, 7)], 2, "U0", T22)),
+            "2*psi2*dg2*delta^(7)(dpsi1)",
+        )
+
     def test_square_zero_generators(self):
         self.assertTrue(mono([theta(0), theta(0)]).is_zero())
         self.assertTrue(mono([dgamma(0), dgamma(0)]).is_zero())
@@ -527,6 +556,42 @@ class TestDeltaExpand(unittest.TestCase):
     def test_invalid_orders_rejected(self):
         with self.assertRaises(StructuralError):
             delta_expand(-1, mono([dpsi(0)]))
+
+    def test_classification_on_flat22(self):
+        # A missing invertible-monomial dpsi term is reported before a
+        # second term made of dpsi factors alone.
+        no_head = "^delta argument has no invertible-monomial dpsi term"
+        endless = "^delta series does not terminate"
+        cases = [
+            ("(1+g1)*dpsi1", no_head),
+            ("dpsi1*dpsi2", no_head),
+            ("1", no_head),
+            ("psi1*dg1", no_head),
+            ("0", no_head),
+            ("dpsi1^2 + (1+g1)*dpsi2", no_head),
+            ("dpsi1 + dpsi2", endless),
+            ("g1*dpsi2 + dpsi1^2", endless),
+            ("(1+g1)*dpsi1 + dpsi2", endless),
+        ]
+        for text, message in cases:
+            with self.assertRaisesRegex(UnsupportedMorphismError, message, msg=text):
+                delta_expand(0, parse(text, T22))
+        self.assertEqual(
+            pretty_print(delta_expand(0, parse("dpsi2 + psi1*dg1", T22))),
+            "delta(dpsi2) + psi1*dg1*delta'(dpsi2)",
+        )
+        # Each series term is c^-(k+m+1)/m! times rest^m: here rest^2 is
+        # 2*psi1*psi2*dg1*dg2, and 2 * 3^-5 / 2! = 1/243.
+        got = delta_expand(2, parse("3*g1^-1*dpsi2 + psi1*dg1 + psi2*dg2", T22))
+        self.assertEqual(
+            pretty_print(got),
+            "1/27*g1^3*delta''(dpsi2) + 1/81*g1^4*psi1*dg1*delta^(3)(dpsi2)"
+            " + 1/81*g1^4*psi2*dg2*delta^(3)(dpsi2)"
+            " + 1/243*g1^5*psi1*psi2*dg1*dg2*delta^(4)(dpsi2)",
+        )
+        self.assertEqual(
+            {type(c) for lp in got.terms.values() for c in lp.terms.values()}, {Fraction}
+        )
 
 
 class TestPairing(unittest.TestCase):
