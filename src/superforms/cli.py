@@ -15,10 +15,12 @@ differentials, spelled "d" + name (`dg`, `dpsi1`, ...), and delta factors
 negative powers are admitted on even coordinates only.
 
 A product is normalized once: its numbers, coordinate powers and atoms are
-gathered into one raw run (a coefficient, an exponent per even coordinate and
-a list of (atom, power) pairs) and put in normal form, so `g^k` is exponent
-arithmetic and `dpsi^k` one factor power rather than k wedges.  Only a
-parenthesized factor is wedged onto the product, and `(expr)^k` is k wedges.
+gathered in place into one run (an int numerator and denominator, an exponent
+per even coordinate and a list of (atom, power) pairs) and put in normal form,
+so `g^k` is exponent arithmetic and `dpsi^k` one factor power rather than k
+wedges.  Only a parenthesized factor is wedged onto the product, and
+`(expr)^k` is k wedges.  A number, exponent or delta order longer than the
+interpreter's integer digit limit is a parse error at its token.
 
 Exit codes: 0 success, 2 parse or usage error (such as a negative --cutoff),
 3 computation error, 4 stabilization failure (only flat de Rham can fail to
@@ -80,20 +82,32 @@ _TOKEN_RE = re.compile(
 
 
 def _tokenize(text):
+    """(kind, text, position) tokens, closed by an "end" token; an operator's
+    kind is its own character."""
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind == "other":
+        if kind == "op":
+            kind = m.group()
+        elif kind == "space":
+            continue
+        elif kind == "other":
             raise FormParseError("unexpected character %r" % m.group(), m.start())
-        if kind != "space":
-            tokens.append((kind, m.group(), m.start()))
+        tokens.append((kind, m.group(), m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 
 
-# The coefficient of a coordinate or atom piece.  A Fraction, never the int 1:
-# an int raised to a negative power would turn into a float.
-_ONE = Fraction(1)
+def _int(digits, position):
+    """int(digits), or FormParseError at position past the interpreter's digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise FormParseError(
+            "number too long: more than %d digits, the limit of sys.get_int_max_str_digits()"
+            % sys.get_int_max_str_digits(),
+            position,
+        ) from None
 
 
 class _Parser:
@@ -103,158 +117,143 @@ class _Parser:
         self.words = table._words
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.no_exps = (0,) * len(table.even_names)
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self, kind=None, value=None):
+    def expect(self, kind):
+        """Take the next token, which must be of this kind."""
         tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
+        if tok[0] != kind:
+            if len(kind) == 1:  # an operator
+                kind = repr(kind) if len(tok[0]) == 1 else "op"
             raise FormParseError("expected %s, found %r" % (kind, tok[1] or "end of input"), tok[2])
-        if value is not None and tok[1] != value:
-            raise FormParseError("expected %r, found %r" % (value, tok[1] or "end of input"), tok[2])
         self.pos += 1
         return tok
 
-    def at_op(self, *values):
-        tok = self.peek()
-        return tok[0] == "op" and tok[1] in values
-
     def parse(self):
         form = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise FormParseError("trailing input %r" % tok[1], tok[2])
+        kind, text, position = self.tokens[self.pos]
+        if kind != "end":
+            raise FormParseError("trailing input %r" % text, position)
         return form
 
     def expr(self):
-        sign = 1
-        if self.at_op("+", "-"):
-            if self.take()[1] == "-":
-                sign = -1
+        tokens = self.tokens
+        sign = tokens[self.pos][0]
+        if sign == "-" or sign == "+":
+            self.pos += 1
         form = self.term()
-        if sign < 0:
+        if sign == "-":
             form = -form
-        while self.at_op("+", "-"):
-            op = self.take()[1]
+        while True:
+            op = tokens[self.pos][0]
+            if op != "+" and op != "-":
+                return form
+            self.pos += 1
             rhs = self.term()
             _add_terms(form.terms, (rhs if op == "+" else -rhs).terms)
-        return form
 
     def term(self):
         """A product.  Its numbers, coordinate powers and atoms are gathered
-        into one raw run, normalized once; a parenthesized factor flushes the
-        run and is wedged on, left to right."""
-        form = run = None
+        in place into one run (an int numerator and denominator, an exponent
+        per even coordinate and a list of (atom, power) pairs), normalized
+        once; a parenthesized factor flushes the run and is wedged on, left
+        to right."""
+        tokens, words = self.tokens, self.words
+        form, gathered = None, False
         while True:
-            piece = self.factor()
-            if isinstance(piece, Superform):
-                form = self.flush(form, run)
-                run = None
+            kind, text, position = tokens[self.pos]
+            if kind == "(":
+                self.pos += 1
+                inner = self.expr()
+                self.expect(")")
+                power = self.exponent(False)
+                piece = inner
+                if power != 1:
+                    piece = Superform.constant(self.chart, self.table, 1)
+                    for _ in range(power):
+                        piece = wedge(piece, inner)
+                if gathered:
+                    form, gathered = self.flush(form, num, den, exps, pairs), False
                 form = piece if form is None else wedge(form, piece)
-            elif run is None:
-                run = [piece[0], piece[1], list(piece[2])]
             else:
-                # Atoms and coordinates carry the shared factor 1 and no
-                # exponents; the run's coefficient stays a Fraction.
-                if piece[0] is not _ONE:
-                    run[0] *= piece[0]
-                if piece[1] is not self.no_exps:
-                    run[1] = [a + b for a, b in zip(run[1], piece[1])]
-                run[2] += piece[2]
-            if not self.at_op("*"):
-                return self.flush(form, run)
-            self.take()
+                if not gathered:
+                    gathered, num, den, exps, pairs = True, 1, 1, [0] * len(self.table.even_names), []
+                if kind == "number":
+                    self.pos += 1
+                    n, slash, d = text.partition("/")
+                    n, d = _int(n, position), _int(d, position) if slash else 1
+                    if not d:
+                        raise FormParseError("zero denominator in %r" % text, position)
+                    # A number takes no negative power, so this stays exact.
+                    power = self.exponent(False)
+                    num *= n**power
+                    den *= d**power
+                else:
+                    self.expect("name")
+                    atom = self.delta_factor(position) if text == "delta" else words.get(text)
+                    if atom is None:
+                        raise FormParseError("unknown coordinate %r" % text, position)
+                    if isinstance(atom, int):  # an even coordinate's index
+                        exps[atom] += self.exponent(True)
+                    else:
+                        power = self.exponent(False)
+                        if power:
+                            pairs.append((atom, power))
+            if tokens[self.pos][0] != "*":
+                return self.flush(form, num, den, exps, pairs) if gathered else form
+            self.pos += 1
 
-    def flush(self, form, run):
-        """form times the normal form of run; None stands for an absent one."""
-        if run is None:
-            return form
-        coeff, exps, pairs = run
+    def flush(self, form, num, den, exps, pairs):
+        """form times the normal form of the run; None stands for no form."""
         out = Superform(self.chart, self.table)
-        _add_normal(out.terms, pairs, LaurentPoly.monomial(self.table.even_names, exps, coeff))
+        terms = {tuple(exps): Fraction(num, den)} if num else {}
+        _add_normal(out.terms, pairs, LaurentPoly._of(self.table.even_names, terms))
         return out if form is None else wedge(form, out)
 
-    def factor(self):
-        """A raw piece (coefficient, even exponents, (atom, power) pairs), or
-        a Superform for a parenthesized factor."""
-        piece = self.primary()
-        if not self.at_op("^"):
-            return piece
-        self.take()
-        exponent = self.signed_int()
-        # Only an even coordinate carries exponents.
-        if exponent < 0 and (isinstance(piece, Superform) or not any(piece[1])):
+    def exponent(self, even):
+        """The power after a factor, 1 if no '^' follows.  Only an even
+        coordinate takes a negative power."""
+        if self.tokens[self.pos][0] != "^":
+            return 1
+        self.pos += 1
+        power = self.signed_int()
+        if power < 0 and not even:
             raise FormParseError(
                 "negative powers are only defined for even coordinates",
-                self.peek()[2],
+                self.tokens[self.pos][2],
             )
-        if isinstance(piece, Superform):
-            out = Superform.constant(self.chart, self.table, 1)
-            for _ in range(exponent):
-                out = wedge(out, piece)
-            return out
-        coeff, exps, pairs = piece
-        pairs = tuple((a, p * exponent) for a, p in pairs if exponent)
-        return coeff**exponent, tuple(exponent * e for e in exps), pairs
+        return power
 
     def signed_int(self):
-        sign = 1
-        if self.at_op("+", "-"):
-            if self.take()[1] == "-":
-                sign = -1
-        tok = self.take("number")
-        if "/" in tok[1]:
-            raise FormParseError("exponent must be an integer", tok[2])
-        return sign * int(tok[1])
+        sign = self.tokens[self.pos][0]
+        if sign == "-" or sign == "+":
+            self.pos += 1
+        _, digits, position = self.expect("number")
+        if "/" in digits:
+            raise FormParseError("exponent must be an integer", position)
+        value = _int(digits, position)
+        return -value if sign == "-" else value
 
-    def primary(self):
-        """A raw piece (coefficient, even exponents, (atom, power) pairs), or
-        a Superform for a parenthesized expression."""
-        tok = self.peek()
-        if tok[0] == "number":
-            self.take()
-            try:
-                value = Fraction(*map(int, tok[1].split("/")))
-            except ZeroDivisionError:
-                raise FormParseError("zero denominator in %r" % tok[1], tok[2]) from None
-            return value, self.no_exps, ()
-        if self.at_op("("):
-            self.take()
-            form = self.expr()
-            self.take("op", ")")
-            return form
-        name_tok = self.take("name")
-        if name_tok[1] == "delta":
-            return self.delta_factor(name_tok)
-        generator = self.words.get(name_tok[1])
-        if generator is None:
-            raise FormParseError("unknown coordinate %r" % name_tok[1], name_tok[2])
-        if isinstance(generator, int):
-            return _ONE, tuple(int(k == generator) for k in range(len(self.no_exps))), ()
-        return _ONE, self.no_exps, ((generator, 1),)
-
-    def delta_factor(self, name_tok):
+    def delta_factor(self, position):
+        """The delta atom after the word `delta` at position."""
         order = 0
-        if self.at_op("'"):
-            while self.at_op("'"):
-                self.take()
-                order += 1
-        elif self.at_op("^"):
-            self.take()
-            self.take("op", "(")
+        if self.tokens[self.pos][0] == "^":
+            self.pos += 1
+            self.expect("(")
             order = self.signed_int()
-            self.take("op", ")")
+            self.expect(")")
             if order < 0:
-                raise FormParseError("delta order must be non-negative", name_tok[2])
-        self.take("op", "(")
-        arg = self.take("name")
-        self.take("op", ")")
-        atom = self.words.get(arg[1])
+                raise FormParseError("delta order must be non-negative", position)
+        else:
+            while self.tokens[self.pos][0] == "'":
+                self.pos += 1
+                order += 1
+        self.expect("(")
+        _, name, name_position = self.expect("name")
+        self.expect(")")
+        atom = self.words.get(name)
         if not isinstance(atom, tuple) or atom[0] != DP:
-            raise FormParseError("expected an odd differential, found %r" % arg[1], arg[2])
-        return _ONE, self.no_exps, ((delta(atom[1], order), 1),)
+            raise FormParseError("expected an odd differential, found %r" % name, name_position)
+        return delta(atom[1], order)
 
 
 def parse(text, table=None, chart="U0"):

@@ -276,11 +276,11 @@ def _check_same_chart(a, b):
 def _validate_atoms(factors, table):
     """Raise StructuralError unless each factor is an atom of the chart: a
     generator tuple of `table._spell`, or (DL, j, k) with (DP, j) one of
-    them and k >= 0."""
+    them and k an int >= 0."""
     spell = table._spell
     for a in factors:
         if not isinstance(a, tuple) or a not in spell and not (
-            len(a) == 3 and a[0] == DL and (DP, a[1]) in spell and a[2] >= 0
+            len(a) == 3 and a[0] == DL and (DP, a[1]) in spell and isinstance(a[2], int) and a[2] >= 0
         ):
             raise StructuralError("factor %r is not an atom of the chart" % (a,))
 

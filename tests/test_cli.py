@@ -6,6 +6,7 @@ import io
 import json
 import os
 import random
+import re
 import string
 import sys
 import tempfile
@@ -36,7 +37,8 @@ from superforms import (
     theta,
     wedge,
 )
-from superforms.cli import _Parser, _build_parser
+from superforms.cli import _build_parser
+from superforms.form_algebra import _NAME_RE, _add_terms
 
 from formgen import random_form
 
@@ -45,12 +47,85 @@ T11 = P11.chart("U0").table
 T22 = builtin_flat(2, 2).chart("U0").table
 
 
-class FoldParser(_Parser):
+# The earlier token scan, kept with the oracle below.
+_TOKEN_RE = re.compile(
+    r"(?P<number>\d+(?:/\d+)?)|(?P<name>%s)|(?P<op>[-+*^()'])|(?P<space>\s+)|(?P<other>.)"
+    % _NAME_RE.pattern,
+    re.S,
+)
+
+
+def _tokenize(text):
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "other":
+            raise FormParseError("unexpected character %r" % m.group(), m.start())
+        if kind != "space":
+            tokens.append((kind, m.group(), m.start()))
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class FoldParser:
     """The earlier product parser, kept as the oracle: every factor becomes a
     normalized Superform and a product is folded with one wedge per '*' and
     per unit of an exponent.  It resolves names by the earlier rules (even,
     odd, "d" + even, "d" + odd, in that order), not by the chart's name
-    table."""
+    table.  Its token scan and token reads are the earlier parser's too."""
+
+    def __init__(self, text, table, chart_id):
+        self.table = table
+        self.chart = chart_id
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self, kind=None, value=None):
+        tok = self.tokens[self.pos]
+        if kind is not None and tok[0] != kind:
+            raise FormParseError("expected %s, found %r" % (kind, tok[1] or "end of input"), tok[2])
+        if value is not None and tok[1] != value:
+            raise FormParseError("expected %r, found %r" % (value, tok[1] or "end of input"), tok[2])
+        self.pos += 1
+        return tok
+
+    def at_op(self, *values):
+        tok = self.peek()
+        return tok[0] == "op" and tok[1] in values
+
+    def parse(self):
+        form = self.expr()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise FormParseError("trailing input %r" % tok[1], tok[2])
+        return form
+
+    def expr(self):
+        sign = 1
+        if self.at_op("+", "-"):
+            if self.take()[1] == "-":
+                sign = -1
+        form = self.term()
+        if sign < 0:
+            form = -form
+        while self.at_op("+", "-"):
+            op = self.take()[1]
+            rhs = self.term()
+            _add_terms(form.terms, (rhs if op == "+" else -rhs).terms)
+        return form
+
+    def signed_int(self):
+        sign = 1
+        if self.at_op("+", "-"):
+            if self.take()[1] == "-":
+                sign = -1
+        tok = self.take("number")
+        if "/" in tok[1]:
+            raise FormParseError("exponent must be an integer", tok[2])
+        return sign * int(tok[1])
 
     def term(self):
         form = self.factor()
@@ -253,6 +328,47 @@ class TestGrammar(unittest.TestCase):
             with self.assertRaises(FormParseError, msg=text) as ctx:
                 parse(text, T11)
             self.assertEqual(ctx.exception.position, pos, msg=text)
+
+    def test_error_messages(self):
+        # The whole text of each token that is not the one the grammar
+        # expects, and of trailing input.
+        cases = {
+            "delta^(2(dpsi)": "expected ')', found '(' (at position 8)",
+            "delta)": "expected '(', found ')' (at position 5)",
+            "delta x": "expected op, found 'x' (at position 6)",
+            "(g": "expected op, found 'end of input' (at position 2)",
+            "delta(2)": "expected name, found '2' (at position 6)",
+            "g*": "expected name, found 'end of input' (at position 2)",
+            "g^x": "expected number, found 'x' (at position 2)",
+            "g)": "trailing input ')' (at position 1)",
+        }
+        for text, want in cases.items():
+            with self.assertRaises(FormParseError, msg=text) as ctx:
+                parse(text, T11)
+            self.assertEqual(str(ctx.exception), want)
+
+    @unittest.skipUnless(sys.get_int_max_str_digits(), "no integer digit limit")
+    def test_digit_limit_is_a_parse_error(self):
+        # A number, exponent or delta order past the interpreter's digit
+        # limit (4300 by default) is a parse error at its token; it ended
+        # in a bare ValueError.
+        limit = sys.get_int_max_str_digits()
+        huge = "7" * (limit + 100)
+        cases = {
+            huge: 0,
+            "g*" + huge + "*psi": 2,
+            "g + 1/" + huge: 4,
+            "2/3*g^" + huge: 6,
+            "g^-" + huge: 3,
+            "psi*delta^(" + huge + ")(dpsi)": 11,
+        }
+        for text, pos in cases.items():
+            with self.assertRaises(FormParseError, msg=pos) as ctx:
+                parse(text, T11)
+            self.assertEqual(ctx.exception.position, pos)
+            self.assertIn(str(limit), str(ctx.exception))
+        # At the limit a number still parses.
+        self.assertEqual(pretty_print(parse("9" * limit + "*psi", T11)), "9" * limit + "*psi")
 
     def test_whitespace_and_stray_characters(self):
         # Every character that str.isspace() accepts separates tokens; any
@@ -525,6 +641,11 @@ class TestExitCodes(unittest.TestCase):
         with self.assertRaises(FormParseError) as ctx:
             parse("g + 3/0*psi", T11)
         self.assertEqual(ctx.exception.position, 4)
+
+    def test_huge_number_is_2(self):
+        code, out, err = invoke(["normalize", "--expr", "7" * 4400])
+        self.assertEqual((code, out), (2, ""))
+        self.assertIn("error (parse)", err)
 
     def test_bad_sheaf_label_is_2(self):
         code, _, _ = invoke(["cech", "--sheaf", "bogus"])

@@ -241,6 +241,17 @@ class TestNormalForm(unittest.TestCase):
             "2*psi2*dg2*delta^(7)(dpsi1)",
         )
 
+    def test_delta_order_must_be_an_int(self):
+        # A delta order that is not an int used to pass the k >= 0 check
+        # (or fail it with a bare TypeError) and end in a TypeError from
+        # math.perm.
+        for order in (1.5, 2.0, Fraction(1), "1", None):
+            for coeff in (1, 0):
+                with self.assertRaisesRegex(StructuralError, "is not an atom of the chart", msg=order):
+                    normalize([(DL, 0, order)], coeff, "U0", T11)
+                with self.assertRaisesRegex(StructuralError, "is not an atom of the chart", msg=order):
+                    normalize([dpsi(0), (DL, 0, order)], coeff, "U0", T11)
+
     def test_square_zero_generators(self):
         self.assertTrue(mono([theta(0), theta(0)]).is_zero())
         self.assertTrue(mono([dgamma(0), dgamma(0)]).is_zero())
