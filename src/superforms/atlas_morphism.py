@@ -19,7 +19,8 @@ from .form_algebra import (
     GeneratorTable,
     Monomial,
     Superform,
-    _add_terms,
+    _add_term,
+    _wedge_power,
     delta_expand,
     exterior_d,
     wedge,
@@ -97,7 +98,7 @@ class Morphism:
         src = self.source
         out = Superform.zero(src.id, src.table)
         for c, idx in self.odd_images[j]:
-            _add_terms(out.terms, {Monomial(thetas=(idx,)): c})
+            _add_term(out.terms, Monomial._of((((TH, idx), 1),)), c)
         return out
 
 
@@ -152,7 +153,8 @@ def _atom_image(m, atom):
 @lru_cache(maxsize=1024)
 def _monomial_image(m, mon):
     """Phi*(mon) of one normal-form monomial, once per (transition, monomial)
-    and process: the atom images wedged onto 1 left to right.
+    and process: the power of each atom image, by squaring, wedged onto 1
+    left to right.
 
     Returns read-only ((Monomial, LaurentPoly), ...) in the order of the
     wedge chain; a delta series that does not terminate raises, which is not
@@ -161,11 +163,9 @@ def _monomial_image(m, mon):
     src = m.source
     acc = Superform.constant(src.id, src.table, 1)
     for atom, power in mon.powers():
-        image = _atom_image(m, atom)
-        for _ in range(power):
-            acc = wedge(acc, image)
-            if acc.is_zero():
-                return ()
+        acc = wedge(acc, _wedge_power(_atom_image(m, atom), power))
+        if acc.is_zero():
+            return ()
     return tuple(acc.terms.items())
 
 
@@ -188,7 +188,7 @@ def pullback(m, a):
         if pulled_f.is_zero():
             continue
         for pulled_mon, c in _monomial_image(m, mon):
-            _add_terms(out.terms, {pulled_mon: lp_mul(pulled_f, c)})
+            _add_term(out.terms, pulled_mon, lp_mul(pulled_f, c))
     return out
 
 

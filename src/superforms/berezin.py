@@ -10,6 +10,7 @@ theta_1 ... theta_n dgamma_1 ... dgamma_m delta(dpsi_1) ... delta(dpsi_n).
 
 from .coeff_ring import LaurentPoly, lp_add
 from .errors import NotATopFormError, StructuralError
+from .form_algebra import DG, DL, TH
 
 
 def berezin_reduce(form):
@@ -22,21 +23,20 @@ def berezin_reduce(form):
     table = form.table
     m = len(table.even_names)
     n = len(table.odd_names)
-    full_devens = tuple(range(m))
-    full_deltas = tuple((j, 0) for j in range(n))
-    full_thetas = tuple(range(n))
+    top = tuple(((DG, i), 1) for i in range(m)) + tuple(((DL, j, 0), 1) for j in range(n))
+    full = tuple(((TH, j), 1) for j in range(n)) + top
     result = LaurentPoly.zero(table.even_names)
     for mon, lp in form.terms.items():
-        if mon.devens != full_devens:
-            raise NotATopFormError("missing part of the dgamma block: %r" % (mon,))
-        if mon.dodds:
-            raise NotATopFormError("bare dpsi factor in a top form: %r" % (mon,))
-        if mon.deltas != full_deltas:
-            raise NotATopFormError(
-                "delta block is not the full order-zero block: %r" % (mon,)
-            )
-        if mon.thetas == full_thetas:
+        pairs = mon.powers()
+        if pairs == full:
             result = lp_add(result, lp)
+        elif tuple(pair for pair in pairs if pair[0][0] != TH) != top:
+            # Not a top form: name the first part that is missing.
+            if mon.devens != tuple(range(m)):
+                raise NotATopFormError("missing part of the dgamma block: %r" % (mon,))
+            if mon.dodds:
+                raise NotATopFormError("bare dpsi factor in a top form: %r" % (mon,))
+            raise NotATopFormError("delta block is not the full order-zero block: %r" % (mon,))
     return result
 
 

@@ -18,9 +18,11 @@ A product is normalized once: its numbers, coordinate powers and atoms are
 gathered in place into one run (an int numerator and denominator, an exponent
 per even coordinate and a list of (atom, power) pairs) and put in normal form,
 so `g^k` is exponent arithmetic and `dpsi^k` one factor power rather than k
-wedges.  Only a parenthesized factor is wedged onto the product, and
-`(expr)^k` is k wedges.  A number, exponent or delta order longer than the
-interpreter's integer digit limit is a parse error at its token.
+wedges.  Each product is added into the sum's one terms map, its sign folded
+into the numerator.  Only a parenthesized factor is wedged onto the product,
+and `(expr)^k` is computed by squaring, stopping at a zero power.  A number,
+exponent or delta order longer than the interpreter's integer digit limit is
+a parse error at its token, and so is a number whose power would be.
 
 Exit codes: 0 success, 2 parse or usage error (such as a negative --cutoff),
 3 computation error, 4 stabilization failure (only flat de Rham can fail to
@@ -34,6 +36,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import reduce
+from math import log10
 
 from . import cohomology
 from .atlas_morphism import (
@@ -57,14 +60,15 @@ from .errors import (
 from .form_algebra import (
     DL,
     DP,
+    TH,
     GeneratorTable,
     Superform,
     UNIT_MONOMIAL,
     _NAME_RE,
     _add_normal,
     _add_terms,
+    _wedge_power,
     delta,
-    dpsi,
     exterior_d,
     normalize,
     wedge,
@@ -98,16 +102,27 @@ def _tokenize(text):
     return tokens
 
 
+_TOO_LONG = "number too long: more than %d digits, the limit of sys.get_int_max_str_digits()"
+
+
 def _int(digits, position):
     """int(digits), or FormParseError at position past the interpreter's digit limit."""
     try:
         return int(digits)
     except ValueError:
-        raise FormParseError(
-            "number too long: more than %d digits, the limit of sys.get_int_max_str_digits()"
-            % sys.get_int_max_str_digits(),
-            position,
-        ) from None
+        raise FormParseError(_TOO_LONG % sys.get_int_max_str_digits(), position) from None
+
+
+def _int_power(base, power, position):
+    """base**power for ints base, power >= 0, or FormParseError at position
+    when it would pass the interpreter's digit limit; 0 and 1 take any power.
+    It has floor(power*log10(base)) + 1 digits, computed only near the limit."""
+    limit = sys.get_int_max_str_digits()
+    if base > 1 and limit:
+        digits = power * log10(base)
+        if digits >= limit + 1 or digits >= limit - 1 and base**power >= 10**limit:
+            raise FormParseError(_TOO_LONG % limit, position)
+    return base**power
 
 
 class _Parser:
@@ -136,41 +151,34 @@ class _Parser:
         return form
 
     def expr(self):
+        """A sum, each product added into one terms map with its sign."""
         tokens = self.tokens
-        sign = tokens[self.pos][0]
-        if sign == "-" or sign == "+":
-            self.pos += 1
-        form = self.term()
-        if sign == "-":
-            form = -form
+        out = Superform(self.chart, self.table)
+        op = tokens[self.pos][0]
         while True:
+            if op == "+" or op == "-":
+                self.pos += 1
+            self.term(out.terms, -1 if op == "-" else 1)
             op = tokens[self.pos][0]
             if op != "+" and op != "-":
-                return form
-            self.pos += 1
-            rhs = self.term()
-            _add_terms(form.terms, (rhs if op == "+" else -rhs).terms)
+                return out
 
-    def term(self):
-        """A product.  Its numbers, coordinate powers and atoms are gathered
-        in place into one run (an int numerator and denominator, an exponent
-        per even coordinate and a list of (atom, power) pairs), normalized
-        once; a parenthesized factor flushes the run and is wedged on, left
-        to right."""
+    def term(self, terms, sign):
+        """Add sign times a product to terms.  Its numbers, coordinate powers
+        and atoms are gathered in place into one run (an int numerator and
+        denominator, an exponent per even coordinate and a list of (atom,
+        power) pairs), normalized once; the first run starts with the sign
+        as its numerator.  A parenthesized factor flushes the run and is
+        wedged on, left to right."""
         tokens, words = self.tokens, self.words
-        form, gathered = None, False
+        form, gathered, num, den, exps, pairs = None, True, sign, 1, [0] * len(self.table.even_names), []
         while True:
             kind, text, position = tokens[self.pos]
             if kind == "(":
                 self.pos += 1
                 inner = self.expr()
                 self.expect(")")
-                power = self.exponent(False)
-                piece = inner
-                if power != 1:
-                    piece = Superform.constant(self.chart, self.table, 1)
-                    for _ in range(power):
-                        piece = wedge(piece, inner)
+                piece = _wedge_power(inner, self.exponent(False))
                 if gathered:
                     form, gathered = self.flush(form, num, den, exps, pairs), False
                 form = piece if form is None else wedge(form, piece)
@@ -185,8 +193,11 @@ class _Parser:
                         raise FormParseError("zero denominator in %r" % text, position)
                     # A number takes no negative power, so this stays exact.
                     power = self.exponent(False)
-                    num *= n**power
-                    den *= d**power
+                    if power != 1:
+                        at = tokens[self.pos - 1][2]
+                        n, d = _int_power(n, power, at), _int_power(d, power, at)
+                    num *= n
+                    den *= d
                 else:
                     self.expect("name")
                     atom = self.delta_factor(position) if text == "delta" else words.get(text)
@@ -199,14 +210,21 @@ class _Parser:
                         if power:
                             pairs.append((atom, power))
             if tokens[self.pos][0] != "*":
-                return self.flush(form, num, den, exps, pairs) if gathered else form
+                break
             self.pos += 1
+        if form is None:
+            _add_normal(terms, pairs, self.coefficient(num, den, exps))
+        else:
+            _add_terms(terms, (self.flush(form, num, den, exps, pairs) if gathered else form).terms)
+
+    def coefficient(self, num, den, exps):
+        """The one-term polynomial num/den times the even powers exps."""
+        return LaurentPoly._of(self.table.even_names, {tuple(exps): Fraction(num, den)} if num else {})
 
     def flush(self, form, num, den, exps, pairs):
         """form times the normal form of the run; None stands for no form."""
         out = Superform(self.chart, self.table)
-        terms = {tuple(exps): Fraction(num, den)} if num else {}
-        _add_normal(out.terms, pairs, LaurentPoly._of(self.table.even_names, terms))
+        _add_normal(out.terms, pairs, self.coefficient(num, den, exps))
         return out if form is None else wedge(form, out)
 
     def exponent(self, even):
@@ -279,21 +297,18 @@ def pretty_print(a):
     """Deterministic rendering; parse(pretty_print(a)) == a.  A coefficient
     too long for the interpreter to print raises StructuralError."""
     spell = a.table._spell
-    entries = []
-    for mon, lp in a.terms.items():
-        for exps, c in lp.items():
-            entries.append(((mon.degree(), mon.picture(), mon.sort_key(), exps), mon, exps, c))
+    entries = [(mon, exps, c) for mon, lp in a.terms.items() for exps, c in lp.items()]
     if not entries:
         return "0"
-    entries.sort(key=lambda e: e[0])
+    if len(entries) > 1:
+        entries.sort(key=lambda e: (e[0].degree(), e[0].picture(), e[0].sort_key(), e[1]))
     rendered = []
-    for _, mon, exps, c in entries:
+    for mon, exps, c in entries:
         parts = [_power(spell[k], e) for k, e in enumerate(exps) if e]
-        for atom, p in mon.powers():
-            if atom[0] == DL:
-                parts.append("%s(%s)" % (_delta_head(atom[2]), spell[dpsi(atom[1])]))
-            else:
-                parts.append(_power(spell[atom], p))
+        parts += [
+            "%s(%s)" % (_delta_head(atom[2]), spell[DP, atom[1]]) if atom[0] == DL else _power(spell[atom], p)
+            for atom, p in mon.powers()
+        ]
         mag = abs(c)
         if mag != 1 or not parts:
             try:
@@ -378,11 +393,12 @@ def load_atlas(path):
             sf = parse(text, src.table, src.id)
             pieces = []
             for mon, lp in sf.terms.items():
-                if mon.devens or mon.dodds or mon.deltas or len(mon.thetas) != 1:
+                pairs = mon.powers()
+                if len(pairs) != 1 or pairs[0][0][0] != TH:
                     raise UnsupportedMorphismError(
                         "odd image of %r must be linear in the odd coordinates" % name
                     )
-                pieces.append((lp, mon.thetas[0]))
+                pieces.append((lp, pairs[0][0][1]))
             odd_images[tgt.table.odd_names.index(name)] = tuple(pieces)
         transitions[(src.id, tgt.id)] = Morphism(src, tgt, even_images, odd_images)
     atlas = Atlas(charts, transitions)

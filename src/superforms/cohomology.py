@@ -91,7 +91,7 @@ from .errors import (
     UnsupportedMorphismError,
     UnsupportedSpaceError,
 )
-from .form_algebra import Monomial, Superform, exterior_d, pair
+from .form_algebra import DG, DL, TH, Monomial, Superform, exterior_d, pair
 
 
 class Eliminator:
@@ -210,9 +210,10 @@ def _weight(mon, e):
     """The torus weight of g^e*mon on a P^{1|1} chart: the powers of lambda
     and mu it picks up under g -> lambda*g, psi -> mu*psi (dg scales like g,
     dpsi like psi and delta^(k)(dpsi) like mu^-(k+1))."""
+    pairs = mon.powers()
     return (
-        e + len(mon.devens),
-        len(mon.thetas) + sum(p for _, p in mon.dodds) - sum(k + 1 for _, k in mon.deltas),
+        e + sum(a[0] == DG for a, _ in pairs),
+        sum(-a[2] - 1 if a[0] == DL else p for a, p in pairs if a[0] != DG),
     )
 
 
@@ -313,13 +314,15 @@ def _solve(m01, sheaf):
     pulled = {mon: pullback(m01, Superform(c1, m01.target.table, {mon: one})) for mon in mons}
     weights = {mon: _form_weight(pulled[mon]) for mon in mons}
     lo, hi = _class_weights([weights[mon][0] for mon in mons])
-    # weight -> positions of its columns in dom, ascending; g'^e*M on U1 has
-    # the weight of Phi*(M) shifted by -e.
-    blocks = {_weight(mon, lam - len(mon.devens)): [] for lam in range(lo, hi + 1) for mon in mons}
+    # weight -> positions of its columns in dom, ascending; g^e*M has the
+    # weight of M shifted by (e, 0), and g'^e*M on U1 that of Phi*(M) by -e.
+    own = {mon: _weight(mon, 0) for mon in mons}
+    blocks = {(lam, own[mon][1]): [] for lam in range(lo, hi + 1) for mon in mons}
     dom, columns = [], []
     for mon in mons:
-        for e in range(max(0, lo - len(mon.devens)), hi - len(mon.devens) + 1):
-            blocks[_weight(mon, e)].append(len(dom))
+        dg, mu = own[mon]
+        for e in range(max(0, lo - dg), hi - dg + 1):
+            blocks[e + dg, mu].append(len(dom))
             dom.append((c0, mon, (e,)))
             columns.append({position[mon]: Fraction(1)})
     for mon in mons:
@@ -336,7 +339,7 @@ def _solve(m01, sheaf):
         elim, block_kernels = _eliminate([columns[t] for t in ts])
         kernels += [{ts[j]: c for j, c in combo.items()} for combo in block_kernels]
         # The rows the columns leave unhit, in monomial order, are H^1.
-        rows = [(k, lam - len(mon.devens)) for k, mon in enumerate(mons) if _weight(mon, 0)[1] == mu]
+        rows = [(k, lam - own[mon][0]) for k, mon in enumerate(mons) if own[mon][1] == mu]
         reps += [el for el in rows if elim.insert({el[0]: Fraction(1)}, el) is None]
     # Blocks share no column, so `_eliminate`'s lead convention holds across
     # them, and ordered by lead the kernels come out as from one eliminator.
@@ -454,7 +457,10 @@ def _flat_derham(atlas, picture, listed):
     # Reversed, the combinations come in u order.
     sets = reversed(list(combinations(range(n), picture))) if listed else ()
     one = LaurentPoly.const(chart.table.even_names, 1)
-    mons = (Monomial(s, (), (), tuple((j, 0) for j in s)) for s in sets)
+    # The 2n pairs, built once and shared by every class.
+    thetas = [((TH, j), 1) for j in range(n)]
+    deltas = [((DL, j, 0), 1) for j in range(n)]
+    mons = (Monomial._of(tuple([thetas[j] for j in s] + [deltas[j] for j in s])) for s in sets)
     return [{chart.id: Superform(chart.id, chart.table, {mon: one})} for mon in mons]
 
 
@@ -615,7 +621,7 @@ def cech_derham_check(cutoff):
     base_level0 = [
         parts
         for parts in (_glue(atlas, dom, combo) for combo in kernels)
-        if not any(m.thetas or m.dodds or m.deltas for form in parts.values() for m in form.terms)
+        if all(a[0] == DG for form in parts.values() for m in form.terms for a, _ in m.powers())
     ]
     closed0 = [
         parts for parts in base_level0 if all(exterior_d(form).is_zero() for form in parts.values())

@@ -15,6 +15,8 @@ the contraction rule commute with transpositions (and hence d o d = 0): each
 contraction consumes one dpsi together with one delta order, so the crossing
 sign of dpsi against delta^(k) cannot depend on k.
 
+A `Monomial` is its normal form, one tuple of (atom, power) pairs, built
+once by `_add_normal` from its sorted run and read as it is by every layer.
 `normalize` is the checked entry point for raw factor lists: it takes only
 atoms of the chart's `GeneratorTable`.  Products inside the package sort
 through `_add_normal`, and one-term forms (the series terms of `delta_expand`
@@ -126,39 +128,55 @@ class GeneratorTable:
         object.__setattr__(self, "_spell", {generator: word for word, generator in words.items()})
 
 
-@dataclass(frozen=True)
 class Monomial:
-    """Normal-form factor content of one term.
+    """Normal-form factor content of one term: its (atom, power) pairs in
+    normal order (dpsi_j^p one pair, every other power 1), one tuple with its
+    hash computed once; `_of` wraps such a tuple, `powers` returns it.  The
+    field constructor and read-only views, for library callers and tests:
+    thetas / devens, sorted index tuples (no repeats); dodds ((j, power>0),
+    ...); deltas ((j, order>=0), ...) on indices that dodds does not use."""
 
-    thetas / devens: sorted index tuples (no repeats); dodds: ((j, power>0), ...);
-    deltas: ((j, order>=0), ...).  dodds and deltas have disjoint index sets.
-    """
+    __slots__ = ("_pairs", "_hash")
 
-    thetas: tuple = ()
-    devens: tuple = ()
-    dodds: tuple = ()
-    deltas: tuple = ()
+    def __init__(self, thetas=(), devens=(), dodds=(), deltas=()):
+        pairs = [((TH, j), 1) for j in thetas] + [((DG, i), 1) for i in devens]
+        pairs = tuple(pairs + [((DP, j), p) for j, p in dodds] + [((DL, j, k), 1) for j, k in deltas])
+        self._pairs, self._hash = pairs, hash(pairs)
+
+    @classmethod
+    def _of(cls, pairs):
+        """Wrap a tuple of (atom, power) pairs in normal order as it is."""
+        mon = cls.__new__(cls)
+        mon._pairs, mon._hash = pairs, hash(pairs)
+        return mon
+
+    thetas = property(lambda self: tuple(a[1] for a, _ in self._pairs if a[0] == TH))
+    devens = property(lambda self: tuple(a[1] for a, _ in self._pairs if a[0] == DG))
+    dodds = property(lambda self: tuple((a[1], p) for a, p in self._pairs if a[0] == DP))
+    deltas = property(lambda self: tuple(a[1:] for a, _ in self._pairs if a[0] == DL))
+
+    def __eq__(self, other):
+        return self._pairs == other._pairs if other.__class__ is Monomial else NotImplemented
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        fields = (self.thetas, self.devens, self.dodds, self.deltas)
+        return "Monomial(thetas=%r, devens=%r, dodds=%r, deltas=%r)" % fields
 
     def powers(self):
         """The factors as (atom, power) pairs in normal order, dpsi_j^p as one."""
-        out = [((TH, j), 1) for j in self.thetas]
-        out += [((DG, i), 1) for i in self.devens]
-        out += [((DP, j), p) for j, p in self.dodds]
-        out += [((DL, j, k), 1) for j, k in self.deltas]
-        return tuple(out)
+        return self._pairs
 
     def factors(self):
-        return tuple(a for a, p in self.powers() for _ in range(p))
+        return tuple(a for a, p in self._pairs for _ in range(p))
 
     def degree(self):
-        return (
-            len(self.devens)
-            + sum(p for _, p in self.dodds)
-            - sum(k for _, k in self.deltas)
-        )
+        return sum(-a[2] if a[0] == DL else p for a, p in self._pairs if a[0] != TH)
 
     def picture(self):
-        return len(self.deltas)
+        return sum(a[0] == DL for a, _ in self._pairs)
 
     def bidegree(self):
         return Bidegree(self.degree(), self.picture())
@@ -167,7 +185,7 @@ class Monomial:
         # Listing order compares the highest-rank factors first, so that e.g.
         # delta(dpsi) precedes psi*dg*delta'(dpsi); a run of p atoms a ends in a
         # lower factor, so (a, p) < (a, q) orders as the atoms spelled out.
-        return tuple(reversed(self.powers()))
+        return self._pairs[::-1]
 
 
 UNIT_MONOMIAL = Monomial()
@@ -249,23 +267,22 @@ class Superform:
         return "Superform(%s, %s)" % (self.chart, "; ".join(bits))
 
 
-def _add_terms(terms, other):
-    """Add the terms map `other` into `terms` in place, pruning zeros.
-
-    Pass only the terms of a form the caller has just built.  New monomials
-    are appended, so insertion order matches repeated `+`.
-    """
-    for mon, lp in other.items():
-        if lp.is_zero():
-            continue
-        if mon in terms:
-            s = lp_add(terms[mon], lp)
-            if s.is_zero():
-                del terms[mon]
-            else:
-                terms[mon] = s
+def _add_term(terms, mon, lp):
+    """Add lp*mon to the terms map in place, pruning zeros.  A new monomial
+    is appended, so insertion order matches repeated `+`."""
+    if lp.terms:
+        s = lp_add(terms[mon], lp) if mon in terms else lp
+        if s.terms:
+            terms[mon] = s
         else:
-            terms[mon] = lp
+            del terms[mon]
+
+
+def _add_terms(terms, other):
+    """Add the terms map `other` into `terms` in place; pass only the terms
+    of a form the caller has just built."""
+    for mon, lp in other.items():
+        _add_term(terms, mon, lp)
 
 
 def _check_same_chart(a, b):
@@ -310,7 +327,8 @@ def normalize(factors, coeff, chart, table):
 def _add_normal(terms, pairs, lp):
     """Add lp times the normal form of valid (atom, power >= 1) pairs to terms.
     A stable insertion sort passes a^p over b^q with koszul_sign(a, b)^(p*q);
-    dpsi_j powers add; any other atom with power >= 2 or a repeated index gives zero."""
+    dpsi_j powers add; any other atom with power >= 2 or a repeated index gives
+    zero.  The sorted run becomes the monomial's tuple, input pairs reused."""
     fs = list(pairs)
     sign = 1
     for i in range(1, len(fs)):
@@ -321,32 +339,35 @@ def _add_normal(terms, pairs, lp):
             fs[j - 1], fs[j] = fs[j], fs[j - 1]
             j -= 1
 
-    # dpsi_j powers add; squares of the other generators vanish, as do same-index deltas.
-    powers = {}
-    for t, (a, p) in enumerate(fs):
-        if a[0] == DP:
-            powers[a[1]] = powers.get(a[1], 0) + p
-        elif p > 1 or t and a[:2] == fs[t - 1][0][:2]:
+    # One pass over the sorted run: dpsi_j powers add; squares of the other
+    # generators vanish, as do same-index deltas.  Contraction, once per odd
+    # index j: dpsi_j^a * delta^(b)(dpsi_j) = (-1)^a * b!/(b-a)! *
+    # delta^(b-a)(dpsi_j), zero if a > b.  On its way to delta_j each dpsi_j
+    # crosses the dpsis of larger index (sign +1) and the deltas of smaller
+    # index (sign -1 whatever their order); the dpsis come before the deltas.
+    head, dpsis, deltas = [], {}, []
+    scalar, last = 1, None
+    for pair in fs:
+        a, p = pair
+        kind = a[0]
+        if kind == DP:
+            q = dpsis.get(a[1])
+            dpsis[a[1]] = pair if q is None else (a, q[1] + p)
+        elif p > 1 or last is not None and a[1] == last[1] and kind == last[0]:
             return
-
-    # Contraction, once per odd index j: dpsi_j^a * delta^(b)(dpsi_j) =
-    # (-1)^a * b!/(b-a)! * delta^(b-a)(dpsi_j), zero if a > b.  On its way to
-    # delta_j each dpsi_j crosses the dpsis of larger index (sign +1) and the
-    # deltas of smaller index (sign -1 whatever their order).  fs is sorted,
-    # so powers and deltas come in index order.
-    scalar = 1
-    deltas = []
-    for crossed, (_, j, order) in enumerate(a for a, _ in fs if a[0] == DL):
-        power = powers.pop(j, 0)
-        if power > order:
-            return
-        scalar *= (-1) ** (power * (crossed + 1)) * perm(order, power)
-        deltas.append((j, order - power))
-
-    thetas = tuple(a[1] for a, _ in fs if a[0] == TH)
-    devens = tuple(a[1] for a, _ in fs if a[0] == DG)
-    mon = Monomial(thetas, devens, tuple(powers.items()), tuple(deltas))
-    _add_terms(terms, {mon: lp_scale(lp, scalar * sign)})
+        elif kind == DL:
+            q = dpsis.pop(a[1], None)
+            if q is not None:
+                power, order = q[1], a[2]
+                if power > order:
+                    return
+                scalar *= (-1) ** (power * (len(deltas) + 1)) * perm(order, power)
+                pair = ((DL, a[1], order - power), 1)
+            deltas.append(pair)
+        else:
+            head.append(pair)
+        last = a
+    _add_term(terms, Monomial._of((*head, *dpsis.values(), *deltas)), lp_scale(lp, scalar * sign))
 
 
 def wedge(a, b):
@@ -373,10 +394,13 @@ def exterior_d(a):
             g = lp_partial(f, i)
             if not g.is_zero():
                 _add_normal(out.terms, (((DG, i), 1),) + pairs, g)
-        for t, j in enumerate(mon.thetas):
-            # dpsi_j*delta(dpsi_j) contracts to zero: skip it before the sort.
-            if (j, 0) not in mon.deltas:
-                _add_normal(out.terms, pairs[:t] + (((DP, j), 1),) + pairs[t + 1 :], f)
+        # dpsi_j*delta(dpsi_j) contracts to zero: skip it before the sort.
+        cut = {atom[1] for atom, _ in pairs if atom[0] == DL and not atom[2]}
+        for t, (atom, _) in enumerate(pairs):
+            if atom[0] != TH:
+                break
+            if atom[1] not in cut:
+                _add_normal(out.terms, pairs[:t] + (((DP, atom[1]), 1),) + pairs[t + 1 :], f)
     return out
 
 
@@ -385,7 +409,7 @@ def bidegree_components(a):
     out = {}
     for mon, lp in a.terms.items():
         part = out.setdefault(mon.bidegree(), Superform.zero(a.chart, a.table))
-        _add_terms(part.terms, {mon: lp})
+        _add_term(part.terms, mon, lp)
     return out
 
 
@@ -406,10 +430,8 @@ def delta_expand(order, argument):
     if order < 0:
         raise StructuralError("delta order must be non-negative")
     chart, table = argument.chart, argument.table
-    bare = [
-        (mon, lp) for mon, lp in argument.terms.items() if not (mon.thetas or mon.devens or mon.deltas)
-    ]
-    if not any(len(mon.dodds) == 1 and mon.dodds[0][1] == 1 and lp.is_monomial() for mon, lp in bare):
+    bare = [(mon, lp) for mon, lp in argument.terms.items() if all(a[0] == DP for a, _ in mon.powers())]
+    if not any([p for _, p in mon.powers()] == [1] and lp.is_monomial() for mon, lp in bare):
         raise UnsupportedMorphismError(
             "delta argument has no invertible-monomial dpsi term to expand about"
         )
@@ -419,7 +441,7 @@ def delta_expand(order, argument):
             "factors alone, so no power of rest is zero"
         )
     [(head, c_lp)] = bare
-    j = head.dodds[0][0]
+    [((_, j), _)] = head.powers()
     c_exps, c_coeff = c_lp.single_term()
     rest = Superform(chart, table, {mon: lp for mon, lp in argument.terms.items() if mon != head})
 
@@ -431,10 +453,25 @@ def delta_expand(order, argument):
         c_pow = LaurentPoly.monomial(
             table.even_names, tuple(power * e for e in c_exps), c_coeff**power / factorial(m)
         )
-        delta_part = Superform(chart, table, {Monomial(deltas=((j, order + m),)): c_pow})
+        delta_part = Superform(chart, table, {Monomial._of((((DL, j, order + m), 1),)): c_pow})
         _add_terms(out.terms, wedge(rest_power, delta_part).terms)
         m += 1
         rest_power = wedge(rest_power, rest)
+    return out
+
+
+def _wedge_power(form, k):
+    """form^k for k >= 0 by squaring, most significant bit first (so k <= 3
+    wedges as k wedges from the left would), stopping at a zero power."""
+    if not k:
+        return Superform.constant(form.chart, form.table, 1)
+    out = form
+    for bit in bin(k)[3:]:
+        if out.is_zero():
+            break
+        out = wedge(out, out)
+        if bit == "1":
+            out = wedge(out, form)
     return out
 
 

@@ -31,7 +31,7 @@ from superforms import (
     wedge,
 )
 
-from superforms import atlas_morphism
+from superforms import atlas_morphism, form_algebra
 from superforms.atlas_morphism import _atom_image
 
 from formgen import random_form, scaled_atlas, strict_form
@@ -301,6 +301,22 @@ class TestMonomialImageCache(unittest.TestCase):
             got = pullback(M01, form)
         self.assertEqual(exterior_d.call_count, 1)
         self.assertEqual(strict_form(got), strict_form(want))
+
+    def test_power_by_squaring(self):
+        # The image of dpsi^1000 takes about 2*log2(1000) wedges, not 1000,
+        # and equals the chain of 1000.  A zero product, such as that of the
+        # monomial psi*dpsi^3*delta''(dpsi) (not in normal form), is still ().
+        form = u1([dpsi(0)] * 1000)
+        want = chain_pullback(M01, form)
+        atlas_morphism._monomial_image.cache_clear()
+        wedges = []
+        counted = lambda a, b: wedges.append(1) or wedge(a, b)
+        with mock.patch.object(atlas_morphism, "wedge", counted):
+            with mock.patch.object(form_algebra, "wedge", counted):
+                got = pullback(M01, form)
+        self.assertLessEqual(len(wedges), 2 * 10 + 1)
+        self.assertEqual(got, want)
+        self.assertEqual(atlas_morphism._monomial_image(M01, Monomial((0,), (), ((0, 3),), ((0, 2),))), ())
 
 
 class TestCocycleVerification(unittest.TestCase):

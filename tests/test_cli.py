@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import re
@@ -23,6 +24,7 @@ from superforms import (
     FormParseError,
     GeneratorTable,
     LaurentPoly,
+    Monomial,
     StructuralError,
     Superform,
     builtin_flat,
@@ -370,6 +372,52 @@ class TestGrammar(unittest.TestCase):
         # At the limit a number still parses.
         self.assertEqual(pretty_print(parse("9" * limit + "*psi", T11)), "9" * limit + "*psi")
 
+    def test_huge_powers(self):
+        # A number's power past the digit limit is a parse error at its
+        # exponent, decided without computing it; 0 and 1 take any power.
+        # (expr)^k is computed by squaring and stops at a zero power.  Each
+        # of these used to run until memory or patience ran out.
+        limit = sys.get_int_max_str_digits()
+        k = int(limit / math.log10(2))
+        while 2 ** (k + 1) < 10**limit:
+            k += 1
+        while 2**k >= 10**limit:
+            k -= 1
+        errors = [
+            "2^99999999999999999999",
+            "psi*3^99999999999",
+            "g + 1/2^99999999999999999999",
+            "2^%d" % (k + 1),
+            "10^%d" % limit,
+            "(2)^2*7/10^%d" % limit,
+        ]
+        for text in errors:
+            start = time.perf_counter()
+            with self.assertRaises(FormParseError, msg=text) as ctx:
+                parse(text, T11)
+            self.assertLess(time.perf_counter() - start, 1.0, msg=text)
+            self.assertEqual(ctx.exception.position, text.rindex("^") + 1, msg=text)
+            self.assertIn("number too long: more than %d digits" % limit, str(ctx.exception))
+        cases = {
+            "0^99999999999999999999": "0",
+            "1^99999999999999999999*psi": "psi",
+            "1/1^99999999999999999999": "1",
+            "(g)^99999999999": "g^99999999999",
+            "(psi)^99999999999": "0",
+            "(dpsi)^99999999999": "dpsi^99999999999",
+            "(psi*dg + dg)^99999999999": "0",
+            "(-1)^99999999999*psi": "-psi",
+            "(g^-1*dpsi)^1000000": "g^-1000000*dpsi^1000000",
+        }
+        for text, want in cases.items():
+            start = time.perf_counter()
+            self.assertEqual(pretty_print(parse(text, T11)), want, msg=text)
+            self.assertLess(time.perf_counter() - start, 1.0, msg=text)
+        # Within the limit a power still parses, up to the last digit.
+        form = parse("2^%d*psi" % k, T11)
+        self.assertEqual(form.terms[Monomial((0,))].coefficient((0,)), 2**k)
+        self.assertEqual(parse("10^%d" % (limit - 1), T11), parse("1" + "0" * (limit - 1), T11))
+
     def test_whitespace_and_stray_characters(self):
         # Every character that str.isspace() accepts separates tokens; any
         # other character that starts no token is an error at its position.
@@ -646,6 +694,11 @@ class TestExitCodes(unittest.TestCase):
         code, out, err = invoke(["normalize", "--expr", "7" * 4400])
         self.assertEqual((code, out), (2, ""))
         self.assertIn("error (parse)", err)
+
+    def test_huge_power_is_2(self):
+        code, out, err = invoke(["normalize", "--expr", "2^99999999999999999999"])
+        self.assertEqual((code, out), (2, ""))
+        self.assertIn("error (parse): number too long", err)
 
     def test_bad_sheaf_label_is_2(self):
         code, _, _ = invoke(["cech", "--sheaf", "bogus"])

@@ -13,9 +13,11 @@ from hypothesis.strategies import integers
 from superforms import (
     LaurentPoly,
     Monomial,
+    NotATopFormError,
     StructuralError,
     Superform,
     UnsupportedMorphismError,
+    berezin_reduce,
     bidegree_components,
     builtin_flat,
     builtin_p11,
@@ -487,6 +489,32 @@ class TestExteriorDerivative(unittest.TestCase):
         self.assertEqual(lhs, rhs)
 
 
+class TestWedgePower(unittest.TestCase):
+    def test_matches_repeated_wedge(self):
+        # Squaring gives the k-fold product; up to k = 3 with its term order.
+        rng = random.Random(20261019)
+        for table in (T11, T22) * 15:
+            a = random_form(rng, "U0", table, terms=rng.randint(1, 3), max_order=3, max_exp=2)
+            if rng.random() < 0.5:
+                a = a + Superform.constant("U0", table, rng.randint(1, 3))
+            chain = Superform.constant("U0", table, 1)
+            for k in range(10):
+                got = form_algebra._wedge_power(a, k)
+                self.assertEqual(got, chain, msg=(a, k))
+                if k <= 3:
+                    self.assertEqual(strict_form(got), strict_form(chain), msg=(a, k))
+                chain = wedge(chain, a)
+
+    def test_stops_at_a_zero_power(self):
+        # psi*dg + dg squares to zero, so a power of 10^11 takes one wedge.
+        a = parse("psi*dg + dg", T11)
+        with mock.patch.object(form_algebra, "wedge", wraps=wedge) as counted:
+            self.assertTrue(form_algebra._wedge_power(a, 10**11).is_zero())
+        self.assertEqual(counted.call_count, 1)
+        self.assertEqual(pretty_print(form_algebra._wedge_power(parse("g*dpsi", T11), 10**11)),
+                         "g^100000000000*dpsi^100000000000")
+
+
 class TestBidegree(unittest.TestCase):
     def test_components_partition(self):
         rng = random.Random(7)
@@ -504,6 +532,82 @@ class TestBidegree(unittest.TestCase):
         self.assertEqual(mono([dgamma(0)]).bidegree().degree, 1)
         m = mono([theta(0), delta(0, 2)])
         self.assertEqual((m.bidegree().degree, m.bidegree().picture), (-2, 1))
+
+
+class TestMonomialSurface(unittest.TestCase):
+    """What library callers and error messages read off a Monomial, whatever
+    it stores: the field constructor, the four field views, powers(), the
+    dataclass repr, equality and hash."""
+
+    def test_fields_read_back_and_match_normalize(self):
+        rng = random.Random(20261019)
+        tables = (T11, T22, builtin_flat(1, 3).chart("U0").table)
+        for table in tables * 100:
+            ref = random_monomial(rng, table, max_order=4, max_power=3)
+            fields = (ref.thetas, ref.devens, ref.dodds, ref.deltas)
+            mon = Monomial(*fields)
+            self.assertEqual((mon.thetas, mon.devens, mon.dodds, mon.deltas), fields)
+            self.assertEqual(Monomial(thetas=fields[0], devens=fields[1], dodds=fields[2], deltas=fields[3]), mon)
+            pairs = tuple(((TH, j), 1) for j in fields[0]) + tuple(((DG, i), 1) for i in fields[1])
+            pairs += tuple(((DP, j), p) for j, p in fields[2]) + tuple(((DL, j, k), 1) for j, k in fields[3])
+            self.assertEqual(mon.powers(), pairs)
+            self.assertEqual(
+                repr(mon), "Monomial(thetas=%r, devens=%r, dodds=%r, deltas=%r)" % fields
+            )
+            # The same factors, in normal order, through the checked entry point.
+            factors = [theta(j) for j in fields[0]] + [dgamma(i) for i in fields[1]]
+            factors += [dpsi(j) for j, p in fields[2] for _ in range(p)]
+            factors += [delta(j, k) for j, k in fields[3]]
+            built = normalize(factors, 1, "U0", table)
+            self.assertEqual(list(built.terms), [mon])
+            [key] = built.terms
+            self.assertEqual(hash(key), hash(mon))
+            self.assertEqual({mon: 1}[key], 1)
+
+    def test_unit_views_and_immutability(self):
+        unit = Monomial()
+        self.assertEqual(unit, form_algebra.UNIT_MONOMIAL)
+        self.assertEqual(hash(unit), hash(form_algebra.UNIT_MONOMIAL))
+        self.assertEqual((unit.thetas, unit.devens, unit.dodds, unit.deltas, unit.powers()), ((),) * 5)
+        self.assertEqual(repr(unit), "Monomial(thetas=(), devens=(), dodds=(), deltas=())")
+        self.assertNotEqual(unit, ())
+        self.assertNotEqual(Monomial((0,)), Monomial((), (0,)))
+        with self.assertRaises(AttributeError):
+            unit.thetas = (0,)
+
+    def test_not_a_top_form_messages(self):
+        # The messages embed the Monomial repr; each check is reached in turn.
+        t12 = builtin_flat(1, 2).chart("U0").table
+        cases = [
+            (
+                [theta(0), delta(0, 0)],
+                T11,
+                "missing part of the dgamma block: "
+                "Monomial(thetas=(0,), devens=(), dodds=(), deltas=((0, 0),))",
+            ),
+            (
+                [dgamma(0), dpsi(0), dpsi(0), delta(1, 0)],
+                t12,
+                "bare dpsi factor in a top form: "
+                "Monomial(thetas=(), devens=(0,), dodds=((0, 2),), deltas=((1, 0),))",
+            ),
+            (
+                [theta(0), dgamma(0), delta(0, 1)],
+                T11,
+                "delta block is not the full order-zero block: "
+                "Monomial(thetas=(0,), devens=(0,), dodds=(), deltas=((0, 1),))",
+            ),
+            (
+                [dgamma(0), delta(0, 0)],
+                t12,
+                "delta block is not the full order-zero block: "
+                "Monomial(thetas=(), devens=(0,), dodds=(), deltas=((0, 0),))",
+            ),
+        ]
+        for factors, table, message in cases:
+            with self.assertRaises(NotATopFormError) as caught:
+                berezin_reduce(normalize(factors, 1, "U0", table))
+            self.assertEqual(str(caught.exception), message)
 
 
 class TestDeltaExpand(unittest.TestCase):
