@@ -8,7 +8,8 @@ substitution, dgamma/dpsi by d of the images, delta factors by delta_expand.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
+from types import MappingProxyType
 
 from .coeff_ring import LaurentPoly, lp_mul, lp_substitute_monomial
 from .errors import StructuralError, UnsupportedMorphismError
@@ -40,16 +41,17 @@ class Morphism:
     over the source evens.  odd_images: target odd index -> tuple of
     (LaurentPoly coefficient, source odd index) pairs.
 
-    Two morphisms are equal, and hash equal, when their charts and generator
-    images are: the images compare term by term in the order they were given,
-    the order in which a pullback writes its terms.
+    Both tables are read-only, since the built-in atlases share their
+    morphisms.  Two morphisms are equal, and hash equal, when their charts
+    and generator images are: the images compare term by term in the order
+    they were given, the order in which a pullback writes its terms.
     """
 
     def __init__(self, source, target, even_images, odd_images):
         self.source = source
         self.target = target
-        self.even_images = dict(even_images)
-        self.odd_images = {j: tuple(v) for j, v in odd_images.items()}
+        self.even_images = MappingProxyType(dict(even_images))
+        self.odd_images = MappingProxyType({j: tuple(v) for j, v in odd_images.items()})
         src_vars = source.table.even_names
         for i in range(len(target.table.even_names)):
             if i not in self.even_images:
@@ -227,8 +229,24 @@ def verify_cocycle(atlas, probes):
     return report
 
 
+def _shared(build):
+    """Run build once per arguments and process (for the last 64 of them);
+    each call returns a fresh Atlas, with its own charts and transitions
+    dicts, around the charts and morphisms built then."""
+    built = lru_cache(maxsize=64)(build)
+
+    @wraps(build)
+    def fresh(*args):
+        atlas = built(*args)
+        return Atlas(dict(atlas.charts), dict(atlas.transitions))
+
+    return fresh
+
+
+@_shared
 def builtin_p11():
-    """The projective superline: two charts, transitions g -> 1/g, psi -> psi/g."""
+    """The projective superline: two charts, transitions g -> 1/g, psi -> psi/g.
+    Its charts and morphisms are built once and shared (see `_shared`)."""
     table = GeneratorTable(("g",), ("psi",))
     u0 = Chart("U0", table)
     u1 = Chart("U1", table)
@@ -243,8 +261,10 @@ def builtin_p11():
     return Atlas({"U0": u0, "U1": u1}, transitions)
 
 
+@_shared
 def builtin_flat(m, n):
-    """Flat space C^{m|n}: a single chart with the identity transition."""
+    """Flat space C^{m|n}: a single chart with the identity transition.  Its
+    chart and morphism are built once per (m, n) and shared (see `_shared`)."""
     if m < 0 or n < 0:
         raise StructuralError("flat space needs m, n >= 0")
     evens = ("g",) if m == 1 else tuple("g%d" % (i + 1) for i in range(m))

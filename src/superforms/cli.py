@@ -14,15 +14,18 @@ differentials, spelled "d" + name (`dg`, `dpsi1`, ...), and delta factors
 `delta(dpsi)`, `delta'(dpsi)`, `delta^(k)(dpsi)`.  `*` is the wedge product;
 negative powers are admitted on even coordinates only.
 
-A product is normalized once: its numbers, coordinate powers and atoms are
-gathered in place into one run (an int numerator and denominator, an exponent
-per even coordinate and a list of (atom, power) pairs) and put in normal form,
-so `g^k` is exponent arithmetic and `dpsi^k` one factor power rather than k
-wedges.  Each product is added into the sum's one terms map, its sign folded
-into the numerator.  Only a parenthesized factor is wedged onto the product,
-and `(expr)^k` is computed by squaring, stopping at a zero power.  A number,
-exponent or delta order longer than the interpreter's integer digit limit is
-a parse error at its token, and so is a number whose power would be.
+The text is split into token strings by one regex split, and the parser
+compares the strings themselves; a token's position is computed only for an
+error.  A product is normalized once: its numbers, coordinate powers and atoms
+are gathered in place into one run (an int numerator and denominator, an
+exponent per even coordinate and a list of (atom, power) pairs) and put in
+normal form, so `g^k` is exponent arithmetic and `dpsi^k` one factor power
+rather than k wedges.  Each product is added into the sum's one terms map, its
+sign folded into the numerator.  Only a parenthesized factor is wedged onto
+the product, and `(expr)^k` is computed by squaring, stopping at a zero power.
+A number, exponent or delta order longer than the interpreter's integer digit
+limit is a parse error at its token, and so is a power of a number or of a
+parenthesized factor whose coefficient would be.
 
 Exit codes: 0 success, 2 parse or usage error (such as a negative --cutoff),
 3 computation error, 4 stabilization failure (only flat de Rham can fail to
@@ -76,53 +79,18 @@ from .form_algebra import (
 
 SCHEMA_VERSION = 1
 
-# \s is exactly what str.isspace() accepts; a character that starts no token
-# is an error.
-_TOKEN_RE = re.compile(
-    r"(?P<number>\d+(?:/\d+)?)|(?P<name>%s)|(?P<op>[-+*^()'])|(?P<space>\s+)|(?P<other>.)"
-    % _NAME_RE.pattern,
-    re.S,
-)
-
-
-def _tokenize(text):
-    """(kind, text, position) tokens, closed by an "end" token; an operator's
-    kind is its own character."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "op":
-            kind = m.group()
-        elif kind == "space":
-            continue
-        elif kind == "other":
-            raise FormParseError("unexpected character %r" % m.group(), m.start())
-        tokens.append((kind, m.group(), m.start()))
-    tokens.append(("end", "", len(text)))
-    return tokens
+# A token is a number, a NAME or an operator.  Any other character but
+# whitespace (\s, exactly what str.isspace() accepts) is a token of its own
+# and an error: a '/' outside a number, or one that _STRAY_RE finds, since it
+# starts no token.  \d is exactly what str.isdecimal() accepts.
+_TOKEN_RE = re.compile(r"(\d+(?:/\d+)?|%s|\S)" % _NAME_RE.pattern)
+_STRAY_RE = re.compile(r"[^-+*^()'/\s\dA-Za-z]")
+_OPS = frozenset("-+*^()'")
+# The first character of a token of each kind, once stray characters are out.
+_STARTS = {"name": str.isalpha, "number": str.isdecimal}
 
 
 _TOO_LONG = "number too long: more than %d digits, the limit of sys.get_int_max_str_digits()"
-
-
-def _int(digits, position):
-    """int(digits), or FormParseError at position past the interpreter's digit limit."""
-    try:
-        return int(digits)
-    except ValueError:
-        raise FormParseError(_TOO_LONG % sys.get_int_max_str_digits(), position) from None
-
-
-def _int_power(base, power, position):
-    """base**power for ints base, power >= 0, or FormParseError at position
-    when it would pass the interpreter's digit limit; 0 and 1 take any power.
-    It has floor(power*log10(base)) + 1 digits, computed only near the limit."""
-    limit = sys.get_int_max_str_digits()
-    if base > 1 and limit:
-        digits = power * log10(base)
-        if digits >= limit + 1 or digits >= limit - 1 and base**power >= 10**limit:
-            raise FormParseError(_TOO_LONG % limit, position)
-    return base**power
 
 
 class _Parser:
@@ -130,36 +98,48 @@ class _Parser:
         self.table = table
         self.chart = chart_id
         self.words = table._words
-        self.tokens = _tokenize(text)
+        # Token k is pieces[2k + 1], closed by "" at the end; the pieces
+        # between the tokens are whitespace.
+        self.pieces = _TOKEN_RE.split(text)
+        self.tokens = self.pieces[1::2]
+        if "/" in self.tokens or _STRAY_RE.search(text):
+            for k, tok in enumerate(self.tokens):
+                if tok == "/" or _STRAY_RE.match(tok):
+                    raise self.error("unexpected character %r" % tok, k)
+        self.tokens.append("")
         self.pos = 0
 
+    def error(self, message, k):
+        """FormParseError at token k, whose position is the length of the
+        pieces before it: positions are computed only for an error."""
+        return FormParseError(message, sum(map(len, self.pieces[: 2 * k + 1])))
+
     def expect(self, kind):
-        """Take the next token, which must be of this kind."""
+        """Take the next token, which must be this operator, a "name" or a "number"."""
         tok = self.tokens[self.pos]
-        if tok[0] != kind:
+        if not (tok == kind if len(kind) == 1 else _STARTS[kind](tok[:1])):
             if len(kind) == 1:  # an operator
-                kind = repr(kind) if len(tok[0]) == 1 else "op"
-            raise FormParseError("expected %s, found %r" % (kind, tok[1] or "end of input"), tok[2])
+                kind = repr(kind) if tok in _OPS else "op"
+            raise self.error("expected %s, found %r" % (kind, tok or "end of input"), self.pos)
         self.pos += 1
         return tok
 
     def parse(self):
         form = self.expr()
-        kind, text, position = self.tokens[self.pos]
-        if kind != "end":
-            raise FormParseError("trailing input %r" % text, position)
+        if self.tokens[self.pos]:
+            raise self.error("trailing input %r" % self.tokens[self.pos], self.pos)
         return form
 
     def expr(self):
         """A sum, each product added into one terms map with its sign."""
         tokens = self.tokens
         out = Superform(self.chart, self.table)
-        op = tokens[self.pos][0]
+        op = tokens[self.pos]
         while True:
             if op == "+" or op == "-":
                 self.pos += 1
             self.term(out.terms, -1 if op == "-" else 1)
-            op = tokens[self.pos][0]
+            op = tokens[self.pos]
             if op != "+" and op != "-":
                 return out
 
@@ -173,43 +153,47 @@ class _Parser:
         tokens, words = self.tokens, self.words
         form, gathered, num, den, exps, pairs = None, True, sign, 1, [0] * len(self.table.even_names), []
         while True:
-            kind, text, position = tokens[self.pos]
-            if kind == "(":
+            k = self.pos
+            tok = tokens[k]
+            if tok == "(":
                 self.pos += 1
-                inner = self.expr()
+                piece = self.expr()
                 self.expect(")")
-                piece = _wedge_power(inner, self.exponent(False))
+                if tokens[self.pos] == "^":
+                    piece = _wedge_power(piece, self.exponent(False), self.digit_check(self.pos - 1))
                 if gathered:
                     form, gathered = self.flush(form, num, den, exps, pairs), False
                 form = piece if form is None else wedge(form, piece)
             else:
                 if not gathered:
                     gathered, num, den, exps, pairs = True, 1, 1, [0] * len(self.table.even_names), []
-                if kind == "number":
+                if tok[:1].isdecimal():
                     self.pos += 1
-                    n, slash, d = text.partition("/")
-                    n, d = _int(n, position), _int(d, position) if slash else 1
+                    n, slash, d = tok.partition("/")
+                    n, d = self.integer(n, k), self.integer(d, k) if slash else 1
                     if not d:
-                        raise FormParseError("zero denominator in %r" % text, position)
+                        raise self.error("zero denominator in %r" % tok, k)
                     # A number takes no negative power, so this stays exact.
-                    power = self.exponent(False)
-                    if power != 1:
-                        at = tokens[self.pos - 1][2]
-                        n, d = _int_power(n, power, at), _int_power(d, power, at)
+                    if tokens[self.pos] == "^":
+                        power = self.exponent(False)
+                        n, d = self.int_power(n, power), self.int_power(d, power)
                     num *= n
                     den *= d
                 else:
-                    self.expect("name")
-                    atom = self.delta_factor(position) if text == "delta" else words.get(text)
+                    atom = words.get(tok)
+                    if atom is None and tok != "delta":
+                        self.expect("name")
+                        raise self.error("unknown coordinate %r" % tok, k)
+                    self.pos += 1
                     if atom is None:
-                        raise FormParseError("unknown coordinate %r" % text, position)
-                    if isinstance(atom, int):  # an even coordinate's index
-                        exps[atom] += self.exponent(True)
-                    else:
-                        power = self.exponent(False)
-                        if power:
-                            pairs.append((atom, power))
-            if tokens[self.pos][0] != "*":
+                        atom = self.delta_factor(k)
+                    even = atom.__class__ is int  # an even coordinate's index
+                    power = self.exponent(even) if tokens[self.pos] == "^" else 1
+                    if even:
+                        exps[atom] += power
+                    elif power:
+                        pairs.append((atom, power))
+            if tokens[self.pos] != "*":
                 break
             self.pos += 1
         if form is None:
@@ -228,49 +212,78 @@ class _Parser:
         return out if form is None else wedge(form, out)
 
     def exponent(self, even):
-        """The power after a factor, 1 if no '^' follows.  Only an even
+        """The power after the '^' at the current token.  Only an even
         coordinate takes a negative power."""
-        if self.tokens[self.pos][0] != "^":
-            return 1
         self.pos += 1
         power = self.signed_int()
         if power < 0 and not even:
-            raise FormParseError(
-                "negative powers are only defined for even coordinates",
-                self.tokens[self.pos][2],
-            )
+            raise self.error("negative powers are only defined for even coordinates", self.pos)
         return power
 
     def signed_int(self):
-        sign = self.tokens[self.pos][0]
+        sign = self.tokens[self.pos]
         if sign == "-" or sign == "+":
             self.pos += 1
-        _, digits, position = self.expect("number")
+        digits = self.expect("number")
         if "/" in digits:
-            raise FormParseError("exponent must be an integer", position)
-        value = _int(digits, position)
+            raise self.error("exponent must be an integer", self.pos - 1)
+        value = self.integer(digits, self.pos - 1)
         return -value if sign == "-" else value
 
-    def delta_factor(self, position):
-        """The delta atom after the word `delta` at position."""
-        order = 0
-        if self.tokens[self.pos][0] == "^":
+    def integer(self, digits, k):
+        """int(digits), or FormParseError at token k past the interpreter's digit limit."""
+        try:
+            return int(digits)
+        except ValueError:
+            raise self.error(_TOO_LONG % sys.get_int_max_str_digits(), k) from None
+
+    def int_power(self, base, power):
+        """base**power for ints base, power >= 0, or FormParseError at the
+        exponent just read when it would pass the interpreter's digit limit;
+        0 and 1 take any power.  It has floor(power*log10(base)) + 1 digits,
+        computed only near the limit."""
+        limit = sys.get_int_max_str_digits()
+        if base > 1 and limit:
+            digits = power * log10(base)
+            if digits >= limit + 1 or digits >= limit - 1 and base**power >= 10**limit:
+                raise self.error(_TOO_LONG % limit, self.pos - 1)
+        return base**power
+
+    def digit_check(self, k):
+        """A check for `_wedge_power`: FormParseError at token k as soon as a
+        coefficient of a power passes the interpreter's digit limit (none if
+        there is no limit)."""
+        limit = sys.get_int_max_str_digits()
+        bound = 10**limit
+
+        def check(form):
+            for lp in form.terms.values():
+                for c in lp.terms.values():
+                    if max(abs(c.numerator), c.denominator) >= bound:
+                        raise self.error(_TOO_LONG % limit, k)
+
+        return check if limit else None
+
+    def delta_factor(self, k):
+        """The delta atom after the word `delta`, token k."""
+        tokens, order = self.tokens, 0
+        if tokens[self.pos] == "^":
             self.pos += 1
             self.expect("(")
             order = self.signed_int()
             self.expect(")")
             if order < 0:
-                raise FormParseError("delta order must be non-negative", position)
+                raise self.error("delta order must be non-negative", k)
         else:
-            while self.tokens[self.pos][0] == "'":
+            while tokens[self.pos] == "'":
                 self.pos += 1
                 order += 1
         self.expect("(")
-        _, name, name_position = self.expect("name")
+        name = self.expect("name")
         self.expect(")")
         atom = self.words.get(name)
         if not isinstance(atom, tuple) or atom[0] != DP:
-            raise FormParseError("expected an odd differential, found %r" % name, name_position)
+            raise self.error("expected an odd differential, found %r" % name, self.pos - 2)
         return delta(atom[1], order)
 
 

@@ -8,7 +8,8 @@ coordinates.  Transposition signs follow the Koszul rule with bidegree table
     delta^(k): (deg -k, par (k+1) mod 2)
 
 so a factor power a^p passes b^q with the sign koszul_sign(a, b)^(p*q) (dpsi_j^p
-is one factor), and the contraction relation dpsi_j * delta^(k)(dpsi_j) =
+is one factor), read from one 3x3 table `_SIGN` on the classes (deg mod 2,
+par) of the two atoms, and the contraction relation dpsi_j * delta^(k)(dpsi_j) =
 -k * delta^(k-1)(dpsi_j) is applied, in one step per odd index, until monomials
 are in normal form.  The alternating delta parity is the unique choice making
 the contraction rule commute with transpositions (and hence d o d = 0): each
@@ -81,9 +82,16 @@ def atom_parity(a):
     return 1
 
 
+# The Koszul sign (-1)^(deg*deg' + par*par') depends on (deg mod 2, par) alone,
+# which sorts the atoms into three classes: theta and even-order deltas
+# (0, 1) are class 0, dgamma and odd-order deltas (1, 0) class 1, dpsi (1, 1)
+# class 2.  An atom's class is its kind, or a delta's order mod 2.
+_SIGN = ((-1, 1, -1), (1, -1, -1), (-1, -1, 1))
+
+
 def koszul_sign(a, b):
     """Sign s with a*b = s*b*a for single generator factors."""
-    return -1 if (atom_degree(a) * atom_degree(b) + atom_parity(a) * atom_parity(b)) % 2 else 1
+    return _SIGN[a[2] & 1 if a[0] == DL else a[0]][b[2] & 1 if b[0] == DL else b[0]]
 
 
 class Bidegree(NamedTuple):
@@ -335,7 +343,8 @@ def _add_normal(terms, pairs, lp):
         j = i
         while j > 0 and fs[j - 1][0] > fs[j][0]:
             (a, p), (b, q) = fs[j - 1], fs[j]
-            sign *= koszul_sign(a, b) if p * q % 2 else 1
+            if p * q % 2:
+                sign *= _SIGN[a[2] & 1 if a[0] == DL else a[0]][b[2] & 1 if b[0] == DL else b[0]]
             fs[j - 1], fs[j] = fs[j], fs[j - 1]
             j -= 1
 
@@ -460,9 +469,10 @@ def delta_expand(order, argument):
     return out
 
 
-def _wedge_power(form, k):
+def _wedge_power(form, k, check=None):
     """form^k for k >= 0 by squaring, most significant bit first (so k <= 3
-    wedges as k wedges from the left would), stopping at a zero power."""
+    wedges as k wedges from the left would), stopping at a zero power.
+    check, if given, is called on each power on the way and may raise."""
     if not k:
         return Superform.constant(form.chart, form.table, 1)
     out = form
@@ -472,6 +482,8 @@ def _wedge_power(form, k):
         out = wedge(out, out)
         if bit == "1":
             out = wedge(out, form)
+        if check:
+            check(out)
     return out
 
 

@@ -102,6 +102,26 @@ class TestAtlasStructure(unittest.TestCase):
         self.assertEqual(table.even_names, ("g1", "g2"))
         self.assertEqual(table.odd_names, ("psi1", "psi2", "psi3"))
 
+    def test_builtin_atlases_share_charts_and_morphisms(self):
+        # Each call builds a fresh Atlas with its own dicts around charts and
+        # morphisms built once, whose image tables refuse writes.
+        for build in (builtin_p11, lambda: builtin_flat(2, 2)):
+            first, second = build(), build()
+            self.assertIsNot(first.charts, second.charts)
+            self.assertIsNot(first.transitions, second.transitions)
+            for cid, chart in first.charts.items():
+                self.assertIs(second.charts[cid], chart)
+            for key, m in first.transitions.items():
+                self.assertIs(second.transitions[key], m)
+                with self.assertRaises(TypeError):
+                    m.even_images[0] = m.even_images[0]
+                with self.assertRaises(TypeError):
+                    m.odd_images[0] = ()
+            first.charts.clear()
+            first.transitions.clear()
+            self.assertEqual(build().charts, second.charts)
+            self.assertEqual(build().transitions, second.transitions)
+
     def test_unknown_transition_rejected(self):
         with self.assertRaises(StructuralError):
             P11.transition("U0", "U9")

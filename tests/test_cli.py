@@ -418,6 +418,41 @@ class TestGrammar(unittest.TestCase):
         self.assertEqual(form.terms[Monomial((0,))].coefficient((0,)), 2**k)
         self.assertEqual(parse("10^%d" % (limit - 1), T11), parse("1" + "0" * (limit - 1), T11))
 
+    def test_parenthesized_huge_powers(self):
+        # A number in parentheses gets the digit limit too: a power whose
+        # coefficient passes it is a parse error at its exponent, raised
+        # while squaring.  These used to run until memory ran out.
+        limit = sys.get_int_max_str_digits()
+        for text in ("(2)^99999999999", "(1/2)^99999999999", "(2*g)^99999999999", "psi*(-3*g^2)^99999999999"):
+            start = time.perf_counter()
+            with self.assertRaises(FormParseError, msg=text) as ctx:
+                parse(text, T11)
+            self.assertLess(time.perf_counter() - start, 1.0, msg=text)
+            self.assertEqual(ctx.exception.position, text.rindex("^") + 1, msg=text)
+            self.assertIn("number too long: more than %d digits" % limit, str(ctx.exception))
+        # Powers whose coefficients stay small still answer at once.
+        cases = {
+            "(1 + 2*psi)^99999999999": "1 + 199999999998*psi",
+            "(g + psi)^99999999999": "g^99999999999 + 99999999999*g^99999999998*psi",
+            "(2)^10": "1024",
+            "(1/2*g)^3": "1/8*g^3",
+        }
+        for text, want in cases.items():
+            start = time.perf_counter()
+            self.assertEqual(pretty_print(parse(text, T11)), want, msg=text)
+            self.assertLess(time.perf_counter() - start, 1.0, msg=text)
+
+    def test_tokenizer_edge_cases(self):
+        # Unicode digits and whitespace, stray characters and empty texts
+        # give the oracle's answer, error message and position.
+        texts = [
+            "\u0663*g", "g*\u0663/\u0664", "g\u3000*psi", "g\u2003*\u00a0psi", "g/psi", "/", "1/2/3",
+            "1/", "2*/3", "_", "g_1", "\u00e9", "g\u00e9", "$", "g*$", "", " ", "\t\n \u3000",
+        ]
+        for table in (T11, T22):
+            for text in texts:
+                self.assert_matches_fold(text, table)
+
     def test_whitespace_and_stray_characters(self):
         # Every character that str.isspace() accepts separates tokens; any
         # other character that starts no token is an error at its position.
@@ -696,9 +731,12 @@ class TestExitCodes(unittest.TestCase):
         self.assertIn("error (parse)", err)
 
     def test_huge_power_is_2(self):
-        code, out, err = invoke(["normalize", "--expr", "2^99999999999999999999"])
-        self.assertEqual((code, out), (2, ""))
-        self.assertIn("error (parse): number too long", err)
+        for text in ("2^99999999999999999999", "(2)^99999999999", "(1/2)^99999999999", "(2*g)^99999999999"):
+            start = time.perf_counter()
+            code, out, err = invoke(["normalize", "--expr", text])
+            self.assertLess(time.perf_counter() - start, 1.0, msg=text)
+            self.assertEqual((code, out), (2, ""), msg=text)
+            self.assertIn("error (parse): number too long", err)
 
     def test_bad_sheaf_label_is_2(self):
         code, _, _ = invoke(["cech", "--sheaf", "bogus"])

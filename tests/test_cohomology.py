@@ -634,17 +634,17 @@ class TestWeightBlocks(unittest.TestCase):
                     self.assertEqual(sum(lead in other for other in kernels), 1, msg=msg)
 
     def test_transitions_compare_by_their_images(self):
-        # The Cech solves are cached by transition and sheaf: two builds of
-        # one atlas share them, other gluings do not, and what was solved
-        # before does not change an answer.
+        # The Cech solves are cached by transition and sheaf: a morphism
+        # built again with the same images shares them, other gluings do
+        # not, and what was solved before does not change an answer.
         m01 = builtin_p11().transition("U0", "U1")
-        again = builtin_p11().transition("U0", "U1")
+        inverse = LaurentPoly.monomial(("g",), (-1,))
+        again = Morphism(P11.chart("U0"), P11.chart("U1"), {0: inverse}, {0: ((inverse, 0),)})
         self.assertIsNot(m01, again)
         self.assertEqual(m01, again)
         self.assertEqual(hash(m01), hash(again))
         self.assertNotEqual(m01, builtin_p11().transition("U1", "U0"))
         self.assertNotEqual(m01, scaled_atlas().transition("A", "B"))
-        inverse = LaurentPoly.monomial(("g",), (-1,))
         for even, odd in ((lp_scale(inverse, 2), inverse), (inverse, lp_scale(inverse, 2))):
             other = Morphism(P11.chart("U0"), P11.chart("U1"), {0: even}, {0: ((odd, 0),)})
             self.assertNotEqual(m01, other)
@@ -665,7 +665,7 @@ class TestWeightBlocks(unittest.TestCase):
 
     def test_second_solve_eliminates_nothing(self):
         # The solve is cached by (transition, sheaf), and a fresh build of
-        # P11 has an equal transition, so a second cech eliminates no block.
+        # P11 shares its transitions, so a second cech eliminates no block.
         cohomology._solve.cache_clear()
         cech(builtin_p11(), (-3, 1), 5)
         with mock.patch.object(cohomology, "_eliminate", wraps=_eliminate) as eliminate:

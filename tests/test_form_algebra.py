@@ -36,7 +36,16 @@ from superforms import (
 )
 from superforms import form_algebra
 from superforms.coeff_ring import lp_mul, lp_partial, lp_scale
-from superforms.form_algebra import DG, DL, DP, TH, _add_terms, _validate_atoms, atom_degree
+from superforms.form_algebra import (
+    DG,
+    DL,
+    DP,
+    TH,
+    _add_terms,
+    _validate_atoms,
+    atom_degree,
+    atom_parity,
+)
 
 from formgen import (
     form_degree,
@@ -214,6 +223,19 @@ def strict_terms(terms):
 
 
 class TestNormalForm(unittest.TestCase):
+    def test_sign_table_is_the_koszul_rule(self):
+        # The three-class table read by koszul_sign and by the sort in
+        # _add_normal gives (-1)^(deg*deg' + par*par') on every pair of atoms
+        # of flat:2,2 with delta orders 0-3.
+        atoms = [theta(j) for j in (0, 1)] + [dgamma(i) for i in (0, 1)] + [dpsi(j) for j in (0, 1)]
+        atoms += [delta(j, k) for j in (0, 1) for k in range(4)]
+        for a in atoms:
+            for b in atoms:
+                want = (-1) ** (atom_degree(a) * atom_degree(b) + atom_parity(a) * atom_parity(b))
+                self.assertEqual(koszul_sign(a, b), want, msg=(a, b))
+                ab, ba = mono([a, b], table=T22), mono([b, a], table=T22)
+                self.assertEqual(ba, ab.scale(want), msg=(a, b))
+
     def test_atoms_outside_the_chart_rejected(self):
         # Each factor must be an atom of the chart's generator table: a theta
         # with trailing entries used to read as psi, a dgamma with one as dg,
@@ -415,11 +437,19 @@ class TestWedge(unittest.TestCase):
         self.assertGreater(odd_powers, 50)
 
     def test_dpsi_power_passes_as_one_factor(self):
-        # dg passes dpsi^201 with one sign, not one per dpsi.
+        # dg passes dpsi^201 with one sign, not one per dpsi: the sort reads
+        # the sign table once per crossing of factor powers.
+        class CountedTable(tuple):
+            reads = 0
+
+            def __getitem__(self, row):
+                CountedTable.reads += 1
+                return tuple.__getitem__(self, row)
+
         a, b = parse("g*psi*dpsi^201"), parse("dg")
-        with mock.patch.object(form_algebra, "koszul_sign", wraps=koszul_sign) as sign:
+        with mock.patch.object(form_algebra, "_SIGN", CountedTable(form_algebra._SIGN)):
             product = wedge(a, b)
-        self.assertLessEqual(sign.call_count, 2)
+        self.assertEqual(CountedTable.reads, 1)
         self.assertEqual(strict_form(product), strict_form(atomwise_wedge(a, b)))
         self.assertEqual(pretty_print(product), "-g*psi*dg*dpsi^201")
         self.assertEqual(pretty_print(parse("psi^1000000")), "0")
@@ -513,6 +543,20 @@ class TestWedgePower(unittest.TestCase):
         self.assertEqual(counted.call_count, 1)
         self.assertEqual(pretty_print(form_algebra._wedge_power(parse("g*dpsi", T11), 10**11)),
                          "g^100000000000*dpsi^100000000000")
+
+    def test_check_sees_each_power(self):
+        # The check is called on each power on the way and may stop the loop.
+        a = parse("2 + psi", T11)
+        seen = []
+        form_algebra._wedge_power(a, 13, seen.append)
+        self.assertEqual(seen, [form_algebra._wedge_power(a, k) for k in (3, 6, 13)])
+
+        def stop(power):
+            raise ValueError(power)
+
+        with self.assertRaises(ValueError) as ctx:
+            form_algebra._wedge_power(a, 2**40, stop)
+        self.assertEqual(ctx.exception.args[0], form_algebra._wedge_power(a, 2))
 
 
 class TestBidegree(unittest.TestCase):
