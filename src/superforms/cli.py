@@ -21,14 +21,15 @@ are gathered in place into one run (an int numerator and denominator, an
 exponent per even coordinate and a list of (atom, power) pairs) and put in
 normal form, so `g^k` is exponent arithmetic and `dpsi^k` one factor power
 rather than k wedges.  Each product is added into the sum's one terms map, its
-sign folded into the numerator.  Only a parenthesized factor is wedged onto
-the product, and `(expr)^k` is computed by squaring, stopping at a zero power.
-A number, exponent or delta order longer than the interpreter's integer digit
-limit is a parse error at its token, and so is a power of a number or of a
-parenthesized factor whose coefficient would be.
+sign folded into the numerator.  A parenthesized factor and a number with a
+power are pieces, one-term or not: a piece is raised to its power by squaring,
+stopping at a zero power, and wedged onto the product, so `2^k` and `(2)^k`
+are one rule.  A number, exponent or delta order longer than the interpreter's
+integer digit limit is a parse error at its token, and so is a piece's power
+as soon as a coefficient passes that limit while it is squared.
 
-Exit codes: 0 success, 2 parse or usage error (such as a negative --cutoff),
-3 computation error, 4 stabilization failure (only flat de Rham can fail to
+Exit codes: 0 success, 2 parse or usage error (such as a negative --cutoff or
+--n, or an empty --range), 3 computation error, 4 stabilization failure (only flat de Rham can fail to
 stabilize).  With --json every report is a
 single versioned JSON object.
 """
@@ -38,8 +39,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from functools import reduce
-from math import log10
+from functools import cache, reduce
 
 from . import cohomology
 from .atlas_morphism import (
@@ -91,6 +91,12 @@ _STARTS = {"name": str.isalpha, "number": str.isdecimal}
 
 
 _TOO_LONG = "number too long: more than %d digits, the limit of sys.get_int_max_str_digits()"
+
+
+@cache
+def _digit_bound(limit):
+    """10**limit, the least integer with more than limit digits."""
+    return 10**limit
 
 
 class _Parser:
@@ -148,10 +154,11 @@ class _Parser:
         and atoms are gathered in place into one run (an int numerator and
         denominator, an exponent per even coordinate and a list of (atom,
         power) pairs), normalized once; the first run starts with the sign
-        as its numerator.  A parenthesized factor flushes the run and is
-        wedged on, left to right."""
-        tokens, words = self.tokens, self.words
-        form, gathered, num, den, exps, pairs = None, True, sign, 1, [0] * len(self.table.even_names), []
+        as its numerator.  A parenthesized factor and a number with a power
+        are pieces: a piece is raised to its power by `_wedge_power` under
+        the digit check, flushes the run and is wedged on, left to right."""
+        tokens, words, n_even = self.tokens, self.words, len(self.table.even_names)
+        form, piece, num, den, exps, pairs = None, None, sign, 1, [0] * n_even, []
         while True:
             k = self.pos
             tok = tokens[k]
@@ -159,47 +166,43 @@ class _Parser:
                 self.pos += 1
                 piece = self.expr()
                 self.expect(")")
+            elif tok[:1].isdecimal():
+                self.pos += 1
+                n, slash, d = tok.partition("/")
+                n, d = self.integer(n, k), self.integer(d, k) if slash else 1
+                if not d:
+                    raise self.error("zero denominator in %r" % tok, k)
                 if tokens[self.pos] == "^":
-                    piece = _wedge_power(piece, self.exponent(False), self.digit_check(self.pos - 1))
-                if gathered:
-                    form, gathered = self.flush(form, num, den, exps, pairs), False
-                form = piece if form is None else wedge(form, piece)
-            else:
-                if not gathered:
-                    gathered, num, den, exps, pairs = True, 1, 1, [0] * len(self.table.even_names), []
-                if tok[:1].isdecimal():
-                    self.pos += 1
-                    n, slash, d = tok.partition("/")
-                    n, d = self.integer(n, k), self.integer(d, k) if slash else 1
-                    if not d:
-                        raise self.error("zero denominator in %r" % tok, k)
-                    # A number takes no negative power, so this stays exact.
-                    if tokens[self.pos] == "^":
-                        power = self.exponent(False)
-                        n, d = self.int_power(n, power), self.int_power(d, power)
+                    piece = self.flush(None, n, d, [0] * n_even, [])
+                else:
                     num *= n
                     den *= d
-                else:
-                    atom = words.get(tok)
-                    if atom is None and tok != "delta":
-                        self.expect("name")
-                        raise self.error("unknown coordinate %r" % tok, k)
-                    self.pos += 1
-                    if atom is None:
-                        atom = self.delta_factor(k)
-                    even = atom.__class__ is int  # an even coordinate's index
-                    power = self.exponent(even) if tokens[self.pos] == "^" else 1
-                    if even:
-                        exps[atom] += power
-                    elif power:
-                        pairs.append((atom, power))
+            else:
+                atom = words.get(tok)
+                if atom is None and tok != "delta":
+                    self.expect("name")
+                    raise self.error("unknown coordinate %r" % tok, k)
+                self.pos += 1
+                if atom is None:
+                    atom = self.delta_factor(k)
+                even = atom.__class__ is int  # an even coordinate's index
+                power = self.exponent(even) if tokens[self.pos] == "^" else 1
+                if even:
+                    exps[atom] += power
+                elif power:
+                    pairs.append((atom, power))
+            if piece is not None:
+                if tokens[self.pos] == "^":
+                    piece = _wedge_power(piece, self.exponent(False), self.digit_check(self.pos - 1))
+                form = wedge(self.flush(form, num, den, exps, pairs), piece)
+                piece, num, den, exps, pairs = None, 1, 1, [0] * n_even, []
             if tokens[self.pos] != "*":
                 break
             self.pos += 1
         if form is None:
             _add_normal(terms, pairs, self.coefficient(num, den, exps))
         else:
-            _add_terms(terms, (self.flush(form, num, den, exps, pairs) if gathered else form).terms)
+            _add_terms(terms, self.flush(form, num, den, exps, pairs).terms)
 
     def coefficient(self, num, den, exps):
         """The one-term polynomial num/den times the even powers exps."""
@@ -237,24 +240,12 @@ class _Parser:
         except ValueError:
             raise self.error(_TOO_LONG % sys.get_int_max_str_digits(), k) from None
 
-    def int_power(self, base, power):
-        """base**power for ints base, power >= 0, or FormParseError at the
-        exponent just read when it would pass the interpreter's digit limit;
-        0 and 1 take any power.  It has floor(power*log10(base)) + 1 digits,
-        computed only near the limit."""
-        limit = sys.get_int_max_str_digits()
-        if base > 1 and limit:
-            digits = power * log10(base)
-            if digits >= limit + 1 or digits >= limit - 1 and base**power >= 10**limit:
-                raise self.error(_TOO_LONG % limit, self.pos - 1)
-        return base**power
-
     def digit_check(self, k):
         """A check for `_wedge_power`: FormParseError at token k as soon as a
         coefficient of a power passes the interpreter's digit limit (none if
         there is no limit)."""
         limit = sys.get_int_max_str_digits()
-        bound = 10**limit
+        bound = _digit_bound(limit)
 
         def check(form):
             for lp in form.terms.values():
@@ -440,10 +431,12 @@ def _parse_sheaf(text):
 
 def _parse_range(text):
     try:
-        lo, hi = text.strip().split(":")
-        return int(lo), int(hi)
+        lo, hi = map(int, text.strip().split(":"))
     except ValueError:
         raise FormParseError("range must look like 'a:b', got %r" % text, 0) from None
+    if lo > hi:
+        raise FormParseError("empty degree range %r" % text, 0)
+    return lo, hi
 
 
 def _single_form(args, chart_id):
@@ -689,8 +682,9 @@ def run_command(argv):
     args = parser.parse_args(_merge_negative_values(argv))
     json_mode = getattr(args, "json", False)
     try:
-        if getattr(args, "cutoff", 0) < 0:
-            raise FormParseError("--cutoff must be non-negative, got %d" % args.cutoff)
+        for flag in ("cutoff", "n"):
+            if getattr(args, flag, 0) < 0:
+                raise FormParseError("--%s must be non-negative, got %d" % (flag, getattr(args, flag)))
         return args.func(args)
     except FormParseError as exc:
         _report_error(json_mode, "parse", exc)

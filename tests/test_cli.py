@@ -374,9 +374,10 @@ class TestGrammar(unittest.TestCase):
 
     def test_huge_powers(self):
         # A number's power past the digit limit is a parse error at its
-        # exponent, decided without computing it; 0 and 1 take any power.
-        # (expr)^k is computed by squaring and stops at a zero power.  Each
-        # of these used to run until memory or patience ran out.
+        # exponent, raised while it is squared, as soon as a power passes
+        # the limit; 0 and 1 take any power.  (expr)^k is computed by
+        # squaring and stops at a zero power.  Each of these used to run
+        # until memory or patience ran out.
         limit = sys.get_int_max_str_digits()
         k = int(limit / math.log10(2))
         while 2 ** (k + 1) < 10**limit:
@@ -441,6 +442,31 @@ class TestGrammar(unittest.TestCase):
             start = time.perf_counter()
             self.assertEqual(pretty_print(parse(text, T11)), want, msg=text)
             self.assertLess(time.perf_counter() - start, 1.0, msg=text)
+
+    def test_number_power_is_a_form_power(self):
+        # n^k and (n)^k give the same outcome: the same form, or the same
+        # error at the exponent token.  k0 is the least k with 2^k at or
+        # past 10^limit.  An exponent of limit digits is an int too large
+        # for a float: n^k ended in an OverflowError traceback.
+        limit = sys.get_int_max_str_digits()
+        ks = [0, 1, 5, 99999999999]
+        if limit:
+            k0 = int(limit / math.log10(2)) - 1
+            while 2**k0 < 10**limit:
+                k0 += 1
+            ks += [k0 - 1, k0, 10 ** (limit - 1)]
+        for n in ("0", "1", "2", "10", "1/2", "7/3"):
+            for k in ks:
+                outcomes = []
+                for text in ("%s^%d" % (n, k), "(%s)^%d" % (n, k)):
+                    start = time.perf_counter()
+                    try:
+                        outcomes.append(parse(text, T11))
+                    except FormParseError as exc:
+                        self.assertEqual(exc.position, text.rindex("^") + 1, msg=text)
+                        outcomes.append(str(exc).rpartition(" (at position")[0])
+                    self.assertLess(time.perf_counter() - start, 1.0, msg=text)
+                self.assertEqual(outcomes[0], outcomes[1], msg=(n, k))
 
     def test_tokenizer_edge_cases(self):
         # Unicode digits and whitespace, stray characters and empty texts
@@ -737,6 +763,23 @@ class TestExitCodes(unittest.TestCase):
             self.assertLess(time.perf_counter() - start, 1.0, msg=text)
             self.assertEqual((code, out), (2, ""), msg=text)
             self.assertIn("error (parse): number too long", err)
+
+    def test_empty_range_and_negative_n_are_2(self):
+        # Usage errors, like a negative --cutoff; both exited 3 as
+        # computation errors from the library.
+        cases = {
+            ("derham", "--range", "3:1"): "empty degree range '3:1' (at position 0)",
+            ("derham", "--space", "flat:1,1", "--range=-1:-2"): "empty degree range '-1:-2' (at position 0)",
+            ("pair", "--n", "-1"): "--n must be non-negative, got -1",
+        }
+        for argv, message in cases.items():
+            code, out, err = invoke(list(argv))
+            self.assertEqual((code, out, err), (2, "", "error (parse): %s\n" % message), msg=argv)
+            code, out, _ = invoke(list(argv) + ["--json"])
+            self.assertEqual(code, 2, msg=argv)
+            self.assertEqual(json.loads(out)["error"], {"kind": "parse", "message": message})
+        # A one-degree range is not empty.
+        self.assertEqual(invoke(["derham", "--range", "1:1"])[0], 0)
 
     def test_bad_sheaf_label_is_2(self):
         code, _, _ = invoke(["cech", "--sheaf", "bogus"])
