@@ -149,9 +149,10 @@ def _atom_image(m, atom):
 
 
 # An entry is a few terms, about 2 KiB on P^{1|1} (tracemalloc).  Cech solves
-# keep their own results and never read an entry again: one pass over the
-# seed-1 benchmark job lists reads 0 hits and 48 misses on p11_cech, and 2000
-# hits and 49 misses on algebra_mix, whose one-shot pullbacks repeat.
+# keep their own results, and only the de Rham gluing check reads an entry
+# they made again: one pass over the seed-1 benchmark job lists reads 4 hits
+# and 48 misses on p11_cech, and 867 hits and 24 misses on algebra_mix, whose
+# one-shot pullbacks repeat.
 @lru_cache(maxsize=1024)
 def _monomial_image(m, mon):
     """Phi*(mon) of one normal-form monomial, once per (transition, monomial)

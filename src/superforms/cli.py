@@ -658,9 +658,10 @@ def _build_parser():
 
 
 def _merge_negative_values(argv):
-    # argparse treats a bare "-4:1" after --range or "-3|1" after --sheaf as an
-    # unknown flag, so fold such values into the "--flag=value" form it accepts.
-    patterns = {"--range": r"-\d+:-?\d+", "--sheaf": r"-\d+\|-?\d+"}
+    # argparse treats a bare "-4:1" after --range, "-3|1" after --sheaf or
+    # "-psi" after --expr as an unknown flag, so fold such values into the
+    # "--flag=value" form it accepts.  No expression starts with "--".
+    patterns = {"--range": r"-\d+:-?\d+", "--sheaf": r"-\d+\|-?\d+", "--expr": r"-[^-].*"}
     merged = []
     skip = False
     for pos, token in enumerate(argv):

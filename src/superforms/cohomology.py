@@ -31,8 +31,7 @@ unhit are the H^1 representatives.  `cech` is therefore exact at every
 cutoff.  The pairing is block-diagonal by weight: it pairs only labels of
 weight sum (0, 0), where H^1(Omega^{1|1}) is one row hit by no coboundary,
 and reads each entry off the `_solve` labels as the coefficient of that row,
-forming one product per pair of sheaf monomials; `_by_u0_weight` groups the
-H^0 kernels by the weight of their U0 labels.
+forming one product per pair of sheaf monomials.
 
 P^{1|1} de Rham is the cohomology of the complex of global sections.  d
 keeps the torus weight (dg scales like g, dpsi like psi), so that complex is
@@ -52,30 +51,27 @@ g^e*M (e >= 0) has weight (0, 0) only if e = 0, M has no dgamma and its
 second weight is 0.  Among the sheaf monomials only M = 1 (picture 0) and
 M = psi*delta(dpsi) (picture 1) qualify, both of degree 0, so the (0, 0)
 summand lies in degree 0, every differential of it is zero, and its
-cohomology is its degree-0 part.  `_derham_p11` reads the global sections
-of the sheaf (0, picture) off its `_solve`, whatever the range, and keeps
-those whose U0 labels have weight (0, 0).
+cohomology is its degree-0 part: theta_S*delta_S with |S| = picture on the
+one odd coordinate, the class of flat:1,1 on both charts (Kunneth:
+H_DR(P^{1|1}) = H(P^1) (x) H(C^{0|1}), which `cech_derham_check` tests).
 
-Flat-space de Rham needs no elimination: d keeps the even weight E, the odd
-weight vector u and the set of delta-carrying odd indices, and by a Kunneth
-argument the only summand with a class is the single closed form
-theta_S*delta_S for S = supp(u), E = 0, u in {0, 1}^n with |u| = p, which
-`_flat_derham` writes down.
-
-Each engine returns its list of degree-0 classes, and `derham` alone checks
-that d of every class is zero on every chart and lays the list out over the
-range.  P^{1|1} answers do not depend on the cutoff and are stabilized; a
-flat answer holds the classes in the box |u_j| <= D, which misses one only
-at D = 0.  `derham` states this box rule once: a flat report is
-unstabilized, and lists no class, exactly when D = 0 and a picture p >= 1
-has degree 0 in range.  Every report is computed once.  `_solve` computes
-the Cech solve of each (transition, sheaf) for `cech`, the pairing and
-P^{1|1} de Rham once per process, as read-only labels; a `Morphism`
-compares by its generator images, so fresh builds of one atlas share the
-entries.  A negative cutoff is
-rejected by `cech`, `derham` and `pairing_matrix`; `_transition` rejects any
-atlas that is not two 1|1 charts, since the section bases are those of
-P^{1|1}.
+Flat-space de Rham needs no elimination either: by a Kunneth argument (see
+`_derham_classes`) its classes are the closed forms theta_S*delta_S with
+|S| = p.  So `_derham_classes` writes the classes of both spaces on every
+chart, and `derham` checks each closed on every chart and, on P^{1|1},
+glued: Phi* of its U1 part is its U0 part.  g -> b/g, psi -> c*g^k*psi fix
+1 and psi*delta(dpsi), so only a faulty pullback fails this check, which
+stands for the gluing a Cech solve guarantees.  P^{1|1} answers do not
+depend on the cutoff and are stabilized; a flat answer holds the classes
+in the box |u_j| <= D, which misses one only at D = 0.  `derham` states
+this box rule once: a flat report is unstabilized, and lists no class,
+exactly when D = 0 and a picture p >= 1 has degree 0 in range.  `_solve`
+computes the Cech solve of each (transition, sheaf) for `cech` and the
+pairing once per process, as read-only labels; a `Morphism` compares by
+its generator images, so fresh builds of one atlas share the entries.  A
+negative cutoff is rejected by `cech`, `derham` and `pairing_matrix`;
+`_transition` rejects any atlas that is not two 1|1 charts, since the
+section bases are those of P^{1|1}.
 """
 
 from dataclasses import dataclass, field
@@ -348,23 +344,6 @@ def _solve(m01, sheaf):
     return tuple(dom), tuple(MappingProxyType(k) for k in kernels), reps
 
 
-def _by_u0_weight(m01, dom, kernels):
-    """The H^0 kernels of a solve across m01 grouped by the torus weight of
-    their U0 labels: {weight: [(kernel position, [(M, e, coeff) for each U0
-    label g^e*M])]}, in kernel order.  A kernel lies in one weight block and
-    Phi* is injective, so its U0 labels share one weight; a kernel whose U0
-    labels do not raises StructuralError."""
-    c0 = m01.source.id
-    by_weight = {}
-    for t, combo in enumerate(kernels):
-        part = [(dom[s][1], dom[s][2][0], c) for s, c in combo.items() if dom[s][0] == c0]
-        weights = {_weight(mon, e) for mon, e, _ in part}
-        if len(weights) != 1:
-            raise StructuralError("H^0 generator %d has the U0 weights %s" % (t, sorted(weights)))
-        by_weight.setdefault(weights.pop(), []).append((t, part))
-    return by_weight
-
-
 def _glue(atlas, labels, combo):
     """The forms {chart id: Superform}, one per chart of the atlas, of a
     combination {t: coeff} of distinct basis labels (chart id, Monomial,
@@ -406,20 +385,8 @@ def cech(space, sheaf, cutoff):
 
 
 # ---------------------------------------------------------------------------
-# de Rham: P^{1|1}, the weight-(0, 0) global sections of degree 0
-
-
-def _derham_p11(atlas, picture):
-    """P^{1|1} de Rham: the weight-(0, 0) global sections of the sheaf
-    (0, picture), read off its Cech solve, are the classes of degree 0."""
-    m01 = _transition(atlas)
-    dom, kernels, _ = _solve(m01, (0, picture))
-    invariant = _by_u0_weight(m01, dom, kernels).get((0, 0), ())
-    return [_glue(atlas, dom, kernels[t]) for t, _ in invariant]
-
-
-# ---------------------------------------------------------------------------
-# de Rham: flat space.
+# de Rham.  On P^{1|1} the torus weights leave the classes theta_S*delta_S
+# (see the module docstring); on flat space a Kunneth argument does.
 #
 # The differential conserves E = (even-coordinate degree) + #dgamma and, for
 # every odd index j, u_j = [theta_j present] + power(dpsi_j) - order(delta_j):
@@ -439,29 +406,35 @@ def _derham_p11(atlas, picture):
 #     between theta*delta^(k+1) and delta^(k).
 # A class therefore needs E = 0, u_j = 1 on T and u_j = 0 off T: u in {0, 1}^n
 # with |u| = p and T = S = supp(u).  That summand is the one form
-# theta_S*delta_S, in degree 0 and with d = 0, so `_flat_derham` writes down
-# the class of each such S without eliminating anything (the tests eliminate
-# the full blocks as the oracle), and `derham` checks it closed, as it checks
-# every class.  From D = 1 on the box |u_j| <= D holds every u in {0, 1}^n;
-# at D = 0 it holds only u = 0.  `derham` states this box rule once.
+# theta_S*delta_S, in degree 0 and with d = 0, so `_derham_classes` writes
+# down the class of each such S without eliminating anything (the tests
+# eliminate the full blocks as the oracle).  From D = 1 on the box
+# |u_j| <= D holds every u in {0, 1}^n; at D = 0 it holds only u = 0.
+# `derham` states this box rule once.
 
 
-def _flat_derham(atlas, picture, listed):
+def _derham_classes(atlas, picture, listed):
     """The classes theta_S*delta_S, one per set S of `picture` odd indices,
-    in u order (u_0 most significant) if listed, else none; the picture is
-    checked either way."""
-    (chart,) = atlas.charts.values()
-    n = len(chart.table.odd_names)
+    in u order (u_0 most significant) if listed, else none, each written on
+    every chart in sorted chart order with the chart's own constant 1; the
+    picture is checked either way."""
+    charts = [atlas.chart(cid) for cid in sorted(atlas.charts)]
+    n = len(charts[0].table.odd_names)
     if not 0 <= picture <= n:
-        raise UnsupportedSpaceError("picture %d not supported on this flat space" % picture)
+        space = "this flat space" if len(charts) == 1 else "P^{1|1}"
+        raise UnsupportedSpaceError("picture %d not supported on %s" % (picture, space))
     # Reversed, the combinations come in u order.
     sets = reversed(list(combinations(range(n), picture))) if listed else ()
-    one = LaurentPoly.const(chart.table.even_names, 1)
     # The 2n pairs, built once and shared by every class.
     thetas = [((TH, j), 1) for j in range(n)]
     deltas = [((DL, j, 0), 1) for j in range(n)]
-    mons = (Monomial._of(tuple([thetas[j] for j in s] + [deltas[j] for j in s])) for s in sets)
-    return [{chart.id: Superform(chart.id, chart.table, {mon: one})} for mon in mons]
+    mons = [Monomial._of(tuple([thetas[j] for j in s] + [deltas[j] for j in s])) for s in sets]
+    classes = [{} for _ in mons]
+    for chart in charts:
+        cid, table, one = chart.id, chart.table, LaurentPoly.const(chart.table.even_names, 1)
+        for parts, mon in zip(classes, mons):
+            parts[cid] = Superform(cid, table, {mon: one})
+    return classes
 
 
 def derham(space, picture, degree_range, cutoff):
@@ -475,20 +448,25 @@ def derham(space, picture, degree_range, cutoff):
     if lo > hi:
         raise StructuralError("empty degree range %r" % (degree_range,))
     atlas, label = _resolve_space(space)
-    # _transition rejects an atlas that is not two 1|1 charts, and the sheaf
-    # basis any picture but 0 or 1.
+    # _transition rejects an atlas that is not two 1|1 charts, before
+    # _derham_classes rejects the picture.
     if cutoff < 0:
         raise StructuralError("cutoff must be non-negative, got %d" % cutoff)
     in_range = lo <= 0 <= hi
     if len(atlas.charts) == 1:
         # The box rule: at D = 0 the box misses every class of a picture p >= 1.
-        stabilized = not (in_range and cutoff == 0 and picture >= 1)
-        classes = _flat_derham(atlas, picture, in_range and stabilized)
+        m01, stabilized = None, not (in_range and cutoff == 0 and picture >= 1)
+        listed = in_range and stabilized
     else:
-        stabilized = True
-        classes = _derham_p11(atlas, picture)
+        m01, stabilized, listed = _transition(atlas), True, True
+    classes = _derham_classes(atlas, picture, listed)
+    # Closed on every chart and, across the transition, glued.
     if not all(exterior_d(form).is_zero() for parts in classes for form in parts.values()):
         raise StructuralError("de Rham class is not closed")
+    if m01 and not all(
+        pullback(m01, parts[m01.target.id]) == parts[m01.source.id] for parts in classes
+    ):
+        raise StructuralError("de Rham class is not glued across the transition")
     return CohomologyReport(
         space=label,
         cutoff=cutoff,
@@ -548,8 +526,18 @@ def pairing_matrix(n, cutoff):
     if _solve(m01, (1, 1))[2] != (generator,):
         raise StructuralError("the H^1(Omega^{1|1}) probe does not single out the generator")
 
-    by_weight = _by_u0_weight(m01, dom, kernels)
+    # The H^0 kernels by the torus weight of their U0 labels: {weight:
+    # [(kernel position, [(M, e, coeff) for each U0 label g^e*M])]}.  A kernel
+    # lies in one weight block and Phi* is injective, so its U0 labels share
+    # one weight.
     c0 = m01.source.id
+    by_weight = {}
+    for t, combo in enumerate(kernels):
+        part = [(dom[s][1], dom[s][2][0], c) for s, c in combo.items() if dom[s][0] == c0]
+        weights = {_weight(mon, e) for mon, e, _ in part}
+        if len(weights) != 1:
+            raise StructuralError("H^0 generator %d has the U0 weights %s" % (t, sorted(weights)))
+        by_weight.setdefault(weights.pop(), []).append((t, part))
     table = m01.source.table
     one = LaurentPoly.const(table.even_names, 1)
     products = {}  # (M1, M2) -> the terms (M, e, s) of M1*M2

@@ -309,6 +309,17 @@ class TestGrammar(unittest.TestCase):
         for text, want in cases.items():
             self.assertEqual(pretty_print(parse(text, T11)), want, msg=text)
 
+    def test_leading_minus_after_expr(self):
+        # argparse takes a bare "-g" after --expr for an option, yet
+        # pretty_print writes such forms: "-g" must act as "--expr=-g".
+        for head, text, want in (
+            (["normalize"], "-g", "-g"),
+            (["normalize"], "-dg*delta'(dpsi)", "-dg*delta'(dpsi)"),
+            (["wedge", "--expr", "g"], "-psi", "-g*psi"),
+        ):
+            for tail in (["--expr", text], ["--expr=" + text]):
+                self.assertEqual(invoke(head + tail), (0, want + "\n", ""), msg=tail)
+
     def test_error_positions(self):
         cases = {
             "psi^-1": 6,
@@ -780,6 +791,16 @@ class TestExitCodes(unittest.TestCase):
             self.assertEqual(json.loads(out)["error"], {"kind": "parse", "message": message})
         # A one-degree range is not empty.
         self.assertEqual(invoke(["derham", "--range", "1:1"])[0], 0)
+
+    def test_bad_expr_with_leading_minus_is_a_parse_error(self):
+        # A bare "-q" after --expr reaches the parser, which names the
+        # unknown coordinate, in text and --json.
+        message = "unknown coordinate 'q' (at position 1)"
+        code, out, err = invoke(["normalize", "--expr", "-q"])
+        self.assertEqual((code, out, err), (2, "", "error (parse): %s\n" % message))
+        code, out, _ = invoke(["normalize", "--expr", "-q", "--json"])
+        self.assertEqual(code, 2)
+        self.assertEqual(json.loads(out)["error"], {"kind": "parse", "message": message})
 
     def test_bad_sheaf_label_is_2(self):
         code, _, _ = invoke(["cech", "--sheaf", "bogus"])
