@@ -29,13 +29,15 @@ integer digit limit is a parse error at its token, and so is a piece's power
 as soon as a coefficient passes that limit while it is squared.
 
 Exit codes: 0 success, 2 parse or usage error (such as a negative --cutoff or
---n, or an empty --range), 3 computation error, 4 stabilization failure (only flat de Rham can fail to
-stabilize).  With --json every report is a
-single versioned JSON object.
+--n, or an empty --range), 3 computation error, 4 stabilization failure (only
+flat de Rham can fail to stabilize), 141 output pipe closed early by its reader.
+A command computes one payload; the run writes it once, as one versioned JSON
+object with --json, otherwise as the text lines read off that payload alone.
 """
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -449,25 +451,13 @@ def _single_form(args, chart_id):
     return atlas, chart, parse(args.expr[0], chart.table, chart.id)
 
 
-def _emit(args, payload, lines):
-    if args.json:
-        payload["schema"] = SCHEMA_VERSION
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-
-
-def _emit_form(args, payload, form):
-    """Print form, or emit it as payload's "form"."""
-    payload["form"] = text = pretty_print(form)
-    _emit(args, payload, [text])
-    return 0
+def _form_text(payload):
+    return [payload["form"]]
 
 
 def _cmd_normalize(args):
     _, chart, form = _single_form(args, args.chart)
-    return _emit_form(args, {"chart": chart.id}, form)
+    return {"chart": chart.id, "form": pretty_print(form)}, 0
 
 
 def _cmd_wedge(args):
@@ -475,110 +465,105 @@ def _cmd_wedge(args):
     if len(args.expr) < 2:
         raise FormParseError("wedge needs at least two --expr operands", 0)
     forms = [parse(t, chart.table, chart.id) for t in args.expr]
-    return _emit_form(args, {"chart": chart.id}, reduce(wedge, forms))
+    return {"chart": chart.id, "form": pretty_print(reduce(wedge, forms))}, 0
 
 
 def _cmd_d(args):
     _, chart, form = _single_form(args, args.chart)
-    return _emit_form(args, {"chart": chart.id}, exterior_d(form))
+    return {"chart": chart.id, "form": pretty_print(exterior_d(form))}, 0
 
 
 def _cmd_pullback(args):
     atlas, _, form = _single_form(args, args.target)
     morphism = atlas.transition(args.chart, args.target)
-    return _emit_form(args, {"chart": args.chart, "target": args.target}, pullback(morphism, form))
+    return {"chart": args.chart, "target": args.target, "form": pretty_print(pullback(morphism, form))}, 0
+
+
+def _charts(parts):
+    """{chart id: text} of one class, one pretty_print per chart form."""
+    return {cid: pretty_print(parts[cid]) for cid in sorted(parts)}
 
 
 def _cmd_cech(args):
     atlas, label = _space_atlas(args)
     sheaf = _parse_sheaf(args.sheaf)
     report = cohomology.cech(atlas, sheaf, args.cutoff)
-    gens_h0 = [
-        {cid: pretty_print(parts[cid]) for cid in sorted(parts)}
-        for parts in report.generators_h0
-    ]
-    gens_h1 = [pretty_print(g) for g in report.generators_h1]
-    payload = {
+    gens = {"h0": [_charts(p) for p in report.generators_h0], "h1": [pretty_print(g) for g in report.generators_h1]}
+    return {
         "space": label,
         "sheaf": "%d|%d" % sheaf,
         "cutoff": args.cutoff,
         "h0": report.h0,
         "h1": report.h1,
-        "generators": {"h0": gens_h0, "h1": gens_h1},
+        "generators": gens,
         "stabilized": report.stabilized,
-    }
-    lines = [
-        "space %s sheaf %d|%d cutoff %d" % (label, sheaf[0], sheaf[1], args.cutoff),
-        "h0 = %d" % report.h0,
-        "h1 = %d" % report.h1,
-    ]
-    for k, parts in enumerate(gens_h0):
+    }, 0
+
+
+def _cech_text(p):
+    lines = ["space %(space)s sheaf %(sheaf)s cutoff %(cutoff)d" % p, "h0 = %(h0)d" % p, "h1 = %(h1)d" % p]
+    for k, parts in enumerate(p["generators"]["h0"]):
         lines += ["h0[%d] %s: %s" % (k, cid, text) for cid, text in parts.items()]
-    for k, g in enumerate(gens_h1):
-        lines.append("h1[%d] overlap: %s" % (k, g))
-    lines.append("stabilized = %s" % report.stabilized)
-    _emit(args, payload, lines)
-    return 0
+    lines += ["h1[%d] overlap: %s" % item for item in enumerate(p["generators"]["h1"])]
+    lines.append("stabilized = %(stabilized)s" % p)
+    return lines
 
 
 def _cmd_derham(args):
     atlas, label = _space_atlas(args)
-    if args.range:
-        lo, hi = _parse_range(args.range)
-    elif args.picture == 0:
-        lo, hi = 0, 4
-    else:
-        lo, hi = -4, 1
-    report = cohomology.derham(atlas, args.picture, (lo, hi), args.cutoff)
-    dims = {"%d|%d" % key: val for key, val in sorted(report.dims.items())}
-    gens = {
-        str(i): [{cid: pretty_print(parts[cid]) for cid in sorted(parts)} for parts in group]
-        for i, group in report.generators.items()
-    }
-    payload = {
+    degrees = _parse_range(args.range) if args.range else (0, 4) if args.picture == 0 else (-4, 1)
+    report = cohomology.derham(atlas, args.picture, degrees, args.cutoff)
+    return {
         "space": label,
         "sheaf": None,
         "cutoff": args.cutoff,
         "picture": args.picture,
-        "dims": dims,
-        "generators": gens,
+        "dims": {"%d|%d" % key: val for key, val in sorted(report.dims.items())},
+        "generators": {str(i): [_charts(parts) for parts in group] for i, group in report.generators.items()},
         "stabilized": report.stabilized,
-    }
-    lines = ["space %s picture %d cutoff %d" % (label, args.picture, args.cutoff)]
-    lines += ["H^{%s} = %d" % item for item in dims.items()]
-    for i, group in gens.items():
+    }, 0 if report.stabilized else 4
+
+
+def _by_degree(item):
+    """The degree i of an ("i|j", ...) or ("i", ...) item; JSON sorts keys as strings."""
+    return int(item[0].partition("|")[0])
+
+
+def _derham_text(p):
+    lines = ["space %(space)s picture %(picture)d cutoff %(cutoff)d" % p]
+    lines += ["H^{%s} = %d" % item for item in sorted(p["dims"].items(), key=_by_degree)]
+    for i, group in sorted(p["generators"].items(), key=_by_degree):
         for k, parts in enumerate(group):
-            lines += ["H^{%s|%d}[%d] %s: %s" % (i, args.picture, k, *row) for row in parts.items()]
-    lines.append("stabilized = %s" % report.stabilized)
-    _emit(args, payload, lines)
-    return 0 if report.stabilized else 4
+            lines += ["H^{%s|%d}[%d] %s: %s" % (i, p["picture"], k, *row) for row in parts.items()]
+    lines.append("stabilized = %(stabilized)s" % p)
+    return lines
 
 
 def _cmd_pair(args):
     matrix, rank = cohomology.pairing_matrix(args.n, args.cutoff)
-    payload = {
+    return {
         "space": "p11",
         "n": args.n,
         "cutoff": args.cutoff,
         "rank": rank,
         "size": len(matrix),
         "matrix": [[str(v) for v in row] for row in matrix],
-    }
-    lines = ["pairing n=%d size=%d rank=%d" % (args.n, len(matrix), rank)]
-    for row in matrix:
-        lines.append("  ".join(str(v) for v in row))
-    _emit(args, payload, lines)
-    return 0
+    }, 0
+
+
+def _pair_text(p):
+    return ["pairing n=%(n)d size=%(size)d rank=%(rank)d" % p] + ["  ".join(row) for row in p["matrix"]]
 
 
 def _cmd_integrate(args):
     _, chart, form = _single_form(args, args.chart)
-    reduced = berezin_reduce(form)
+    reduced = Superform.from_poly(chart.id, chart.table, berezin_reduce(form))
     residue = berezin_integral(form)
-    reduced_text = pretty_print(Superform.from_poly(chart.id, chart.table, reduced))
-    payload = {"chart": chart.id, "reduced": reduced_text, "residue": str(residue)}
-    _emit(args, payload, ["reduced = %s" % reduced_text, "residue = %s" % residue])
-    return 0
+    return {"chart": chart.id, "reduced": pretty_print(reduced), "residue": str(residue)}, 0
+
+
+def _integrate_text(p):
+    return ["reduced = %(reduced)s" % p, "residue = %(residue)s" % p]
 
 
 def _cmd_selftest(args):
@@ -607,10 +592,11 @@ def _cmd_selftest(args):
     checks.append(("pairing n=0 rank 4", rank == 4))
 
     ok = all(flag for _, flag in checks)
-    payload = {"checks": [{"name": n, "passed": bool(f)} for n, f in checks], "passed": ok}
-    lines = ["%s %s" % ("PASS" if f else "FAIL", n) for n, f in checks]
-    _emit(args, payload, lines)
-    return 0 if ok else 3
+    return {"checks": [{"name": n, "passed": bool(f)} for n, f in checks], "passed": ok}, 0 if ok else 3
+
+
+def _selftest_text(p):
+    return ["%s %s" % ("PASS" if c["passed"] else "FAIL", c["name"]) for c in p["checks"]]
 
 
 _FLAGS = {
@@ -631,15 +617,15 @@ _FLAGS = {
     "n": dict(type=int, required=True, help="pairing index n >= 0"),
 }
 _COMMANDS = (
-    ("normalize", "normalize an expression", _cmd_normalize, "space atlas json chart expr"),
-    ("wedge", "wedge two or more expressions", _cmd_wedge, "space atlas json chart expr"),
-    ("d", "exterior differential", _cmd_d, "space atlas json chart expr"),
-    ("pullback", "pull a form back along a transition", _cmd_pullback, "space atlas json chart target expr"),
-    ("cech", "Cech cohomology of a sheaf Omega^{i|j}", _cmd_cech, "space atlas json cutoff sheaf"),
-    ("derham", "holomorphic de Rham cohomology", _cmd_derham, "space atlas json cutoff picture range"),
-    ("pair", "cohomological pairing matrix and rank on P^{1|1}", _cmd_pair, "json cutoff n"),
-    ("integrate", "Berezin reduction and bosonic residue", _cmd_integrate, "space atlas json chart expr"),
-    ("selftest", "run the built-in verification battery", _cmd_selftest, "json"),
+    ("normalize", "normalize an expression", _cmd_normalize, _form_text, "space atlas json chart expr"),
+    ("wedge", "wedge two or more expressions", _cmd_wedge, _form_text, "space atlas json chart expr"),
+    ("d", "exterior differential", _cmd_d, _form_text, "space atlas json chart expr"),
+    ("pullback", "pull a form back along a transition", _cmd_pullback, _form_text, "space atlas json chart target expr"),
+    ("cech", "Cech cohomology of a sheaf Omega^{i|j}", _cmd_cech, _cech_text, "space atlas json cutoff sheaf"),
+    ("derham", "holomorphic de Rham cohomology", _cmd_derham, _derham_text, "space atlas json cutoff picture range"),
+    ("pair", "cohomological pairing matrix and rank on P^{1|1}", _cmd_pair, _pair_text, "json cutoff n"),
+    ("integrate", "Berezin reduction and bosonic residue", _cmd_integrate, _integrate_text, "space atlas json chart expr"),
+    ("selftest", "run the built-in verification battery", _cmd_selftest, _selftest_text, "json"),
 )
 
 
@@ -649,11 +635,11 @@ def _build_parser():
         description="Integral-form algebra and cohomology of supermanifolds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, handler, flags in _COMMANDS:
+    for name, help_text, handler, text, flags in _COMMANDS:
         sp = sub.add_parser(name, help=help_text)
         for flag in flags.split():
             sp.add_argument("--" + flag, **_FLAGS[flag])
-        sp.set_defaults(func=handler)
+        sp.set_defaults(func=handler, text=text)
     return parser
 
 
@@ -678,39 +664,35 @@ def _merge_negative_values(argv):
 
 
 def run_command(argv):
-    """Execute one CLI invocation; returns the exit status."""
-    parser = _build_parser()
-    args = parser.parse_args(_merge_negative_values(argv))
-    json_mode = getattr(args, "json", False)
+    """Execute one CLI invocation, then write its one report; returns the exit status."""
+    args = _build_parser().parse_args(_merge_negative_values(argv))
+    text = args.text
     try:
         for flag in ("cutoff", "n"):
             if getattr(args, flag, 0) < 0:
                 raise FormParseError("--%s must be non-negative, got %d" % (flag, getattr(args, flag)))
-        return args.func(args)
+        payload, code = args.func(args)
     except FormParseError as exc:
-        _report_error(json_mode, "parse", exc)
-        return 2
-    except (
-        StructuralError,
-        UnsupportedMorphismError,
-        UnsupportedSpaceError,
-        NotATopFormError,
-        OSError,
-    ) as exc:
-        _report_error(json_mode, "computation", exc)
-        return 3
-
-
-def _report_error(json_mode, kind, exc):
-    if json_mode:
-        print(
-            json.dumps(
-                {"schema": SCHEMA_VERSION, "error": {"kind": kind, "message": str(exc)}},
-                sort_keys=True,
-            )
-        )
+        payload, code, text = {"error": {"kind": "parse", "message": str(exc)}}, 2, None
+    except (StructuralError, UnsupportedMorphismError, UnsupportedSpaceError, NotATopFormError, OSError) as exc:
+        payload, code, text = {"error": {"kind": "computation", "message": str(exc)}}, 3, None
+    if args.json:
+        payload["schema"] = SCHEMA_VERSION
+        stream, lines = sys.stdout, [json.dumps(payload, sort_keys=True)]
+    elif text is None:
+        stream, lines = sys.stderr, ["error (%(kind)s): %(message)s" % payload["error"]]
     else:
-        print("error (%s): %s" % (kind, exc), file=sys.stderr)
+        stream, lines = sys.stdout, text(payload)
+    try:
+        # Each line and newline is its own write, as with print: a large write
+        # cut short by a closed pipe does not raise, the write after it does.
+        print(*lines, sep="\n", file=stream, flush=True)
+    except BrokenPipeError:
+        # The reader left early: write nothing more (os.devnull keeps the flush
+        # at exit quiet) and exit 128 + SIGPIPE, as a shell reports `yes | head`.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return 141
+    return code
 
 
 def main(argv=None):

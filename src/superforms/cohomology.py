@@ -347,15 +347,17 @@ def _solve(m01, sheaf):
 def _glue(atlas, labels, combo):
     """The forms {chart id: Superform}, one per chart of the atlas, of a
     combination {t: coeff} of distinct basis labels (chart id, Monomial,
-    exponent tuple); terms appear in the order of the combination."""
+    exponent tuple); terms appear in the order of the combination.  The
+    labels are clean, so the polynomials are wrapped unchecked; a non-zero
+    coefficient that is not a Fraction is converted."""
     terms = {cid: {} for cid in sorted(atlas.charts)}
     for t, c in combo.items():
         cid, mon, exps = labels[t]
-        terms[cid].setdefault(mon, {})[exps] = c
+        terms[cid].setdefault(mon, {})[exps] = c if c.__class__ is Fraction else Fraction(c)
     parts = {}
     for cid, by_mon in terms.items():
         table = atlas.chart(cid).table
-        lps = {mon: LaurentPoly(table.even_names, coeffs) for mon, coeffs in by_mon.items()}
+        lps = {mon: LaurentPoly._of(table.even_names, coeffs) for mon, coeffs in by_mon.items()}
         parts[cid] = Superform(cid, table, lps)
     return parts
 

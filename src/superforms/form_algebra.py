@@ -139,10 +139,12 @@ class GeneratorTable:
 class Monomial:
     """Normal-form factor content of one term: its (atom, power) pairs in
     normal order (dpsi_j^p one pair, every other power 1), one tuple with its
-    hash computed once; `_of` wraps such a tuple, `powers` returns it.  The
-    field constructor and read-only views, for library callers and tests:
-    thetas / devens, sorted index tuples (no repeats); dodds ((j, power>0),
-    ...); deltas ((j, order>=0), ...) on indices that dodds does not use."""
+    hash computed once; `_of` wraps such a tuple unchecked, `powers` returns
+    it.  The field constructor and read-only views, for library callers and
+    tests: thetas / devens, sorted index tuples (no repeats); dodds ((j, int
+    power>0), ...); deltas ((j, int order>=0), ...) on indices that dodds does
+    not use, both sorted by j with no repeats.  Any other fields would give
+    silently wrong forms (psi1*psi1 for thetas=(0, 0)) and raise StructuralError."""
 
     __slots__ = ("_pairs", "_hash")
 
@@ -150,6 +152,13 @@ class Monomial:
         pairs = [((TH, j), 1) for j in thetas] + [((DG, i), 1) for i in devens]
         pairs = tuple(pairs + [((DP, j), p) for j, p in dodds] + [((DL, j, k), 1) for j, k in deltas])
         self._pairs, self._hash = pairs, hash(pairs)
+        # A normal form is its own `_add_normal` image; the dpsi powers (>= 1)
+        # and delta orders (>= 0), which `_add_normal` takes as given, are ints.
+        image = {}
+        _add_normal(image, pairs, LaurentPoly._of((), {(): Fraction(1)}))
+        counts = [p - 1 if a[0] == DP else a[2] for a, p in pairs if a[0] >= DP]
+        if list(image) != [self] or not all(isinstance(n, int) and n >= 0 for n in counts):
+            raise StructuralError("%r is not in normal form" % self)
 
     @classmethod
     def _of(cls, pairs):
@@ -196,7 +205,7 @@ class Monomial:
         return self._pairs[::-1]
 
 
-UNIT_MONOMIAL = Monomial()
+UNIT_MONOMIAL = Monomial._of(())
 
 
 class Superform:
@@ -472,7 +481,11 @@ def delta_expand(order, argument):
 def _wedge_power(form, k, check=None):
     """form^k for k >= 0 by squaring, most significant bit first (so k <= 3
     wedges as k wedges from the left would), stopping at a zero power.
-    check, if given, is called on each power on the way and may raise."""
+    check, if given, is called on each power on the way and may raise.  The
+    constants 1 and -1 take their power as (+-1)^(k mod 2), with no wedge."""
+    lp = form.terms.get(UNIT_MONOMIAL) if len(form.terms) == 1 else None
+    if lp is not None and len(lp.terms) == 1 and abs(lp.terms.get((0,) * len(lp.variables), 0)) == 1:
+        k %= 2
     if not k:
         return Superform.constant(form.chart, form.table, 1)
     out = form

@@ -9,6 +9,7 @@ import os
 import random
 import re
 import string
+import subprocess
 import sys
 import tempfile
 import time
@@ -39,7 +40,8 @@ from superforms import (
     theta,
     wedge,
 )
-from superforms.cli import _build_parser
+import superforms
+from superforms.cli import _build_parser, _merge_negative_values
 from superforms.form_algebra import _NAME_RE, _add_terms
 
 from formgen import random_form
@@ -692,6 +694,78 @@ class TestCommands(unittest.TestCase):
         first = invoke(argv)
         second = invoke(argv)
         self.assertEqual(first, second)
+
+
+# The CLI determinism set: every command, with exit codes 0 and 4.
+DETERMINISM_SET = [
+    ["normalize", "--expr", "dpsi*dpsi*delta''(dpsi)"],
+    ["wedge", "--expr", "psi*dg", "--expr", "delta(dpsi)"],
+    ["d", "--expr", "g^3*psi*delta'(dpsi)"],
+    ["pullback", "--chart", "U1", "--target", "U0", "--expr", "delta(dpsi)"],
+    ["cech", "--sheaf", "-2|1", "--cutoff", "10"],
+    ["cech", "--sheaf", "5|0", "--cutoff", "3"],
+    ["cech", "--sheaf", "0|0", "--cutoff", "8"],
+    ["derham", "--picture", "1", "--range", "-12:3"],
+    ["derham", "--picture", "0", "--range", "0:11"],
+    ["derham", "--space", "flat:2,3", "--picture", "1", "--range", "-11:11", "--cutoff", "0"],
+    ["derham", "--space", "flat:2,4", "--picture", "2", "--range", "-2:2"],
+    ["pair", "--n", "3", "--cutoff", "10"],
+    ["integrate", "--expr", "3/2*g^-1*psi*dg*delta(dpsi) + g^2*psi*dg*delta(dpsi)"],
+    ["selftest"],
+]
+
+
+class TestOneWrite(unittest.TestCase):
+    def test_determinism_set_is_deterministic(self):
+        codes = set()
+        for argv in DETERMINISM_SET:
+            for flags in ([], ["--json"]):
+                first = invoke(argv + flags)
+                self.assertEqual(invoke(argv + flags), first, msg=argv + flags)
+                codes.add(first[0])
+        self.assertEqual(codes, {0, 4})
+        with mock.patch("superforms.cohomology.pairing_matrix", return_value=([], 3)):
+            self.assertEqual(invoke(["selftest"])[0], 3)
+
+    def test_text_is_read_off_the_json_payload(self):
+        # The text report is the command's renderer applied to the --json
+        # payload without its schema: JSON sorts the keys, so a renderer that
+        # read anything else, or relied on key order, would differ.
+        for argv in DETERMINISM_SET:
+            code, text, err = invoke(argv)
+            json_code, out, json_err = invoke(argv + ["--json"])
+            payload = json.loads(out)
+            self.assertEqual(payload.pop("schema"), 1)
+            render = _build_parser().parse_args(_merge_negative_values(argv)).text
+            self.assertEqual(text, "".join(line + "\n" for line in render(payload)), msg=argv)
+            self.assertEqual((code, err), (json_code, json_err), msg=argv)
+
+
+def closed_pipe_run(argv, read=0):
+    """Run the CLI in a fresh interpreter and close its stdout pipe after
+    reading the first `read` bytes; returns (exit code, stderr)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(superforms.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "superforms"] + argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    if read:
+        os.read(proc.stdout.fileno(), read)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(), err
+
+
+class TestClosedPipe(unittest.TestCase):
+    def test_closed_pipe_exits_141_quietly(self):
+        # A reader that stops early is no computation error: the run writes
+        # nothing more, stderr stays empty and the exit is 128 + SIGPIPE.
+        # Both reports are larger than a pipe holds (64 KiB on Linux), so
+        # after the first 10 bytes the pipe closes while the run still writes.
+        for argv in (["derham", "--picture", "1", "--range=-4000:3", "--json"], ["pair", "--n", "64"]):
+            for read in (0, 10):
+                self.assertEqual(closed_pipe_run(argv, read), (141, b""), msg=(argv, read))
 
 
 def _actions(parser):

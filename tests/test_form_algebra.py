@@ -1,6 +1,7 @@
 """Tests for the graded form algebra: normal form, wedge, d, and pairing."""
 
 import random
+import sys
 import unittest
 from fractions import Fraction
 from math import factorial
@@ -559,6 +560,24 @@ class TestWedgePower(unittest.TestCase):
         self.assertEqual(ctx.exception.args[0], form_algebra._wedge_power(a, 2))
 
 
+    def test_unit_constants_take_their_power_mod_two(self):
+        # 1^k and (-1)^k are (+-1)^(k mod 2), with no wedge: a 4300-digit k
+        # took about 14,300 squarings, while 2^k is rejected at once.
+        digits = sys.get_int_max_str_digits() or 4300
+        for last, odd in (("9", True), ("8", False)):
+            k = "9" * (digits - 1) + last
+            cases = {"1^" + k: "1", "(1)^" + k: "1", "(-1)^" + k: "-1" if odd else "1", "-1^" + k: "-1"}
+            for text, want in cases.items():
+                with mock.patch.object(form_algebra, "wedge", wraps=wedge) as counted:
+                    got = parse(text, T11)
+                self.assertEqual(counted.call_count, 0, msg=text[:8])
+                self.assertEqual(strict_form(got), strict_form(parse(want, T11)), msg=text[:8])
+        for sign in (1, -1):
+            unit = Superform.constant("U0", T22, sign)
+            for k in range(6):
+                self.assertEqual(form_algebra._wedge_power(unit, k), Superform.constant("U0", T22, sign**k))
+
+
 class TestBidegree(unittest.TestCase):
     def test_components_partition(self):
         rng = random.Random(7)
@@ -618,6 +637,30 @@ class TestMonomialSurface(unittest.TestCase):
         self.assertNotEqual(Monomial((0,)), Monomial((), (0,)))
         with self.assertRaises(AttributeError):
             unit.thetas = (0,)
+
+    def test_constructor_rejects_fields_not_in_normal_form(self):
+        # Stored unchecked, such fields gave silently wrong forms on a 1|2
+        # chart: psi2*psi1 + psi1*psi2, which is not zero, dpsi1*delta(dpsi1),
+        # which contracts to 0, and psi1*psi1.
+        bad = [
+            dict(thetas=(1, 0)),
+            dict(dodds=((0, 1),), deltas=((0, 0),)),
+            dict(thetas=(0, 0)),
+            dict(devens=(1, 0)),
+            dict(dodds=((1, 1), (0, 1))),
+            dict(dodds=((0, 0),)),
+            dict(dodds=((0, 1.5),)),
+            dict(deltas=((0, 0), (0, 1))),
+            dict(deltas=((1, 0), (0, 0))),
+            dict(deltas=((0, -1),)),
+            dict(deltas=((0, 1.0),)),
+        ]
+        for fields in bad:
+            with self.assertRaises(StructuralError, msg=fields) as caught:
+                Monomial(**fields)
+            self.assertIn("is not in normal form", str(caught.exception))
+        mon = Monomial((0, 1), (0,), ((0, 2),), ((1, 3),))
+        self.assertEqual(mon.powers(), (((TH, 0), 1), ((TH, 1), 1), ((DG, 0), 1), ((DP, 0), 2), ((DL, 1, 3), 1)))
 
     def test_not_a_top_form_messages(self):
         # The messages embed the Monomial repr; each check is reached in turn.
