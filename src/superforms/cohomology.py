@@ -28,10 +28,10 @@ its columns in their global (chart, monomial, exponent) order, so the
 kernels come out as from one eliminator for the whole system; the unit
 vectors of the rows are inserted after the columns, and the rows they leave
 unhit are the H^1 representatives.  `cech` is therefore exact at every
-cutoff.  The pairing is block-diagonal by weight: it pairs only labels of
-weight sum (0, 0), where H^1(Omega^{1|1}) is one row hit by no coboundary,
-and reads each entry off the `_solve` labels as the coefficient of that row,
-forming one product per pair of sheaf monomials.
+cutoff.  The pairing reads each entry off the `_solve` labels as the Berezin
+trace of a product, its coefficient of theta*dg*delta(dpsi) at g^-1, which
+only weight (0, 0) carries, so it pairs only labels of weight sum (0, 0),
+reduces one product per pair of sheaf monomials and certifies itself perfect.
 
 P^{1|1} de Rham is the cohomology of the complex of global sections.  d
 keeps the torus weight (dg scales like g, dpsi like psi), so that complex is
@@ -81,6 +81,7 @@ from itertools import combinations
 from types import MappingProxyType
 
 from .atlas_morphism import builtin_flat, builtin_p11, pullback
+from .berezin import berezin_reduce
 from .coeff_ring import LaurentPoly, _axpy
 from .errors import (
     StructuralError,
@@ -348,12 +349,12 @@ def _glue(atlas, labels, combo):
     """The forms {chart id: Superform}, one per chart of the atlas, of a
     combination {t: coeff} of distinct basis labels (chart id, Monomial,
     exponent tuple); terms appear in the order of the combination.  The
-    labels are clean, so the polynomials are wrapped unchecked; a non-zero
-    coefficient that is not a Fraction is converted."""
+    labels are clean, so the polynomials are wrapped unchecked and the
+    coefficients, Fractions like those of the solve kernels, kept as given."""
     terms = {cid: {} for cid in sorted(atlas.charts)}
     for t, c in combo.items():
         cid, mon, exps = labels[t]
-        terms[cid].setdefault(mon, {})[exps] = c if c.__class__ is Fraction else Fraction(c)
+        terms[cid].setdefault(mon, {})[exps] = c
     parts = {}
     for cid, by_mon in terms.items():
         table = atlas.chart(cid).table
@@ -501,18 +502,20 @@ def _resolve_space(space):
 def pairing_matrix(n, cutoff):
     """Cohomological pairing H^1(Omega^{n+1|0}) x H^0(Omega^{-n|1}) -> Q.
 
-    The H^1(Omega^{1|1}) generator psi*dg*delta(dpsi)/g has torus weight
-    (0, 0), and a product of weights w1 and w2 has weight w1 + w2, so the
-    matrix is block-diagonal by weight: a representative g^e1*M1 of weight w
-    meets only the H^0 generators whose U0 part has weight -w, and every
-    other entry is zero.  The weight-(0, 0) block of Omega^{1|1} is the
-    generator's row alone, hit by no coboundary, so an entry is the
-    product's coefficient on the generator.  Both factors are read off the
-    `_solve` labels, with no form glued: the product of g^e1*M1 with a U0
-    label g^e2*M2 is g^(e1+e2)*(M1*M2), and M1*M2 comes from one `pair` per
-    pair of sheaf monomials (at most 16).  Returns (matrix rows, exact
-    rank), the rank summed over the weight blocks; the cutoff must be
-    non-negative and does not change the answer.
+    An entry is the trace of the product, an Omega^{1|1} form: its Berezin
+    integral, the coefficient of theta*dg*delta(dpsi) at g^-1.  The trace
+    vanishes on coboundaries, since s0 has no g^-1 term and, by the residue
+    theorem, neither has Phi*(s1).  A product of torus weights w1 and w2 has
+    weight w1 + w2 and the trace sees only weight (0, 0), so the matrix is
+    block-diagonal by weight: a representative g^e1*M1 of weight w meets
+    only the H^0 generators whose U0 part has weight -w, and every other
+    entry is zero.  Both factors are read off the `_solve` labels, with no
+    form glued: the product of g^e1*M1 with a U0 label g^e2*M2 is
+    g^(e1+e2)*(M1*M2), and M1*M2 is formed and reduced once per pair of
+    sheaf monomials (at most 16).  Returns (matrix rows, exact rank), the
+    rank summed over the weight blocks, after certifying the pairing
+    perfect: a rank short of either dimension raises StructuralError.  The
+    cutoff must be non-negative and does not change the answer.
     """
     if n < 0:
         raise StructuralError("pairing index must be non-negative")
@@ -521,12 +524,6 @@ def pairing_matrix(n, cutoff):
     m01 = _transition(builtin_p11())
     reps = _solve(m01, (n + 1, 0))[2]
     dom, kernels, _ = _solve(m01, (-n, 1))
-
-    # The probe certifies that no column of Omega^{1|1} hits the generator's
-    # row, the weight-(0, 0) block, so a product is read off by its coefficient.
-    generator = (Monomial((0,), (0,), (), ((0, 0),)), -1)
-    if _solve(m01, (1, 1))[2] != (generator,):
-        raise StructuralError("the H^1(Omega^{1|1}) probe does not single out the generator")
 
     # The H^0 kernels by the torus weight of their U0 labels: {weight:
     # [(kernel position, [(M, e, coeff) for each U0 label g^e*M])]}.  A kernel
@@ -542,36 +539,36 @@ def pairing_matrix(n, cutoff):
         by_weight.setdefault(weights.pop(), []).append((t, part))
     table = m01.source.table
     one = LaurentPoly.const(table.even_names, 1)
-    products = {}  # (M1, M2) -> the terms (M, e, s) of M1*M2
+    reduced = {}  # (M1, M2) -> the Berezin reduction of M1*M2
 
-    def unit_product(m1, m2):
-        if (m1, m2) not in products:
+    def trace(m1, m2, e):
+        # The trace of g^e*(M1*M2): the coefficient of g^(-1-e) in its reduction.
+        if (m1, m2) not in reduced:
             form = pair(Superform(c0, table, {m1: one}), Superform(c0, table, {m2: one}))
-            products[m1, m2] = [(m, e, s) for m, lp in form.terms.items() for (e,), s in lp.terms.items()]
-        return products[m1, m2]
+            reduced[m1, m2] = berezin_reduce(form)
+        return reduced[m1, m2].coefficient((-1 - e,))
 
     matrix, blocks = [], {}
     for m1, e1 in reps:
         lam, mu = _weight(m1, e1)
         entries = {}
         for t, part in by_weight.get((-lam, -mu), ()):
-            coeffs = {}
-            for m2, e2, c in part:
-                _axpy(coeffs, (((m, e1 + e2 + e), s) for m, e, s in unit_product(m1, m2)), c)
-            if not coeffs.keys() <= {generator}:
-                raise StructuralError(
-                    "pairing product of g^%d*%r and H^0 generator %d is no multiple of the "
-                    "generator: %r" % (e1, m1, t, coeffs)
-                )
-            if coeffs:
-                entries[t] = coeffs[generator]
+            entry = sum(c * trace(m1, m2, e1 + e2) for m2, e2, c in part)
+            if entry:
+                entries[t] = entry
         blocks.setdefault((lam, mu), []).append(entries)
         row = [Fraction(0)] * len(kernels)
         for t, c in entries.items():
             row[t] = c
         matrix.append(row)
 
-    return matrix, sum(_eliminate(rows)[0].rank for rows in blocks.values())
+    rank = sum(_eliminate(rows)[0].rank for rows in blocks.values())
+    if not rank == len(reps) == len(kernels):
+        raise StructuralError(
+            "the pairing of n = %d is not perfect: rank %d of a %dx%d matrix"
+            % (n, rank, len(reps), len(kernels))
+        )
+    return matrix, rank
 
 
 @dataclass
@@ -594,16 +591,7 @@ def cech_derham_check(cutoff):
     report = derham(atlas, 1, (0, 1), cutoff)
     dr = {i: report.dims[(i, 1)] for i in (0, 1)}
 
-    # Constant sheaf on the two-chart cover: the generator is global, so the
-    # coboundary matrix is (c0, c1) |-> c0 - c * c1 on the overlap span.
-    table = atlas.chart("U1").table
-    gen = Monomial((0,), (), (), ((0, 0),))
-    one = LaurentPoly.const(table.even_names, 1)
-    pulled = pullback(atlas.transition("U0", "U1"), Superform("U1", table, {gen: one}))
-    # Only c*gen with c a non-zero constant (the one exponent (0,)) passes.
-    if list(pulled.terms) != [gen] or list(pulled.terms[gen].terms) != [(0,)]:
-        raise StructuralError("constant-sheaf generator is not preserved by the transition")
-    # The matrix [1, -c] of a preserved generator has rank 1 for every c != 0.
+    # `derham` glued psi*delta(dpsi), so its constant sheaf's (c0, c1) |-> c0 - c1 has rank 1.
     cech_dims = {0: 1, 1: 0}
 
     # Kunneth: base = theta-free picture-0 global complex of P^1; fiber = C^{0|1}.

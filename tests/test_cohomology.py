@@ -27,6 +27,7 @@ from superforms import (
     Superform,
     UnsupportedMorphismError,
     UnsupportedSpaceError,
+    berezin_integral,
     builtin_flat,
     builtin_p11,
     cech,
@@ -53,7 +54,7 @@ from superforms.cohomology import (
     p11_sheaf_monomials,
 )
 
-from formgen import scaled_atlas, strict_form
+from formgen import random_poly, scaled_atlas, strict_form
 
 P11 = builtin_p11()
 ACCEPTANCE_SHEAVES = (
@@ -605,7 +606,7 @@ class TestWeightBlocks(unittest.TestCase):
                 want_h0 = [
                     [(cid, strict_form(f)) for cid, f in _glue(atlas, dom, k).items()] for k in kernels
                 ]
-                want_h1 = [strict_form(_glue(atlas, [(c0, m, (e,))], {0: 1})[c0]) for m, e in reps]
+                want_h1 = [strict_form(_glue(atlas, [(c0, m, (e,))], {0: Fraction(1)})[c0]) for m, e in reps]
                 for cutoff in range(13):
                     report = cech(atlas, sheaf, cutoff)
                     got_h0 = [
@@ -1298,19 +1299,73 @@ class TestPairingMatrix(unittest.TestCase):
         self.assertEqual(rank, 20)
         self.assertEqual((matrix, rank), pairing_matrix(4, 13))
 
-    def test_product_off_the_generator_is_structural(self):
-        # An entry is the coefficient on psi*dg*delta(dpsi)/g.  Each product
-        # of sheaf monomials M1*M2 is read at g^(e1+e2); a stray term there,
-        # another monomial or another power of g, has no such reading.
+    def test_theta_free_term_changes_nothing(self):
+        # An entry is the Berezin trace of the product, which reads only the
+        # theta*dg*delta(dpsi) terms, so a theta-free term dg*delta(dpsi)*g^e
+        # added to every product, at any power of g, changes no entry.
         table = P11.chart("U0").table
-        volume = Monomial((0,), (0,), (), ((0, 0),))
-        for mon, e in ((Monomial((), (0,), (), ((0, 0),)), 0), (volume, 1)):
+        theta_free = Monomial((), (0,), (), ((0, 0),))
+        want = {n: pairing_matrix(n, 8) for n in range(4)}
+        for e in (-1, 0, 1):
             stray = lambda a, b: pair(a, b) + Superform(
-                "U0", table, {mon: LaurentPoly.monomial(("g",), (e,))}
+                "U0", table, {theta_free: LaurentPoly.monomial(("g",), (e,))}
             )
-            with mock.patch.object(cohomology, "pair", side_effect=stray):
-                with self.assertRaises(StructuralError, msg=(mon, e)):
-                    pairing_matrix(0, 8)
+            with mock.patch.object(cohomology, "pair", side_effect=stray) as paired:
+                for n in range(4):
+                    self.assertEqual(pairing_matrix(n, 8), want[n], msg=(n, e))
+            self.assertGreater(paired.call_count, 0)
+
+    def test_trace_kills_coboundaries(self):
+        # s0 has no g^-1 term and, by the residue theorem, neither has
+        # Phi*(s1), so the trace of s0 - Phi*(s1) is zero for every pair of
+        # Omega^{1|1} sections; the trace of g^-1*theta*dg*delta(dpsi) is 1.
+        rng = random.Random(32)
+        mons = p11_sheaf_monomials(1, 1)
+        for atlas in (P11, scaled_atlas()):
+            c0, c1 = sorted(atlas.charts)
+            m01 = atlas.transition(c0, c1)
+            t0, t1 = atlas.chart(c0).table, atlas.chart(c1).table
+            self.assertEqual(
+                berezin_integral(Superform(c0, t0, {mons[1]: LaurentPoly.monomial(t0.even_names, (-1,))})), 1
+            )
+            section = lambda c, t: Superform(
+                c, t, {m: random_poly(rng, t.even_names, terms=3, max_exp=4, allow_negative=False) for m in mons}
+            )
+            for k in range(200):
+                s0, s1 = section(c0, t0), section(c1, t1)
+                self.assertEqual(berezin_integral(s0 - pullback(m01, s1)), 0, msg=(c0, k))
+
+    def test_pairing_is_certified_perfect(self):
+        # An H^0 kernel dropped, or replaced by a copy of another of the same
+        # weight, or an H^1 representative dropped, leaves the n = 3 pairing
+        # of rank 15, short of both sides or of one, which must raise rather
+        # than answer.
+        solve = cohomology._solve
+        m01 = cohomology._transition(P11)
+        dom, kernels, no_reps = solve(m01, (-3, 1))
+        weights = [
+            {_weight(dom[s][1], dom[s][2][0]) for s in combo if dom[s][0] == "U0"} for combo in kernels
+        ]
+        t, u = next((t, u) for t, u in combinations(range(len(kernels)), 2) if weights[t] == weights[u])
+        copied = kernels[:u] + (kernels[t],) + kernels[u + 1 :]
+        dom1, no_kernels, reps = solve(m01, (4, 0))
+        cases = (
+            ((-3, 1), (dom, kernels[1:], no_reps)),
+            ((-3, 1), (dom, copied, no_reps)),
+            ((4, 0), (dom1, no_kernels, reps[1:])),
+        )
+        for sheaf, changed in cases:
+            patched = lambda m, s: changed if s == sheaf else solve(m, s)
+            with mock.patch.object(cohomology, "_solve", side_effect=patched):
+                with self.assertRaisesRegex(StructuralError, "n = 3 is not perfect: rank 15", msg=sheaf):
+                    pairing_matrix(3, 10)
+        self.assertEqual(pairing_matrix(3, 10)[1], 16)
+
+    def test_cold_call_makes_two_solves(self):
+        # Omega^{n+1|0} and Omega^{-n|1}, and no Omega^{1|1} probe.
+        cohomology._solve.cache_clear()
+        pairing_matrix(4, 13)
+        self.assertEqual(cohomology._solve.cache_info().misses, 2)
 
     def test_second_call_pulls_back_nothing(self):
         # pairing_matrix builds a fresh builtin_p11() on every call; its
@@ -1382,7 +1437,7 @@ def all_products_pairing(n, cutoff):
         raise StructuralError("the H^1(Omega^{1|1}) probe does not single out the generator")
     matrix = []
     for s, (mon, e) in enumerate(reps):
-        rep = _glue(P11, [("U0", mon, (e,))], {0: 1})["U0"]
+        rep = _glue(P11, [("U0", mon, (e,))], {0: Fraction(1)})["U0"]
         row = []
         for t, kernel in enumerate(kernels):
             product = pair(rep, _glue(P11, dom, kernel)["U0"])
@@ -1446,25 +1501,14 @@ class TestCechDeRhamConsistency(unittest.TestCase):
         self.assertEqual(report.fiber_dim, 1)
 
     def test_generator_image_must_be_a_constant_multiple(self):
-        # With the caches warm and P^{1|1} de Rham answered before the patch,
-        # the check pulls back the generator alone, so a transition that
-        # scales its image is seen there and nowhere else.
-        cech_derham_check(8)
-        p11_report = derham(P11, 1, (0, 1), 8)
-        answered = lambda space, *args: p11_report if len(space.charts) == 2 else derham(space, *args)
-        cases = ((LaurentPoly.monomial(("g",), (3,)), False), (LaurentPoly.const(("g",), 2), True))
-        for factor, preserved in cases:
+        # The constant sheaf is counted only after `derham` has checked
+        # psi*delta(dpsi) glued: its image must be the generator itself, so
+        # a transition that scales it, by g^3 or by the constant 2, fails.
+        for factor in (LaurentPoly.monomial(("g",), (3,)), LaurentPoly.const(("g",), 2)):
             scaled = lambda m, form: pullback(m, form).times_poly(factor)
-            with mock.patch.object(cohomology, "pullback", side_effect=scaled) as pulled, \
-                    mock.patch.object(cohomology, "derham", side_effect=answered):
-                if preserved:
-                    report = cech_derham_check(8)
-                    self.assertTrue(report.passed)
-                    self.assertEqual(report.constant_sheaf_dims, {0: 1, 1: 0})
-                else:
-                    with self.assertRaises(StructuralError):
-                        cech_derham_check(8)
-            self.assertEqual(pulled.call_count, 1)
+            with mock.patch.object(cohomology, "pullback", side_effect=scaled):
+                with self.assertRaisesRegex(StructuralError, "not glued", msg=factor):
+                    cech_derham_check(8)
 
 
 def printed(parts):
