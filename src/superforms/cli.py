@@ -26,7 +26,8 @@ power are pieces, one-term or not: a piece is raised to its power by squaring,
 stopping at a zero power, and wedged onto the product, so `2^k` and `(2)^k`
 are one rule.  A number, exponent or delta order longer than the interpreter's
 integer digit limit is a parse error at its token, and so is a piece's power
-as soon as a coefficient passes that limit while it is squared.
+as soon as a coefficient passes that limit while it is squared, or before a
+squaring whose result could have more terms than that limit.
 
 Exit codes: 0 success, 2 parse or usage error (such as a negative --cutoff or
 --n, or an empty --range), 3 computation error, 4 stabilization failure (only
@@ -93,6 +94,7 @@ _STARTS = {"name": str.isalpha, "number": str.isdecimal}
 
 
 _TOO_LONG = "number too long: more than %d digits, the limit of sys.get_int_max_str_digits()"
+_TOO_MANY = "power too large: its square could have more than %d terms, the limit of sys.get_int_max_str_digits()"
 
 
 @cache
@@ -195,7 +197,7 @@ class _Parser:
                     pairs.append((atom, power))
             if piece is not None:
                 if tokens[self.pos] == "^":
-                    piece = _wedge_power(piece, self.exponent(False), self.digit_check(self.pos - 1))
+                    piece = _wedge_power(piece, self.exponent(False), *self.power_checks(self.pos - 1))
                 form = wedge(self.flush(form, num, den, exps, pairs), piece)
                 piece, num, den, exps, pairs = None, 1, 1, [0] * n_even, []
             if tokens[self.pos] != "*":
@@ -242,11 +244,17 @@ class _Parser:
         except ValueError:
             raise self.error(_TOO_LONG % sys.get_int_max_str_digits(), k) from None
 
-    def digit_check(self, k):
-        """A check for `_wedge_power`: FormParseError at token k as soon as a
-        coefficient of a power passes the interpreter's digit limit (none if
-        there is no limit)."""
+    def power_checks(self, k):
+        """The check and square check for `_wedge_power` under the
+        interpreter's digit limit L (none if there is no limit), each raising
+        FormParseError at token k.  The check stops a power as soon as a
+        coefficient passes L digits.  The square check refuses to square a
+        power of n terms when n*(n + 1)/2 > L, the most terms its square can
+        have: L is the cap on the terms of a squared power, so no squaring
+        makes more than 2*L term products."""
         limit = sys.get_int_max_str_digits()
+        if not limit:
+            return None, None
         bound = _digit_bound(limit)
 
         def check(form):
@@ -255,7 +263,12 @@ class _Parser:
                     if max(abs(c.numerator), c.denominator) >= bound:
                         raise self.error(_TOO_LONG % limit, k)
 
-        return check if limit else None
+        def square_check(form):
+            n = sum(len(lp.terms) for lp in form.terms.values())
+            if n * (n + 1) // 2 > limit:
+                raise self.error(_TOO_MANY % limit, k)
+
+        return check, square_check
 
     def delta_factor(self, k):
         """The delta atom after the word `delta`, token k."""
@@ -315,10 +328,11 @@ def pretty_print(a):
             "%s(%s)" % (_delta_head(atom[2]), spell[DP, atom[1]]) if atom[0] == DL else _power(spell[atom], p)
             for atom, p in mon.powers()
         ]
-        mag = abs(c)
-        if mag != 1 or not parts:
+        num, den = c.numerator, c.denominator
+        mag = -num if num < 0 else num
+        if mag != 1 or den != 1 or not parts:
             try:
-                parts.insert(0, str(mag))
+                parts.insert(0, str(mag) if den == 1 else "%d/%d" % (mag, den))
             except ValueError:
                 raise StructuralError(
                     "coefficient too large to print: more than %d digits, the limit of"
@@ -326,9 +340,9 @@ def pretty_print(a):
                 ) from None
         body = "*".join(parts)
         if not rendered:
-            rendered.append(body if c > 0 else "-" + body)
+            rendered.append(body if num > 0 else "-" + body)
         else:
-            rendered.append((" + " if c > 0 else " - ") + body)
+            rendered.append((" + " if num > 0 else " - ") + body)
     return "".join(rendered)
 
 

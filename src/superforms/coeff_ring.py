@@ -5,6 +5,12 @@ exponent tuples (one slot per even coordinate) to exact rationals.  Negative
 exponents are permitted; zero coefficients are never stored.  Exponents are
 integers (`_exponents` rejects any other entry), `_axpy` is the one sparse
 accumulation, and `LaurentPoly._of` takes only clean terms, unchecked.
+
+Arithmetic that an identity decides is not made: `_axpy` multiplies by no
+factor of 1 or -1 and adds no new key to 0, `lp_scale` negates for -1, and
+`lp_substitute_monomial` and `lp_partial` skip factors of 1.  The identities
+x*1 = x, x*(-1) = -x and 0 + x = x hold in Q, so every shortcut gives the
+same Fraction the arithmetic would have made.
 """
 
 from fractions import Fraction
@@ -134,11 +140,24 @@ def _axpy(dst, pairs, factor):
     and (key, coefficient) pairs such as `m.items()` or a generator.
 
     Entries that cancel are dropped and new keys are appended in pair order.
+    A factor of 1 or -1 is found once per call and multiplies nothing: each
+    coefficient is taken as c or -c and, for a new key, stored with no `0 +`.
+    This is exact, since x*1 = x, x*(-1) = -x and 0 + x = x hold in Q, and
+    keeps the types of dst.get(key, 0) + c*factor as long as a Fraction factor
+    of 1 or -1 comes with Fraction coefficients (every caller's do): an int c
+    times Fraction(1) would be a Fraction.
     """
+    sign = 1 if factor == 1 else -1 if factor == -1 else 0
     for key, c in pairs:
-        s = dst.get(key, 0) + c * factor
-        if s:
-            dst[key] = s
+        if sign < 0:
+            c = -c
+        elif not sign:
+            c = c * factor
+        s = dst.get(key)
+        if s is not None:
+            c = s + c
+        if c:
+            dst[key] = c
         else:
             dst.pop(key, None)
 
@@ -156,10 +175,13 @@ def lp_neg(a):
 
 
 def lp_scale(a, scalar):
-    """scalar * a; a itself when scalar is 1 (LaurentPolys are shared as values).
-    A Fraction scalar is used as it is, any other is converted once."""
+    """scalar * a; a itself when scalar is 1 (LaurentPolys are shared as values)
+    and its negated terms when it is -1.  A Fraction scalar is used as it is,
+    any other is converted once."""
     if scalar == 1:
         return a
+    if scalar == -1:
+        return LaurentPoly._of(a.variables, {e: -c for e, c in a.terms.items()})
     if not isinstance(scalar, Fraction):
         scalar = Fraction(scalar)
     terms = {e: scalar * c for e, c in a.terms.items()} if scalar else {}
@@ -192,12 +214,13 @@ def lp_substitute_monomial(p, images, out_variables=None):
         exps = _exponents(exps, len(out_vars))
         if c == 0:
             raise UnsupportedMorphismError("variable image must be invertible, got 0")
-        table.append((c, exps))
+        table.append((c if c != 1 else None, exps))
     terms = {}
     for exps, coeff in p.terms.items():
         out_exp = [0] * len(out_vars)
         for k, (ic, ie) in zip(exps, table):
-            coeff *= ic ** k
+            if ic is not None and k:
+                coeff *= ic**k
             for slot, e in enumerate(ie):
                 out_exp[slot] += k * e
         _axpy(terms, ((tuple(out_exp), coeff),), 1)
@@ -218,5 +241,5 @@ def lp_partial(p, variable):
     for exps, c in p.terms.items():
         k = exps[idx]
         if k:
-            terms[exps[:idx] + (k - 1,) + exps[idx + 1 :]] = c * k
+            terms[exps[:idx] + (k - 1,) + exps[idx + 1 :]] = c if k == 1 else c * k
     return LaurentPoly._of(p.variables, terms)

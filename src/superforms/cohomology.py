@@ -90,6 +90,8 @@ from .errors import (
 )
 from .form_algebra import DG, DL, TH, Monomial, Superform, exterior_d, pair
 
+_ONE = Fraction(1)
+
 
 class Eliminator:
     """Incremental exact Gaussian elimination with combination tracking.
@@ -120,16 +122,17 @@ class Eliminator:
         """Insert one column.  Returns None if the rank grew, else the
         dependency combination {tag: coeff} with coefficient 1 on `tag`.
         Entries that are not Fractions are converted, so that dividing by
-        the lead entry stays exact."""
+        the lead entry stays exact; a lead of 1 divides nothing (x/1 = x)."""
         vec = {r: c if isinstance(c, Fraction) else Fraction(c) for r, c in vec.items() if c}
-        combo = {tag: Fraction(1)}
+        combo = {tag: _ONE}
         self._reduce(vec, combo)
         if not vec:
             return combo
         r = min(vec)
         lead = vec[r]
-        vec = {row: c / lead for row, c in vec.items()}
-        combo = {t: c / lead for t, c in combo.items()}
+        if lead != 1:
+            vec = {row: c / lead for row, c in vec.items()}
+            combo = {t: c / lead for t, c in combo.items()}
         for pvec, pcombo in self.pivots.values():
             if r in pvec:
                 factor = -pvec[r]
@@ -305,8 +308,10 @@ def _solve(m01, sheaf):
     position = {mon: k for k, mon in enumerate(mons)}
     c0, c1 = m01.source.id, m01.target.id
     # Pullback is a ring map and the image of g is b*g^-1 (`_transition`), so
-    # Phi*(g^e*M) is Phi*(M) shifted by -e and scaled by b^e.
+    # Phi*(g^e*M) is Phi*(M) shifted by -e and scaled by b^e, which b = 1
+    # leaves as it is.
     _, b = m01.even_images[0].single_term()
+    scaled = b != 1
     one = LaurentPoly.const(m01.target.table.even_names, 1)
     pulled = {mon: pullback(m01, Superform(c1, m01.target.table, {mon: one})) for mon in mons}
     weights = {mon: _form_weight(pulled[mon]) for mon in mons}
@@ -321,15 +326,16 @@ def _solve(m01, sheaf):
         for e in range(max(0, lo - dg), hi - dg + 1):
             blocks[e + dg, mu].append(len(dom))
             dom.append((c0, mon, (e,)))
-            columns.append({position[mon]: Fraction(1)})
+            columns.append({position[mon]: _ONE})
     for mon in mons:
         lam, mu = weights[mon]
+        # -Phi*(M) on the rows, one dict for all its columns when b = 1:
+        # Eliminator.insert only reads a column.
+        column = {position[m]: -c for m, lp in pulled[mon].terms.items() for c in lp.terms.values()}
         for e in range(max(0, lam - hi), lam - lo + 1):
             blocks[lam - e, mu].append(len(dom))
             dom.append((c1, mon, (e,)))
-            columns.append(
-                {position[m]: -(c * b**e) for m, lp in pulled[mon].terms.items() for c in lp.terms.values()}
-            )
+            columns.append({r: c * b**e for r, c in column.items()} if scaled else column)
 
     kernels, reps = [], []
     for (lam, mu), ts in blocks.items():
@@ -337,7 +343,7 @@ def _solve(m01, sheaf):
         kernels += [{ts[j]: c for j, c in combo.items()} for combo in block_kernels]
         # The rows the columns leave unhit, in monomial order, are H^1.
         rows = [(k, lam - own[mon][0]) for k, mon in enumerate(mons) if own[mon][1] == mu]
-        reps += [el for el in rows if elim.insert({el[0]: Fraction(1)}, el) is None]
+        reps += [el for el in rows if elim.insert({el[0]: _ONE}, el) is None]
     # Blocks share no column, so `_eliminate`'s lead convention holds across
     # them, and ordered by lead the kernels come out as from one eliminator.
     kernels.sort(key=max)
@@ -542,18 +548,19 @@ def pairing_matrix(n, cutoff):
     reduced = {}  # (M1, M2) -> the Berezin reduction of M1*M2
 
     def trace(m1, m2, e):
-        # The trace of g^e*(M1*M2): the coefficient of g^(-1-e) in its reduction.
+        # The trace of g^e*(M1*M2): the coefficient of g^(-1-e) in its
+        # reduction, None for zero.
         if (m1, m2) not in reduced:
             form = pair(Superform(c0, table, {m1: one}), Superform(c0, table, {m2: one}))
             reduced[m1, m2] = berezin_reduce(form)
-        return reduced[m1, m2].coefficient((-1 - e,))
+        return reduced[m1, m2].terms.get((-1 - e,))
 
     matrix, blocks = [], {}
     for m1, e1 in reps:
         lam, mu = _weight(m1, e1)
         entries = {}
         for t, part in by_weight.get((-lam, -mu), ()):
-            entry = sum(c * trace(m1, m2, e1 + e2) for m2, e2, c in part)
+            entry = sum(c * s for m2, e2, c in part if (s := trace(m1, m2, e1 + e2)))
             if entry:
                 entries[t] = entry
         blocks.setdefault((lam, mu), []).append(entries)

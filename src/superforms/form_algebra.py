@@ -478,11 +478,14 @@ def delta_expand(order, argument):
     return out
 
 
-def _wedge_power(form, k, check=None):
+def _wedge_power(form, k, check=None, square_check=None):
     """form^k for k >= 0 by squaring, most significant bit first (so k <= 3
     wedges as k wedges from the left would), stopping at a zero power.
-    check, if given, is called on each power on the way and may raise.  The
-    constants 1 and -1 take their power as (+-1)^(k mod 2), with no wedge."""
+    check, if given, is called on each power on the way, and square_check on
+    each power about to be squared; either may raise.  The square of a power
+    of n terms has at most n*(n + 1)/2 terms, since x*y and y*x are one term
+    up to sign, and takes n^2 term products to make.  The constants 1 and -1
+    take their power as (+-1)^(k mod 2), with no wedge."""
     lp = form.terms.get(UNIT_MONOMIAL) if len(form.terms) == 1 else None
     if lp is not None and len(lp.terms) == 1 and abs(lp.terms.get((0,) * len(lp.variables), 0)) == 1:
         k %= 2
@@ -492,6 +495,8 @@ def _wedge_power(form, k, check=None):
     for bit in bin(k)[3:]:
         if out.is_zero():
             break
+        if square_check:
+            square_check(out)
         out = wedge(out, out)
         if bit == "1":
             out = wedge(out, form)

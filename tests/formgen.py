@@ -1,5 +1,6 @@
 """Seeded random generators for forms, shared by the test modules, with the
-scaled P^{1|1} atlas and the strict term dump that several of them use.
+scaled P^{1|1} atlas, the strict term dump and the sparse-update oracle that
+several of them use.
 
 Everything is driven by an explicit random.Random instance so that failures
 reproduce from the printed seed.
@@ -92,8 +93,25 @@ def scaled_atlas():
     return Atlas({"A": a, "B": b}, transitions)
 
 
+def strict_map(m):
+    """A sparse map's entries, with their order and types."""
+    return [(k, type(v), v) for k, v in m.items()]
+
+
 def strict_form(form):
     """A form's terms and coefficients, with their order and types."""
     return [
         (mon, [(exps, type(c), c) for exps, c in lp.terms.items()]) for mon, lp in form.terms.items()
     ]
+
+
+def axpy_oracle(dst, pairs, factor):
+    """The earlier `coeff_ring._axpy`, kept as the oracle of its unit
+    shortcuts: every coefficient is multiplied by the factor and added to the
+    entry, 0 for a new key."""
+    for key, c in pairs:
+        s = dst.get(key, 0) + c * factor
+        if s:
+            dst[key] = s
+        else:
+            dst.pop(key, None)

@@ -456,6 +456,35 @@ class TestGrammar(unittest.TestCase):
             self.assertEqual(pretty_print(parse(text, T11)), want, msg=text)
             self.assertLess(time.perf_counter() - start, 1.0, msg=text)
 
+    def test_power_terms_are_bounded(self):
+        # A power whose square could have more terms than the digit limit L,
+        # n*(n + 1)/2 > L for n terms, is a parse error at its exponent,
+        # raised before that squaring.  (g + 1)^k and the dpsi power below
+        # have k + 1 terms and coefficients that pass L only at about 10^4
+        # terms, so both ran for minutes of term products first.  n is the
+        # most terms a squared power may have.
+        limit = sys.get_int_max_str_digits()
+        n = math.isqrt(2 * limit)
+        while n * (n + 1) // 2 > limit:
+            n -= 1
+        form = parse("(g + 1)^%d" % (2 * n - 2), T11)
+        self.assertEqual(len(form.terms[Monomial(())].terms), 2 * n - 1)
+        errors = [
+            ("(g + 1)^%d" % (2 * n), T11),
+            ("(g + 1)^99999999999", T11),
+            ("(-2*dpsi2 - 7/2*g2^2*dpsi2^2)^99999999999", T22),
+        ]
+        for text, table in errors:
+            start = time.perf_counter()
+            with self.assertRaises(FormParseError, msg=text) as ctx:
+                parse(text, table)
+            self.assertLess(time.perf_counter() - start, 1.0, msg=text)
+            self.assertEqual(ctx.exception.position, text.rindex("^") + 1, msg=text)
+            self.assertIn("its square could have more than %d terms" % limit, str(ctx.exception))
+        code, out, err = invoke(["normalize", "--space", "flat:2,2", "--expr", errors[2][0]])
+        self.assertEqual((code, out), (2, ""))
+        self.assertTrue(err.startswith("error (parse): power too large"), msg=err)
+
     def test_number_power_is_a_form_power(self):
         # n^k and (n)^k give the same outcome: the same form, or the same
         # error at the exponent token.  k0 is the least k with 2^k at or

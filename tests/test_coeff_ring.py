@@ -21,7 +21,7 @@ from superforms import (
 
 from superforms.coeff_ring import _axpy
 
-from formgen import random_poly
+from formgen import axpy_oracle, random_poly, random_rational, strict_map
 
 VARS = ("g", "h")
 
@@ -111,6 +111,41 @@ class TestAccumulate(unittest.TestCase):
         dst = {"a": Fraction(1), "b": Fraction(2)}
         _axpy(dst, ((k, c) for k, c in (("b", 1), ("c", 3), ("a", Fraction(-1, 2)))), 2)
         self.assertEqual(list(dst.items()), [("b", 4), ("c", 6)])
+
+    def test_unit_shortcuts_match_the_oracle(self):
+        # Random sparse updates by each factor, through _axpy and through the
+        # loop that multiplies and adds every coefficient, give the same
+        # entries in the same order with the same types.  Some pairs cancel
+        # an entry exactly, some have a coefficient of 0 and some keys are
+        # new.  Ints sit in dst, and in pairs when the factor is an int too:
+        # with a Fraction factor of 1 or -1, _axpy takes Fraction pairs.
+        rng = random.Random(33)
+        factors = (0, 1, -1, Fraction(1), Fraction(-1), Fraction(2, 3), -5)
+        seen = {"cancelled": 0, "new": 0}
+        for trial in range(400):
+            factor = factors[trial % len(factors)]
+            dst = {}
+            for key in rng.sample(range(12), rng.randint(0, 8)):
+                value = random_rational(rng) or Fraction(1)
+                dst[key] = int(value) if value.denominator == 1 and rng.random() < 0.3 else value
+            pairs = []
+            for _ in range(rng.randint(0, 10)):
+                key = rng.randrange(16)
+                if key in dst and factor and rng.random() < 0.4:
+                    c = -Fraction(dst[key]) / factor
+                else:
+                    c = random_rational(rng)
+                    if type(factor) is int and rng.random() < 0.3:
+                        c = rng.randint(-3, 3)
+                pairs.append((key, c))
+            want = dict(dst)
+            axpy_oracle(want, pairs, factor)
+            got = dict(dst)
+            _axpy(got, iter(pairs), factor)
+            self.assertEqual(strict_map(got), strict_map(want), msg=(trial, dst, pairs, factor))
+            seen["cancelled"] += len(dst.keys() - want.keys())
+            seen["new"] += len(want.keys() - dst.keys())
+        self.assertTrue(all(seen.values()), msg=seen)
 
 
 class TestRingAxioms(unittest.TestCase):

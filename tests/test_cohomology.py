@@ -54,7 +54,7 @@ from superforms.cohomology import (
     p11_sheaf_monomials,
 )
 
-from formgen import random_poly, scaled_atlas, strict_form
+from formgen import axpy_oracle, random_poly, scaled_atlas, strict_form, strict_map
 
 P11 = builtin_p11()
 ACCEPTANCE_SHEAVES = (
@@ -148,6 +148,94 @@ class TestEliminator(unittest.TestCase):
                 self.assertIs(type(c), Fraction)
         self.assertEqual(combo, {"c": 1, "a": -2, "b": -2})
         self.assertTrue(all(type(c) is Fraction for c in combo.values()))
+
+
+class MultiplyingEliminator(Eliminator):
+    """The earlier insert, kept as the oracle of the unit shortcuts: every
+    update multiplies and adds (`axpy_oracle`) and every new pivot is
+    divided by its lead, 1 or not.  `leads` lists the leads of the pivots."""
+
+    def __init__(self):
+        super().__init__()
+        self.leads = []
+
+    def _reduce(self, vec, combo):
+        for r in sorted(vec.keys() & self.pivots.keys()):
+            pvec, pcombo = self.pivots[r]
+            factor = -vec[r]
+            axpy_oracle(vec, pvec.items(), factor)
+            axpy_oracle(combo, pcombo.items(), factor)
+
+    def insert(self, vec, tag):
+        vec = {r: c if isinstance(c, Fraction) else Fraction(c) for r, c in vec.items() if c}
+        combo = {tag: Fraction(1)}
+        self._reduce(vec, combo)
+        if not vec:
+            return combo
+        r = min(vec)
+        lead = vec[r]
+        self.leads.append(lead)
+        vec = {row: c / lead for row, c in vec.items()}
+        combo = {t: c / lead for t, c in combo.items()}
+        for pvec, pcombo in self.pivots.values():
+            if r in pvec:
+                factor = -pvec[r]
+                axpy_oracle(pvec, vec.items(), factor)
+                axpy_oracle(pcombo, combo.items(), factor)
+        self.pivots[r] = (vec, combo)
+        return None
+
+
+class TestUnitShortcuts(unittest.TestCase):
+    def test_eliminator_matches_multiplying_insert(self):
+        # Integer blocks whose entries are mostly +-1, so that many leads
+        # and factors are units and the others are not: the same rank,
+        # pivots and kernels, in order and with their types.
+        rng = random.Random(34)
+        leads = []
+        for _ in range(300):
+            rows, count = rng.randint(1, 6), rng.randint(1, 9)
+            cols = [
+                {r: rng.choice((1, -1, 1, -1, 2, -3, 0)) for r in range(rows) if rng.random() < 0.6}
+                for _ in range(count)
+            ]
+            fast, slow = Eliminator(), MultiplyingEliminator()
+            for t, col in enumerate(cols):
+                got, want = fast.insert(col, t), slow.insert(col, t)
+                self.assertEqual(got is None, want is None, msg=cols)
+                if got is not None:
+                    self.assertEqual(strict_map(got), strict_map(want), msg=cols)
+            leads += slow.leads
+            self.assertEqual(fast.rank, slow.rank)
+            self.assertEqual(list(fast.pivots), list(slow.pivots))
+            for r, (vec, combo) in fast.pivots.items():
+                self.assertEqual(strict_map(vec), strict_map(slow.pivots[r][0]), msg=cols)
+                self.assertEqual(strict_map(combo), strict_map(slow.pivots[r][1]), msg=cols)
+        self.assertTrue({1, -1} < set(leads), msg=set(leads))
+
+    def test_shortcuts_keep_fractions(self):
+        # On P^{1|1} (g -> 1/g) and on the scaled atlas (y = 2/x, where the
+        # b^e scaling of the U1 columns still runs) every coefficient of the
+        # Cech kernels, the pairing entries and the pullback images is a
+        # Fraction.
+        rng = random.Random(35)
+        for atlas in (P11, scaled_atlas()):
+            c0, c1 = sorted(atlas.charts)
+            m01, table = atlas.transition(c0, c1), atlas.chart(c1).table
+            for i in range(-3, 4):
+                for picture in (0, 1):
+                    kernels = _cech_solve(atlas, (i, picture))[1]
+                    for combo in kernels:
+                        self.assertEqual({type(c) for c in combo.values()}, {Fraction}, msg=(c0, i, picture))
+                    for mon in p11_sheaf_monomials(i, picture):
+                        for poly in (LaurentPoly.const(table.even_names, 1), random_poly(rng, table.even_names)):
+                            image = pullback(m01, Superform(c1, table, {mon: poly}))
+                            types = {type(c) for lp in image.terms.values() for c in lp.terms.values()}
+                            self.assertLessEqual(types, {Fraction}, msg=(c0, mon))
+            with mock.patch.object(cohomology, "builtin_p11", lambda: atlas):
+                for n in range(5):
+                    matrix, _ = pairing_matrix(n, 2 * n + 5)
+                    self.assertEqual({type(c) for row in matrix for c in row}, {Fraction}, msg=(c0, n))
 
 
 # The complex walk and the coordinate read the oracles below are built on.

@@ -551,6 +551,10 @@ class TestWedgePower(unittest.TestCase):
         seen = []
         form_algebra._wedge_power(a, 13, seen.append)
         self.assertEqual(seen, [form_algebra._wedge_power(a, k) for k in (3, 6, 13)])
+        # The square check is called on each power about to be squared.
+        squared = []
+        form_algebra._wedge_power(a, 13, None, squared.append)
+        self.assertEqual(squared, [form_algebra._wedge_power(a, k) for k in (1, 3, 6)])
 
         def stop(power):
             raise ValueError(power)
