@@ -135,7 +135,8 @@ def identity_morphism(chart):
 
 
 def _atom_image(m, atom):
-    """Pullback of one generator factor."""
+    """Pullback of one generator factor; a delta expands about the cached
+    image of its dpsi."""
     src = m.source
     kind = atom[0]
     if kind == TH:
@@ -145,31 +146,47 @@ def _atom_image(m, atom):
     if kind == DP:
         return exterior_d(m.odd_image_form(atom[1]))
     j, order = atom[1], atom[2]
-    return delta_expand(order, _atom_image(m, (DP, j)))
+    return delta_expand(order, _image_form(m, (((DP, j), 1),)))
 
 
-# An entry is a few terms, about 2 KiB on P^{1|1} (tracemalloc).  Cech solves
-# keep their own results, and only the de Rham gluing check reads an entry
-# they made again: one pass over the seed-1 benchmark job lists reads 4 hits
-# and 48 misses on p11_cech, and 867 hits and 24 misses on algebra_mix, whose
-# one-shot pullbacks repeat.
+def _image_form(m, pairs):
+    """Phi*(pairs), the cached image of a normal-order (atom, power) tuple,
+    as a Superform on the source chart."""
+    return Superform(m.source.id, m.source.table, dict(_monomial_image(m, Monomial._of(pairs))))
+
+
+# An entry is a few terms, about 2 KiB on P^{1|1} (tracemalloc).  Each atom
+# image, each power of one and each prefix of a monomial is an entry, so
+# each is computed once per transition and process: one pass over the
+# seed-1 benchmark job lists reads 82 hits and 49 misses on p11_cech, and
+# 907 hits and 28 misses on algebra_mix, whose one-shot pullbacks repeat.
+# `_atom_image` runs 10 and 9 times, where one entry per monomial ran it 118
+# and 72 times.
 @lru_cache(maxsize=1024)
 def _monomial_image(m, mon):
     """Phi*(mon) of one normal-form monomial, once per (transition, monomial)
-    and process: the power of each atom image, by squaring, wedged onto 1
-    left to right.
+    and process.  For the pairs (..., (a, p)) it is the image of the prefix
+    wedged with that of ((a, p),), each read from this cache; a zero prefix
+    returns () before a is imaged.  The one-pair monomial ((a, p),) is the
+    p-th power, by squaring, of ((a, 1),), which holds the image of the atom
+    a.  So the fold over the pairs is the wedge chain of the atom powers from
+    the left, and each atom image, power and prefix is computed once.
 
     Returns read-only ((Monomial, LaurentPoly), ...) in the order of the
     wedge chain; a delta series that does not terminate raises, which is not
     cached.
     """
-    src = m.source
-    acc = Superform.constant(src.id, src.table, 1)
-    for atom, power in mon.powers():
-        acc = wedge(acc, _wedge_power(_atom_image(m, atom), power))
-        if acc.is_zero():
+    pairs = mon.powers()
+    if len(pairs) > 1:
+        head = _image_form(m, pairs[:-1])
+        if head.is_zero():
             return ()
-    return tuple(acc.terms.items())
+        return tuple(wedge(head, _image_form(m, pairs[-1:])).terms.items())
+    if not pairs:
+        return tuple(Superform.constant(m.source.id, m.source.table, 1).terms.items())
+    [(atom, power)] = pairs
+    image = _atom_image(m, atom) if power == 1 else _wedge_power(_image_form(m, ((atom, 1),)), power)
+    return tuple(image.terms.items())
 
 
 def pullback(m, a):

@@ -23,11 +23,13 @@ non-zero Laurent monomial times psi (a sum mixes weights, and psi -> 0 kills
 every sheaf monomial with a theta).  The blocks do not depend on any cutoff,
 and only the finitely many first weights of `_class_weights` can carry a
 class (the monomial-by-monomial computation of Cech cohomology of O(d) on
-P^1).  `_solve` lays the blocks out and eliminates each of them once, with
-its columns in their global (chart, monomial, exponent) order, so the
-kernels come out as from one eliminator for the whole system; the unit
-vectors of the rows are inserted after the columns, and the rows they leave
-unhit are the H^1 representatives.  `cech` is therefore exact at every
+P^1).  `_solve` lays the blocks out, each with its columns in their global
+(chart, monomial, exponent) order, so the kernels come out as from one
+eliminator for the whole system; the unit vectors of the rows are inserted
+after the columns, and the rows they leave unhit are the H^1
+representatives.  Away from the ends of the weight range the blocks of one
+second weight are the same matrix, so it eliminates each distinct block
+once, however wide the range.  `cech` is therefore exact at every
 cutoff.  The pairing reads each entry off the `_solve` labels as the Berezin
 trace of a product, its coefficient of theta*dg*delta(dpsi) at g^-1, which
 only weight (0, 0) carries, so it pairs only labels of weight sum (0, 0),
@@ -88,7 +90,7 @@ from .errors import (
     UnsupportedMorphismError,
     UnsupportedSpaceError,
 )
-from .form_algebra import DG, DL, TH, Monomial, Superform, exterior_d, pair
+from .form_algebra import DG, DL, DP, TH, Monomial, Superform, exterior_d, pair
 
 _ONE = Fraction(1)
 
@@ -163,25 +165,30 @@ def p11_sheaf_monomials(i, j):
     The key compares the top factor first: dpsi^b or delta^(k)(dpsi), then
     dg, then psi.  So dg*dpsi^(i-1) precedes dpsi^i, delta^(-i)(dpsi)
     precedes dg*delta^(1-i)(dpsi), and psi, the last factor compared, only
-    lengthens the key: M precedes psi*M.
+    lengthens the key: M precedes psi*M.  Each monomial is built in normal
+    order, psi, dg, then the top factor, and wrapped unchecked; a degree
+    that is not an int raises StructuralError, as a dpsi power or delta
+    order that is not one would not be a monomial.
     """
     if j not in (0, 1):
         raise UnsupportedSpaceError("picture %d not supported on P^{1|1}" % j)
+    if not isinstance(i, int):
+        raise StructuralError("the degree of a sheaf must be an int, got %r" % (i,))
     out = []
     for e in (1, 0) if j == 0 else (0, 1):
-        devens = (0,) if e else ()
-        for thetas in ((), (0,)):
+        devens = (((DG, 0), 1),) if e else ()
+        for thetas in ((), (((TH, 0), 1),)):
             if j == 0:
                 b = i - e
                 if b < 0:
                     continue
-                dodds = ((0, b),) if b else ()
-                out.append(Monomial(thetas, devens, dodds, ()))
+                top = (((DP, 0), b),) if b else ()
             else:
                 k = e - i
                 if k < 0:
                     continue
-                out.append(Monomial(thetas, devens, (), ((0, k),)))
+                top = (((DL, 0, k), 1),)
+            out.append(Monomial._of(thetas + devens + top))
     return out
 
 
@@ -300,9 +307,14 @@ def _solve(m01, sheaf):
     (chart id, Monomial, exponent tuple) of the blocks `_class_weights`
     admits, in (chart, monomial, exponent) order; H^0 comes as combinations
     {column: coeff}; the H^1 representatives as overlap (Monomial, exponent)
-    pairs in monomial order.  A block has one row per sheaf monomial, keyed
-    by its position in the sheaf's list, and the unit vectors of its rows
-    are inserted after its columns.
+    pairs in monomial order.  A block has one row per sheaf monomial of its
+    second weight, keyed by its position in the sheaf's list, and the unit
+    vectors of its rows are inserted after its columns.  Blocks with equal
+    columns and rows are equal matrices, so each distinct one is eliminated
+    once per solve and every block reads its kernels and unhit rows off
+    that outcome: 7 eliminations for -2000|1 or 2000|0, of about 6000
+    blocks.  On a transition with b != 1 the columns carry b^e, so there
+    the blocks do not repeat.
     """
     mons = p11_sheaf_monomials(*sheaf)
     position = {mon: k for k, mon in enumerate(mons)}
@@ -318,32 +330,46 @@ def _solve(m01, sheaf):
     lo, hi = _class_weights([weights[mon][0] for mon in mons])
     # weight -> positions of its columns in dom, ascending; g^e*M has the
     # weight of M shifted by (e, 0), and g'^e*M on U1 that of Phi*(M) by -e.
+    # A column is the item tuple of its sparse {row: coeff} map, numbered
+    # once, so that equal columns share one number.
     own = {mon: _weight(mon, 0) for mon in mons}
     blocks = {(lam, own[mon][1]): [] for lam in range(lo, hi + 1) for mon in mons}
-    dom, columns = [], []
+    dom, columns, numbers = [], [], {}
+    number = lambda column: numbers.setdefault(column, len(numbers))
     for mon in mons:
         dg, mu = own[mon]
+        unit = number(((position[mon], _ONE),))
         for e in range(max(0, lo - dg), hi - dg + 1):
             blocks[e + dg, mu].append(len(dom))
             dom.append((c0, mon, (e,)))
-            columns.append({position[mon]: _ONE})
+            columns.append(unit)
     for mon in mons:
         lam, mu = weights[mon]
-        # -Phi*(M) on the rows, one dict for all its columns when b = 1:
-        # Eliminator.insert only reads a column.
-        column = {position[m]: -c for m, lp in pulled[mon].terms.items() for c in lp.terms.values()}
+        # -Phi*(M) on the rows, one number for all its columns when b = 1.
+        column = tuple((position[m], -c) for m, lp in pulled[mon].terms.items() for c in lp.terms.values())
+        image = number(column)
         for e in range(max(0, lam - hi), lam - lo + 1):
             blocks[lam - e, mu].append(len(dom))
             dom.append((c1, mon, (e,)))
-            columns.append({r: c * b**e for r, c in column.items()} if scaled else column)
+            columns.append(number(tuple((r, c * b**e) for r, c in column)) if scaled else image)
+    distinct = list(numbers)
+    rows = {mu: tuple(k for k, mon in enumerate(mons) if own[mon][1] == mu) for _, mu in blocks}
 
+    # Away from the ends of the weight range the blocks repeat, so each
+    # distinct (columns, rows) is eliminated once: its kernels in block
+    # column indices and the rows its columns leave unhit, in monomial
+    # order (H^1), relabelled to each block that has it.
+    outcomes = {}
     kernels, reps = [], []
     for (lam, mu), ts in blocks.items():
-        elim, block_kernels = _eliminate([columns[t] for t in ts])
+        key = (tuple(columns[t] for t in ts), rows[mu])
+        if key not in outcomes:
+            elim, block_kernels = _eliminate([dict(distinct[n]) for n in key[0]])
+            unhit = [k for k in rows[mu] if elim.insert({k: _ONE}, k) is None]
+            outcomes[key] = block_kernels, unhit
+        block_kernels, unhit = outcomes[key]
         kernels += [{ts[j]: c for j, c in combo.items()} for combo in block_kernels]
-        # The rows the columns leave unhit, in monomial order, are H^1.
-        rows = [(k, lam - own[mon][0]) for k, mon in enumerate(mons) if own[mon][1] == mu]
-        reps += [el for el in rows if elim.insert({el[0]: _ONE}, el) is None]
+        reps += [(k, lam - own[mons[k]][0]) for k in unhit]
     # Blocks share no column, so `_eliminate`'s lead convention holds across
     # them, and ordered by lead the kernels come out as from one eliminator.
     kernels.sort(key=max)

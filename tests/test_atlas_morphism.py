@@ -18,6 +18,7 @@ from superforms import (
     builtin_flat,
     builtin_p11,
     delta,
+    delta_expand,
     dgamma,
     dpsi,
     exterior_d,
@@ -32,8 +33,7 @@ from superforms import (
 )
 
 from superforms import atlas_morphism, form_algebra
-from superforms.atlas_morphism import _atom_image
-from superforms.form_algebra import DL, DP, TH
+from superforms.form_algebra import DG, DL, DP, TH
 
 from formgen import random_form, scaled_atlas, strict_form
 
@@ -58,8 +58,21 @@ def gpow(form, k):
     return form.times_poly(LaurentPoly.monomial(("g",), (k,)))
 
 
+def atom_image(m, atom):
+    """The pullback of one generator factor, computed afresh: the oracle
+    reads no cache, not even for the dpsi a delta expands about."""
+    src = m.source
+    kind = atom[0]
+    if kind == TH:
+        return m.odd_image_form(atom[1])
+    if kind == DG:
+        return exterior_d(Superform.from_poly(src.id, src.table, m.even_images[atom[1]]))
+    image = exterior_d(m.odd_image_form(atom[1]))
+    return image if kind == DP else delta_expand(atom[2], image)
+
+
 def chain_pullback(m, a):
-    """The earlier pullback, kept as the oracle of the per-monomial cache:
+    """The earlier pullback, kept as the oracle of the monomial image cache:
     each term's substituted coefficient is wedged with the atom images of its
     monomial one factor at a time, with nothing reused between terms or
     calls."""
@@ -74,7 +87,7 @@ def chain_pullback(m, a):
         for atom in mon.factors():
             if acc.is_zero():
                 break
-            acc = wedge(acc, _atom_image(m, atom))
+            acc = wedge(acc, atom_image(m, atom))
         out = out + acc
     return out
 
@@ -276,20 +289,26 @@ class TestMonomialImageCache(unittest.TestCase):
 
     def test_other_gluing_shares_no_entry(self):
         # y = 2/x, s = t/x pulls back the same Monomial to another image.
+        # dg*delta'(dpsi) makes four entries on each gluing: the images of
+        # dg, of dpsi, of delta'(dpsi) (expanded about that of dpsi) and of
+        # their product.
         mon = Monomial(devens=(0,), deltas=((0, 1),))
         atlas_morphism._monomial_image.cache_clear()
         pullback(M01, Superform("U1", T1, {mon: LaurentPoly.const(("g",), 1)}))
+        self.assertEqual(atlas_morphism._monomial_image.cache_info().currsize, 4)
         scaled = scaled_atlas().transition("A", "B")
         form = Superform("B", scaled.target.table, {mon: LaurentPoly.const(("y",), 1)})
         with mock.patch.object(**EXPAND) as expand:
             got = pullback(scaled, form)
         self.assertEqual(expand.call_count, 1)
-        self.assertEqual(atlas_morphism._monomial_image.cache_info().currsize, 2)
+        self.assertEqual(atlas_morphism._monomial_image.cache_info().currsize, 8)
         self.assertEqual(strict_form(got), strict_form(chain_pullback(scaled, form)))
         self.assertNotEqual(strict_form(got), strict_form(pullback(M01, u1([dgamma(0), delta(0, 1)]))))
 
     def test_non_terminating_series_raises_every_time(self):
-        # An exception is not cached: the second call expands and raises again.
+        # An exception is not cached: the second call expands and raises
+        # again.  The image of dpsi1 it expands about is cached, and is the
+        # one entry either call leaves.
         m, form = non_terminating_morphism()
         atlas_morphism._monomial_image.cache_clear()
         for _ in range(2):
@@ -297,7 +316,24 @@ class TestMonomialImageCache(unittest.TestCase):
                 with self.assertRaises(UnsupportedMorphismError):
                     pullback(m, form)
             self.assertEqual(expand.call_count, 1)
-        self.assertEqual(atlas_morphism._monomial_image.cache_info().currsize, 0)
+            self.assertEqual(atlas_morphism._monomial_image.cache_info().currsize, 1)
+        hits = atlas_morphism._monomial_image.cache_info().hits
+        atlas_morphism._monomial_image(m, Monomial(dodds=((0, 1),)))
+        self.assertEqual(atlas_morphism._monomial_image.cache_info().hits, hits + 1)
+
+    def test_zero_prefix_images_no_later_factor(self):
+        # psi1, psi2 -> psi1 + psi2 sends psi1*psi2 to zero and delta(dpsi1)
+        # to a series that does not terminate; psi1*psi2*delta(dpsi1) is
+        # zero, and its delta is never imaged.
+        chart = builtin_flat(1, 2).chart("U0")
+        one = LaurentPoly.const(("g",), 1)
+        both = ((one, 0), (one, 1))
+        m = Morphism(chart, chart, {0: LaurentPoly.monomial(("g",), (1,))}, {0: both, 1: both})
+        with self.assertRaises(UnsupportedMorphismError):
+            atlas_morphism._monomial_image(m, Monomial(deltas=((0, 0),)))
+        with mock.patch.object(**EXPAND) as expand:
+            image = atlas_morphism._monomial_image(m, Monomial(thetas=(0, 1), deltas=((0, 0),)))
+        self.assertEqual((image, expand.call_count), ((), 0))
 
     def test_cached_image_is_read_only(self):
         # Every pullback shares the cached image: it is a tuple, and a
@@ -314,14 +350,22 @@ class TestMonomialImageCache(unittest.TestCase):
 
     def test_repeated_atom_imaged_once(self):
         # dpsi^6 lists dpsi six times; d of the odd image is taken once.
-        form = u1([dpsi(0)] * 6)
-        want = chain_pullback(M01, form)
+        # dpsi^3 then reads the cached image of dpsi, and psi*dpsi^6 those
+        # of psi and dpsi^6, so it takes one wedge.
+        forms = [u1([dpsi(0)] * 6), u1([dpsi(0)] * 3), u1([theta(0)] + [dpsi(0)] * 6)]
+        want = [chain_pullback(M01, form) for form in forms]
         atlas_morphism._monomial_image.cache_clear()
         d = dict(target=atlas_morphism, attribute="exterior_d", wraps=atlas_morphism.exterior_d)
         with mock.patch.object(**d) as exterior_d:
-            got = pullback(M01, form)
+            got = [pullback(M01, form) for form in forms[:2]]
         self.assertEqual(exterior_d.call_count, 1)
-        self.assertEqual(strict_form(got), strict_form(want))
+        wedges = []
+        counted = lambda a, b: wedges.append(1) or wedge(a, b)
+        with mock.patch.object(atlas_morphism, "wedge", counted):
+            with mock.patch.object(form_algebra, "wedge", counted):
+                got.append(pullback(M01, forms[2]))
+        self.assertEqual(len(wedges), 1)
+        self.assertEqual([strict_form(f) for f in got], [strict_form(f) for f in want])
 
     def test_power_by_squaring(self):
         # The image of dpsi^1000 takes about 2*log2(1000) wedges, not 1000,

@@ -6,9 +6,11 @@ import os
 import random
 import tempfile
 import unittest
+from collections import Counter
 from fractions import Fraction
 from itertools import chain, combinations, product
 from math import comb
+from types import MappingProxyType
 from unittest import mock
 
 import sympy
@@ -374,6 +376,22 @@ class TestSheafBases(unittest.TestCase):
                 want = sorted((m for m in candidates if m.degree() == i), key=Monomial.sort_key)
                 self.assertEqual(p11_sheaf_monomials(i, picture), want, msg=(i, picture))
 
+    def test_unchecked_monomials_are_normal(self):
+        # p11_sheaf_monomials wraps its pairs unchecked; the field
+        # constructor, which checks the normal form, builds each of them
+        # again as the same pairs.
+        for picture in (0, 1):
+            for i in range(-500, 1003):
+                for mon in p11_sheaf_monomials(i, picture):
+                    checked = Monomial(mon.thetas, mon.devens, mon.dodds, mon.deltas)
+                    self.assertEqual(checked.powers(), mon.powers(), msg=(i, picture))
+
+    def test_degree_must_be_an_int(self):
+        # A float degree would give a dpsi power or delta order that is no int.
+        for sheaf in ((2.0, 0), (-2.0, 1), (Fraction(1), 0)):
+            with self.assertRaises(StructuralError, msg=sheaf):
+                p11_sheaf_monomials(*sheaf)
+
     def test_section_basis_blocks(self):
         # Phi*(1) and Phi*(psi) have first weights 0 and -1, so only the
         # blocks lambda = 0 are solved: U0 takes g^e*M with e = lambda -
@@ -665,6 +683,62 @@ def single_eliminator_cech(atlas, sheaf, cutoff):
     return dom, kernels, hits
 
 
+def per_block_solve(m01, sheaf):
+    """The Cech solve that eliminates every weight block afresh, kept as the
+    oracle of the solve that eliminates each distinct block once.  Returns
+    (dom, kernels, reps) as `_solve` does."""
+    mons = p11_sheaf_monomials(*sheaf)
+    position = {mon: k for k, mon in enumerate(mons)}
+    c0, c1 = m01.source.id, m01.target.id
+    _, b = m01.even_images[0].single_term()
+    one = LaurentPoly.const(m01.target.table.even_names, 1)
+    pulled = {mon: pullback(m01, Superform(c1, m01.target.table, {mon: one})) for mon in mons}
+    weights = {mon: _form_weight(pulled[mon]) for mon in mons}
+    lo, hi = _class_weights([weights[mon][0] for mon in mons])
+    own = {mon: _weight(mon, 0) for mon in mons}
+    blocks = {(lam, own[mon][1]): [] for lam in range(lo, hi + 1) for mon in mons}
+    dom, columns = [], []
+    for mon in mons:
+        dg, mu = own[mon]
+        for e in range(max(0, lo - dg), hi - dg + 1):
+            blocks[e + dg, mu].append(len(dom))
+            dom.append((c0, mon, (e,)))
+            columns.append({position[mon]: Fraction(1)})
+    for mon in mons:
+        lam, mu = weights[mon]
+        column = {position[m]: -c for m, lp in pulled[mon].terms.items() for c in lp.terms.values()}
+        for e in range(max(0, lam - hi), lam - lo + 1):
+            blocks[lam - e, mu].append(len(dom))
+            dom.append((c1, mon, (e,)))
+            columns.append({r: c * b**e for r, c in column.items()})
+    kernels, reps = [], []
+    for (lam, mu), ts in blocks.items():
+        elim, block_kernels = _eliminate([columns[t] for t in ts])
+        kernels += [{ts[j]: c for j, c in combo.items()} for combo in block_kernels]
+        rows = [(k, lam - own[mon][0]) for k, mon in enumerate(mons) if own[mon][1] == mu]
+        reps += [el for el in rows if elim.insert({el[0]: Fraction(1)}, el) is None]
+    kernels.sort(key=max)
+    reps = tuple((mons[k], e) for k, e in sorted(reps))
+    return tuple(dom), tuple(MappingProxyType(k) for k in kernels), reps
+
+
+def column_blocks(atlas, dom):
+    """The weight blocks a solve lays its columns out in, read off the
+    labels: {weight: column count}.  A U0 label g^e*M has the weight of M
+    shifted by (e, 0), a U1 label that of its pullback."""
+    c0, c1 = sorted(atlas.charts)
+    m01 = atlas.transition(c0, c1)
+    table = m01.target.table
+    sizes = Counter()
+    for cid, mon, exps in dom:
+        if cid == c0:
+            sizes[_weight(mon, exps[0])] += 1
+        else:
+            label = Superform(c1, table, {mon: LaurentPoly.monomial(table.even_names, exps)})
+            sizes[_form_weight(pullback(m01, label))] += 1
+    return sizes
+
+
 def labelled(dom, kernels):
     """Kernel combinations as (label, coeff) lists, in key order."""
     return [[(dom[t], c) for t, c in combo.items()] for combo in kernels]
@@ -771,48 +845,92 @@ class TestWeightBlocks(unittest.TestCase):
 
     def test_widened_weight_range_changes_nothing(self):
         # Blocks outside _class_weights carry no class: solving six more
-        # weights on each side adds columns but no kernel and no H^1 row.
-        # The cache is cleared around each solve, so the widened one is
-        # computed and then forgotten.
+        # weights on each side lays out 12 more blocks per second weight,
+        # each with columns, but adds no kernel and no H^1 row.  The cache
+        # is cleared around each solve, so the widened one is computed and
+        # then forgotten.
         wide = lambda lams: tuple(x + d for x, d in zip(_class_weights(lams), (-6, 6)))
 
         def solve(atlas, sheaf):
             cohomology._solve.cache_clear()
-            with mock.patch.object(cohomology, "_eliminate", wraps=_eliminate) as eliminate:
-                result = _cech_solve(atlas, sheaf)
+            result = _cech_solve(atlas, sheaf)
             cohomology._solve.cache_clear()
-            return result, eliminate.call_count
+            return result
 
         for atlas in (P11, scaled_atlas()):
             for sheaf in self.SHEAVES:
-                (dom, kernels, reps), blocks = solve(atlas, sheaf)
+                dom, kernels, reps = solve(atlas, sheaf)
                 with mock.patch.object(cohomology, "_class_weights", wide):
-                    (wide_dom, wide_kernels, wide_reps), wide_blocks = solve(atlas, sheaf)
+                    wide_dom, wide_kernels, wide_reps = solve(atlas, sheaf)
                 msg = (sorted(atlas.charts), sheaf)
                 self.assertEqual(labelled(wide_dom, wide_kernels), labelled(dom, kernels), msg=msg)
                 self.assertEqual(wide_reps, reps, msg=msg)
                 mus = {_weight(mon, 0)[1] for mon in p11_sheaf_monomials(*sheaf)}
-                self.assertEqual(wide_blocks, blocks + 12 * len(mus), msg=msg)
+                blocks, wide_blocks = column_blocks(atlas, dom), column_blocks(atlas, wide_dom)
+                self.assertEqual(len(wide_blocks), len(blocks) + 12 * len(mus), msg=msg)
+                self.assertLessEqual(blocks.items(), wide_blocks.items(), msg=msg)
 
     def test_solve_is_cutoff_free(self):
-        # cech eliminates the same blocks at every cutoff, and only those in
+        # cech lays out the same blocks at every cutoff, and only those in
         # the weight range of _class_weights (the windowed solve eliminated
         # 235 blocks for -3|1 at cutoff 40 and again 14 at cutoff 42, and
         # the range one block wider at each end 18).
-        sizes = {}
-        eliminate = cohomology._eliminate
+        layouts = {}
         for cutoff in (0, 40, 100000):
             cohomology._solve.cache_clear()
-            solved = sizes.setdefault(cutoff, [])
-            count = lambda cols: solved.append(len(cols)) or eliminate(cols)
-            with mock.patch.object(cohomology, "_eliminate", side_effect=count):
-                report = cech(P11, (-3, 1), cutoff)
+            report = cech(P11, (-3, 1), cutoff)
             self.assertEqual((report.h0, report.h1, report.stabilized), (16, 0, True))
-        self.assertEqual(sizes[0], sizes[40])
-        self.assertEqual(sizes[0], sizes[100000])
+            layouts[cutoff] = _cech_solve(P11, (-3, 1))[0]
+        self.assertEqual(layouts[0], layouts[40])
+        self.assertEqual(layouts[0], layouts[100000])
         # lambda in 0..4 with the three second weights -5..-3 of each lambda.
-        self.assertEqual(len(sizes[0]), 15)
-        self.assertLessEqual(max(sizes[0]), 8)
+        blocks = column_blocks(P11, layouts[0])
+        self.assertEqual(sorted(blocks), [(lam, mu) for lam in range(5) for mu in (-5, -4, -3)])
+        self.assertLessEqual(max(blocks.values()), 8)
+
+    def test_memoized_solve_matches_per_block_oracle(self):
+        # Equal blocks share one elimination, and each block reads its
+        # kernels and H^1 rows off it: the same labels, kernels in order
+        # with their coefficient types, and representatives as eliminating
+        # every block afresh, also when the transition scales the columns
+        # (b = 2) and no two blocks are equal.
+        for atlas in (P11, scaled_atlas()):
+            m01 = atlas.transition(*sorted(atlas.charts))
+            for sheaf in product(range(-40, 41), (0, 1)):
+                cohomology._solve.cache_clear()
+                dom, kernels, reps = _cech_solve(atlas, sheaf)
+                want_dom, want_kernels, want_reps = per_block_solve(m01, sheaf)
+                msg = (m01.source.id, sheaf)
+                self.assertEqual(dom, want_dom, msg=msg)
+                self.assertEqual([strict_map(k) for k in kernels], [strict_map(k) for k in want_kernels], msg=msg)
+                self.assertEqual(reps, want_reps, msg=msg)
+                self.assertEqual([type(x) for x in (dom, kernels, reps)], [tuple] * 3, msg=msg)
+                self.assertTrue(all(type(k) is MappingProxyType for k in kernels), msg=msg)
+
+    def test_cold_solve_eliminates_seven_blocks(self):
+        # Away from the ends of the weight range the blocks of one second
+        # weight are the same matrix: -2000|1 lays out 6006 blocks and
+        # 2000|0 6003, and a cold solve of either eliminates 7.
+        for sheaf, dims in (((-2000, 1), (8004, 0)), ((2000, 0), (0, 8000))):
+            cohomology._solve.cache_clear()
+            with mock.patch.object(cohomology, "_eliminate", wraps=_eliminate) as eliminate:
+                report = cech(P11, sheaf, 0)
+            self.assertEqual(eliminate.call_count, 7, msg=sheaf)
+            self.assertEqual((report.h0, report.h1), dims, msg=sheaf)
+
+    def test_equal_columns_other_rows_share_no_outcome(self):
+        # 2|0 has three blocks without columns, one for each of its second
+        # weights 1, 2 and 3.  Their columns are equal, but each leaves its
+        # own rows unhit, so each is eliminated: one shared outcome would
+        # give the H^1 rows of one second weight to all three.
+        cohomology._solve.cache_clear()
+        solved = []
+        record = lambda cols: solved.append(cols) or _eliminate(cols)
+        with mock.patch.object(cohomology, "_eliminate", side_effect=record):
+            reps = _cech_solve(P11, (2, 0))[2]
+        self.assertEqual(solved.count([]), 3)
+        self.assertEqual(reps, per_block_solve(P11.transition("U0", "U1"), (2, 0))[2])
+        self.assertEqual({_weight(mon, e)[1] for mon, e in reps}, {1, 2, 3})
 
 
 class TestDeRham(unittest.TestCase):
