@@ -69,7 +69,9 @@ in the box |u_j| <= D, which misses one only at D = 0.  `derham` states
 this box rule once: a flat report is unstabilized, and lists no class,
 exactly when D = 0 and a picture p >= 1 has degree 0 in range.  `_solve`
 computes the Cech solve of each (transition, sheaf) for `cech` and the
-pairing once per process, as read-only labels; a `Morphism` compares by
+pairing once per process, as read-only labels, and `_pairing` the pairing
+of each (transition, n) once per process, as read-only rows that
+`pairing_matrix` lays out afresh on every call; a `Morphism` compares by
 its generator images, so fresh builds of one atlas share the entries.  A
 negative cutoff is rejected by `cech`, `derham` and `pairing_matrix`;
 `_transition` rejects any atlas that is not two 1|1 charts, since the
@@ -93,6 +95,7 @@ from .errors import (
 from .form_algebra import DG, DL, DP, TH, Monomial, Superform, exterior_d, pair
 
 _ONE = Fraction(1)
+_THETA = Monomial((0,))
 
 
 class Eliminator:
@@ -282,8 +285,7 @@ def _transition(atlas):
     # A sum of terms mixes torus weights and psi -> 0 kills a sheaf monomial;
     # both are checked here, since a sheaf without monomials would not show it.
     odd = m01.odd_image_form(0)
-    theta = Monomial((0,))
-    if list(odd.terms) != [theta] or not odd.terms[theta].is_monomial():
+    if list(odd.terms) != [_THETA] or not odd.terms[_THETA].is_monomial():
         raise UnsupportedMorphismError(
             "the Cech system of P^{1|1} needs the odd transition c*g^k*psi with c != 0, got %r"
             % (odd,)
@@ -294,7 +296,12 @@ def _transition(atlas):
 def _cech_solve(atlas, sheaf):
     """Solve the Cech system (s0, s1) |-> s0 - Phi*(s1) of one sheaf, one
     complete torus-weight block at a time; see `_solve` for the result."""
-    return _solve(_transition(atlas), tuple(sheaf))
+    m01, sheaf = _transition(atlas), tuple(sheaf)
+    # (2.0, 0) == (2, 0) as a cache key, so the degree is checked before the
+    # lookup, or a float would be answered once its int had been solved.
+    if not isinstance(sheaf[0], int):
+        raise StructuralError("the degree of a sheaf must be an int, got %r" % (sheaf[0],))
+    return _solve(m01, sheaf)
 
 
 # A cached solve grows linearly in |i|: about 15 KiB for -3|1, 0.5 MiB for -200|1.
@@ -391,7 +398,7 @@ def _glue(atlas, labels, combo):
     for cid, by_mon in terms.items():
         table = atlas.chart(cid).table
         lps = {mon: LaurentPoly._of(table.even_names, coeffs) for mon, coeffs in by_mon.items()}
-        parts[cid] = Superform(cid, table, lps)
+        parts[cid] = Superform._of(cid, table, lps)
     return parts
 
 
@@ -405,6 +412,7 @@ def cech(space, sheaf, cutoff):
     dom, kernels, reps = _cech_solve(atlas, sheaf)
     c0 = min(atlas.charts)
     table = atlas.chart(c0).table
+    names = table.even_names
     return CohomologyReport(
         space=label,
         sheaf=sheaf,
@@ -413,8 +421,7 @@ def cech(space, sheaf, cutoff):
         h1=len(reps),
         generators_h0=[_glue(atlas, dom, combo) for combo in kernels],
         generators_h1=[
-            Superform(c0, table, {mon: LaurentPoly.monomial(table.even_names, (e,))})
-            for mon, e in reps
+            Superform._of(c0, table, {mon: LaurentPoly._of(names, {(e,): _ONE})}) for mon, e in reps
         ],
     )
 
@@ -468,7 +475,7 @@ def _derham_classes(atlas, picture, listed):
     for chart in charts:
         cid, table, one = chart.id, chart.table, LaurentPoly.const(chart.table.even_names, 1)
         for parts, mon in zip(classes, mons):
-            parts[cid] = Superform(cid, table, {mon: one})
+            parts[cid] = Superform._of(cid, table, {mon: one})
     return classes
 
 
@@ -537,23 +544,53 @@ def pairing_matrix(n, cutoff):
     An entry is the trace of the product, an Omega^{1|1} form: its Berezin
     integral, the coefficient of theta*dg*delta(dpsi) at g^-1.  The trace
     vanishes on coboundaries, since s0 has no g^-1 term and, by the residue
-    theorem, neither has Phi*(s1).  A product of torus weights w1 and w2 has
-    weight w1 + w2 and the trace sees only weight (0, 0), so the matrix is
-    block-diagonal by weight: a representative g^e1*M1 of weight w meets
-    only the H^0 generators whose U0 part has weight -w, and every other
-    entry is zero.  Both factors are read off the `_solve` labels, with no
-    form glued: the product of g^e1*M1 with a U0 label g^e2*M2 is
-    g^(e1+e2)*(M1*M2), and M1*M2 is formed and reduced once per pair of
-    sheaf monomials (at most 16).  Returns (matrix rows, exact rank), the
-    rank summed over the weight blocks, after certifying the pairing
-    perfect: a rank short of either dimension raises StructuralError.  The
-    cutoff must be non-negative and does not change the answer.
+    theorem, neither has Phi*(s1).  Returns (matrix rows, exact rank), read
+    off `_pairing`, which computes and certifies the pairing once per
+    transition, n and process (about 530 KiB held for n = 256): a rank short
+    of either dimension raises StructuralError.  n must be an int >= 0; the
+    cutoff must be non-negative and does not change the answer.  The rows
+    are laid out afresh on every call (about 11 ms for the 1028 x 1028
+    matrix of n = 256), so a caller that changes them changes no later
+    answer.
     """
+    # (1.0, 4) == (1, 4) as a cache key, so the type is checked before the lookup.
+    if not isinstance(n, int):
+        raise StructuralError("pairing index must be an int, got %r" % (n,))
     if n < 0:
         raise StructuralError("pairing index must be non-negative")
     if cutoff < 0:
         raise StructuralError("cutoff must be non-negative, got %d" % cutoff)
-    m01 = _transition(builtin_p11())
+    rows, width, rank = _pairing(_transition(builtin_p11()), n)
+    matrix = []
+    for entries in rows:
+        row = [Fraction(0)] * width
+        for t, c in entries:
+            row[t] = c
+        matrix.append(row)
+    return matrix, rank
+
+
+@lru_cache(maxsize=128)
+def _pairing(m01, n):
+    """The pairing of H^1(Omega^{n+1|0}) with H^0(Omega^{-n|1}) across the
+    transition m01, once per process (a pairing that is not perfect raises,
+    which is not cached).
+
+    Returns read-only (rows, width, rank): for each H^1 representative, in
+    the order of the solve, the tuple of its non-zero (kernel position,
+    Fraction) entries in kernel order; the number of H^0 kernels; and the
+    rank, summed over the weight blocks.  A product of torus weights w1 and
+    w2 has weight w1 + w2 and the trace sees only weight (0, 0), so the
+    matrix is block-diagonal by weight: a representative g^e1*M1 of weight
+    w meets only the H^0 generators whose U0 part has weight -w, and every
+    other entry is zero.  Both factors are read off the `_solve` labels,
+    with no form glued: the product of g^e1*M1 with a U0 label g^e2*M2 is
+    g^(e1+e2)*(M1*M2), and M1*M2 is formed and reduced once per pair of
+    sheaf monomials (at most 16).  The pairing is certified perfect: a rank
+    short of either dimension raises StructuralError.  An entry holds only
+    the non-zero entries, about 530 KiB for n = 256 by tracemalloc; the 128
+    entries read the two solves each of a full `_solve`.
+    """
     reps = _solve(m01, (n + 1, 0))[2]
     dom, kernels, _ = _solve(m01, (-n, 1))
 
@@ -581,7 +618,7 @@ def pairing_matrix(n, cutoff):
             reduced[m1, m2] = berezin_reduce(form)
         return reduced[m1, m2].terms.get((-1 - e,))
 
-    matrix, blocks = [], {}
+    rows, blocks = [], {}
     for m1, e1 in reps:
         lam, mu = _weight(m1, e1)
         entries = {}
@@ -590,18 +627,15 @@ def pairing_matrix(n, cutoff):
             if entry:
                 entries[t] = entry
         blocks.setdefault((lam, mu), []).append(entries)
-        row = [Fraction(0)] * len(kernels)
-        for t, c in entries.items():
-            row[t] = c
-        matrix.append(row)
+        rows.append(tuple(entries.items()))
 
-    rank = sum(_eliminate(rows)[0].rank for rows in blocks.values())
+    rank = sum(_eliminate(block)[0].rank for block in blocks.values())
     if not rank == len(reps) == len(kernels):
         raise StructuralError(
             "the pairing of n = %d is not perfect: rank %d of a %dx%d matrix"
             % (n, rank, len(reps), len(kernels))
         )
-    return matrix, rank
+    return tuple(rows), len(kernels), rank
 
 
 @dataclass

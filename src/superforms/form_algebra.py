@@ -220,6 +220,14 @@ class Superform:
         _add_terms(self.terms, terms or {})
 
     @classmethod
+    def _of(cls, chart, table, terms):
+        """Wrap clean terms ({Monomial: non-zero LaurentPoly}, a dict no one
+        else holds) as they are."""
+        out = cls.__new__(cls)
+        out.chart, out.table, out.terms = chart, table, terms
+        return out
+
+    @classmethod
     def zero(cls, chart, table):
         return cls(chart, table)
 

@@ -392,6 +392,31 @@ class TestSheafBases(unittest.TestCase):
             with self.assertRaises(StructuralError, msg=sheaf):
                 p11_sheaf_monomials(*sheaf)
 
+    def test_float_degree_rejected_warm_and_cold(self):
+        # (2.0, 0) == (2, 0) as a cache key, so a float degree is rejected
+        # before the solve and pairing memos are read: after its int was
+        # answered, in a cold process and after the int again.
+        def answer_ints():
+            cech(P11, (2, 0), 4)
+            cech(P11, (-2, 1), 4)
+            pairing_matrix(1, 4)
+
+        def assert_floats_raise(when):
+            for sheaf in ((2.0, 0), (-2.0, 1), (Fraction(2), 0)):
+                with self.assertRaisesRegex(StructuralError, "must be an int", msg=(when, sheaf)):
+                    cech(P11, sheaf, 4)
+            for n in (1.0, Fraction(1)):
+                with self.assertRaisesRegex(StructuralError, "must be an int", msg=(when, n)):
+                    pairing_matrix(n, 4)
+
+        answer_ints()
+        assert_floats_raise("warm")
+        cohomology._solve.cache_clear()
+        cohomology._pairing.cache_clear()
+        assert_floats_raise("cold")
+        answer_ints()
+        assert_floats_raise("warm again")
+
     def test_section_basis_blocks(self):
         # Phi*(1) and Phi*(psi) have first weights 0 and -1, so only the
         # blocks lambda = 0 are solved: U0 takes g^e*M with e = lambda -
@@ -1509,15 +1534,19 @@ class TestPairingMatrix(unittest.TestCase):
         # An entry is the Berezin trace of the product, which reads only the
         # theta*dg*delta(dpsi) terms, so a theta-free term dg*delta(dpsi)*g^e
         # added to every product, at any power of g, changes no entry.
+        # The pairing memo is cleared before each patched call, so that the
+        # call forms its products, and after the last.
         table = P11.chart("U0").table
         theta_free = Monomial((), (0,), (), ((0, 0),))
         want = {n: pairing_matrix(n, 8) for n in range(4)}
+        self.addCleanup(cohomology._pairing.cache_clear)
         for e in (-1, 0, 1):
             stray = lambda a, b: pair(a, b) + Superform(
                 "U0", table, {theta_free: LaurentPoly.monomial(("g",), (e,))}
             )
             with mock.patch.object(cohomology, "pair", side_effect=stray) as paired:
                 for n in range(4):
+                    cohomology._pairing.cache_clear()
                     self.assertEqual(pairing_matrix(n, 8), want[n], msg=(n, e))
             self.assertGreater(paired.call_count, 0)
 
@@ -1541,11 +1570,11 @@ class TestPairingMatrix(unittest.TestCase):
                 s0, s1 = section(c0, t0), section(c1, t1)
                 self.assertEqual(berezin_integral(s0 - pullback(m01, s1)), 0, msg=(c0, k))
 
-    def test_pairing_is_certified_perfect(self):
+    def corrupted_solves(self):
         # An H^0 kernel dropped, or replaced by a copy of another of the same
         # weight, or an H^1 representative dropped, leaves the n = 3 pairing
-        # of rank 15, short of both sides or of one, which must raise rather
-        # than answer.
+        # of rank 15, short of both sides or of one.  Yields a patched
+        # `_solve` per case, with the sheaf it changes.
         solve = cohomology._solve
         m01 = cohomology._transition(P11)
         dom, kernels, no_reps = solve(m01, (-3, 1))
@@ -1561,15 +1590,66 @@ class TestPairingMatrix(unittest.TestCase):
             ((4, 0), (dom1, no_kernels, reps[1:])),
         )
         for sheaf, changed in cases:
-            patched = lambda m, s: changed if s == sheaf else solve(m, s)
+            yield sheaf, lambda m, s, sheaf=sheaf, changed=changed: changed if s == sheaf else solve(m, s)
+
+    def test_pairing_is_certified_perfect(self):
+        # A pairing that is not perfect must raise rather than answer.  A warm
+        # pairing memo would answer without reading the patched solves, so it
+        # is cleared first.
+        cohomology._pairing.cache_clear()
+        for sheaf, patched in self.corrupted_solves():
             with mock.patch.object(cohomology, "_solve", side_effect=patched):
                 with self.assertRaisesRegex(StructuralError, "n = 3 is not perfect: rank 15", msg=sheaf):
                     pairing_matrix(3, 10)
         self.assertEqual(pairing_matrix(3, 10)[1], 16)
 
+    def test_failed_certificate_is_not_cached(self):
+        # A pairing that raises leaves no memo entry, so every call on the
+        # corrupted solves raises, at any cutoff, not only the first.
+        cohomology._pairing.cache_clear()
+        for sheaf, patched in self.corrupted_solves():
+            with mock.patch.object(cohomology, "_solve", side_effect=patched):
+                for cutoff in (10, 0, 10, 45):
+                    with self.assertRaisesRegex(StructuralError, "rank 15", msg=(sheaf, cutoff)):
+                        pairing_matrix(3, cutoff)
+            self.assertEqual(cohomology._pairing.cache_info().currsize, 0, msg=sheaf)
+        self.assertEqual(pairing_matrix(3, 10)[1], 16)
+
+    def test_second_cutoff_computes_nothing(self):
+        # The pairing does not depend on the cutoff, so a call at a second
+        # cutoff reads the memo: no product, no elimination and no solve miss,
+        # and the same entries with their types.
+        typed = lambda matrix: [[(type(c), c) for c in row] for row in matrix]
+        for n in (0, 3, 7):
+            first, rank = pairing_matrix(n, 2 * n + 5)
+            misses = cohomology._solve.cache_info().misses
+            with (
+                mock.patch.object(cohomology, "pair", wraps=pair) as paired,
+                mock.patch.object(cohomology, "_eliminate", wraps=_eliminate) as eliminated,
+            ):
+                again, again_rank = pairing_matrix(n, 0)
+            self.assertEqual((paired.call_count, eliminated.call_count), (0, 0), msg=n)
+            self.assertEqual(cohomology._solve.cache_info().misses, misses, msg=n)
+            self.assertEqual((typed(again), again_rank), (typed(first), rank), msg=n)
+
+    def test_changed_rows_change_no_later_answer(self):
+        # Every call lays out fresh rows, so neither a changed row nor a
+        # changed matrix list reaches the next call.
+        want = pairing_matrix(2, 9)
+        want = ([list(row) for row in want[0]], want[1])
+        matrix, _ = pairing_matrix(2, 9)
+        matrix[0][0] = Fraction(99)
+        matrix[1].append(Fraction(5))
+        del matrix[2][0]
+        matrix.append([Fraction(1)])
+        del matrix[3]
+        self.assertEqual(pairing_matrix(2, 9), want)
+        self.assertIsNot(pairing_matrix(2, 9)[0][0], pairing_matrix(2, 9)[0][0])
+
     def test_cold_call_makes_two_solves(self):
         # Omega^{n+1|0} and Omega^{-n|1}, and no Omega^{1|1} probe.
         cohomology._solve.cache_clear()
+        cohomology._pairing.cache_clear()
         pairing_matrix(4, 13)
         self.assertEqual(cohomology._solve.cache_info().misses, 2)
 
@@ -1577,6 +1657,7 @@ class TestPairingMatrix(unittest.TestCase):
         # pairing_matrix builds a fresh builtin_p11() on every call; its
         # transitions equal the last call's, so every pullback is reused.
         cohomology._solve.cache_clear()
+        cohomology._pairing.cache_clear()
         with mock.patch.object(cohomology, "pullback", wraps=pullback) as pulled:
             first = pairing_matrix(4, 10)
             calls = pulled.call_count
@@ -1587,8 +1668,10 @@ class TestPairingMatrix(unittest.TestCase):
 
     def test_warm_call_reads_the_solve_labels(self):
         # No report is built and no form glued; M1*M2 is formed once per
-        # pair of sheaf monomials, at most 4 x 4 of them.
+        # pair of sheaf monomials, at most 4 x 4 of them.  The solves stay
+        # warm; the pairing memo is cleared, so that the call forms products.
         pairing_matrix(4, 10)
+        cohomology._pairing.cache_clear()
         with (
             mock.patch.object(cohomology, "cech", wraps=cech) as reports,
             mock.patch.object(cohomology, "_glue", wraps=_glue) as glued,
@@ -1683,6 +1766,58 @@ def report_pairing(n, cutoff):
             row.append(coeffs.get(generator, Fraction(0)))
         matrix.append(row)
     return matrix, _eliminate([dict(enumerate(row)) for row in matrix])[0].rank
+
+
+def checked_form(form):
+    """The form rebuilt from its own terms through the checked constructors
+    of Superform, Monomial and LaurentPoly: the oracle of the unchecked
+    wrappers."""
+    return Superform(
+        form.chart,
+        form.table,
+        {
+            Monomial(m.thetas, m.devens, m.dodds, m.deltas): LaurentPoly(lp.variables, lp.terms)
+            for m, lp in form.terms.items()
+        },
+    )
+
+
+class TestUncheckedForms(unittest.TestCase):
+    # _glue, cech's H^1 representatives and _derham_classes wrap their terms
+    # unchecked; each form equals its checked rebuild, with its term order,
+    # coefficient types and a tuple of variable names.
+    def assert_clean(self, form, msg):
+        want = checked_form(form)
+        self.assertEqual(form, want, msg=msg)
+        self.assertEqual(strict_form(form), strict_form(want), msg=msg)
+        self.assertEqual(
+            [(type(m), type(lp.variables)) for m, lp in form.terms.items()],
+            [(Monomial, tuple)] * len(form.terms),
+            msg=msg,
+        )
+
+    def test_cech_forms_are_clean(self):
+        for atlas in (P11, scaled_atlas()):
+            for picture in (0, 1):
+                for i in range(-40, 41):
+                    msg = (sorted(atlas.charts), i, picture)
+                    report = cech(atlas, (i, picture), 0)
+                    for parts in report.generators_h0:
+                        self.assertEqual(list(parts), sorted(atlas.charts), msg=msg)
+                        for form in parts.values():
+                            self.assert_clean(form, msg)
+                    for form in report.generators_h1:
+                        self.assert_clean(form, msg)
+
+    def test_derham_classes_are_clean(self):
+        cases = [(builtin_flat(2, 4), p) for p in range(5)] + [(P11, 0), (P11, 1), (scaled_atlas(), 1)]
+        for atlas, picture in cases:
+            classes = cohomology._derham_classes(atlas, picture, True)
+            n = len(atlas.chart(min(atlas.charts)).table.odd_names)
+            self.assertEqual(len(classes), comb(n, picture))
+            for parts in classes:
+                for form in parts.values():
+                    self.assert_clean(form, (sorted(atlas.charts), picture))
 
 
 class TestNegativeCutoff(unittest.TestCase):
