@@ -27,12 +27,13 @@ P^1).  `_solve` lays the blocks out, each with its columns in their global
 (chart, monomial, exponent) order, so the kernels come out as from one
 eliminator for the whole system; the unit vectors of the rows are inserted
 after the columns, and the rows they leave unhit are the H^1
-representatives.  Away from the ends of the weight range the blocks of one
-second weight are the same matrix, so it eliminates each distinct block
-once, however wide the range.  `cech` is therefore exact at every
-cutoff.  The pairing reads each entry off the `_solve` labels as the Berezin
-trace of a product, its coefficient of theta*dg*delta(dpsi) at g^-1, which
-only weight (0, 0) carries, so it pairs only labels of weight sum (0, 0),
+representatives.  A block is fixed by the (chart, monomial) of its columns
+up to b^-lambda on its U1 columns, a factor its kernels carry on their U0
+coefficients alone (see `_solve`), so each distinct block is eliminated
+once, whatever the range and b.  `cech` is therefore exact at every cutoff.
+The pairing reads each entry off the `_solve` labels as the Berezin trace
+of a product, its coefficient of theta*dg*delta(dpsi) at g^-1, which only
+weight (0, 0) carries, so it pairs only labels of weight sum (0, 0),
 reduces one product per pair of sheaf monomials and certifies itself perfect.
 
 P^{1|1} de Rham is the cohomology of the complex of global sections.  d
@@ -304,7 +305,7 @@ def _cech_solve(atlas, sheaf):
     return _solve(m01, sheaf)
 
 
-# A cached solve grows linearly in |i|: about 15 KiB for -3|1, 0.5 MiB for -200|1.
+# A cached solve grows linearly in |i|: 19 KiB for -3|1, 0.5 MiB for -200|1, 5 MiB for -2000|1.
 @lru_cache(maxsize=256)
 def _solve(m01, sheaf):
     """The Cech solve across the transition m01 from chart c0 to chart c1,
@@ -316,65 +317,70 @@ def _solve(m01, sheaf):
     {column: coeff}; the H^1 representatives as overlap (Monomial, exponent)
     pairs in monomial order.  A block has one row per sheaf monomial of its
     second weight, keyed by its position in the sheaf's list, and the unit
-    vectors of its rows are inserted after its columns.  Blocks with equal
-    columns and rows are equal matrices, so each distinct one is eliminated
-    once per solve and every block reads its kernels and unhit rows off
-    that outcome: 7 eliminations for -2000|1 or 2000|0, of about 6000
-    blocks.  On a transition with b != 1 the columns carry b^e, so there
-    the blocks do not repeat.
+    vectors of its rows are inserted after its columns.  Phi*(g'^e*M) =
+    b^e*g^-e*Phi*(M) with e = lambda1(M) - lambda in block lambda, so there
+    a U1 column is b^-lambda times the block-free b^lambda1(M)*(-Phi*(M))
+    and a U0 column the unit vector of M's row.  Each distinct (chart,
+    monomial) column tuple and rows is eliminated once on the block-free
+    columns, checked (its kernels combine them to zero, or StructuralError
+    names the sheaf) and read off by every block that has it: 7
+    eliminations for -2000|1 or 2000|0, of about 6000 blocks, whatever b is.
+    The U0 columns come first and are unit vectors on distinct rows, so
+    every kernel's lead is a U1 column: b^-lambda keeps its U1 coefficients
+    and multiplies its U0 ones.
     """
     mons = p11_sheaf_monomials(*sheaf)
-    position = {mon: k for k, mon in enumerate(mons)}
     c0, c1 = m01.source.id, m01.target.id
-    # Pullback is a ring map and the image of g is b*g^-1 (`_transition`), so
-    # Phi*(g^e*M) is Phi*(M) shifted by -e and scaled by b^e, which b = 1
-    # leaves as it is.
     _, b = m01.even_images[0].single_term()
-    scaled = b != 1
     one = LaurentPoly.const(m01.target.table.even_names, 1)
     pulled = {mon: pullback(m01, Superform(c1, m01.target.table, {mon: one})) for mon in mons}
     weights = {mon: _form_weight(pulled[mon]) for mon in mons}
     lo, hi = _class_weights([weights[mon][0] for mon in mons])
     # weight -> positions of its columns in dom, ascending; g^e*M has the
     # weight of M shifted by (e, 0), and g'^e*M on U1 that of Phi*(M) by -e.
-    # A column is the item tuple of its sparse {row: coeff} map, numbered
-    # once, so that equal columns share one number.
+    # Block-free column k is the U0 column of mons[k], len(mons) + k its U1
+    # column, and ids holds that number for each position.
     own = {mon: _weight(mon, 0) for mon in mons}
     blocks = {(lam, own[mon][1]): [] for lam in range(lo, hi + 1) for mon in mons}
-    dom, columns, numbers = [], [], {}
-    number = lambda column: numbers.setdefault(column, len(numbers))
-    for mon in mons:
+    dom, ids, columns, rows = [], [], [], {}
+    for k, mon in enumerate(mons):
         dg, mu = own[mon]
-        unit = number(((position[mon], _ONE),))
+        rows[mu] = rows.get(mu, ()) + (k,)
+        columns.append({k: _ONE})
         for e in range(max(0, lo - dg), hi - dg + 1):
             blocks[e + dg, mu].append(len(dom))
             dom.append((c0, mon, (e,)))
-            columns.append(unit)
-    for mon in mons:
+            ids.append(k)
+    for k, mon in enumerate(mons, len(mons)):
         lam, mu = weights[mon]
-        # -Phi*(M) on the rows, one number for all its columns when b = 1.
-        column = tuple((position[m], -c) for m, lp in pulled[mon].terms.items() for c in lp.terms.values())
-        image = number(column)
+        columns.append({mons.index(m): -c * b**lam for m, lp in pulled[mon].terms.items() for c in lp.terms.values()})
         for e in range(max(0, lam - hi), lam - lo + 1):
             blocks[lam - e, mu].append(len(dom))
             dom.append((c1, mon, (e,)))
-            columns.append(number(tuple((r, c * b**e) for r, c in column)) if scaled else image)
-    distinct = list(numbers)
-    rows = {mu: tuple(k for k, mon in enumerate(mons) if own[mon][1] == mu) for _, mu in blocks}
+            ids.append(k)
 
-    # Away from the ends of the weight range the blocks repeat, so each
-    # distinct (columns, rows) is eliminated once: its kernels in block
-    # column indices and the rows its columns leave unhit, in monomial
-    # order (H^1), relabelled to each block that has it.
+    # Each distinct outcome: its kernels in block column indices, the rows
+    # its columns leave unhit, in monomial order (H^1), and how many U0
+    # coefficients take b^-lambda (none for b = 1).
     outcomes = {}
     kernels, reps = [], []
     for (lam, mu), ts in blocks.items():
-        key = (tuple(columns[t] for t in ts), rows[mu])
+        key = (tuple(ids[t] for t in ts), rows[mu])
         if key not in outcomes:
-            elim, block_kernels = _eliminate([dict(distinct[n]) for n in key[0]])
+            block = [columns[n] for n in key[0]]
+            elim, block_kernels = _eliminate(block)
+            for combo in block_kernels:
+                residual = {}
+                for j, c in combo.items():
+                    _axpy(residual, block[j].items(), c)
+                if residual:
+                    raise StructuralError("a Cech kernel of %d|%d does not combine its columns to zero" % sheaf)
             unhit = [k for k in rows[mu] if elim.insert({k: _ONE}, k) is None]
-            outcomes[key] = block_kernels, unhit
-        block_kernels, unhit = outcomes[key]
+            outcomes[key] = block_kernels, unhit, sum(n < len(mons) for n in key[0]) if b != 1 else 0
+        block_kernels, unhit, u0 = outcomes[key]
+        if u0:
+            s = b**-lam
+            block_kernels = [{j: c * s if j < u0 else c for j, c in combo.items()} for combo in block_kernels]
         kernels += [{ts[j]: c for j, c in combo.items()} for combo in block_kernels]
         reps += [(k, lam - own[mons[k]][0]) for k in unhit]
     # Blocks share no column, so `_eliminate`'s lead convention holds across

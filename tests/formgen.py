@@ -1,6 +1,6 @@
 """Seeded random generators for forms, shared by the test modules, with the
-scaled P^{1|1} atlas, the strict term dump and the sparse-update oracle that
-several of them use.
+scaled and twisted P^{1|1} gluings, the strict term dump and the
+sparse-update oracle that several of them use.
 
 Everything is driven by an explicit random.Random instance so that failures
 reproduce from the printed seed.
@@ -17,7 +17,6 @@ from superforms import (
     Monomial,
     Morphism,
     Superform,
-    lp_scale,
     normalize,
 )
 
@@ -81,16 +80,26 @@ def form_degree(form):
     return degs.pop()
 
 
-def scaled_atlas():
-    """P^{1|1} glued by y = 2/x, s = t/x on charts A and B."""
-    a, b = Chart("A", GeneratorTable(("x",), ("t",))), Chart("B", GeneratorTable(("y",), ("s",)))
-    x_inv = LaurentPoly.monomial(("x",), (-1,))
-    y_inv = LaurentPoly.monomial(("y",), (-1,))
+def scaled_atlas(b=2, c=1, k=-1):
+    """P^{1|1} glued by y = b/x, s = c*x^k*t on charts A and B, the inverse
+    being x = b/y, t = b^-k/c*y^k*s; the default is y = 2/x, s = t/x."""
+    b, c = Fraction(b), Fraction(c)
+    chart_a, chart_b = Chart("A", GeneratorTable(("x",), ("t",))), Chart("B", GeneratorTable(("y",), ("s",)))
     transitions = {
-        ("A", "B"): Morphism(a, b, {0: lp_scale(x_inv, 2)}, {0: ((x_inv, 0),)}),
-        ("B", "A"): Morphism(b, a, {0: lp_scale(y_inv, 2)}, {0: ((lp_scale(y_inv, 2), 0),)}),
+        ("A", "B"): Morphism(
+            chart_a,
+            chart_b,
+            {0: LaurentPoly.monomial(("x",), (-1,), b)},
+            {0: ((LaurentPoly.monomial(("x",), (k,), c), 0),)},
+        ),
+        ("B", "A"): Morphism(
+            chart_b,
+            chart_a,
+            {0: LaurentPoly.monomial(("y",), (-1,), b)},
+            {0: ((LaurentPoly.monomial(("y",), (k,), b**-k / c), 0),)},
+        ),
     }
-    return Atlas({"A": a, "B": b}, transitions)
+    return Atlas({"A": chart_a, "B": chart_b}, transitions)
 
 
 def strict_map(m):

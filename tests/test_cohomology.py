@@ -1,6 +1,8 @@
 """Tests for the exact linear algebra and both cohomology pipelines."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import random
@@ -45,6 +47,7 @@ from superforms import (
     pullback,
 )
 from superforms import atlas_morphism, cohomology
+from superforms.cli import run_command
 from superforms.coeff_ring import _axpy
 from superforms.cohomology import (
     _cech_solve,
@@ -78,6 +81,10 @@ def glued_p11(even, odd):
 
 # g -> 2/g, psi -> psi glues P^1 x C^{0|1}.
 P1_TIMES_ODD_LINE = glued_p11(lp_scale(INVERSE, 2), ONE)
+# The gluings y = b/x, s = c*x^k*t the memoized Cech solve is checked on
+# beside P11: b = 2 and b = -1/3 scale its U1 columns, and (2, 3, 2) also
+# twists psi.
+GLUINGS = (P11, scaled_atlas(), scaled_atlas(Fraction(-1, 3)), scaled_atlas(2, 3, 2))
 
 
 def random_columns(rng, rows, count, density=0.6):
@@ -217,9 +224,9 @@ class TestUnitShortcuts(unittest.TestCase):
 
     def test_shortcuts_keep_fractions(self):
         # On P^{1|1} (g -> 1/g) and on the scaled atlas (y = 2/x, where the
-        # b^e scaling of the U1 columns still runs) every coefficient of the
-        # Cech kernels, the pairing entries and the pullback images is a
-        # Fraction.
+        # block-free U1 columns carry b^lambda1(M) and the U0 coefficients of
+        # the kernels b^-lambda) every coefficient of the Cech kernels, the
+        # pairing entries and the pullback images is a Fraction.
         rng = random.Random(35)
         for atlas in (P11, scaled_atlas()):
             c0, c1 = sorted(atlas.charts)
@@ -809,8 +816,9 @@ class TestWeightBlocks(unittest.TestCase):
     def test_kernel_leads(self):
         # `global_section_complex` reads a global vector's coordinates at
         # the kernels' leads: each kernel is 1 at its largest column, a
-        # column of the second chart that no other kernel has.
-        for atlas in (P11, scaled_atlas()):
+        # column of the second chart that no other kernel has, also where
+        # the U0 coefficients were scaled by b^-lambda.
+        for atlas in GLUINGS:
             c1 = max(atlas.charts)
             for sheaf in product(range(-12, 13), (0, 1)):
                 dom, kernels, _ = _cech_solve(atlas, sheaf)
@@ -914,12 +922,14 @@ class TestWeightBlocks(unittest.TestCase):
         self.assertLessEqual(max(blocks.values()), 8)
 
     def test_memoized_solve_matches_per_block_oracle(self):
-        # Equal blocks share one elimination, and each block reads its
-        # kernels and H^1 rows off it: the same labels, kernels in order
-        # with their coefficient types, and representatives as eliminating
-        # every block afresh, also when the transition scales the columns
-        # (b = 2) and no two blocks are equal.
-        for atlas in (P11, scaled_atlas()):
+        # Blocks with the same (chart, monomial) columns and rows share one
+        # elimination, and each block reads its kernels and H^1 rows off it:
+        # the same labels, kernels in order with their coefficient types, and
+        # representatives as eliminating every block afresh, also when the
+        # transition scales the U1 columns of block lambda by b^-lambda
+        # (b = 2, b = -1/3) and twists psi, where each block's U0
+        # coefficients are rescaled.
+        for atlas in GLUINGS:
             m01 = atlas.transition(*sorted(atlas.charts))
             for sheaf in product(range(-40, 41), (0, 1)):
                 cohomology._solve.cache_clear()
@@ -934,14 +944,87 @@ class TestWeightBlocks(unittest.TestCase):
 
     def test_cold_solve_eliminates_seven_blocks(self):
         # Away from the ends of the weight range the blocks of one second
-        # weight are the same matrix: -2000|1 lays out 6006 blocks and
-        # 2000|0 6003, and a cold solve of either eliminates 7.
-        for sheaf, dims in (((-2000, 1), (8004, 0)), ((2000, 0), (0, 8000))):
+        # weight hold the same (chart, monomial) columns: -2000|1 lays out
+        # 6006 blocks and 2000|0 6003, and a cold solve of either eliminates
+        # 7, whatever b scales the U1 columns by (eliminating every scaled
+        # block took 6006 for -2000|1 on b = 2).  The twisted gluing
+        # s = 3*x^2*t moves the first weights of the pulled monomials apart,
+        # so one more edge block differs: 8, where every block took 12004
+        # for 2000|0.
+        cases = [(atlas, 7, ((8004, 0), (0, 8000))) for atlas in GLUINGS[:3]]
+        cases.append((GLUINGS[3], 8, ((0, 16008), (16000, 0))))
+        for atlas, count, dims in cases:
+            for sheaf, want in zip(((-2000, 1), (2000, 0)), dims):
+                msg = (sorted(atlas.charts), sheaf)
+                cohomology._solve.cache_clear()
+                with mock.patch.object(cohomology, "_eliminate", wraps=_eliminate) as eliminate:
+                    report = cech(atlas, sheaf, 0)
+                self.assertEqual(eliminate.call_count, count, msg=msg)
+                self.assertEqual((report.h0, report.h1), want, msg=msg)
+        cohomology._solve.cache_clear()
+
+    def test_every_kernel_combines_its_columns_to_zero(self):
+        # The full residual, which the solve checks only on each distinct
+        # block outcome: every relabelled kernel, its U0 coefficients
+        # rescaled, is a global section.  Each label is laid out by itself,
+        # g^e*M on the overlap for U0 and -Phi*(g'^e*M), pulled back term by
+        # term, for U1, and the kernel's combination of them is zero.
+        for atlas in (P11, scaled_atlas()):
+            c0, c1 = sorted(atlas.charts)
+            m01, table = atlas.transition(c0, c1), atlas.chart(c1).table
+            checked = 0
+            for sheaf in product(range(-40, 41), (0, 1)):
+                dom, kernels, _ = _cech_solve(atlas, sheaf)
+                columns = {}
+
+                def column(t):
+                    if t not in columns:
+                        cid, mon, exps = dom[t]
+                        if cid == c0:
+                            columns[t] = {(mon, exps): Fraction(1)}
+                        else:
+                            label = Superform(c1, table, {mon: LaurentPoly.monomial(table.even_names, exps)})
+                            image = pullback(m01, label).terms.items()
+                            columns[t] = {(m, e): -c for m, lp in image for e, c in lp.terms.items()}
+                    return columns[t]
+
+                for combo in kernels:
+                    residual = {}
+                    for t, c in combo.items():
+                        _axpy(residual, column(t).items(), c)
+                    self.assertEqual(residual, {}, msg=(c0, sheaf, labelled(dom, [combo])))
+                checked += len(kernels)
+            self.assertEqual(checked, 3445, msg=c0)
+
+    def test_corrupted_kernel_is_rejected(self):
+        # Every distinct block outcome is checked when it is stored: a
+        # kernel that does not combine the block-free columns to zero, here
+        # the first one with every coefficient but its lead doubled, raises
+        # StructuralError naming the sheaf, and the CLI exits 3.
+        def corrupted(columns):
+            elim, kernels = _eliminate(columns)
+            if kernels and not done:
+                lead = max(kernels[0])
+                kernels[0] = {j: c if j == lead else 2 * c for j, c in kernels[0].items()}
+                done.append(True)
+            return elim, kernels
+
+        self.addCleanup(cohomology._solve.cache_clear)
+        for atlas in (P11, scaled_atlas()):
+            done = []
             cohomology._solve.cache_clear()
-            with mock.patch.object(cohomology, "_eliminate", wraps=_eliminate) as eliminate:
-                report = cech(P11, sheaf, 0)
-            self.assertEqual(eliminate.call_count, 7, msg=sheaf)
-            self.assertEqual((report.h0, report.h1), dims, msg=sheaf)
+            with mock.patch.object(cohomology, "_eliminate", side_effect=corrupted):
+                with self.assertRaisesRegex(StructuralError, r"of -3\|1 does not combine"):
+                    cech(atlas, (-3, 1), 0)
+            self.assertEqual(done, [True])
+        done = []
+        cohomology._solve.cache_clear()
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(cohomology, "_eliminate", side_effect=corrupted), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_command(["cech", "--sheaf=-3|1"])
+        self.assertEqual((code, out.getvalue()), (3, ""))
+        self.assertRegex(err.getvalue(), r"^error \(computation\): .*of -3\|1 does not combine")
 
     def test_equal_columns_other_rows_share_no_outcome(self):
         # 2|0 has three blocks without columns, one for each of its second
