@@ -14,26 +14,33 @@ differentials, spelled "d" + name (`dg`, `dpsi1`, ...), and delta factors
 `delta(dpsi)`, `delta'(dpsi)`, `delta^(k)(dpsi)`.  `*` is the wedge product;
 negative powers are admitted on even coordinates only.
 
-The text is split into token strings by one regex split, and the parser
-compares the strings themselves; a token's position is computed only for an
-error.  A product is normalized once: its numbers, coordinate powers and atoms
-are gathered in place into one run (an int numerator and denominator, an
-exponent per even coordinate and a list of (atom, power) pairs) and put in
-normal form, so `g^k` is exponent arithmetic and `dpsi^k` one factor power
-rather than k wedges.  Each product is added into the sum's one terms map, its
-sign folded into the numerator.  A parenthesized factor and a number with a
-power are pieces, one-term or not: a piece is raised to its power by squaring,
-stopping at a zero power, and wedged onto the product, so `2^k` and `(2)^k`
-are one rule.  A number, exponent or delta order longer than the interpreter's
-integer digit limit is a parse error at its token, and so is a piece's power
-as soon as a coefficient passes that limit while it is squared, or before a
-squaring whose result could have more terms than that limit.
+The tokens are read off the text by one regex findall, and the parser
+compares the strings themselves, looking at each token once as one cursor
+moves left to right; the whitespace between the tokens is split out, and a
+token's position computed, only for an error.  A product is normalized once:
+its numbers, coordinate powers and atoms are gathered in place into one run
+(an int numerator and denominator, an exponent per even coordinate and a
+list of (atom, power) pairs), so `g^k` is exponent arithmetic and `dpsi^k`
+one factor power rather than k wedges.  The normal form of the run is found
+before its coefficient is built: a product that vanishes builds none, and
+the sign and contraction scalar of one that does not are folded into the
+numerator of its one Fraction, which is added into the sum's one terms map
+(the product's sign starts that numerator).  A parenthesized factor and a
+number with a power are pieces, one-term or not: a piece is raised to its
+power by squaring, stopping at a zero power, and wedged onto the product, so
+`2^k` and `(2)^k` are one rule.  A number, exponent or delta order longer
+than the interpreter's integer digit limit is a parse error at its token, and
+so is a piece's power as soon as a coefficient passes that limit while it is
+squared, or before a squaring whose result could have more terms than that
+limit.
 
 Exit codes: 0 success, 2 parse or usage error (such as a negative --cutoff or
 --n, or an empty --range), 3 computation error, 4 stabilization failure (only
 flat de Rham can fail to stabilize), 141 output pipe closed early by its reader.
 A command computes one payload; the run writes it once, as one versioned JSON
 object with --json, otherwise as the text lines read off that payload alone.
+`pair` reads the sparse rows of the pairing: the text of a zero entry is laid
+out, and only the non-zero entries are formatted.
 """
 
 import argparse
@@ -71,8 +78,9 @@ from .form_algebra import (
     Superform,
     UNIT_MONOMIAL,
     _NAME_RE,
-    _add_normal,
+    _add_term,
     _add_terms,
+    _normal_form,
     _wedge_power,
     delta,
     exterior_d,
@@ -89,8 +97,6 @@ SCHEMA_VERSION = 1
 _TOKEN_RE = re.compile(r"(\d+(?:/\d+)?|%s|\S)" % _NAME_RE.pattern)
 _STRAY_RE = re.compile(r"[^-+*^()'/\s\dA-Za-z]")
 _OPS = frozenset("-+*^()'")
-# The first character of a token of each kind, once stray characters are out.
-_STARTS = {"name": str.isalpha, "number": str.isdecimal}
 
 
 _TOO_LONG = "number too long: more than %d digits, the limit of sys.get_int_max_str_digits()"
@@ -105,137 +111,171 @@ def _digit_bound(limit):
 
 class _Parser:
     def __init__(self, text, table, chart_id):
+        self.text = text
         self.table = table
         self.chart = chart_id
         self.words = table._words
-        # Token k is pieces[2k + 1], closed by "" at the end; the pieces
-        # between the tokens are whitespace.
-        self.pieces = _TOKEN_RE.split(text)
-        self.tokens = self.pieces[1::2]
+        # The tokens, closed by "" at the end; what lies between them is
+        # whitespace, split out only to place an error.
+        self.tokens = _TOKEN_RE.findall(text)
         if "/" in self.tokens or _STRAY_RE.search(text):
             for k, tok in enumerate(self.tokens):
                 if tok == "/" or _STRAY_RE.match(tok):
                     raise self.error("unexpected character %r" % tok, k)
         self.tokens.append("")
-        self.pos = 0
 
     def error(self, message, k):
         """FormParseError at token k, whose position is the length of the
-        pieces before it: positions are computed only for an error."""
-        return FormParseError(message, sum(map(len, self.pieces[: 2 * k + 1])))
+        tokens and whitespace before it."""
+        return FormParseError(message, sum(map(len, _TOKEN_RE.split(self.text)[: 2 * k + 1])))
 
-    def expect(self, kind):
-        """Take the next token, which must be this operator, a "name" or a "number"."""
-        tok = self.tokens[self.pos]
-        if not (tok == kind if len(kind) == 1 else _STARTS[kind](tok[:1])):
-            if len(kind) == 1:  # an operator
-                kind = repr(kind) if tok in _OPS else "op"
-            raise self.error("expected %s, found %r" % (kind, tok or "end of input"), self.pos)
-        self.pos += 1
-        return tok
+    def expected(self, kind, k):
+        """FormParseError at token k, which is not this operator, a "name" or a "number"."""
+        tok = self.tokens[k]
+        if len(kind) == 1:  # an operator
+            kind = repr(kind) if tok in _OPS else "op"
+        return self.error("expected %s, found %r" % (kind, tok or "end of input"), k)
 
     def parse(self):
-        form = self.expr()
-        if self.tokens[self.pos]:
-            raise self.error("trailing input %r" % self.tokens[self.pos], self.pos)
+        form, k = self.expr(0)
+        if self.tokens[k]:
+            raise self.error("trailing input %r" % self.tokens[k], k)
         return form
 
-    def expr(self):
-        """A sum, each product added into one terms map with its sign."""
+    def expr(self, k):
+        """The sum from token k, each product added into one terms map with
+        its sign, and the token after it."""
         tokens = self.tokens
-        out = Superform(self.chart, self.table)
-        op = tokens[self.pos]
+        out = Superform._of(self.chart, self.table, {})
+        op = tokens[k]
         while True:
             if op == "+" or op == "-":
-                self.pos += 1
-            self.term(out.terms, -1 if op == "-" else 1)
-            op = tokens[self.pos]
+                k += 1
+            k = self.term(k, out.terms, -1 if op == "-" else 1)
+            op = tokens[k]
             if op != "+" and op != "-":
-                return out
+                return out, k
 
-    def term(self, terms, sign):
-        """Add sign times a product to terms.  Its numbers, coordinate powers
-        and atoms are gathered in place into one run (an int numerator and
-        denominator, an exponent per even coordinate and a list of (atom,
-        power) pairs), normalized once; the first run starts with the sign
-        as its numerator.  A parenthesized factor and a number with a power
-        are pieces: a piece is raised to its power by `_wedge_power` under
-        the digit check, flushes the run and is wedged on, left to right."""
+    def term(self, k, terms, sign):
+        """Add sign times the product from token k to terms; returns the
+        token after it.  Each token is read once, left to right.  The
+        product's numbers, coordinate powers and atoms are gathered in place
+        into one run (an int numerator and denominator, an exponent per even
+        coordinate and a list of (atom, power) pairs); the first run starts
+        with the sign as its numerator.  A parenthesized factor and a number
+        with a power are pieces: a piece is raised to its power by
+        `_wedge_power` under the digit check, flushes the run and is wedged
+        on, left to right."""
         tokens, words, n_even = self.tokens, self.words, len(self.table.even_names)
-        form, piece, num, den, exps, pairs = None, None, sign, 1, [0] * n_even, []
+        form, num, den, exps, pairs = None, sign, 1, [0] * n_even, []
         while True:
-            k = self.pos
             tok = tokens[k]
+            piece = atom = None
             if tok == "(":
-                self.pos += 1
-                piece = self.expr()
-                self.expect(")")
+                piece, k = self.expr(k + 1)
+                if tokens[k] != ")":
+                    raise self.expected(")", k)
+                k += 1
             elif tok[:1].isdecimal():
-                self.pos += 1
                 n, slash, d = tok.partition("/")
                 n, d = self.integer(n, k), self.integer(d, k) if slash else 1
                 if not d:
                     raise self.error("zero denominator in %r" % tok, k)
-                if tokens[self.pos] == "^":
+                k += 1
+                if tokens[k] == "^":
                     piece = self.flush(None, n, d, [0] * n_even, [])
                 else:
                     num *= n
                     den *= d
             else:
                 atom = words.get(tok)
-                if atom is None and tok != "delta":
-                    self.expect("name")
-                    raise self.error("unknown coordinate %r" % tok, k)
-                self.pos += 1
                 if atom is None:
-                    atom = self.delta_factor(k)
-                even = atom.__class__ is int  # an even coordinate's index
-                power = self.exponent(even) if tokens[self.pos] == "^" else 1
-                if even:
-                    exps[atom] += power
-                elif power:
-                    pairs.append((atom, power))
+                    if tok != "delta":
+                        if tok[:1].isalpha():
+                            raise self.error("unknown coordinate %r" % tok, k)
+                        raise self.expected("name", k)
+                    # delta ("'"* | '^' '(' INT ')') '(' DNAME ')'
+                    at, order = k, 0
+                    k += 1
+                    if tokens[k] == "^":
+                        if tokens[k + 1] != "(":
+                            raise self.expected("(", k + 1)
+                        order, k = self.signed_int(k + 2)
+                        if tokens[k] != ")":
+                            raise self.expected(")", k)
+                        if order < 0:
+                            raise self.error("delta order must be non-negative", at)
+                        k += 1
+                    else:
+                        while tokens[k] == "'":
+                            k += 1
+                            order += 1
+                    if tokens[k] != "(":
+                        raise self.expected("(", k)
+                    name = tokens[k + 1]
+                    if not name[:1].isalpha():
+                        raise self.expected("name", k + 1)
+                    if tokens[k + 2] != ")":
+                        raise self.expected(")", k + 2)
+                    odd = words.get(name)
+                    if odd.__class__ is not tuple or odd[0] != DP:
+                        raise self.error("expected an odd differential, found %r" % name, k + 1)
+                    atom = (DL, odd[1], order)
+                    k += 2
+                k += 1
+            power = 1
+            if tokens[k] == "^":
+                # Only an even coordinate (an atom that is an index) takes a
+                # negative power.
+                power, k = self.signed_int(k + 1)
+                if power < 0 and atom.__class__ is not int:
+                    raise self.error("negative powers are only defined for even coordinates", k)
+                if piece is not None:
+                    piece = _wedge_power(piece, power, *self.power_checks(k - 1))
             if piece is not None:
-                if tokens[self.pos] == "^":
-                    piece = _wedge_power(piece, self.exponent(False), *self.power_checks(self.pos - 1))
                 form = wedge(self.flush(form, num, den, exps, pairs), piece)
-                piece, num, den, exps, pairs = None, 1, 1, [0] * n_even, []
-            if tokens[self.pos] != "*":
+                num, den, exps, pairs = 1, 1, [0] * n_even, []
+            elif atom.__class__ is int:
+                exps[atom] += power
+            elif atom is not None and power:
+                pairs.append((atom, power))
+            if tokens[k] != "*":
                 break
-            self.pos += 1
+            k += 1
         if form is None:
-            _add_normal(terms, pairs, self.coefficient(num, den, exps))
+            self.add_run(terms, num, den, exps, pairs)
         else:
             _add_terms(terms, self.flush(form, num, den, exps, pairs).terms)
+        return k
 
-    def coefficient(self, num, den, exps):
-        """The one-term polynomial num/den times the even powers exps."""
-        return LaurentPoly._of(self.table.even_names, {tuple(exps): Fraction(num, den)} if num else {})
+    def add_run(self, terms, num, den, exps, pairs):
+        """Add the run num/den * exps * pairs to terms.  The normal form of
+        the pairs comes first, so a run that vanishes builds no coefficient;
+        its scalar is folded into the numerator of the one Fraction built."""
+        normal = _normal_form(pairs) if num else None
+        if normal is not None:
+            num *= normal[1]
+            c = Fraction(num) if den == 1 else Fraction(num, den)
+            _add_term(terms, normal[0], LaurentPoly._of(self.table.even_names, {tuple(exps): c}))
 
     def flush(self, form, num, den, exps, pairs):
-        """form times the normal form of the run; None stands for no form."""
-        out = Superform(self.chart, self.table)
-        _add_normal(out.terms, pairs, self.coefficient(num, den, exps))
+        """form times the run; None stands for no form."""
+        out = Superform._of(self.chart, self.table, {})
+        self.add_run(out.terms, num, den, exps, pairs)
         return out if form is None else wedge(form, out)
 
-    def exponent(self, even):
-        """The power after the '^' at the current token.  Only an even
-        coordinate takes a negative power."""
-        self.pos += 1
-        power = self.signed_int()
-        if power < 0 and not even:
-            raise self.error("negative powers are only defined for even coordinates", self.pos)
-        return power
-
-    def signed_int(self):
-        sign = self.tokens[self.pos]
+    def signed_int(self, k):
+        """The integer, with an optional sign, from token k, and the token after it."""
+        sign = digits = self.tokens[k]
         if sign == "-" or sign == "+":
-            self.pos += 1
-        digits = self.expect("number")
+            k += 1
+            digits = self.tokens[k]
+        if not digits[:1].isdecimal():
+            raise self.expected("number", k)
         if "/" in digits:
-            raise self.error("exponent must be an integer", self.pos - 1)
-        value = self.integer(digits, self.pos - 1)
-        return -value if sign == "-" else value
+            raise self.error("exponent must be an integer", k)
+        value = self.integer(digits, k)
+        return (-value if sign == "-" else value), k + 1
 
     def integer(self, digits, k):
         """int(digits), or FormParseError at token k past the interpreter's digit limit."""
@@ -269,28 +309,6 @@ class _Parser:
                 raise self.error(_TOO_MANY % limit, k)
 
         return check, square_check
-
-    def delta_factor(self, k):
-        """The delta atom after the word `delta`, token k."""
-        tokens, order = self.tokens, 0
-        if tokens[self.pos] == "^":
-            self.pos += 1
-            self.expect("(")
-            order = self.signed_int()
-            self.expect(")")
-            if order < 0:
-                raise self.error("delta order must be non-negative", k)
-        else:
-            while tokens[self.pos] == "'":
-                self.pos += 1
-                order += 1
-        self.expect("(")
-        name = self.expect("name")
-        self.expect(")")
-        atom = self.words.get(name)
-        if not isinstance(atom, tuple) or atom[0] != DP:
-            raise self.error("expected an odd differential, found %r" % name, self.pos - 2)
-        return delta(atom[1], order)
 
 
 def parse(text, table=None, chart="U0"):
@@ -554,14 +572,22 @@ def _derham_text(p):
 
 
 def _cmd_pair(args):
-    matrix, rank = cohomology.pairing_matrix(args.n, args.cutoff)
+    # Nearly every entry is zero: its text is laid out once, and only the
+    # non-zero entries of the sparse rows are formatted.
+    rows, width, rank = cohomology._pairing_rows(args.n, args.cutoff)
+    zero, matrix = str(Fraction(0)), []
+    for entries in rows:
+        row = [zero] * width
+        for t, c in entries:
+            row[t] = str(c)
+        matrix.append(row)
     return {
         "space": "p11",
         "n": args.n,
         "cutoff": args.cutoff,
         "rank": rank,
         "size": len(matrix),
-        "matrix": [[str(v) for v in row] for row in matrix],
+        "matrix": matrix,
     }, 0
 
 

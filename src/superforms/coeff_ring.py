@@ -7,10 +7,12 @@ integers (`_exponents` rejects any other entry), `_axpy` is the one sparse
 accumulation, and `LaurentPoly._of` takes only clean terms, unchecked.
 
 Arithmetic that an identity decides is not made: `_axpy` multiplies by no
-factor of 1 or -1 and adds no new key to 0, `lp_scale` negates for -1, and
-`lp_substitute_monomial` and `lp_partial` skip factors of 1.  The identities
-x*1 = x, x*(-1) = -x and 0 + x = x hold in Q, so every shortcut gives the
-same Fraction the arithmetic would have made.
+factor of 1 or -1, multiplies no coefficient of 1 or -1 into a Fraction
+factor and adds no new key to 0, `lp_scale` negates for -1,
+`lp_substitute_monomial` skips factors of 1, and `lp_partial` negates for an
+exponent of -1 and builds Fraction(+-k) for a coefficient of +-1.  The identities x*1 = x,
+x*(-1) = -x and 0 + x = x hold in Q, so every shortcut gives the same
+Fraction the arithmetic would have made.
 """
 
 from fractions import Fraction
@@ -142,15 +144,21 @@ def _axpy(dst, pairs, factor):
     Entries that cancel are dropped and new keys are appended in pair order.
     A factor of 1 or -1 is found once per call and multiplies nothing: each
     coefficient is taken as c or -c and, for a new key, stored with no `0 +`.
-    This is exact, since x*1 = x, x*(-1) = -x and 0 + x = x hold in Q, and
-    keeps the types of dst.get(key, 0) + c*factor as long as a Fraction factor
-    of 1 or -1 comes with Fraction coefficients (every caller's do): an int c
-    times Fraction(1) would be a Fraction.
+    A coefficient of 1 or -1 times a Fraction factor is taken as factor or
+    -factor.  This is exact, since x*1 = x, x*(-1) = -x and 0 + x = x hold in
+    Q, and keeps the types of dst.get(key, 0) + c*factor as long as a
+    Fraction factor of 1 or -1 comes with Fraction coefficients (every
+    caller's do): an int c times Fraction(1) would be a Fraction.  So the
+    coefficient shortcut is taken for a Fraction factor only: Fraction(1)
+    times an int factor would be a Fraction, the factor an int.
     """
     sign = 1 if factor == 1 else -1 if factor == -1 else 0
+    units = not sign and factor.__class__ is Fraction
     for key, c in pairs:
         if sign < 0:
             c = -c
+        elif units and (c == 1 or c == -1):
+            c = factor if c == 1 else -factor
         elif not sign:
             c = c * factor
         s = dst.get(key)
@@ -241,5 +249,9 @@ def lp_partial(p, variable):
     for exps, c in p.terms.items():
         k = exps[idx]
         if k:
-            terms[exps[:idx] + (k - 1,) + exps[idx + 1 :]] = c if k == 1 else c * k
+            if k == -1:
+                c = -c
+            elif k != 1:
+                c = Fraction(k) if c == 1 else Fraction(-k) if c == -1 else c * k
+            terms[exps[:idx] + (k - 1,) + exps[idx + 1 :]] = c
     return LaurentPoly._of(p.variables, terms)

@@ -559,14 +559,7 @@ def pairing_matrix(n, cutoff):
     matrix of n = 256), so a caller that changes them changes no later
     answer.
     """
-    # (1.0, 4) == (1, 4) as a cache key, so the type is checked before the lookup.
-    if not isinstance(n, int):
-        raise StructuralError("pairing index must be an int, got %r" % (n,))
-    if n < 0:
-        raise StructuralError("pairing index must be non-negative")
-    if cutoff < 0:
-        raise StructuralError("cutoff must be non-negative, got %d" % cutoff)
-    rows, width, rank = _pairing(_transition(builtin_p11()), n)
+    rows, width, rank = _pairing_rows(n, cutoff)
     matrix = []
     for entries in rows:
         row = [Fraction(0)] * width
@@ -574,6 +567,19 @@ def pairing_matrix(n, cutoff):
             row[t] = c
         matrix.append(row)
     return matrix, rank
+
+
+def _pairing_rows(n, cutoff):
+    """`_pairing` of P^{1|1} for the n and cutoff of `pairing_matrix`, which
+    are checked here: its sparse rows, width and rank."""
+    # (1.0, 4) == (1, 4) as a cache key, so the type is checked before the lookup.
+    if not isinstance(n, int):
+        raise StructuralError("pairing index must be an int, got %r" % (n,))
+    if n < 0:
+        raise StructuralError("pairing index must be non-negative")
+    if cutoff < 0:
+        raise StructuralError("cutoff must be non-negative, got %d" % cutoff)
+    return _pairing(_transition(builtin_p11()), n)
 
 
 @lru_cache(maxsize=128)

@@ -17,11 +17,16 @@ contraction consumes one dpsi together with one delta order, so the crossing
 sign of dpsi against delta^(k) cannot depend on k.
 
 A `Monomial` is its normal form, one tuple of (atom, power) pairs, built
-once by `_add_normal` from its sorted run and read as it is by every layer.
-`normalize` is the checked entry point for raw factor lists: it takes only
-atoms of the chart's `GeneratorTable`.  Products inside the package sort
-through `_add_normal`, and one-term forms (the series terms of `delta_expand`
-among them) are built directly, not normalized.
+once by `_normal_form` from its sorted run and read as it is by every layer.
+`_normal_form` gives the monomial and an int scalar, or None for zero, before
+any coefficient is touched: `wedge` multiplies the coefficients of a product
+only when it survives, `exterior_d` takes no partial in gamma_i when dgamma_i
+is already a factor, and the parser folds the scalar into the one Fraction
+of its product.  `normalize` is the checked entry point for raw factor
+lists: it takes only atoms of the chart's `GeneratorTable`.  `_add_normal`
+adds a polynomial times a normal form to a terms map, and one-term forms (the
+series terms of `delta_expand` among them) are built directly, not
+normalized.
 """
 
 import re
@@ -152,12 +157,10 @@ class Monomial:
         pairs = [((TH, j), 1) for j in thetas] + [((DG, i), 1) for i in devens]
         pairs = tuple(pairs + [((DP, j), p) for j, p in dodds] + [((DL, j, k), 1) for j, k in deltas])
         self._pairs, self._hash = pairs, hash(pairs)
-        # A normal form is its own `_add_normal` image; the dpsi powers (>= 1)
-        # and delta orders (>= 0), which `_add_normal` takes as given, are ints.
-        image = {}
-        _add_normal(image, pairs, LaurentPoly._of((), {(): Fraction(1)}))
+        # A normal form is its own `_normal_form` image; the dpsi powers (>= 1)
+        # and delta orders (>= 0), which `_normal_form` takes as given, are ints.
         counts = [p - 1 if a[0] == DP else a[2] for a, p in pairs if a[0] >= DP]
-        if list(image) != [self] or not all(isinstance(n, int) and n >= 0 for n in counts):
+        if _normal_form(pairs) != (self, 1) or not all(isinstance(n, int) and n >= 0 for n in counts):
             raise StructuralError("%r is not in normal form" % self)
 
     @classmethod
@@ -350,9 +353,18 @@ def normalize(factors, coeff, chart, table):
 
 
 def _add_normal(terms, pairs, lp):
-    """Add lp times the normal form of valid (atom, power >= 1) pairs to terms.
-    A stable insertion sort passes a^p over b^q with koszul_sign(a, b)^(p*q);
-    dpsi_j powers add; any other atom with power >= 2 or a repeated index gives
+    """Add lp times the normal form of valid (atom, power >= 1) pairs to terms."""
+    normal = _normal_form(pairs)
+    if normal is not None:
+        _add_term(terms, normal[0], lp_scale(lp, normal[1]))
+
+
+def _normal_form(pairs):
+    """The normal form of valid (atom, power >= 1) pairs as (Monomial, int
+    scalar), or None for zero; no coefficient is touched, so a caller does
+    its coefficient arithmetic only for a product that survives.  A stable
+    insertion sort passes a^p over b^q with koszul_sign(a, b)^(p*q); dpsi_j
+    powers add; any other atom with power >= 2 or a repeated index gives
     zero.  The sorted run becomes the monomial's tuple, input pairs reused."""
     fs = list(pairs)
     sign = 1
@@ -393,17 +405,20 @@ def _add_normal(terms, pairs, lp):
         else:
             head.append(pair)
         last = a
-    _add_term(terms, Monomial._of((*head, *dpsis.values(), *deltas)), lp_scale(lp, scalar * sign))
+    return Monomial._of((*head, *dpsis.values(), *deltas)), scalar * sign
 
 
 def wedge(a, b):
-    """Bilinear extension of the product of factor powers in normal form."""
+    """Bilinear extension of the product of factor powers in normal form; the
+    coefficients of a product are multiplied only when it does not vanish."""
     _check_same_chart(a, b)
     out = Superform.zero(a.chart, a.table)
     for ma, ca in a.terms.items():
         pa = ma.powers()
         for mb, cb in b.terms.items():
-            _add_normal(out.terms, pa + mb.powers(), lp_mul(ca, cb))
+            normal = _normal_form(pa + mb.powers())
+            if normal is not None:
+                _add_term(out.terms, normal[0], lp_scale(lp_mul(ca, cb), normal[1]))
     return out
 
 
@@ -412,11 +427,14 @@ def exterior_d(a):
 
     d(f)*M expands through lp_partial; d acts on factors by the degree-graded
     Leibniz rule with d(theta_j) = dpsi_j and d(dgamma) = d(dpsi) = d(delta) = 0.
-    The thetas come first and have degree 0, so d(theta_j) takes no sign."""
+    The thetas come first and have degree 0, so d(theta_j) takes no sign.  A
+    term that has dgamma_i takes no partial in gamma_i: dgamma_i^2 = 0."""
     out = Superform.zero(a.chart, a.table)
     for mon, f in a.terms.items():
         pairs = mon.powers()
         for i in range(len(a.table.even_names)):
+            if ((DG, i), 1) in pairs:
+                continue
             g = lp_partial(f, i)
             if not g.is_zero():
                 _add_normal(out.terms, (((DG, i), 1),) + pairs, g)

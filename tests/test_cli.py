@@ -600,6 +600,20 @@ class TestGrammar(unittest.TestCase):
                 text = text[:cut] + rng.choice(["", "^", "*", "q", "^-1", "(", "^(-1)", "/0"])
             self.assert_matches_fold(text, table)
 
+    def test_product_scales_no_polynomial(self):
+        # A product's sign and contraction scalar are folded into the
+        # numerator of its one Fraction: no polynomial is scaled.
+        cases = {
+            "-3/2*dg*psi*dpsi^2*delta''(dpsi)*g^-2": "-3*g^-2*psi*dg*delta(dpsi)",
+            "delta'(dpsi)*dpsi*2 - psi*psi": "2*delta(dpsi)",
+            "dg*psi - dpsi*delta(dpsi)": "psi*dg",
+        }
+        for text, want in cases.items():
+            with mock.patch("superforms.form_algebra.lp_scale", wraps=superforms.form_algebra.lp_scale) as scale:
+                form = parse(text, T11)
+            self.assertEqual((pretty_print(form), scale.call_count), (want, 0), msg=text)
+            self.assert_matches_fold(text, T11)
+
     def test_coefficients_stay_fractions(self):
         # Atoms and coordinates multiply nothing into a product's coefficient;
         # what is stored is still a Fraction, never an int or a float (an int
@@ -712,6 +726,18 @@ class TestCommands(unittest.TestCase):
         code, out, _ = invoke(["pair", "--n", "1", "--cutoff", "10"])
         self.assertEqual(code, 0)
         self.assertIn("rank=8", out.replace(" ", ""))
+
+    def test_pair_prints_the_pairing_matrix(self):
+        # The command reads the sparse rows and lays out the zero text; what
+        # it prints is still str() of every entry of pairing_matrix.
+        for n in (0, 3, 9):
+            matrix, rank = superforms.pairing_matrix(n, 10)
+            texts = [[str(v) for v in row] for row in matrix]
+            code, out, _ = invoke(["pair", "--n", str(n), "--json"])
+            payload = json.loads(out)
+            self.assertEqual((code, payload["matrix"], payload["rank"], payload["size"]), (0, texts, rank, len(matrix)))
+            code, out, _ = invoke(["pair", "--n", str(n)])
+            self.assertEqual(out.splitlines()[1:], ["  ".join(row) for row in texts], msg=n)
 
     def test_integrate(self):
         code, out, _ = invoke(["integrate", "--expr", "g^-1*psi*dg*delta(dpsi)"])

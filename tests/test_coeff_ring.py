@@ -147,6 +147,26 @@ class TestAccumulate(unittest.TestCase):
             seen["new"] += len(want.keys() - dst.keys())
         self.assertTrue(all(seen.values()), msg=seen)
 
+    def test_unit_coefficients_match_the_oracle(self):
+        # Coefficients of 1 and -1, as Fractions and as ints, against every
+        # kind of factor: _axpy takes them as +-factor for a Fraction factor
+        # only, so entries, order and types are the oracle's.
+        rng = random.Random(37)
+        factors = (1, -1, 0, 2, -5, Fraction(1), Fraction(-1), Fraction(2, 3), Fraction(-7, 4))
+        units = (Fraction(1), Fraction(-1), 1, -1)
+        for trial in range(300):
+            factor = factors[trial % len(factors)]
+            dst = {key: rng.choice((Fraction(1, 2), Fraction(-3), 2)) for key in rng.sample(range(6), 3)}
+            pairs = [(rng.randrange(8), rng.choice(units + (Fraction(5, 3),))) for _ in range(6)]
+            if type(factor) is not int:
+                # _axpy takes Fraction pairs with a Fraction factor.
+                pairs = [(k, Fraction(c)) for k, c in pairs]
+            want = dict(dst)
+            axpy_oracle(want, pairs, factor)
+            got = dict(dst)
+            _axpy(got, iter(pairs), factor)
+            self.assertEqual(strict_map(got), strict_map(want), msg=(trial, dst, pairs, factor))
+
 
 class TestRingAxioms(unittest.TestCase):
     @settings(deadline=None, max_examples=60)
@@ -213,6 +233,17 @@ class TestPartial(unittest.TestCase):
         p = LaurentPoly(("g",), {(4,): Fraction(1), (-2,): Fraction(3)})
         d = lp_partial(p, "g")
         self.assertEqual(d, LaurentPoly(("g",), {(3,): Fraction(4), (-3,): Fraction(-6)}))
+
+    def test_unit_coefficients_stay_fractions(self):
+        # A coefficient of 1 or -1 gives Fraction(+-k), and an exponent of
+        # -1 gives -c, as c * k would.
+        p = LaurentPoly(VARS, {(3, 1): 1, (-2, 0): -1, (1, 5): -1, (4, 4): Fraction(2, 3), (0, 2): 1, (-1, -1): 7})
+        for v in range(2):
+            want = {}
+            for exps, c in p.terms.items():
+                if exps[v]:
+                    want[exps[:v] + (exps[v] - 1,) + exps[v + 1 :]] = c * exps[v]
+            self.assertEqual(strict_map(lp_partial(p, v).terms), strict_map(want))
 
     def test_constant_kills(self):
         self.assertTrue(lp_partial(LaurentPoly.const(VARS, 7), "g").is_zero())

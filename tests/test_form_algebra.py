@@ -42,6 +42,7 @@ from superforms.form_algebra import (
     DL,
     DP,
     TH,
+    _add_normal,
     _add_terms,
     _validate_atoms,
     atom_degree,
@@ -61,6 +62,7 @@ P11 = builtin_p11()
 T11 = P11.chart("U0").table
 FLAT22 = builtin_flat(2, 2)
 T22 = FLAT22.chart("U0").table
+T13 = builtin_flat(1, 3).chart("U0").table
 
 
 def mono(factors, coeff=1, table=T11):
@@ -214,6 +216,52 @@ def atomwise_d(a):
                 swapped = factors[:t] + ((DP, atom[1]),) + factors[t + 1 :]
                 _add_terms(out.terms, normalize(swapped, coeff, a.chart, a.table).terms)
             prefix_degree += atom_degree(atom)
+    return out
+
+
+def coefficient_first_wedge(a, b):
+    """The earlier wedge, kept as the oracle: each product's coefficients are
+    multiplied before its normal form is known to be non-zero."""
+    out = Superform.zero(a.chart, a.table)
+    for ma, ca in a.terms.items():
+        pa = ma.powers()
+        for mb, cb in b.terms.items():
+            _add_normal(out.terms, pa + mb.powers(), lp_mul(ca, cb))
+    return out
+
+
+def coefficient_first_d(a):
+    """The earlier exterior_d, kept as the oracle: each partial derivative is
+    taken before it is known whether dgamma_i is already a factor."""
+    out = Superform.zero(a.chart, a.table)
+    for mon, f in a.terms.items():
+        pairs = mon.powers()
+        for i in range(len(a.table.even_names)):
+            g = lp_partial(f, i)
+            if not g.is_zero():
+                _add_normal(out.terms, (((DG, i), 1),) + pairs, g)
+        cut = {atom[1] for atom, _ in pairs if atom[0] == DL and not atom[2]}
+        for t, (atom, _) in enumerate(pairs):
+            if atom[0] != TH:
+                break
+            if atom[1] not in cut:
+                _add_normal(out.terms, pairs[:t] + (((DP, atom[1]), 1),) + pairs[t + 1 :], f)
+    return out
+
+
+def random_unit_form(rng, table, terms=3):
+    """A random form whose coefficients are random polynomials or +-1 times
+    a Laurent monomial, so that unit shortcuts and vanishing products both
+    occur."""
+    out = Superform.zero("U0", table)
+    for _ in range(terms):
+        mon = random_monomial(rng, table, max_order=rng.randrange(4), max_power=3)
+        if rng.random() < 0.5:
+            exps = tuple(rng.randint(-2, 3) for _ in table.even_names)
+            lp = LaurentPoly.monomial(table.even_names, exps, rng.choice((1, -1)))
+        else:
+            lp = random_poly(rng, table.even_names, terms=rng.randint(1, 3))
+        out = out + normalize(mon.factors(), lp, "U0", table)
     return out
 
 
@@ -437,6 +485,39 @@ class TestWedge(unittest.TestCase):
             odd_powers += any(p >= 3 and p % 2 for mon in product.terms for _, p in mon.dodds)
         self.assertGreater(odd_powers, 50)
 
+    @settings(deadline=None, max_examples=150)
+    @given(integers(0, 10**6))
+    def test_matches_coefficient_first_oracle(self, seed):
+        # wedge and d find each product's normal form before any coefficient
+        # arithmetic; term order and coefficient types are the oracle's.
+        rng = random.Random(seed)
+        table = (T11, T22, T13)[seed % 3]
+        a, b = random_unit_form(rng, table), random_unit_form(rng, table)
+        product = wedge(a, b)
+        self.assertEqual(strict_form(product), strict_form(coefficient_first_wedge(a, b)))
+        self.assertEqual(strict_form(exterior_d(a)), strict_form(coefficient_first_d(a)))
+        self.assertEqual(strict_form(exterior_d(product)), strict_form(coefficient_first_d(product)))
+
+    def test_vanishing_products_multiply_no_coefficients(self):
+        # Every product below has a repeated theta, dgamma or delta, or a
+        # dpsi against delta(dpsi): none of them multiplies its coefficients.
+        cases = (
+            ("psi + 2*g*psi*dg", "3/2*psi*delta(dpsi) - g^2*psi"),
+            ("g*dg*delta'(dpsi)", "-dg + 5*g^-1*delta(dpsi)"),
+            ("dpsi*dg", "2/3*delta(dpsi)*g"),
+        )
+        for left, right in cases:
+            a, b = parse(left), parse(right)
+            with mock.patch.object(form_algebra, "lp_mul", wraps=lp_mul) as mul:
+                product = wedge(a, b)
+            self.assertTrue(product.is_zero(), msg=(left, right))
+            self.assertEqual(mul.call_count, 0, msg=(left, right))
+        a, b = parse("psi + 2*g*dg"), parse("3*psi*delta(dpsi) + dg")
+        with mock.patch.object(form_algebra, "lp_mul", wraps=lp_mul) as mul:
+            product = wedge(a, b)
+        self.assertEqual(pretty_print(product), "psi*dg + 6*g*psi*dg*delta(dpsi)")
+        self.assertEqual(mul.call_count, 2)
+
     def test_dpsi_power_passes_as_one_factor(self):
         # dg passes dpsi^201 with one sign, not one per dpsi: the sort reads
         # the sign table once per crossing of factor powers.
@@ -496,6 +577,15 @@ class TestExteriorDerivative(unittest.TestCase):
         with mock.patch.object(form_algebra, "_add_normal", wraps=form_algebra._add_normal) as add:
             form = exterior_d(form)
         self.assertEqual((form, add.call_count), (mono([delta(0, 0)], -1), 1))
+
+    def test_dgamma_factor_takes_no_partial(self):
+        # d(f*dg*M) has no dg*dg term, so f is not differentiated in g.
+        table = builtin_flat(2, 1).chart("U0").table
+        form = parse("g1^3*g2^2*dg1*psi + g1*g2^-1*psi*delta'(dpsi)", table)
+        with mock.patch.object(form_algebra, "lp_partial", wraps=lp_partial) as partial:
+            got = exterior_d(form)
+        self.assertEqual([c.args[1] for c in partial.call_args_list], [1, 0, 1])
+        self.assertEqual(strict_form(got), strict_form(coefficient_first_d(form)))
 
     @settings(deadline=None, max_examples=120)
     @given(integers(0, 10**6))
