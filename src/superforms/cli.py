@@ -61,7 +61,7 @@ from .atlas_morphism import (
     pullback,
     verify_cocycle,
 )
-from .berezin import berezin_integral, berezin_reduce
+from .berezin import berezin_reduce
 from .coeff_ring import LaurentPoly
 from .errors import (
     FormParseError,
@@ -574,7 +574,7 @@ def _derham_text(p):
 def _cmd_pair(args):
     # Nearly every entry is zero: its text is laid out once, and only the
     # non-zero entries of the sparse rows are formatted.
-    rows, width, rank = cohomology._pairing_rows(args.n, args.cutoff)
+    rows, width, rank = cohomology._pairing(cohomology._transition(builtin_p11()), args.n)
     zero, matrix = str(Fraction(0)), []
     for entries in rows:
         row = [zero] * width
@@ -597,8 +597,10 @@ def _pair_text(p):
 
 def _cmd_integrate(args):
     _, chart, form = _single_form(args, args.chart)
-    reduced = Superform.from_poly(chart.id, chart.table, berezin_reduce(form))
-    residue = berezin_integral(form)
+    # The residue is read off the one reduction, as berezin_integral does.
+    poly = berezin_reduce(form)
+    residue = poly.coefficient((-1,) * len(poly.variables))
+    reduced = Superform.from_poly(chart.id, chart.table, poly)
     return {"chart": chart.id, "reduced": pretty_print(reduced), "residue": str(residue)}, 0
 
 

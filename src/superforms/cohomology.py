@@ -73,10 +73,13 @@ computes the Cech solve of each (transition, sheaf) for `cech` and the
 pairing once per process, as read-only labels, and `_pairing` the pairing
 of each (transition, n) once per process, as read-only rows that
 `pairing_matrix` lays out afresh on every call; a `Morphism` compares by
-its generator images, so fresh builds of one atlas share the entries.  A
-negative cutoff is rejected by `cech`, `derham` and `pairing_matrix`;
-`_transition` rejects any atlas that is not two 1|1 charts, since the
-section bases are those of P^{1|1}.
+its generator images, so fresh builds of one atlas share the entries.  Both
+memos are typed, so a float never reads the entry of its int, and each
+argument is checked once, where its value is used: a sheaf by
+`p11_sheaf_monomials`, a pairing index by `_pairing`, a cutoff by
+`_check_cutoff`, a degree range and a de Rham picture by `derham`, and an
+atlas by `_transition`, which rejects any atlas that is not two 1|1 charts,
+since the section bases are those of P^{1|1}.
 """
 
 from dataclasses import dataclass, field
@@ -170,12 +173,13 @@ def p11_sheaf_monomials(i, j):
     dg, then psi.  So dg*dpsi^(i-1) precedes dpsi^i, delta^(-i)(dpsi)
     precedes dg*delta^(1-i)(dpsi), and psi, the last factor compared, only
     lengthens the key: M precedes psi*M.  Each monomial is built in normal
-    order, psi, dg, then the top factor, and wrapped unchecked; a degree
-    that is not an int raises StructuralError, as a dpsi power or delta
-    order that is not one would not be a monomial.
+    order, psi, dg, then the top factor, and wrapped unchecked.  This is
+    where a sheaf is checked: a picture that is not the int 0 or 1 raises
+    UnsupportedSpaceError, and a degree that is not an int StructuralError,
+    as a dpsi power or delta order that is not one would not be a monomial.
     """
-    if j not in (0, 1):
-        raise UnsupportedSpaceError("picture %d not supported on P^{1|1}" % j)
+    if not isinstance(j, int) or j not in (0, 1):
+        raise UnsupportedSpaceError("picture %r not supported on P^{1|1}" % (j,))
     if not isinstance(i, int):
         raise StructuralError("the degree of a sheaf must be an int, got %r" % (i,))
     out = []
@@ -294,22 +298,13 @@ def _transition(atlas):
     return m01
 
 
-def _cech_solve(atlas, sheaf):
-    """Solve the Cech system (s0, s1) |-> s0 - Phi*(s1) of one sheaf, one
-    complete torus-weight block at a time; see `_solve` for the result."""
-    m01, sheaf = _transition(atlas), tuple(sheaf)
-    # (2.0, 0) == (2, 0) as a cache key, so the degree is checked before the
-    # lookup, or a float would be answered once its int had been solved.
-    if not isinstance(sheaf[0], int):
-        raise StructuralError("the degree of a sheaf must be an int, got %r" % (sheaf[0],))
-    return _solve(m01, sheaf)
-
-
 # A cached solve grows linearly in |i|: 19 KiB for -3|1, 0.5 MiB for -200|1, 5 MiB for -2000|1.
-@lru_cache(maxsize=256)
-def _solve(m01, sheaf):
-    """The Cech solve across the transition m01 from chart c0 to chart c1,
-    once per process (a rejected transition raises, which is not cached).
+@lru_cache(maxsize=256, typed=True)
+def _solve(m01, degree, picture):
+    """The Cech solve of Omega^{degree|picture} across the transition m01
+    from chart c0 to chart c1, once per process.  The memo is typed, so a
+    float misses the entry of its int and `p11_sheaf_monomials` refuses it;
+    a refused sheaf or transition raises, which is not cached.
 
     Returns read-only (dom, kernels, reps).  dom lists the column labels
     (chart id, Monomial, exponent tuple) of the blocks `_class_weights`
@@ -329,7 +324,7 @@ def _solve(m01, sheaf):
     every kernel's lead is a U1 column: b^-lambda keeps its U1 coefficients
     and multiplies its U0 ones.
     """
-    mons = p11_sheaf_monomials(*sheaf)
+    mons = p11_sheaf_monomials(degree, picture)
     c0, c1 = m01.source.id, m01.target.id
     _, b = m01.even_images[0].single_term()
     one = LaurentPoly.const(m01.target.table.even_names, 1)
@@ -374,7 +369,8 @@ def _solve(m01, sheaf):
                 for j, c in combo.items():
                     _axpy(residual, block[j].items(), c)
                 if residual:
-                    raise StructuralError("a Cech kernel of %d|%d does not combine its columns to zero" % sheaf)
+                    sheaf = "%d|%d" % (degree, picture)
+                    raise StructuralError("a Cech kernel of %s does not combine its columns to zero" % sheaf)
             unhit = [k for k in rows[mu] if elim.insert({k: _ONE}, k) is None]
             outcomes[key] = block_kernels, unhit, sum(n < len(mons) for n in key[0]) if b != 1 else 0
         block_kernels, unhit, u0 = outcomes[key]
@@ -408,14 +404,21 @@ def _glue(atlas, labels, combo):
     return parts
 
 
-def cech(space, sheaf, cutoff):
-    """Both Cech groups of one sheaf in a single report.  space is an Atlas or
-    a label, as for derham.  The answer is exact and does not depend on the
-    cutoff, which must be non-negative and is only recorded."""
-    atlas, label = _resolve_space(space)
+def _check_cutoff(cutoff):
+    """Refuse a cutoff that is not an int >= 0, for every entry point."""
+    if not isinstance(cutoff, int):
+        raise StructuralError("cutoff must be an int, got %r" % (cutoff,))
     if cutoff < 0:
         raise StructuralError("cutoff must be non-negative, got %d" % cutoff)
-    dom, kernels, reps = _cech_solve(atlas, sheaf)
+
+
+def cech(space, sheaf, cutoff):
+    """Both Cech groups of one sheaf (degree, picture) in a single report.
+    space is an Atlas or a label, as for derham.  The answer is exact and
+    does not depend on the cutoff, which is only recorded."""
+    atlas, label = _resolve_space(space)
+    _check_cutoff(cutoff)
+    dom, kernels, reps = _solve(_transition(atlas), *sheaf)
     c0 = min(atlas.charts)
     table = atlas.chart(c0).table
     names = table.even_names
@@ -461,18 +464,14 @@ def cech(space, sheaf, cutoff):
 # `derham` states this box rule once.
 
 
-def _derham_classes(atlas, picture, listed):
+def _derham_classes(atlas, picture):
     """The classes theta_S*delta_S, one per set S of `picture` odd indices,
-    in u order (u_0 most significant) if listed, else none, each written on
-    every chart in sorted chart order with the chart's own constant 1; the
-    picture is checked either way."""
+    in u order (u_0 most significant), each written on every chart in sorted
+    chart order with the chart's own constant 1."""
     charts = [atlas.chart(cid) for cid in sorted(atlas.charts)]
     n = len(charts[0].table.odd_names)
-    if not 0 <= picture <= n:
-        space = "this flat space" if len(charts) == 1 else "P^{1|1}"
-        raise UnsupportedSpaceError("picture %d not supported on %s" % (picture, space))
     # Reversed, the combinations come in u order.
-    sets = reversed(list(combinations(range(n), picture))) if listed else ()
+    sets = reversed(list(combinations(range(n), picture)))
     # The 2n pairs, built once and shared by every class.
     thetas = [((TH, j), 1) for j in range(n)]
     deltas = [((DL, j, 0), 1) for j in range(n)]
@@ -490,24 +489,29 @@ def derham(space, picture, degree_range, cutoff):
 
     space is an Atlas (one chart: flat; otherwise it must be P^{1|1}, two
     charts of dimension 1|1) or one of the labels "p11" / "flat:m,n".  Every
-    class lies in degree 0, so a range without it reports zeros.
+    class lies in degree 0, so a range without it reports zeros.  The range
+    must be two ints lo <= hi and the picture an int in 0..n, for n odd
+    coordinates.
     """
     lo, hi = degree_range
+    if not (isinstance(lo, int) and isinstance(hi, int)):
+        raise StructuralError("the degree range must be two ints, got %r" % (degree_range,))
     if lo > hi:
         raise StructuralError("empty degree range %r" % (degree_range,))
     atlas, label = _resolve_space(space)
-    # _transition rejects an atlas that is not two 1|1 charts, before
-    # _derham_classes rejects the picture.
-    if cutoff < 0:
-        raise StructuralError("cutoff must be non-negative, got %d" % cutoff)
+    _check_cutoff(cutoff)
+    # _transition rejects an atlas that is not two 1|1 charts before the
+    # picture is looked at.
+    m01 = _transition(atlas) if len(atlas.charts) != 1 else None
+    n = len(atlas.chart(min(atlas.charts)).table.odd_names)
+    if not isinstance(picture, int) or not 0 <= picture <= n:
+        where = "P^{1|1}" if m01 else "this flat space"
+        raise UnsupportedSpaceError("picture %r not supported on %s" % (picture, where))
     in_range = lo <= 0 <= hi
-    if len(atlas.charts) == 1:
-        # The box rule: at D = 0 the box misses every class of a picture p >= 1.
-        m01, stabilized = None, not (in_range and cutoff == 0 and picture >= 1)
-        listed = in_range and stabilized
-    else:
-        m01, stabilized, listed = _transition(atlas), True, True
-    classes = _derham_classes(atlas, picture, listed)
+    # The box rule: at D = 0 the box misses every flat class of a picture
+    # p >= 1.  The P^{1|1} class is checked also when degree 0 is out of range.
+    stabilized = bool(m01) or not (in_range and cutoff == 0 and picture >= 1)
+    classes = _derham_classes(atlas, picture) if m01 or in_range and stabilized else []
     # Closed on every chart and, across the transition, glued.
     if not all(exterior_d(form).is_zero() for parts in classes for form in parts.values()):
         raise StructuralError("de Rham class is not closed")
@@ -554,12 +558,12 @@ def pairing_matrix(n, cutoff):
     off `_pairing`, which computes and certifies the pairing once per
     transition, n and process (about 530 KiB held for n = 256): a rank short
     of either dimension raises StructuralError.  n must be an int >= 0; the
-    cutoff must be non-negative and does not change the answer.  The rows
-    are laid out afresh on every call (about 11 ms for the 1028 x 1028
-    matrix of n = 256), so a caller that changes them changes no later
-    answer.
+    cutoff does not change the answer.  The rows are laid out afresh on
+    every call (about 11 ms for the 1028 x 1028 matrix of n = 256), so a
+    caller that changes them changes no later answer.
     """
-    rows, width, rank = _pairing_rows(n, cutoff)
+    _check_cutoff(cutoff)
+    rows, width, rank = _pairing(_transition(builtin_p11()), n)
     matrix = []
     for entries in rows:
         row = [Fraction(0)] * width
@@ -569,24 +573,12 @@ def pairing_matrix(n, cutoff):
     return matrix, rank
 
 
-def _pairing_rows(n, cutoff):
-    """`_pairing` of P^{1|1} for the n and cutoff of `pairing_matrix`, which
-    are checked here: its sparse rows, width and rank."""
-    # (1.0, 4) == (1, 4) as a cache key, so the type is checked before the lookup.
-    if not isinstance(n, int):
-        raise StructuralError("pairing index must be an int, got %r" % (n,))
-    if n < 0:
-        raise StructuralError("pairing index must be non-negative")
-    if cutoff < 0:
-        raise StructuralError("cutoff must be non-negative, got %d" % cutoff)
-    return _pairing(_transition(builtin_p11()), n)
-
-
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)
 def _pairing(m01, n):
     """The pairing of H^1(Omega^{n+1|0}) with H^0(Omega^{-n|1}) across the
-    transition m01, once per process (a pairing that is not perfect raises,
-    which is not cached).
+    transition m01, once per process.  The memo is typed, so a float n
+    misses the entry of its int and is refused here, like a negative n; a
+    refusal or a pairing that is not perfect raises, which is not cached.
 
     Returns read-only (rows, width, rank): for each H^1 representative, in
     the order of the solve, the tuple of its non-zero (kernel position,
@@ -603,8 +595,12 @@ def _pairing(m01, n):
     the non-zero entries, about 530 KiB for n = 256 by tracemalloc; the 128
     entries read the two solves each of a full `_solve`.
     """
-    reps = _solve(m01, (n + 1, 0))[2]
-    dom, kernels, _ = _solve(m01, (-n, 1))
+    if not isinstance(n, int):
+        raise StructuralError("pairing index must be an int, got %r" % (n,))
+    if n < 0:
+        raise StructuralError("pairing index must be non-negative")
+    reps = _solve(m01, n + 1, 0)[2]
+    dom, kernels, _ = _solve(m01, -n, 1)
 
     # The H^0 kernels by the torus weight of their U0 labels: {weight:
     # [(kernel position, [(M, e, coeff) for each U0 label g^e*M])]}.  A kernel
@@ -674,16 +670,13 @@ def cech_derham_check(cutoff):
     cech_dims = {0: 1, 1: 0}
 
     # Kunneth: base = theta-free picture-0 global complex of P^1; fiber = C^{0|1}.
-    dom, kernels = _cech_solve(atlas, (0, 0))[:2]
-    base_level0 = [
-        parts
-        for parts in (_glue(atlas, dom, combo) for combo in kernels)
-        if all(a[0] == DG for form in parts.values() for m in form.terms for a, _ in m.powers())
-    ]
     closed0 = [
-        parts for parts in base_level0 if all(exterior_d(form).is_zero() for form in parts.values())
+        parts
+        for parts in cech(atlas, (0, 0), cutoff).generators_h0
+        if all(a[0] == DG for form in parts.values() for m in form.terms for a, _ in m.powers())
+        and all(exterior_d(form).is_zero() for form in parts.values())
     ]
-    base_dims = {0: len(closed0), 1: len(_cech_solve(atlas, (1, 0))[1])}
+    base_dims = {0: len(closed0), 1: cech(atlas, (1, 0), cutoff).h0}
 
     fiber = derham(builtin_flat(0, 1), 1, (0, 0), max(4, cutoff // 2))
     fiber_dim = fiber.dims[(0, 1)]

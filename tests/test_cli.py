@@ -744,6 +744,28 @@ class TestCommands(unittest.TestCase):
         self.assertEqual(code, 0)
         self.assertIn("residue = 1", out)
 
+    def test_integrate_reduces_once(self):
+        # The residue is read off the one reduction the command prints: one
+        # berezin_reduce call per run (two when it also called
+        # berezin_integral), and the residue berezin_integral gives.
+        calls = []
+        original = superforms.berezin.berezin_reduce
+        counted = lambda form: calls.append(form) or original(form)
+        for space, expr in (
+            ("p11", "3/2*g^-1*psi*dg*delta(dpsi) + g^2*psi*dg*delta(dpsi)"),
+            ("p11", "g^2*psi*dg*delta(dpsi)"),
+            ("flat:2,2", "-2/3*g1^-1*g2^-1*psi1*psi2*dg1*dg2*delta(dpsi1)*delta(dpsi2)"),
+        ):
+            atlas = builtin_p11() if space == "p11" else builtin_flat(2, 2)
+            want = str(superforms.berezin_integral(parse(expr, atlas.chart(min(atlas.charts)).table)))
+            for flags in ([], ["--json"]):
+                calls.clear()
+                with mock.patch("superforms.cli.berezin_reduce", counted), \
+                        mock.patch("superforms.berezin.berezin_reduce", counted):
+                    code, out, _ = invoke(["integrate", "--space", space, "--expr", expr] + flags)
+                residue = json.loads(out)["residue"] if flags else out.splitlines()[-1].split(" = ")[1]
+                self.assertEqual((code, len(calls), residue), (0, 1, want), msg=(expr, flags))
+
     def test_output_deterministic(self):
         argv = ["cech", "--sheaf", "0|1", "--cutoff", "8", "--json"]
         first = invoke(argv)

@@ -50,7 +50,6 @@ from superforms import atlas_morphism, cohomology
 from superforms.cli import run_command
 from superforms.coeff_ring import _axpy
 from superforms.cohomology import (
-    _cech_solve,
     _class_weights,
     _eliminate,
     _form_weight,
@@ -67,6 +66,12 @@ ACCEPTANCE_SHEAVES = (
 )
 ONE = LaurentPoly.const(("g",), 1)
 INVERSE = LaurentPoly.monomial(("g",), (-1,))
+
+
+def solve_sheaf(atlas, sheaf):
+    """The `_solve` labels of one sheaf (degree, picture) across the atlas's
+    checked transition, as `cech` reads them."""
+    return cohomology._solve(cohomology._transition(atlas), *sheaf)
 
 
 def glued_p11(even, odd):
@@ -233,7 +238,7 @@ class TestUnitShortcuts(unittest.TestCase):
             m01, table = atlas.transition(c0, c1), atlas.chart(c1).table
             for i in range(-3, 4):
                 for picture in (0, 1):
-                    kernels = _cech_solve(atlas, (i, picture))[1]
+                    kernels = solve_sheaf(atlas, (i, picture))[1]
                     for combo in kernels:
                         self.assertEqual({type(c) for c in combo.values()}, {Fraction}, msg=(c0, i, picture))
                     for mon in p11_sheaf_monomials(i, picture):
@@ -400,20 +405,24 @@ class TestSheafBases(unittest.TestCase):
                 p11_sheaf_monomials(*sheaf)
 
     def test_float_degree_rejected_warm_and_cold(self):
-        # (2.0, 0) == (2, 0) as a cache key, so a float degree is rejected
-        # before the solve and pairing memos are read: after its int was
-        # answered, in a cold process and after the int again.
+        # (2.0, 0) == (2, 0), so the solve and pairing memos are typed: a
+        # float degree, picture or index misses the entry of its int and is
+        # refused inside, after its int was answered, in a cold process and
+        # after the int again.
         def answer_ints():
             cech(P11, (2, 0), 4)
             cech(P11, (-2, 1), 4)
+            cech(P11, (0, 1), 4)
             pairing_matrix(1, 4)
 
         def assert_floats_raise(when):
             for sheaf in ((2.0, 0), (-2.0, 1), (Fraction(2), 0)):
                 with self.assertRaisesRegex(StructuralError, "must be an int", msg=(when, sheaf)):
                     cech(P11, sheaf, 4)
+            with self.assertRaisesRegex(UnsupportedSpaceError, r"picture 1\.0 not", msg=when):
+                cech(P11, (0, 1.0), 4)
             for n in (1.0, Fraction(1)):
-                with self.assertRaisesRegex(StructuralError, "must be an int", msg=(when, n)):
+                with self.assertRaisesRegex(StructuralError, "pairing index must be an int", msg=(when, n)):
                     pairing_matrix(n, 4)
 
         answer_ints()
@@ -434,7 +443,7 @@ class TestSheafBases(unittest.TestCase):
             blocks = []
             record = lambda cols: blocks.append(cols) or _eliminate(cols)
             with mock.patch.object(cohomology, "_eliminate", side_effect=record):
-                return _cech_solve(P11, sheaf), blocks
+                return solve_sheaf(P11, sheaf), blocks
 
         (dom, _, _), blocks = solved((0, 0))
         self.assertEqual(
@@ -794,7 +803,7 @@ class TestWeightBlocks(unittest.TestCase):
                     want_dom, want_kernels, want_reps = single_eliminator_cech(atlas, sheaf, 40)
                     self.assertEqual(labelled(dom, kernels), labelled(want_dom, want_kernels), msg)
                     self.assertEqual(reps, want_reps, msg=msg)
-                got_dom, got_kernels, got_reps = _cech_solve(atlas, sheaf)
+                got_dom, got_kernels, got_reps = solve_sheaf(atlas, sheaf)
                 self.assertEqual(labelled(got_dom, got_kernels), labelled(dom, kernels), msg=msg)
                 self.assertEqual(list(got_reps), reps, msg=msg)
                 want_h0 = [
@@ -821,7 +830,7 @@ class TestWeightBlocks(unittest.TestCase):
         for atlas in GLUINGS:
             c1 = max(atlas.charts)
             for sheaf in product(range(-12, 13), (0, 1)):
-                dom, kernels, _ = _cech_solve(atlas, sheaf)
+                dom, kernels, _ = solve_sheaf(atlas, sheaf)
                 for k in kernels:
                     lead = max(k)
                     msg = (c1, sheaf, dom[lead])
@@ -871,7 +880,7 @@ class TestWeightBlocks(unittest.TestCase):
 
     def test_solve_returns_read_only_labels(self):
         # Every caller shares the cached solve, so none may change it.
-        dom, kernels, reps = _cech_solve(P11, (-3, 1))
+        dom, kernels, reps = solve_sheaf(P11, (-3, 1))
         self.assertEqual([type(x) for x in (dom, kernels, reps)], [tuple] * 3)
         with self.assertRaises(TypeError):
             kernels[0][0] = Fraction(1)
@@ -886,7 +895,7 @@ class TestWeightBlocks(unittest.TestCase):
 
         def solve(atlas, sheaf):
             cohomology._solve.cache_clear()
-            result = _cech_solve(atlas, sheaf)
+            result = solve_sheaf(atlas, sheaf)
             cohomology._solve.cache_clear()
             return result
 
@@ -913,7 +922,7 @@ class TestWeightBlocks(unittest.TestCase):
             cohomology._solve.cache_clear()
             report = cech(P11, (-3, 1), cutoff)
             self.assertEqual((report.h0, report.h1, report.stabilized), (16, 0, True))
-            layouts[cutoff] = _cech_solve(P11, (-3, 1))[0]
+            layouts[cutoff] = solve_sheaf(P11, (-3, 1))[0]
         self.assertEqual(layouts[0], layouts[40])
         self.assertEqual(layouts[0], layouts[100000])
         # lambda in 0..4 with the three second weights -5..-3 of each lambda.
@@ -933,7 +942,7 @@ class TestWeightBlocks(unittest.TestCase):
             m01 = atlas.transition(*sorted(atlas.charts))
             for sheaf in product(range(-40, 41), (0, 1)):
                 cohomology._solve.cache_clear()
-                dom, kernels, reps = _cech_solve(atlas, sheaf)
+                dom, kernels, reps = solve_sheaf(atlas, sheaf)
                 want_dom, want_kernels, want_reps = per_block_solve(m01, sheaf)
                 msg = (m01.source.id, sheaf)
                 self.assertEqual(dom, want_dom, msg=msg)
@@ -974,7 +983,7 @@ class TestWeightBlocks(unittest.TestCase):
             m01, table = atlas.transition(c0, c1), atlas.chart(c1).table
             checked = 0
             for sheaf in product(range(-40, 41), (0, 1)):
-                dom, kernels, _ = _cech_solve(atlas, sheaf)
+                dom, kernels, _ = solve_sheaf(atlas, sheaf)
                 columns = {}
 
                 def column(t):
@@ -1035,7 +1044,7 @@ class TestWeightBlocks(unittest.TestCase):
         solved = []
         record = lambda cols: solved.append(cols) or _eliminate(cols)
         with mock.patch.object(cohomology, "_eliminate", side_effect=record):
-            reps = _cech_solve(P11, (2, 0))[2]
+            reps = solve_sheaf(P11, (2, 0))[2]
         self.assertEqual(solved.count([]), 3)
         self.assertEqual(reps, per_block_solve(P11.transition("U0", "U1"), (2, 0))[2])
         self.assertEqual({_weight(mon, e)[1] for mon, e in reps}, {1, 2, 3})
@@ -1084,9 +1093,19 @@ class TestDeRham(unittest.TestCase):
             derham("bogus", 0, (0, 1), 4)
 
     def test_flat_picture_out_of_range(self):
-        for picture in (-1, 2):
-            with self.assertRaises(UnsupportedSpaceError, msg=picture):
+        # A picture that is not an int (1.0 used to end in a bare TypeError)
+        # is refused like one out of range.
+        for picture in (-1, 2, 1.0, Fraction(1)):
+            with self.assertRaises(UnsupportedSpaceError, msg=picture) as ctx:
                 derham("flat:1,1", picture, (0, 1), 2)
+            self.assertEqual(str(ctx.exception), "picture %r not supported on this flat space" % (picture,))
+
+    def test_degree_range_must_be_ints(self):
+        # A range of floats used to end in a bare TypeError.
+        for space in ("flat:1,1", "p11"):
+            for degrees in ((0.0, 1), (0, 1.0), (Fraction(0), 1)):
+                with self.assertRaisesRegex(StructuralError, "range must be two ints", msg=(space, degrees)):
+                    derham(space, 1, degrees, 4)
 
     def test_no_cech_solve(self):
         # de Rham writes its classes down: cold or warm, it solves and
@@ -1199,14 +1218,14 @@ class TestDeRham(unittest.TestCase):
                 self.assertEqual(found, [want[j]] if i == 0 else [], msg=(i, j))
 
     def test_projective_picture_out_of_range(self):
-        # The sheaf basis rejects the picture, as for cech, also when the
-        # range misses degree 0.
-        for picture in (-1, 2):
+        # derham rejects the picture with the message of cech, also when
+        # the range misses degree 0, and also a picture that is not an int.
+        for picture in (-1, 2, 1.0, Fraction(1)):
             for degrees in ((0, 1), (5, 7), (-7, -5)):
                 msg = (picture, degrees)
                 with self.assertRaises(UnsupportedSpaceError, msg=msg) as ctx:
                     derham("p11", picture, degrees, 4)
-                self.assertEqual(str(ctx.exception), "picture %d not supported on P^{1|1}" % picture)
+                self.assertEqual(str(ctx.exception), "picture %r not supported on P^{1|1}" % (picture,), msg=msg)
 
 
 # The complex of all global sections, which P^{1|1} de Rham assembled before
@@ -1222,7 +1241,7 @@ def global_section_complex(atlas, picture, lo, hi):
     (levels, d_cols), levels[i] = (labels, sections) and d_cols[i] the
     coordinates of d(section) in the sections of level i+1, read at their
     leads and checked by an exact residual."""
-    levels = {i: _cech_solve(atlas, (i, picture))[:2] for i in range(lo - 1, hi + 2)}
+    levels = {i: solve_sheaf(atlas, (i, picture))[:2] for i in range(lo - 1, hi + 2)}
     d_cols = {}
     for i in range(lo - 1, hi + 1):
         labels, sections = levels[i]
@@ -1660,20 +1679,20 @@ class TestPairingMatrix(unittest.TestCase):
         # `_solve` per case, with the sheaf it changes.
         solve = cohomology._solve
         m01 = cohomology._transition(P11)
-        dom, kernels, no_reps = solve(m01, (-3, 1))
+        dom, kernels, no_reps = solve(m01, -3, 1)
         weights = [
             {_weight(dom[s][1], dom[s][2][0]) for s in combo if dom[s][0] == "U0"} for combo in kernels
         ]
         t, u = next((t, u) for t, u in combinations(range(len(kernels)), 2) if weights[t] == weights[u])
         copied = kernels[:u] + (kernels[t],) + kernels[u + 1 :]
-        dom1, no_kernels, reps = solve(m01, (4, 0))
+        dom1, no_kernels, reps = solve(m01, 4, 0)
         cases = (
             ((-3, 1), (dom, kernels[1:], no_reps)),
             ((-3, 1), (dom, copied, no_reps)),
             ((4, 0), (dom1, no_kernels, reps[1:])),
         )
         for sheaf, changed in cases:
-            yield sheaf, lambda m, s, sheaf=sheaf, changed=changed: changed if s == sheaf else solve(m, s)
+            yield sheaf, lambda m, *s, sheaf=sheaf, changed=changed: changed if s == sheaf else solve(m, *s)
 
     def test_pairing_is_certified_perfect(self):
         # A pairing that is not perfect must raise rather than answer.  A warm
@@ -1831,7 +1850,7 @@ def report_pairing(n, cutoff):
     h1 = cech(P11, (n + 1, 0), cutoff)
     h0 = cech(P11, (-n, 1), cutoff)
     generator = (Monomial((0,), (0,), (), ((0, 0),)), -1)
-    if _cech_solve(P11, (1, 1))[2] != (generator,):
+    if solve_sheaf(P11, (1, 1))[2] != (generator,):
         raise StructuralError("the H^1(Omega^{1|1}) probe does not single out the generator")
     weights0 = [_form_weight(parts["U0"]) for parts in h0.generators_h0]
     matrix = []
@@ -1895,7 +1914,7 @@ class TestUncheckedForms(unittest.TestCase):
     def test_derham_classes_are_clean(self):
         cases = [(builtin_flat(2, 4), p) for p in range(5)] + [(P11, 0), (P11, 1), (scaled_atlas(), 1)]
         for atlas, picture in cases:
-            classes = cohomology._derham_classes(atlas, picture, True)
+            classes = cohomology._derham_classes(atlas, picture)
             n = len(atlas.chart(min(atlas.charts)).table.odd_names)
             self.assertEqual(len(classes), comb(n, picture))
             for parts in classes:
@@ -1905,16 +1924,21 @@ class TestUncheckedForms(unittest.TestCase):
 
 class TestNegativeCutoff(unittest.TestCase):
     def test_every_entry_point_rejects(self):
+        # A cutoff must be an int >= 0.  At 0.5 the flat box would miss the
+        # class of flat:1,1 in picture 1, which used to be answered as
+        # stabilized, and cech and pairing_matrix used to answer too.
         calls = {
-            "cech": lambda: cech(P11, (0, 0), -1),
-            "cech -1|1": lambda: cech(P11, (-1, 1), -1),
-            "derham p11": lambda: derham("p11", 0, (0, 1), -1),
-            "derham flat": lambda: derham("flat:1,1", 1, (0, 1), -2),
-            "pairing_matrix": lambda: pairing_matrix(0, -1),
+            "cech": lambda cutoff: cech(P11, (0, 0), cutoff),
+            "cech -1|1": lambda cutoff: cech(P11, (-1, 1), cutoff),
+            "derham p11": lambda cutoff: derham("p11", 0, (0, 1), cutoff),
+            "derham flat": lambda cutoff: derham("flat:1,1", 1, (0, 1), cutoff),
+            "pairing_matrix": lambda cutoff: pairing_matrix(0, cutoff),
         }
+        refusals = {-1: "non-negative, got -1", 0.5: "an int, got 0.5", None: "an int, got None"}
         for name, call in calls.items():
-            with self.assertRaises(StructuralError, msg=name):
-                call()
+            for cutoff, message in refusals.items():
+                with self.assertRaisesRegex(StructuralError, "cutoff must be " + message, msg=(name, cutoff)):
+                    call(cutoff)
 
 
 class TestCechDeRhamConsistency(unittest.TestCase):
