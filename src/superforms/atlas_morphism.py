@@ -7,7 +7,6 @@ Pullback extends these images to the whole form algebra: coefficients by
 substitution, dgamma/dpsi by d of the images, delta factors by delta_expand.
 """
 
-from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 from types import MappingProxyType
 
@@ -21,6 +20,8 @@ from .form_algebra import (
     Monomial,
     Superform,
     _add_term,
+    _FrozenRecord,
+    _Record,
     _wedge_power,
     delta_expand,
     exterior_d,
@@ -28,10 +29,11 @@ from .form_algebra import (
 )
 
 
-@dataclass(frozen=True)
-class Chart:
-    id: str
-    table: GeneratorTable
+class Chart(_FrozenRecord):
+    _fields = ("id", "table")
+
+    def __init__(self, id, table):
+        vars(self).update(id=id, table=table)
 
 
 class Morphism:
@@ -104,12 +106,14 @@ class Morphism:
         return out
 
 
-@dataclass
-class Atlas:
+class Atlas(_Record):
     """Charts plus transition morphisms indexed by (source id, target id)."""
 
-    charts: dict
-    transitions: dict = field(default_factory=dict)
+    _fields = ("charts", "transitions")
+
+    def __init__(self, charts, transitions=None):
+        self.charts = charts
+        self.transitions = {} if transitions is None else transitions
 
     def chart(self, chart_id):
         if chart_id not in self.charts:
@@ -212,10 +216,12 @@ def pullback(m, a):
     return out
 
 
-@dataclass
-class CocycleReport:
-    checked: int = 0
-    failures: list = field(default_factory=list)
+class CocycleReport(_Record):
+    _fields = ("checked", "failures")
+
+    def __init__(self, checked=0, failures=None):
+        self.checked = checked
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self):

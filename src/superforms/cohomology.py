@@ -75,14 +75,13 @@ of each (transition, n) once per process, as read-only rows that
 `pairing_matrix` lays out afresh on every call; a `Morphism` compares by
 its generator images, so fresh builds of one atlas share the entries.  Both
 memos are typed, so a float never reads the entry of its int, and each
-argument is checked once, where its value is used: a sheaf by
-`p11_sheaf_monomials`, a pairing index by `_pairing`, a cutoff by
-`_check_cutoff`, a degree range and a de Rham picture by `derham`, and an
-atlas by `_transition`, which rejects any atlas that is not two 1|1 charts,
-since the section bases are those of P^{1|1}.
+argument is checked once, before a memo is read: a sheaf's pair shape by
+`cech`, its degree and picture by `p11_sheaf_monomials`, a pairing index by
+`pairing_matrix`, a cutoff by `_check_cutoff`, a degree range and a de Rham
+picture by `derham`, and an atlas by `_transition`, which rejects any atlas
+that is not two 1|1 charts, since the section bases are those of P^{1|1}.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -96,7 +95,7 @@ from .errors import (
     UnsupportedMorphismError,
     UnsupportedSpaceError,
 )
-from .form_algebra import DG, DL, DP, TH, Monomial, Superform, exterior_d, pair
+from .form_algebra import DG, DL, DP, TH, Monomial, Superform, _Record, exterior_d, pair
 
 _ONE = Fraction(1)
 _THETA = Monomial((0,))
@@ -151,18 +150,18 @@ class Eliminator:
         return None
 
 
-@dataclass
-class CohomologyReport:
-    space: str
-    sheaf: tuple = None
-    cutoff: int = 0
-    h0: int = None
-    h1: int = None
-    generators_h0: list = field(default_factory=list)  # [{chart_id: Superform}]
-    generators_h1: list = field(default_factory=list)  # [Superform on the overlap]
-    dims: dict = None  # de Rham: {(i, picture): dim}
-    generators: dict = None  # de Rham: {i: [{chart_id: Superform}]}
-    stabilized: bool = True
+class CohomologyReport(_Record):
+    _fields = ("space", "sheaf", "cutoff", "h0", "h1", "generators_h0", "generators_h1", "dims", "generators",
+               "stabilized")
+
+    def __init__(self, space, sheaf=None, cutoff=0, h0=None, h1=None, generators_h0=None, generators_h1=None,
+                 dims=None, generators=None, stabilized=True):
+        self.space, self.sheaf, self.cutoff, self.h0, self.h1 = space, sheaf, cutoff, h0, h1
+        self.generators_h0 = [] if generators_h0 is None else generators_h0  # [{chart_id: Superform}]
+        self.generators_h1 = [] if generators_h1 is None else generators_h1  # [Superform on the overlap]
+        self.dims = dims  # de Rham: {(i, picture): dim}
+        self.generators = generators  # de Rham: {i: [{chart_id: Superform}]}
+        self.stabilized = stabilized
 
 
 def p11_sheaf_monomials(i, j):
@@ -418,7 +417,14 @@ def cech(space, sheaf, cutoff):
     does not depend on the cutoff, which is only recorded."""
     atlas, label = _resolve_space(space)
     _check_cutoff(cutoff)
-    dom, kernels, reps = _solve(_transition(atlas), *sheaf)
+    m01 = _transition(atlas)
+    try:
+        degree, picture = sheaf
+    except (TypeError, ValueError):
+        raise StructuralError("a sheaf must be a pair (degree, picture), got %r" % (sheaf,)) from None
+    # Checked before the memo hashes the sheaf, which a list degree cannot be.
+    p11_sheaf_monomials(degree, picture)
+    dom, kernels, reps = _solve(m01, degree, picture)
     c0 = min(atlas.charts)
     table = atlas.chart(c0).table
     names = table.even_names
@@ -563,6 +569,10 @@ def pairing_matrix(n, cutoff):
     caller that changes them changes no later answer.
     """
     _check_cutoff(cutoff)
+    if not isinstance(n, int):
+        raise StructuralError("pairing index must be an int, got %r" % (n,))
+    if n < 0:
+        raise StructuralError("pairing index must be non-negative")
     rows, width, rank = _pairing(_transition(builtin_p11()), n)
     matrix = []
     for entries in rows:
@@ -576,9 +586,9 @@ def pairing_matrix(n, cutoff):
 @lru_cache(maxsize=128, typed=True)
 def _pairing(m01, n):
     """The pairing of H^1(Omega^{n+1|0}) with H^0(Omega^{-n|1}) across the
-    transition m01, once per process.  The memo is typed, so a float n
-    misses the entry of its int and is refused here, like a negative n; a
-    refusal or a pairing that is not perfect raises, which is not cached.
+    transition m01, once per process, for an int n >= 0 (`pairing_matrix`
+    checks it).  The memo is typed, so a float n misses the entry of its
+    int; a pairing that is not perfect raises, which is not cached.
 
     Returns read-only (rows, width, rank): for each H^1 representative, in
     the order of the solve, the tuple of its non-zero (kernel position,
@@ -595,10 +605,6 @@ def _pairing(m01, n):
     the non-zero entries, about 530 KiB for n = 256 by tracemalloc; the 128
     entries read the two solves each of a full `_solve`.
     """
-    if not isinstance(n, int):
-        raise StructuralError("pairing index must be an int, got %r" % (n,))
-    if n < 0:
-        raise StructuralError("pairing index must be non-negative")
     reps = _solve(m01, n + 1, 0)[2]
     dom, kernels, _ = _solve(m01, -n, 1)
 
@@ -646,13 +652,13 @@ def _pairing(m01, n):
     return tuple(rows), len(kernels), rank
 
 
-@dataclass
-class CechDeRhamReport:
-    derham_dims: dict
-    constant_sheaf_dims: dict
-    base_dims: dict
-    fiber_dim: int
-    mismatches: list = field(default_factory=list)
+class CechDeRhamReport(_Record):
+    _fields = ("derham_dims", "constant_sheaf_dims", "base_dims", "fiber_dim", "mismatches")
+
+    def __init__(self, derham_dims, constant_sheaf_dims, base_dims, fiber_dim, mismatches=None):
+        self.derham_dims, self.constant_sheaf_dims, self.base_dims = derham_dims, constant_sheaf_dims, base_dims
+        self.fiber_dim = fiber_dim
+        self.mismatches = [] if mismatches is None else mismatches
 
     @property
     def passed(self):

@@ -27,10 +27,16 @@ lists: it takes only atoms of the chart's `GeneratorTable`.  `_add_normal`
 adds a polynomial times a normal form to a terms map, and one-term forms (the
 series terms of `delta_expand` among them) are built directly, not
 normalized.
+
+The record types (`GeneratorTable`, `Chart`, `Atlas` and the reports) are
+plain `_Record` classes, so no dataclass machinery is imported: each has the
+fields of its `_fields`, set by its `__init__`, compares them with a record
+of its own class (itself first), prints them in its repr and keeps a
+`__dict__`.  A `_FrozenRecord` refuses every assignment and deletion and
+hashes as the tuple of its fields; any other record is unhashable.
 """
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, perm
 from typing import NamedTuple
@@ -104,8 +110,36 @@ class Bidegree(NamedTuple):
     picture: int
 
 
-@dataclass(frozen=True)
-class GeneratorTable:
+class _Record:
+    """A mutable, unhashable record (see the module docstring)."""
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self._fields)
+        return "%s(%s)" % (type(self).__qualname__, fields)
+
+
+class _FrozenRecord(_Record):
+    """An immutable record; its `__init__` fills `vars(self)`."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class GeneratorTable(_FrozenRecord):
     """Ordered even and odd coordinate names of one chart.
 
     `_words` is the chart's one name table, read by the parser: each
@@ -116,18 +150,16 @@ class GeneratorTable:
     a form printed with them would not read back as itself.
     """
 
-    even_names: tuple
-    odd_names: tuple
+    _fields = ("even_names", "odd_names")
 
-    def __post_init__(self):
-        object.__setattr__(self, "even_names", tuple(self.even_names))
-        object.__setattr__(self, "odd_names", tuple(self.odd_names))
+    def __init__(self, even_names, odd_names):
+        even_names, odd_names = tuple(even_names), tuple(odd_names)
         words = {}
         for prefix, generator, names in (
-            ("", int, self.even_names),
-            ("", theta, self.odd_names),
-            ("d", dgamma, self.even_names),
-            ("d", dpsi, self.odd_names),
+            ("", int, even_names),
+            ("", theta, odd_names),
+            ("d", dgamma, even_names),
+            ("d", dpsi, odd_names),
         ):
             for i, name in enumerate(names):
                 word = prefix + name
@@ -137,8 +169,8 @@ class GeneratorTable:
                         " names, \"d\" + each name and delta must all differ" % (word, _NAME_RE.pattern)
                     )
                 words[word] = generator(i)
-        object.__setattr__(self, "_words", words)
-        object.__setattr__(self, "_spell", {generator: word for word, generator in words.items()})
+        spell = {generator: word for word, generator in words.items()}
+        vars(self).update(even_names=even_names, odd_names=odd_names, _words=words, _spell=spell)
 
 
 class Monomial:

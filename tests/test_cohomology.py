@@ -1,7 +1,6 @@
 """Tests for the exact linear algebra and both cohomology pipelines."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -405,10 +404,9 @@ class TestSheafBases(unittest.TestCase):
                 p11_sheaf_monomials(*sheaf)
 
     def test_float_degree_rejected_warm_and_cold(self):
-        # (2.0, 0) == (2, 0), so the solve and pairing memos are typed: a
-        # float degree, picture or index misses the entry of its int and is
-        # refused inside, after its int was answered, in a cold process and
-        # after the int again.
+        # (2.0, 0) == (2, 0), so no memo may answer a float degree, picture
+        # or index from the entry of its int: each is refused after its int
+        # was answered, in a cold process and after the int again.
         def answer_ints():
             cech(P11, (2, 0), 4)
             cech(P11, (-2, 1), 4)
@@ -421,9 +419,18 @@ class TestSheafBases(unittest.TestCase):
                     cech(P11, sheaf, 4)
             with self.assertRaisesRegex(UnsupportedSpaceError, r"picture 1\.0 not", msg=when):
                 cech(P11, (0, 1.0), 4)
-            for n in (1.0, Fraction(1)):
+            for n in (1.0, Fraction(1), [1]):
                 with self.assertRaisesRegex(StructuralError, "pairing index must be an int", msg=(when, n)):
                     pairing_matrix(n, 4)
+            # A value that cannot be hashed, or a sheaf that is not a pair,
+            # is refused before the memo is read, naming the value.
+            for sheaf, message in (
+                (([1], 0), r"degree of a sheaf must be an int, got \[1\]"),
+                ((1, 0, 2), r"sheaf must be a pair \(degree, picture\), got \(1, 0, 2\)"),
+                (3, r"sheaf must be a pair \(degree, picture\), got 3"),
+            ):
+                with self.assertRaisesRegex(StructuralError, message, msg=(when, sheaf)):
+                    cech("p11", sheaf, 4)
 
         answer_ints()
         assert_floats_raise("warm")
@@ -507,7 +514,9 @@ class TestCech(unittest.TestCase):
         # used to be empty, and 5|0 at cutoff 3 reported h1 = 0 unstabilized.
         report = cech(P11, (5, 0), 3)
         self.assertEqual((report.h0, report.h1, report.stabilized), (0, 20, True))
-        self.assertEqual(report, dataclasses.replace(cech(P11, (5, 0), 40), cutoff=3))
+        expected = cech(P11, (5, 0), 40)
+        expected.cutoff = 3
+        self.assertEqual(report, expected)
 
     def test_chart_ids_and_transition_coefficients_are_free(self):
         # P^{1|1} glued by y = 2/x, s = t/x: an isomorphic atlas whose charts

@@ -694,7 +694,7 @@ class TestBidegree(unittest.TestCase):
 class TestMonomialSurface(unittest.TestCase):
     """What library callers and error messages read off a Monomial, whatever
     it stores: the field constructor, the four field views, powers(), the
-    dataclass repr, equality and hash."""
+    repr naming the four fields, equality and hash."""
 
     def test_fields_read_back_and_match_normalize(self):
         rng = random.Random(20261019)
