@@ -5,8 +5,8 @@ matrix is eliminated once, by `_eliminate`: it inserts the columns into one
 sparse row-reduced `Eliminator` and returns it with the kernel combinations.
 The eliminator keeps its pivots in reduced row echelon form, so a column is
 reduced in one ascending pass over the pivot rows it hits.  Sparse
-combinations are accumulated by `coeff_ring._axpy`, and `_glue` alone turns a
-combination of basis labels (chart id, Monomial, exponent tuple) into forms.
+combinations are accumulated by `coeff_ring._axpy`, and `_generators` alone
+turns the kernels of the Cech solve into forms.
 
 The Cech system of a sheaf on P^{1|1} is (s0, s1) |-> s0 - Phi*(s1) from the
 sections of the two charts to those of the overlap; its kernel is H^0 and its
@@ -23,17 +23,17 @@ non-zero Laurent monomial times psi (a sum mixes weights, and psi -> 0 kills
 every sheaf monomial with a theta).  The blocks do not depend on any cutoff,
 and only the finitely many first weights of `_class_weights` can carry a
 class (the monomial-by-monomial computation of Cech cohomology of O(d) on
-P^1).  `_solve` lays the blocks out, each with its columns in their global
-(chart, monomial, exponent) order, so the kernels come out as from one
-eliminator for the whole system; the unit vectors of the rows are inserted
-after the columns, and the rows they leave unhit are the H^1
-representatives.  A block is fixed by the (chart, monomial) of its columns
-up to b^-lambda on its U1 columns, a factor its kernels carry on their U0
-coefficients alone (see `_solve`), so each distinct block is eliminated
-once, whatever the range and b.  `cech` is therefore exact at every cutoff.
-The pairing reads each entry off the `_solve` labels as the Berezin trace
-of a product, its coefficient of theta*dg*delta(dpsi) at g^-1, which only
-weight (0, 0) carries, so it pairs only labels of weight sum (0, 0),
+P^1).  A block is fixed by the (chart, monomial) of its columns up to
+b^-lambda on its U1 columns, which its kernels carry on their U0
+coefficients alone, and its columns change only at a few breakpoints of
+the first weight.  So `_solve` eliminates and keeps one template per run
+of equal blocks, whatever the range and b, and `_generators` writes every
+generator and H^1 representative (a row the columns leave unhit) from the
+templates, as one eliminator for the whole system would.  `cech` is
+therefore exact at every cutoff.
+The pairing reads each entry off those generators as the Berezin trace of
+a product, its coefficient of theta*dg*delta(dpsi) at g^-1, which only
+weight (0, 0) carries, so it pairs only generators of weight sum (0, 0),
 reduces one product per pair of sheaf monomials and certifies itself perfect.
 
 P^{1|1} de Rham is the cohomology of the complex of global sections.  d
@@ -70,22 +70,22 @@ in the box |u_j| <= D, which misses one only at D = 0.  `derham` states
 this box rule once: a flat report is unstabilized, and lists no class,
 exactly when D = 0 and a picture p >= 1 has degree 0 in range.  `_solve`
 computes the Cech solve of each (transition, sheaf) for `cech` and the
-pairing once per process, as read-only labels, and `_pairing` the pairing
-of each (transition, n) once per process, as read-only rows that
-`pairing_matrix` lays out afresh on every call; a `Morphism` compares by
-its generator images, so fresh builds of one atlas share the entries.  Both
-memos are typed, so a float never reads the entry of its int, and each
-argument is checked once, before a memo is read: a sheaf's pair shape by
-`cech`, its degree and picture by `p11_sheaf_monomials`, a pairing index by
-`pairing_matrix`, a cutoff by `_check_cutoff`, a degree range and a de Rham
-picture by `derham`, and an atlas by `_transition`, which rejects any atlas
-that is not two 1|1 charts, since the section bases are those of P^{1|1}.
+pairing once per process, as read-only templates whose size does not grow
+with the degree, and `_pairing` the pairing of each (transition, n) once
+per process, as read-only rows that `pairing_matrix` lays out afresh on
+every call; a `Morphism` compares by its generator images, so fresh builds
+of one atlas share the entries.  Both memos are typed, so a float never
+reads the entry of its int, and each argument is checked once, before a
+memo is read: a sheaf's pair shape by `cech`, its degree and picture by
+`_check_sheaf`, a pairing index by `pairing_matrix`, a cutoff by
+`_check_cutoff`, a degree range and a de Rham picture by `derham`, and an
+atlas by `_transition`, which rejects any atlas that is not two 1|1
+charts, since the section bases are those of P^{1|1}.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from types import MappingProxyType
 
 from .atlas_morphism import builtin_flat, builtin_p11, pullback
 from .berezin import berezin_reduce
@@ -164,23 +164,27 @@ class CohomologyReport(_Record):
         self.stabilized = stabilized
 
 
+def _check_sheaf(i, j):
+    """Refuse a picture that is not the int 0 or 1 (UnsupportedSpaceError) and
+    a degree that is not an int, no dpsi power or delta order (StructuralError)."""
+    if not isinstance(j, int) or j not in (0, 1):
+        raise UnsupportedSpaceError("picture %r not supported on P^{1|1}" % (j,))
+    if not isinstance(i, int):
+        raise StructuralError("the degree of a sheaf must be an int, got %r" % (i,))
+
+
 def p11_sheaf_monomials(i, j):
     """Monomials spanning Omega^{i|j} fibers on a P^{1|1} chart, in listing
-    order (`Monomial.sort_key`), built in that order.
+    order (`Monomial.sort_key`), built in that order, once `_check_sheaf`
+    has accepted the sheaf.
 
     The key compares the top factor first: dpsi^b or delta^(k)(dpsi), then
     dg, then psi.  So dg*dpsi^(i-1) precedes dpsi^i, delta^(-i)(dpsi)
     precedes dg*delta^(1-i)(dpsi), and psi, the last factor compared, only
     lengthens the key: M precedes psi*M.  Each monomial is built in normal
-    order, psi, dg, then the top factor, and wrapped unchecked.  This is
-    where a sheaf is checked: a picture that is not the int 0 or 1 raises
-    UnsupportedSpaceError, and a degree that is not an int StructuralError,
-    as a dpsi power or delta order that is not one would not be a monomial.
+    order, psi, dg, then the top factor, and wrapped unchecked.
     """
-    if not isinstance(j, int) or j not in (0, 1):
-        raise UnsupportedSpaceError("picture %r not supported on P^{1|1}" % (j,))
-    if not isinstance(i, int):
-        raise StructuralError("the degree of a sheaf must be an int, got %r" % (i,))
+    _check_sheaf(i, j)
     out = []
     for e in (1, 0) if j == 0 else (0, 1):
         devens = (((DG, 0), 1),) if e else ()
@@ -206,8 +210,9 @@ def _eliminate(columns):
     one per dependent column, after the rank-nullity self-check.  A kernel is
     1 at its lead, its largest column and the dependent one, and is otherwise
     made of pivot columns, so a vector the kernels span has each kernel's
-    coordinate as its entry at that kernel's lead.  `_solve` orders its
-    kernels by lead, and the tests read global sections by their leads.
+    coordinate as its entry at that kernel's lead.  `_generators` orders
+    the H^0 generators by lead, and the tests read global sections by their
+    leads.
     """
     elim = Eliminator()
     kernels = []
@@ -297,31 +302,38 @@ def _transition(atlas):
     return m01
 
 
-# A cached solve grows linearly in |i|: 19 KiB for -3|1, 0.5 MiB for -200|1, 5 MiB for -2000|1.
+# A cached solve holds 7 runs, about 4.5 KiB, for -2000|1 and -200000|1 alike: nothing grows with |i|.
 @lru_cache(maxsize=256, typed=True)
 def _solve(m01, degree, picture):
     """The Cech solve of Omega^{degree|picture} across the transition m01
-    from chart c0 to chart c1, once per process.  The memo is typed, so a
-    float misses the entry of its int and `p11_sheaf_monomials` refuses it;
-    a refused sheaf or transition raises, which is not cached.
+    from chart c0 to chart c1, once per process, as block templates.  The
+    memo is typed, so a float misses the entry of its int and
+    `p11_sheaf_monomials` refuses it; a refused sheaf or transition raises,
+    which is not cached.
 
-    Returns read-only (dom, kernels, reps).  dom lists the column labels
-    (chart id, Monomial, exponent tuple) of the blocks `_class_weights`
-    admits, in (chart, monomial, exponent) order; H^0 comes as combinations
-    {column: coeff}; the H^1 representatives as overlap (Monomial, exponent)
-    pairs in monomial order.  A block has one row per sheaf monomial of its
-    second weight, keyed by its position in the sheaf's list, and the unit
-    vectors of its rows are inserted after its columns.  Phi*(g'^e*M) =
-    b^e*g^-e*Phi*(M) with e = lambda1(M) - lambda in block lambda, so there
-    a U1 column is b^-lambda times the block-free b^lambda1(M)*(-Phi*(M))
-    and a U0 column the unit vector of M's row.  Each distinct (chart,
-    monomial) column tuple and rows is eliminated once on the block-free
-    columns, checked (its kernels combine them to zero, or StructuralError
-    names the sheaf) and read off by every block that has it: 7
-    eliminations for -2000|1 or 2000|0, of about 6000 blocks, whatever b is.
-    The U0 columns come first and are unit vectors on distinct rows, so
-    every kernel's lead is a U1 column: b^-lambda keeps its U1 coefficients
-    and multiplies its U0 ones.
+    Block (lambda, mu) has a row per sheaf monomial M of second weight mu,
+    keyed by its position, the U0 column g^(lambda - #dgamma(M))*M if
+    lambda >= #dgamma(M) and the U1 column g'^(lambda1(M) - lambda)*M if
+    lambda <= lambda1(M).  Phi*(g'^e*M) = b^e*g^-e*Phi*(M), so a U1 column
+    is b^-lambda times the block-free b^lambda1(M)*(-Phi*(M)) and a U0
+    column the unit vector of M's row.  As lambda grows U0 columns only
+    enter and U1 columns only leave, so for each mu these breakpoints cut
+    the range of `_class_weights` into runs of blocks with the same columns,
+    each eliminated once on the block-free columns, the unit vectors of its
+    rows inserted after them, and checked (its kernels combine them to
+    zero, or StructuralError names the sheaf): 7 eliminations for -20|1
+    and -200000|1 alike, whatever b is.  The U0 columns come first and are
+    unit vectors on distinct rows, so every kernel's lead is a U1 column,
+    and `_generators` multiplies only its U0 coefficients by b^-lambda.
+
+    Returns read-only (columns, runs).  columns[n] = (chart id, M, e0) is
+    block-free column n, the U0 column of mons[n] or the U1 column of
+    mons[n - len(mons)], whose exponent in block lambda is e0 + lambda on U0
+    and e0 - lambda on U1.  A run (mu, lo, hi, ids, kernels, unhit) of the
+    blocks lo..hi, in the order of their first blocks, holds the ids of its
+    columns, U0 before U1 and each in monomial order, its kernels as
+    ((block index, Fraction), ...) in `_eliminate` order, and the positions
+    of the rows it leaves unhit, which are the ids of their U0 columns.
     """
     mons = p11_sheaf_monomials(degree, picture)
     c0, c1 = m01.source.id, m01.target.id
@@ -330,77 +342,74 @@ def _solve(m01, degree, picture):
     pulled = {mon: pullback(m01, Superform(c1, m01.target.table, {mon: one})) for mon in mons}
     weights = {mon: _form_weight(pulled[mon]) for mon in mons}
     lo, hi = _class_weights([weights[mon][0] for mon in mons])
-    # weight -> positions of its columns in dom, ascending; g^e*M has the
-    # weight of M shifted by (e, 0), and g'^e*M on U1 that of Phi*(M) by -e.
-    # Block-free column k is the U0 column of mons[k], len(mons) + k its U1
-    # column, and ids holds that number for each position.
-    own = {mon: _weight(mon, 0) for mon in mons}
-    blocks = {(lam, own[mon][1]): [] for lam in range(lo, hi + 1) for mon in mons}
-    dom, ids, columns, rows = [], [], [], {}
+    # For each block-free column: its template, its vector, and the second
+    # weight and first weights lambda of the blocks that hold it.
+    columns, vectors, spans, rows = [], [], [], {}
     for k, mon in enumerate(mons):
-        dg, mu = own[mon]
+        dg, mu = _weight(mon, 0)
         rows[mu] = rows.get(mu, ()) + (k,)
-        columns.append({k: _ONE})
-        for e in range(max(0, lo - dg), hi - dg + 1):
-            blocks[e + dg, mu].append(len(dom))
-            dom.append((c0, mon, (e,)))
-            ids.append(k)
-    for k, mon in enumerate(mons, len(mons)):
+        columns.append((c0, mon, -dg))
+        vectors.append({k: _ONE})
+        spans.append((mu, dg, hi))
+    for mon in mons:
         lam, mu = weights[mon]
-        columns.append({mons.index(m): -c * b**lam for m, lp in pulled[mon].terms.items() for c in lp.terms.values()})
-        for e in range(max(0, lam - hi), lam - lo + 1):
-            blocks[lam - e, mu].append(len(dom))
-            dom.append((c1, mon, (e,)))
-            ids.append(k)
-
-    # Each distinct outcome: its kernels in block column indices, the rows
-    # its columns leave unhit, in monomial order (H^1), and how many U0
-    # coefficients take b^-lambda (none for b = 1).
-    outcomes = {}
-    kernels, reps = [], []
-    for (lam, mu), ts in blocks.items():
-        key = (tuple(ids[t] for t in ts), rows[mu])
-        if key not in outcomes:
-            block = [columns[n] for n in key[0]]
-            elim, block_kernels = _eliminate(block)
-            for combo in block_kernels:
-                residual = {}
-                for j, c in combo.items():
-                    _axpy(residual, block[j].items(), c)
-                if residual:
-                    sheaf = "%d|%d" % (degree, picture)
-                    raise StructuralError("a Cech kernel of %s does not combine its columns to zero" % sheaf)
-            unhit = [k for k in rows[mu] if elim.insert({k: _ONE}, k) is None]
-            outcomes[key] = block_kernels, unhit, sum(n < len(mons) for n in key[0]) if b != 1 else 0
-        block_kernels, unhit, u0 = outcomes[key]
-        if u0:
-            s = b**-lam
-            block_kernels = [{j: c * s if j < u0 else c for j, c in combo.items()} for combo in block_kernels]
-        kernels += [{ts[j]: c for j, c in combo.items()} for combo in block_kernels]
-        reps += [(k, lam - own[mons[k]][0]) for k in unhit]
-    # Blocks share no column, so `_eliminate`'s lead convention holds across
-    # them, and ordered by lead the kernels come out as from one eliminator.
-    kernels.sort(key=max)
-    reps = tuple((mons[k], e) for k, e in sorted(reps))
-    return tuple(dom), tuple(MappingProxyType(k) for k in kernels), reps
+        columns.append((c1, mon, lam))
+        vectors.append({mons.index(m): -c * b**lam for m, lp in pulled[mon].terms.items() for c in lp.terms.values()})
+        spans.append((mu, lo, lam))
+    runs = []
+    for order, mu in enumerate(rows):
+        cuts = sorted({lo} | {x for m, a, z in spans if m == mu for x in (a, z + 1) if lo < x <= hi})
+        for start, end in zip(cuts, cuts[1:] + [hi + 1]):
+            ids = tuple(n for n, (m, a, z) in enumerate(spans) if m == mu and a <= start <= z)
+            runs.append((start, order, mu, end - 1, ids))
+    templates = []
+    for start, _, mu, end, ids in sorted(runs):
+        block = [vectors[n] for n in ids]
+        elim, kernels = _eliminate(block)
+        for combo in kernels:
+            residual = {}
+            for j, c in combo.items():
+                _axpy(residual, block[j].items(), c)
+            if residual:
+                sheaf = "%d|%d" % (degree, picture)
+                raise StructuralError("a Cech kernel of %s does not combine its columns to zero" % sheaf)
+        unhit = tuple(k for k in rows[mu] if elim.insert({k: _ONE}, k) is None)
+        templates.append((mu, start, end, ids, tuple(tuple(combo.items()) for combo in kernels), unhit))
+    return tuple(columns), tuple(templates)
 
 
-def _glue(atlas, labels, combo):
-    """The forms {chart id: Superform}, one per chart of the atlas, of a
-    combination {t: coeff} of distinct basis labels (chart id, Monomial,
-    exponent tuple); terms appear in the order of the combination.  The
-    labels are clean, so the polynomials are wrapped unchecked and the
-    coefficients, Fractions like those of the solve kernels, kept as given."""
-    terms = {cid: {} for cid in sorted(atlas.charts)}
-    for t, c in combo.items():
-        cid, mon, exps = labels[t]
-        terms[cid].setdefault(mon, {})[exps] = c
-    parts = {}
-    for cid, by_mon in terms.items():
-        table = atlas.chart(cid).table
-        lps = {mon: LaurentPoly._of(table.even_names, coeffs) for mon, coeffs in by_mon.items()}
-        parts[cid] = Superform._of(cid, table, lps)
-    return parts
+def _generators(m01, solved, tables):
+    """The H^0 generators ((lambda, mu), {chart id: Superform}), with the
+    weight of their block, and H^1 representatives (Monomial, exponent) of a
+    `_solve` entry, as one eliminator would give them: a kernel of block
+    lambda is led by g'^(lambda1(M) - lambda)*M, so generators come by (M,
+    lambda descending), their U0 coefficients times b^-lambda (times b from
+    one block to the next, not a gcd with b^lambda each), and the
+    representatives g^(lambda - #dgamma(M))*M of the unhit rows by (M,
+    lambda).  tables are the charts' GeneratorTables in sorted order; the
+    clean terms are wrapped unchecked, in the kernel's order."""
+    (columns, runs), (t0, t1) = solved, tables
+    c0, c1 = m01.source.id, m01.target.id
+    _, b = m01.even_images[0].single_term()
+    names0, names1 = t0.even_names, t1.even_names
+    leads = [
+        ((ids[max(j for j, _ in combo)], -hi), lo, mu, [columns[ids[j]] + (c,) for j, c in combo])
+        for mu, lo, hi, ids, kernels, _ in runs
+        for combo in kernels
+    ]
+    sections = []
+    for (_, top), lo, mu, terms in sorted(leads, key=lambda lead: lead[0]):
+        u0 = [(mon, e0, c * b**top if b != 1 else c) for cid, mon, e0, c in terms if cid == c0]
+        u1 = [(mon, e0, c) for cid, mon, e0, c in terms if cid != c0]
+        for lam in range(-top, lo - 1, -1):
+            part0 = {mon: LaurentPoly._of(names0, {(e0 + lam,): c}) for mon, e0, c in u0}
+            part1 = {mon: LaurentPoly._of(names1, {(e0 - lam,): c}) for mon, e0, c in u1}
+            sections.append(((lam, mu), {c0: Superform._of(c0, t0, part0), c1: Superform._of(c1, t1, part1)}))
+            if b != 1:
+                u0 = [(mon, e0, c * b) for mon, e0, c in u0]
+    unhit = sorted((k, lo, hi) for _, lo, hi, _, _, rows in runs for k in rows)
+    reps = [(columns[k][1], columns[k][2] + lam) for k, lo, hi in unhit for lam in range(lo, hi + 1)]
+    return sections, reps
 
 
 def _check_cutoff(cutoff):
@@ -423,20 +432,19 @@ def cech(space, sheaf, cutoff):
     except (TypeError, ValueError):
         raise StructuralError("a sheaf must be a pair (degree, picture), got %r" % (sheaf,)) from None
     # Checked before the memo hashes the sheaf, which a list degree cannot be.
-    p11_sheaf_monomials(degree, picture)
-    dom, kernels, reps = _solve(m01, degree, picture)
-    c0 = min(atlas.charts)
+    _check_sheaf(degree, picture)
+    c0, c1 = sorted(atlas.charts)
     table = atlas.chart(c0).table
-    names = table.even_names
+    sections, reps = _generators(m01, _solve(m01, degree, picture), (table, atlas.chart(c1).table))
     return CohomologyReport(
         space=label,
         sheaf=sheaf,
         cutoff=cutoff,
-        h0=len(kernels),
+        h0=len(sections),
         h1=len(reps),
-        generators_h0=[_glue(atlas, dom, combo) for combo in kernels],
+        generators_h0=[parts for _, parts in sections],
         generators_h1=[
-            Superform._of(c0, table, {mon: LaurentPoly._of(names, {(e,): _ONE})}) for mon, e in reps
+            Superform._of(c0, table, {mon: LaurentPoly._of(table.even_names, {(e,): _ONE})}) for mon, e in reps
         ],
     )
 
@@ -561,10 +569,11 @@ def pairing_matrix(n, cutoff):
     integral, the coefficient of theta*dg*delta(dpsi) at g^-1.  The trace
     vanishes on coboundaries, since s0 has no g^-1 term and, by the residue
     theorem, neither has Phi*(s1).  Returns (matrix rows, exact rank), read
-    off `_pairing`, which computes and certifies the pairing once per
-    transition, n and process (about 530 KiB held for n = 256): a rank short
-    of either dimension raises StructuralError.  n must be an int >= 0; the
-    cutoff does not change the answer.  The rows are laid out afresh on
+    off `_pairing`, which computes the pairing from the generators of the
+    two Cech solves and certifies it, once per transition, n and process
+    (about 530 KiB held for n = 256): a rank short of either dimension
+    raises StructuralError.  n must be an int >= 0; the cutoff does not
+    change the answer.  The rows are laid out afresh on
     every call (about 11 ms for the 1028 x 1028 matrix of n = 256), so a
     caller that changes them changes no later answer.
     """
@@ -590,37 +599,27 @@ def _pairing(m01, n):
     checks it).  The memo is typed, so a float n misses the entry of its
     int; a pairing that is not perfect raises, which is not cached.
 
-    Returns read-only (rows, width, rank): for each H^1 representative, in
-    the order of the solve, the tuple of its non-zero (kernel position,
-    Fraction) entries in kernel order; the number of H^0 kernels; and the
-    rank, summed over the weight blocks.  A product of torus weights w1 and
-    w2 has weight w1 + w2 and the trace sees only weight (0, 0), so the
-    matrix is block-diagonal by weight: a representative g^e1*M1 of weight
-    w meets only the H^0 generators whose U0 part has weight -w, and every
-    other entry is zero.  Both factors are read off the `_solve` labels,
-    with no form glued: the product of g^e1*M1 with a U0 label g^e2*M2 is
-    g^(e1+e2)*(M1*M2), and M1*M2 is formed and reduced once per pair of
-    sheaf monomials (at most 16).  The pairing is certified perfect: a rank
-    short of either dimension raises StructuralError.  An entry holds only
-    the non-zero entries, about 530 KiB for n = 256 by tracemalloc; the 128
-    entries read the two solves each of a full `_solve`.
+    Returns read-only (rows, width, rank): for each H^1 representative of
+    `_generators`, the tuple of its non-zero (generator position, Fraction)
+    entries in order; the number of H^0 generators; and the rank, summed
+    over the weight blocks.  A product of torus weights w1 and w2 has weight
+    w1 + w2 and the trace sees only weight (0, 0), so the matrix is
+    block-diagonal by weight: a representative g^e1*M1 of weight w meets
+    only the generators whose block, and U0 part, has weight -w.  The
+    product of g^e1*M1 with a U0 term g^e2*M2 is g^(e1+e2)*(M1*M2), and
+    M1*M2 is formed and reduced once per pair of sheaf monomials (at most
+    16).  The pairing is certified perfect: a rank short of either
+    dimension raises StructuralError.  An entry holds only the non-zero
+    entries, about 530 KiB for n = 256 by tracemalloc.
     """
-    reps = _solve(m01, n + 1, 0)[2]
-    dom, kernels, _ = _solve(m01, -n, 1)
-
-    # The H^0 kernels by the torus weight of their U0 labels: {weight:
-    # [(kernel position, [(M, e, coeff) for each U0 label g^e*M])]}.  A kernel
-    # lies in one weight block and Phi* is injective, so its U0 labels share
-    # one weight.
     c0 = m01.source.id
-    by_weight = {}
-    for t, combo in enumerate(kernels):
-        part = [(dom[s][1], dom[s][2][0], c) for s, c in combo.items() if dom[s][0] == c0]
-        weights = {_weight(mon, e) for mon, e, _ in part}
-        if len(weights) != 1:
-            raise StructuralError("H^0 generator %d has the U0 weights %s" % (t, sorted(weights)))
-        by_weight.setdefault(weights.pop(), []).append((t, part))
     table = m01.source.table
+    tables = (table, m01.target.table)
+    reps = _generators(m01, _solve(m01, n + 1, 0), tables)[1]
+    sections = _generators(m01, _solve(m01, -n, 1), tables)[0]
+    by_weight = {}  # weight -> [(generator position, its U0 terms)]
+    for t, (weight, parts) in enumerate(sections):
+        by_weight.setdefault(weight, []).append((t, parts[c0].terms.items()))
     one = LaurentPoly.const(table.even_names, 1)
     reduced = {}  # (M1, M2) -> the Berezin reduction of M1*M2
 
@@ -636,20 +635,20 @@ def _pairing(m01, n):
     for m1, e1 in reps:
         lam, mu = _weight(m1, e1)
         entries = {}
-        for t, part in by_weight.get((-lam, -mu), ()):
-            entry = sum(c * s for m2, e2, c in part if (s := trace(m1, m2, e1 + e2)))
+        for t, terms in by_weight.get((-lam, -mu), ()):
+            entry = sum(c * s for m2, lp in terms for (e2,), c in lp.terms.items() if (s := trace(m1, m2, e1 + e2)))
             if entry:
                 entries[t] = entry
         blocks.setdefault((lam, mu), []).append(entries)
         rows.append(tuple(entries.items()))
 
     rank = sum(_eliminate(block)[0].rank for block in blocks.values())
-    if not rank == len(reps) == len(kernels):
+    if not rank == len(reps) == len(sections):
         raise StructuralError(
             "the pairing of n = %d is not perfect: rank %d of a %dx%d matrix"
-            % (n, rank, len(reps), len(kernels))
+            % (n, rank, len(reps), len(sections))
         )
-    return tuple(rows), len(kernels), rank
+    return tuple(rows), len(sections), rank
 
 
 class CechDeRhamReport(_Record):

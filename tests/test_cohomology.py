@@ -52,7 +52,6 @@ from superforms.cohomology import (
     _class_weights,
     _eliminate,
     _form_weight,
-    _glue,
     _weight,
     p11_sheaf_monomials,
 )
@@ -68,9 +67,50 @@ INVERSE = LaurentPoly.monomial(("g",), (-1,))
 
 
 def solve_sheaf(atlas, sheaf):
-    """The `_solve` labels of one sheaf (degree, picture) across the atlas's
-    checked transition, as `cech` reads them."""
-    return cohomology._solve(cohomology._transition(atlas), *sheaf)
+    """The `_solve` templates of one sheaf (degree, picture) across the
+    atlas's checked transition, laid out as one system: (dom, kernels,
+    reps).  dom lists the column labels (chart id, Monomial, exponent
+    tuple) of every block in (chart, monomial, exponent) order, the kernels
+    are {column: coeff} in lead order with their U0 coefficients times
+    b^-lambda, and reps are the H^1 representatives (Monomial, exponent) in
+    monomial order, as one eliminator for the whole system gives them."""
+    m01 = cohomology._transition(atlas)
+    _, b = m01.even_images[0].single_term()
+    columns, runs = cohomology._solve(m01, *sheaf)
+
+    def label(n, lam):
+        cid, mon, e0 = columns[n]
+        return cid, mon, (e0 + lam if cid == m01.source.id else e0 - lam,)
+
+    blocks = [(lam, ids, kernels, unhit) for _, lo, hi, ids, kernels, unhit in runs for lam in range(lo, hi + 1)]
+    placed = sorted((n, label(n, lam)[2]) for lam, ids, _, _ in blocks for n in ids)
+    dom = tuple(columns[n][:2] + (exps,) for n, exps in placed)
+    index = {el: t for t, el in enumerate(dom)}
+    kernels, reps = [], []
+    for lam, ids, block_kernels, unhit in blocks:
+        for combo in block_kernels:
+            scaled = lambda n, c: c * b**-lam if b != 1 and columns[n][0] == m01.source.id else c
+            kernels.append({index[label(ids[j], lam)]: scaled(ids[j], c) for j, c in combo})
+        reps += [(k, label(k, lam)[2][0]) for k in unhit]
+    kernels.sort(key=max)
+    return dom, tuple(kernels), tuple((columns[k][1], e) for k, e in sorted(reps))
+
+
+def glue(atlas, labels, combo):
+    """The forms {chart id: Superform}, one per chart of the atlas, of a
+    combination {t: coeff} of distinct basis labels (chart id, Monomial,
+    exponent tuple); terms appear in the order of the combination, and the
+    coefficients are kept as given."""
+    terms = {cid: {} for cid in sorted(atlas.charts)}
+    for t, c in combo.items():
+        cid, mon, exps = labels[t]
+        terms[cid].setdefault(mon, {})[exps] = c
+    parts = {}
+    for cid, by_mon in terms.items():
+        table = atlas.chart(cid).table
+        lps = {mon: LaurentPoly._of(table.even_names, coeffs) for mon, coeffs in by_mon.items()}
+        parts[cid] = Superform._of(cid, table, lps)
+    return parts
 
 
 def glued_p11(even, odd):
@@ -229,17 +269,17 @@ class TestUnitShortcuts(unittest.TestCase):
     def test_shortcuts_keep_fractions(self):
         # On P^{1|1} (g -> 1/g) and on the scaled atlas (y = 2/x, where the
         # block-free U1 columns carry b^lambda1(M) and the U0 coefficients of
-        # the kernels b^-lambda) every coefficient of the Cech kernels, the
-        # pairing entries and the pullback images is a Fraction.
+        # the generators b^-lambda) every coefficient of the Cech generators,
+        # the pairing entries and the pullback images is a Fraction.
         rng = random.Random(35)
         for atlas in (P11, scaled_atlas()):
             c0, c1 = sorted(atlas.charts)
             m01, table = atlas.transition(c0, c1), atlas.chart(c1).table
             for i in range(-3, 4):
                 for picture in (0, 1):
-                    kernels = solve_sheaf(atlas, (i, picture))[1]
-                    for combo in kernels:
-                        self.assertEqual({type(c) for c in combo.values()}, {Fraction}, msg=(c0, i, picture))
+                    for parts in cech(atlas, (i, picture), 0).generators_h0:
+                        types = {type(c) for f in parts.values() for lp in f.terms.values() for c in lp.terms.values()}
+                        self.assertEqual(types, {Fraction}, msg=(c0, i, picture))
                     for mon in p11_sheaf_monomials(i, picture):
                         for poly in (LaurentPoly.const(table.even_names, 1), random_poly(rng, table.even_names)):
                             image = pullback(m01, Superform(c1, table, {mon: poly}))
@@ -816,9 +856,9 @@ class TestWeightBlocks(unittest.TestCase):
                 self.assertEqual(labelled(got_dom, got_kernels), labelled(dom, kernels), msg=msg)
                 self.assertEqual(list(got_reps), reps, msg=msg)
                 want_h0 = [
-                    [(cid, strict_form(f)) for cid, f in _glue(atlas, dom, k).items()] for k in kernels
+                    [(cid, strict_form(f)) for cid, f in glue(atlas, dom, k).items()] for k in kernels
                 ]
-                want_h1 = [strict_form(_glue(atlas, [(c0, m, (e,))], {0: Fraction(1)})[c0]) for m, e in reps]
+                want_h1 = [strict_form(glue(atlas, [(c0, m, (e,))], {0: Fraction(1)})[c0]) for m, e in reps]
                 for cutoff in range(13):
                     report = cech(atlas, sheaf, cutoff)
                     got_h0 = [
@@ -888,11 +928,21 @@ class TestWeightBlocks(unittest.TestCase):
         self.assertEqual((report.h0, report.h1), (16, 0))
 
     def test_solve_returns_read_only_labels(self):
-        # Every caller shares the cached solve, so none may change it.
-        dom, kernels, reps = solve_sheaf(P11, (-3, 1))
-        self.assertEqual([type(x) for x in (dom, kernels, reps)], [tuple] * 3)
+        # Every caller shares the cached solve, so none may change it: the
+        # templates are tuples all the way down to their ids, chart ids,
+        # monomials, exponents and coefficients.
+        def containers(x):
+            if isinstance(x, (str, int, Fraction, Monomial)):
+                return set()
+            return {type(x)}.union(*(containers(y) for y in x))
+
+        columns, runs = solved = cohomology._solve(cohomology._transition(P11), -3, 1)
+        self.assertEqual(containers(solved), {tuple})
+        kernels = next(run[4] for run in runs if run[4])
         with self.assertRaises(TypeError):
-            kernels[0][0] = Fraction(1)
+            kernels[0][0] = (0, Fraction(1))
+        with self.assertRaises(TypeError):
+            columns[0] = columns[1]
 
     def test_widened_weight_range_changes_nothing(self):
         # Blocks outside _class_weights carry no class: solving six more
@@ -940,25 +990,27 @@ class TestWeightBlocks(unittest.TestCase):
         self.assertLessEqual(max(blocks.values()), 8)
 
     def test_memoized_solve_matches_per_block_oracle(self):
-        # Blocks with the same (chart, monomial) columns and rows share one
-        # elimination, and each block reads its kernels and H^1 rows off it:
-        # the same labels, kernels in order with their coefficient types, and
-        # representatives as eliminating every block afresh, also when the
-        # transition scales the U1 columns of block lambda by b^-lambda
-        # (b = 2, b = -1/3) and twists psi, where each block's U0
-        # coefficients are rescaled.
+        # The blocks of one run share one elimination, and the writer builds
+        # each generator and representative off its run's template: cech
+        # reports the same generators, term order and coefficient types
+        # included, and representatives as eliminating every block afresh
+        # and gluing its kernels, also when the transition scales the U1
+        # columns of block lambda by b^-lambda (b = 2, b = -1/3) and twists
+        # psi, where the writer rescales each generator's U0 coefficients.
         for atlas in GLUINGS:
             m01 = atlas.transition(*sorted(atlas.charts))
+            c0 = m01.source.id
             for sheaf in product(range(-40, 41), (0, 1)):
                 cohomology._solve.cache_clear()
-                dom, kernels, reps = solve_sheaf(atlas, sheaf)
-                want_dom, want_kernels, want_reps = per_block_solve(m01, sheaf)
-                msg = (m01.source.id, sheaf)
-                self.assertEqual(dom, want_dom, msg=msg)
-                self.assertEqual([strict_map(k) for k in kernels], [strict_map(k) for k in want_kernels], msg=msg)
-                self.assertEqual(reps, want_reps, msg=msg)
-                self.assertEqual([type(x) for x in (dom, kernels, reps)], [tuple] * 3, msg=msg)
-                self.assertTrue(all(type(k) is MappingProxyType for k in kernels), msg=msg)
+                report = cech(atlas, sheaf, 0)
+                dom, kernels, reps = per_block_solve(m01, sheaf)
+                msg = (c0, sheaf)
+                want_h0 = [[(cid, strict_form(f)) for cid, f in glue(atlas, dom, k).items()] for k in kernels]
+                got_h0 = [[(cid, strict_form(f)) for cid, f in parts.items()] for parts in report.generators_h0]
+                self.assertEqual(got_h0, want_h0, msg=msg)
+                want_h1 = [strict_form(glue(atlas, [(c0, m, (e,))], {0: Fraction(1)})[c0]) for m, e in reps]
+                self.assertEqual([strict_form(f) for f in report.generators_h1], want_h1, msg=msg)
+                self.assertEqual((report.h0, report.h1), (len(kernels), len(reps)), msg=msg)
 
     def test_cold_solve_eliminates_seven_blocks(self):
         # Away from the ends of the weight range the blocks of one second
@@ -980,6 +1032,29 @@ class TestWeightBlocks(unittest.TestCase):
                 self.assertEqual(eliminate.call_count, count, msg=msg)
                 self.assertEqual((report.h0, report.h1), want, msg=msg)
         cohomology._solve.cache_clear()
+
+    def test_memo_does_not_grow_with_the_degree(self):
+        # The runs of a sheaf start at the breakpoints of its columns, so a
+        # cold solve of -200000|1 or 200000|0 makes the 7 eliminations of
+        # -20|1 or 20|0 and holds as many runs and items: it lists no
+        # generator, and its run lengths sum to h0 and h1.
+        def items(x):
+            return 1 + sum(map(items, x)) if isinstance(x, tuple) else 1
+
+        m01 = cohomology._transition(P11)
+        self.addCleanup(cohomology._solve.cache_clear)
+        for small, big, dims in (((-20, 1), (-200000, 1), (800004, 0)), ((20, 0), (200000, 0), (0, 800000))):
+            cohomology._solve.cache_clear()
+            with mock.patch.object(cohomology, "_eliminate", wraps=_eliminate) as eliminate:
+                solved = cohomology._solve(m01, *big)
+            self.assertEqual(eliminate.call_count, 7, msg=big)
+            want = cohomology._solve(m01, *small)
+            self.assertEqual(len(solved[1]), len(want[1]), msg=big)
+            self.assertEqual(items(solved), items(want), msg=big)
+            lengths = [(hi - lo + 1, len(kernels), len(unhit)) for _, lo, hi, _, kernels, unhit in solved[1]]
+            self.assertEqual(
+                (sum(n * h0 for n, h0, _ in lengths), sum(n * h1 for n, _, h1 in lengths)), dims, msg=big
+            )
 
     def test_every_kernel_combines_its_columns_to_zero(self):
         # The full residual, which the solve checks only on each distinct
@@ -1260,7 +1335,7 @@ def global_section_complex(atlas, picture, lo, hi):
         cols = []
         for section in sections:
             dv = {}
-            for cid, form in _glue(atlas, labels, section).items():
+            for cid, form in glue(atlas, labels, section).items():
                 key = lambda mon, exps, cid=cid: (cid, mon, exps)
                 dv.update(_coordinates(exterior_d(form), index, key, _differential_error))
             col = {lead[t]: c for t, c in dv.items() if t in lead}
@@ -1285,7 +1360,7 @@ def complex_answer(atlas, picture, lo, hi, levels, d_cols):
             combo = {}
             for t, c in z.items():
                 _axpy(combo, sections[t].items(), c)
-            gens[i].append(_glue(atlas, labels, combo))
+            gens[i].append(glue(atlas, labels, combo))
     return strict_answer({(i, picture): dim for i, dim in dims.items()}, gens)
 
 
@@ -1303,7 +1378,7 @@ def split_by_weight(atlas, levels, d_cols):
     column that leaves its section's weight raises."""
     c0 = min(atlas.charts)
     weights = {
-        i: [_form_weight(_glue(atlas, labels, s)[c0]) for s in sections]
+        i: [_form_weight(glue(atlas, labels, s)[c0]) for s in sections]
         for i, (labels, sections) in levels.items()
     }
     summands = {}
@@ -1469,7 +1544,7 @@ def box_walk(atlas, blocks, picture, lo, hi, cutoff):
             if lo <= i <= hi and dim:
                 dims[(i, picture)] += dim
                 labels = [("U0", mon, exps) for mon, exps in bins[i]]
-                gens[i] += [_glue(atlas, labels, z) for z in reps[i]]
+                gens[i] += [glue(atlas, labels, z) for z in reps[i]]
     return dims, gens
 
 
@@ -1494,7 +1569,7 @@ def u_scan_derham(m, n, picture, degree_range, cutoff):
                 continue
             carriers = tuple(j for j in range(n) if u[j])
             mon = Monomial(carriers, (), (), tuple((j, 0) for j in carriers))
-            parts = _glue(atlas, [(chart.id, mon, (0,) * m)], {0: Fraction(1)})
+            parts = glue(atlas, [(chart.id, mon, (0,) * m)], {0: Fraction(1)})
             if not exterior_d(parts[chart.id]).is_zero():
                 raise StructuralError("flat de Rham class theta_S*delta_S is not closed")
             dims[(0, picture)] += 1
@@ -1592,7 +1667,7 @@ class TestFlatBlocks(unittest.TestCase):
                 labels = [("U0", basis_mon, exps) for basis_mon, exps in bins[0]]
                 (rep,) = reps[0]
                 self.assertEqual(
-                    _glue(atlas, labels, rep)["U0"],
+                    glue(atlas, labels, rep)["U0"],
                     normalize(mon.factors(), 1, "U0", chart.table),
                     msg=msg,
                 )
@@ -1682,23 +1757,29 @@ class TestPairingMatrix(unittest.TestCase):
                 self.assertEqual(berezin_integral(s0 - pullback(m01, s1)), 0, msg=(c0, k))
 
     def corrupted_solves(self):
-        # An H^0 kernel dropped, or replaced by a copy of another of the same
-        # weight, or an H^1 representative dropped, leaves the n = 3 pairing
-        # of rank 15, short of both sides or of one.  Yields a patched
-        # `_solve` per case, with the sheaf it changes.
+        # An H^0 generator dropped, or replaced by a copy of another of the
+        # same weight, or an H^1 representative dropped, leaves the n = 3
+        # pairing of rank 15, short of both sides or of one.  A run of one
+        # block loses a kernel or an unhit row; a run of several blocks with
+        # two kernels has its first block cut off, with its second kernel
+        # replaced by its first.  Yields a patched `_solve` per case, with
+        # the sheaf it changes.
         solve = cohomology._solve
         m01 = cohomology._transition(P11)
-        dom, kernels, no_reps = solve(m01, -3, 1)
-        weights = [
-            {_weight(dom[s][1], dom[s][2][0]) for s in combo if dom[s][0] == "U0"} for combo in kernels
-        ]
-        t, u = next((t, u) for t, u in combinations(range(len(kernels)), 2) if weights[t] == weights[u])
-        copied = kernels[:u] + (kernels[t],) + kernels[u + 1 :]
-        dom1, no_kernels, reps = solve(m01, 4, 0)
+        columns, runs = solve(m01, -3, 1)
+        r = next(r for r, run in enumerate(runs) if run[1] == run[2] and run[4])
+        dropped = runs[:r] + (runs[r][:4] + (runs[r][4][1:], runs[r][5]),) + runs[r + 1 :]
+        r = next(r for r, run in enumerate(runs) if run[1] < run[2] and len(run[4]) == 2)
+        mu, lo, hi, ids, kernels, unhit = runs[r]
+        cut = ((mu, lo, lo, ids, kernels[:1] * 2, unhit), (mu, lo + 1, hi, ids, kernels, unhit))
+        copied = runs[:r] + cut + runs[r + 1 :]
+        columns1, runs1 = solve(m01, 4, 0)
+        r = next(r for r, run in enumerate(runs1) if run[1] == run[2] and run[5])
+        short = runs1[:r] + (runs1[r][:5] + (runs1[r][5][1:],),) + runs1[r + 1 :]
         cases = (
-            ((-3, 1), (dom, kernels[1:], no_reps)),
-            ((-3, 1), (dom, copied, no_reps)),
-            ((4, 0), (dom1, no_kernels, reps[1:])),
+            ((-3, 1), (columns, dropped)),
+            ((-3, 1), (columns, copied)),
+            ((4, 0), (columns1, short)),
         )
         for sheaf, changed in cases:
             yield sheaf, lambda m, *s, sheaf=sheaf, changed=changed: changed if s == sheaf else solve(m, *s)
@@ -1778,18 +1859,19 @@ class TestPairingMatrix(unittest.TestCase):
         self.assertEqual(second, first)
 
     def test_warm_call_reads_the_solve_labels(self):
-        # No report is built and no form glued; M1*M2 is formed once per
-        # pair of sheaf monomials, at most 4 x 4 of them.  The solves stay
-        # warm; the pairing memo is cleared, so that the call forms products.
+        # No report is built, and the writer runs once per solve; M1*M2 is
+        # formed once per pair of sheaf monomials, at most 4 x 4 of them.
+        # The solves stay warm; the pairing memo is cleared, so that the
+        # call forms products.
         pairing_matrix(4, 10)
         cohomology._pairing.cache_clear()
         with (
             mock.patch.object(cohomology, "cech", wraps=cech) as reports,
-            mock.patch.object(cohomology, "_glue", wraps=_glue) as glued,
+            mock.patch.object(cohomology, "_generators", wraps=cohomology._generators) as written,
             mock.patch.object(cohomology, "pair", wraps=pair) as paired,
         ):
             matrix, rank = pairing_matrix(4, 13)
-        self.assertEqual((reports.call_count, glued.call_count), (0, 0))
+        self.assertEqual((reports.call_count, written.call_count), (0, 2))
         self.assertLessEqual(paired.call_count, 16)
         self.assertGreater(paired.call_count, 0)
         self.assertEqual((matrix, rank), pairing_matrix(4, 10))
@@ -1837,10 +1919,10 @@ def all_products_pairing(n, cutoff):
         raise StructuralError("the H^1(Omega^{1|1}) probe does not single out the generator")
     matrix = []
     for s, (mon, e) in enumerate(reps):
-        rep = _glue(P11, [("U0", mon, (e,))], {0: Fraction(1)})["U0"]
+        rep = glue(P11, [("U0", mon, (e,))], {0: Fraction(1)})["U0"]
         row = []
         for t, kernel in enumerate(kernels):
-            product = pair(rep, _glue(P11, dom, kernel)["U0"])
+            product = pair(rep, glue(P11, dom, kernel)["U0"])
             vec = _coordinates(product, index, lambda m, exps: (m, exps[0]), _overlap_error)
             elim = elims[_form_weight(product)] if product.terms else Eliminator()
             combo = elim.insert(vec, ("prod", s, t))
@@ -1894,7 +1976,7 @@ def checked_form(form):
 
 
 class TestUncheckedForms(unittest.TestCase):
-    # _glue, cech's H^1 representatives and _derham_classes wrap their terms
+    # _generators, cech's H^1 representatives and _derham_classes wrap their terms
     # unchecked; each form equals its checked rebuild, with its term order,
     # coefficient types and a tuple of variable names.
     def assert_clean(self, form, msg):
